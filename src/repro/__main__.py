@@ -25,7 +25,7 @@ Usage::
 
     python -m repro trace convert tc.dramsim3 tc.trace \\
         --workload tc --instructions 11    # ingest an external trace
-    python -m repro run tc.trace --setup mirza --backend vector
+    python -m repro run tc.trace --setup mirza --backend array
                                            # replay it, with the
                                            # calibration check printed
 
@@ -59,6 +59,7 @@ import sys
 from typing import Iterator, List, Optional
 
 from repro.report import exhibit_names, run_exhibit, write_report
+from repro.sim.backend import available_backends
 from repro.sim.session import FailurePolicy, SimSession
 
 _SUBCOMMANDS = ("list", "run", "report", "stats", "trace", "fuzz")
@@ -105,9 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=None, metavar="N",
             help="base RNG seed (default: REPRO_SEED or 0)")
         p.add_argument(
-            "--backend", default=None, metavar="NAME",
-            help="kernel backend for every simulation: event, array, "
-                 "or vector (bit-identical; vector needs numpy>=1.24; "
+            "--backend", default=None, choices=available_backends(),
+            help="kernel backend for every simulation (bit-identical; "
                  "default: REPRO_KERNEL_BACKEND or event)")
         p.add_argument(
             "--cache-dir", default=None, metavar="DIR",

@@ -54,7 +54,7 @@ def env_choice(var: str, default: str, choices: Tuple[str, ...]) -> str:
 
     Matching is case-insensitive after stripping whitespace, mirroring
     the alias handling of :func:`env_int`; an unrecognised spelling
-    (``REPRO_KERNEL_BACKEND=vector``) warns once and falls back to
+    (``REPRO_KERNEL_BACKEND=bogus``) warns once and falls back to
     ``default`` instead of raising mid-sweep.
     """
     raw = os.environ.get(var)

@@ -79,10 +79,7 @@ class MintSampler:
         selections fall out, ``windows_completed`` advances identically,
         and exactly one ``randrange`` is drawn per completed window in
         the same sequence -- but window boundaries are skipped over
-        arithmetically instead of counted one ACT at a time.  ``rows``
-        may be any indexable sequence, including a numpy array (the
-        closed-form sweep only measures and indexes it); selected rows
-        are returned as plain ints either way.
+        arithmetically instead of counted one ACT at a time.
         """
         n = len(rows)
         if n == 0:

@@ -22,11 +22,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 from repro.core.config import MirzaConfig
 from repro.core.mint import MintSampler
 from repro.core.mirza_q import MirzaQueue
@@ -108,52 +103,6 @@ class MirzaTracker(BankTracker):
                 insert(selected)
             i += 1
         for row, escaped in zip(rows[i:], escapes[i:]):
-            if queue_bump(row):
-                continue
-            if escaped:
-                selected = observe(row)
-                if selected is not None:
-                    insert(selected)
-
-    def on_activates_array(self, rows, times) -> None:
-        """Vector path: mapping and RCT as array math, queue/MINT replay.
-
-        The row-to-subarray translation and the RCT escape decisions of
-        the whole run are computed as ufunc expressions; the queue/MINT
-        pass then fast-forwards over ``flatnonzero(escapes)`` while the
-        queue is empty (bumping an empty queue is a no-op, so filtered
-        ACTs cannot change state) and replays the tail entry-at-a-time
-        once anything is queued.  If the RCT declines the run (edge
-        bumping or a SAFE sweep in flight) the whole run falls back to
-        the list path before any state is touched.
-        """
-        if type(self).on_activate is not MirzaTracker.on_activate:
-            BankTracker.on_activates_array(self, rows, times)
-            return
-        escapes = self.rct.on_activates_array(
-            self.mapping.physical_indices_array(rows))
-        if escapes is None:
-            self.on_activates(rows.tolist(), times.tolist())
-            return
-        self.acts_observed += len(rows)
-        queue = self.queue
-        observe = self.mint.observe
-        insert = queue.insert
-        escaped_positions = _np.flatnonzero(escapes)
-        m = len(escaped_positions)
-        k = 0
-        while k < m and not len(queue):
-            i = int(escaped_positions[k])
-            selected = observe(int(rows[i]))
-            if selected is not None:
-                insert(selected)
-            k += 1
-        if not len(queue):
-            return
-        start = int(escaped_positions[k - 1]) + 1 if k else 0
-        queue_bump = queue.on_activate
-        for row, escaped in zip(rows[start:].tolist(),
-                                escapes[start:].tolist()):
             if queue_bump(row):
                 continue
             if escaped:

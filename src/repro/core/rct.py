@@ -31,11 +31,6 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 from repro.dram.refresh import RefreshSlice
 from repro.obs import metrics as _metrics
 from repro.params import DramGeometry
@@ -190,58 +185,6 @@ class RegionCountTable:
             counter.value += escaped_n
             self._m_filtered.value += filtered_n
         return out
-
-    def on_activates_array(self, physical_rows):
-        """Vectorized escape decisions over a numpy run of physical rows.
-
-        Returns a numpy bool array (True = escaped), or ``None`` --
-        *before touching any state* -- when the run needs the per-ACT
-        path (edge bumping configured, or a SAFE sweep in flight), so
-        the caller can fall back to :meth:`on_activates` wholesale.
-
-        The per-ACT semantics reduce to arithmetic: within a run the
-        ``j``-th occurrence (0-based) of a region escapes iff the
-        region's entry counter plus ``j`` exceeds FTH, and the counter
-        lands at ``min(entry + occurrences, FTH + 1)``.  Occurrence
-        indices come from a stable argsort by region: positions minus
-        their group's start index.
-        """
-        if self._edge_possible or (self.reset_policy is ResetPolicy.SAFE
-                                   and self._refreshing_region is not None):
-            return None
-        n = len(physical_rows)
-        if n == 0:
-            return _np.zeros(0, dtype=bool)
-        regions = physical_rows // self.region_size
-        counters = self._counters
-        entry = _np.asarray(counters, dtype=_np.int64)
-        order = _np.argsort(regions, kind="stable")
-        sorted_regions = regions[order]
-        boundaries = _np.empty(n, dtype=bool)
-        boundaries[0] = True
-        _np.not_equal(sorted_regions[1:], sorted_regions[:-1],
-                      out=boundaries[1:])
-        starts = _np.flatnonzero(boundaries)
-        group_of = _np.cumsum(boundaries) - 1
-        occ_sorted = _np.arange(n, dtype=_np.int64) - starts[group_of]
-        escapes_sorted = (entry[sorted_regions] + occ_sorted) > self.fth
-        escapes = _np.empty(n, dtype=bool)
-        escapes[order] = escapes_sorted
-        group_sizes = _np.diff(_np.append(starts, n))
-        saturation = self.fth + 1
-        for region, k in zip(sorted_regions[starts].tolist(),
-                             group_sizes.tolist()):
-            final = counters[region] + k
-            counters[region] = final if final < saturation else saturation
-        escaped_n = int(escapes_sorted.sum())
-        filtered_n = n - escaped_n
-        self.escaped_acts += escaped_n
-        self.filtered_acts += filtered_n
-        counter = self._m_escaped
-        if counter is not None:
-            counter.value += escaped_n
-            self._m_filtered.value += filtered_n
-        return escapes
 
     # ------------------------------------------------------------------
     # Refresh-synchronised reset

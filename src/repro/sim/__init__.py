@@ -11,13 +11,7 @@ numeric/table helpers the experiment modules share.
 :mod:`repro.sim.backend` selects *how* the kernel under
 :func:`simulate` executes -- per-command (``event``) or chunked
 array-at-a-time (``array``), bit-identical by contract.
-
-The numeric helpers (``format_table``, ``geometric_mean``, ``mean``)
-are importable from here for backwards compatibility but deprecated at
-this level; import them from :mod:`repro.sim.stats`.
 """
-
-import warnings as _warnings
 
 from repro.sim.backend import (
     ArrayBackend,
@@ -97,27 +91,3 @@ __all__ = [
     "slowdown_for",
     "using_session",
 ]
-
-_DEPRECATED_STATS = ("format_table", "geometric_mean", "mean")
-_warned_stats: set = set()
-
-
-def __getattr__(name: str):
-    """Deprecation shim for the relocated numeric helpers.
-
-    ``repro.sim.{format_table,geometric_mean,mean}`` still resolve --
-    code written against the old flat surface keeps working -- but each
-    name warns once per process pointing at :mod:`repro.sim.stats`,
-    its canonical home.
-    """
-    if name in _DEPRECATED_STATS:
-        if name not in _warned_stats:
-            _warned_stats.add(name)
-            _warnings.warn(
-                f"importing {name!r} from repro.sim is deprecated; "
-                f"use repro.sim.stats.{name}",
-                DeprecationWarning, stacklevel=2)
-        from repro.sim import stats
-        return getattr(stats, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

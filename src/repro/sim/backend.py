@@ -23,20 +23,6 @@ choice a first-class API:
     stepping, i.e. exactly the event path's behaviour -- so the fast
     path is *provably bit-identical* (the golden-results suite pins it).
 
-``vector``
-    The array backend's buffering and flush boundaries, with the flush
-    itself vectorized: a buffered run at least :data:`VECTOR_MIN_RUN`
-    ACTs long whose tracker implements an array path
-    (:meth:`~repro.mitigations.base.BankTracker.on_activates_array`)
-    lands as a flat numpy ``int64`` array -- grouped counter updates,
-    closed-form MINT window arithmetic, ufunc RCT escape decisions --
-    instead of a per-ACT replay loop.  Short runs and trackers without
-    an array path take the array backend's list flush unchanged, so
-    the fallback is automatic per bank per flush.  Requires
-    ``numpy>=1.24``; selecting it without a compatible numpy (or with
-    ``REPRO_DISABLE_VECTOR`` set) raises a clear ImportError at run
-    time.
-
 Selection is resolved in priority order: an explicit ``backend=``
 argument to :func:`repro.sim.runner.simulate`, then the
 ``REPRO_KERNEL_BACKEND`` environment knob (CLI flag ``--backend`` maps
@@ -45,15 +31,9 @@ onto it), then the ``event`` default.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 from typing import Dict, List, Optional, Protocol, Sequence, Union, \
     runtime_checkable
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 from repro import _env, _profile
 from repro.cpu.system import MultiCoreSystem, SimResult
@@ -92,67 +72,12 @@ class EventBackend:
         return system.run(window_ps)
 
 
-# ----------------------------------------------------------------------
-# Vector-path availability gating
-# ----------------------------------------------------------------------
-_NUMPY_FLOOR = (1, 24)
-"""Oldest numpy the vector paths are tested against."""
-
-VECTOR_MIN_RUN = 64
-"""Shortest buffered run worth handing to the numpy flush path.
-
-Below this, array conversion and ufunc dispatch overhead beats the
-plain-list replay loop (benign flush runs average ~10 ACTs), so the
-vector device routes short runs through the array backend's list
-flush -- same semantics either way, only the arithmetic differs.
-"""
-
-DISABLE_ENV_VAR = "REPRO_DISABLE_VECTOR"
-"""Set (to 1/true/yes/on) to refuse the vector backend even when a
-compatible numpy is importable -- used by the minimal-deps CI job to
-prove the event/array backends carry the suite on their own."""
-
 FLUSH_RUN_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024,
                     2048, 4096)
-"""Buckets of the ``backend.flush_run_len`` histogram.  The edges
-bracket :data:`VECTOR_MIN_RUN`, so the recorded distribution shows
-directly what fraction of flush runs clears the vectorization
-threshold -- the data to tune it with."""
-
-
-def _vector_unavailable_reason() -> Optional[str]:
-    """Why the vector backend cannot run right now (None = it can)."""
-    if os.environ.get(DISABLE_ENV_VAR, "").strip().lower() in (
-            "1", "true", "yes", "on"):
-        return f"{DISABLE_ENV_VAR} is set"
-    if _np is None:
-        return "numpy is not installed"
-    try:
-        version = tuple(
-            int(part) for part in _np.__version__.split(".")[:2])
-    except ValueError:  # pragma: no cover - exotic dev builds
-        return None  # unparseable version: assume new enough
-    if version < _NUMPY_FLOOR:
-        floor = ".".join(str(p) for p in _NUMPY_FLOOR)
-        return (f"numpy {_np.__version__} is older than the supported "
-                f"floor {floor}")
-    return None
-
-
-def vector_available() -> bool:
-    """True iff the vector backend would run here and now."""
-    return _vector_unavailable_reason() is None
-
-
-def _require_vector() -> None:
-    """Raise a clear ImportError when the vector backend cannot run."""
-    reason = _vector_unavailable_reason()
-    if reason is not None:
-        raise ImportError(
-            f"the 'vector' kernel backend needs numpy>="
-            f"{'.'.join(str(p) for p in _NUMPY_FLOOR)} but {reason}; "
-            f"install a compatible numpy or select the 'array'/'event' "
-            f"backend")
+"""Buckets of the ``backend.flush_run_len`` histogram.  Power-of-two
+edges span single-ACT flushes up to whole-window runs, so the recorded
+distribution shows how far each flush amortises its per-run bookkeeping
+(benign runs are short; attack runs between ALERTs are long)."""
 
 
 class _BatchingDevice:
@@ -342,52 +267,10 @@ class _BatchingDevice:
         return self._real.attack_succeeded(threshold)
 
 
-class _VectorizingDevice(_BatchingDevice):
-    """Batching facade whose flush lands long runs as numpy arrays.
-
-    Identical buffering, poll, and flush *boundaries* to
-    :class:`_BatchingDevice`; only the flush arithmetic changes, and
-    only for banks whose tracker overrides
-    :meth:`~repro.mitigations.base.BankTracker.on_activates_array`
-    (checked once at construction) and only for runs of at least
-    :data:`VECTOR_MIN_RUN` ACTs.  Everything else takes the array
-    backend's list flush -- the automatic per-bank fallback.
-    """
-
-    __slots__ = ("_vector_ok",)
-
-    def __init__(self, real: DramDevice) -> None:
-        super().__init__(real)
-        self._vector_ok = [
-            type(t).on_activates_array is not BankTracker.on_activates_array
-            for t in real.trackers]
-
-    def _flush(self, bank_id: int) -> None:
-        """Land ``bank_id``'s buffered run, vectorized when worthwhile."""
-        rows = self._rows[bank_id]
-        if not rows:
-            return
-        if self._flush_hist is not None or self._trace_buf is not None:
-            self._note_flush(bank_id, len(rows))
-        if len(rows) >= VECTOR_MIN_RUN and self._vector_ok[bank_id]:
-            self._real.apply_activations_array(
-                bank_id,
-                _np.asarray(rows, dtype=_np.int64),
-                _np.asarray(self._times[bank_id], dtype=_np.int64))
-        else:
-            self._real.apply_activations(bank_id, rows,
-                                         self._times[bank_id])
-        self._rows[bank_id] = []
-        self._times[bank_id] = []
-
-
 class ArrayBackend:
     """Chunked array-at-a-time kernel (see the module docstring)."""
 
     name = "array"
-
-    device_cls = _BatchingDevice
-    """Facade installed over each device (subclasses swap it out)."""
 
     def run(self, system: MultiCoreSystem, window_ps: int) -> SimResult:
         """Drive the window with batching device facades installed.
@@ -399,7 +282,7 @@ class ArrayBackend:
         """
         prof = _profile._ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
-        proxies = [self.device_cls(device) for device in system.devices]
+        proxies = [_BatchingDevice(device) for device in system.devices]
         for mc, proxy in zip(system.mcs, proxies):
             mc.device = proxy
         try:
@@ -418,26 +301,6 @@ class ArrayBackend:
         return system.collect(window_ps)
 
 
-class VectorBackend(ArrayBackend):
-    """Array backend with numpy-vectorized flushes (module docstring).
-
-    Always registered so ``--backend vector`` gives a clear error
-    instead of an unknown-name KeyError when numpy is missing, too old,
-    or disabled via :data:`DISABLE_ENV_VAR`; availability is checked at
-    run time, not import time.
-    """
-
-    name = "vector"
-
-    device_cls = _VectorizingDevice
-
-    def run(self, system: MultiCoreSystem, window_ps: int) -> SimResult:
-        """Check numpy availability, then run the array kernel with
-        vectorizing facades."""
-        _require_vector()
-        return super().run(system, window_ps)
-
-
 # ----------------------------------------------------------------------
 # Registry and selection
 # ----------------------------------------------------------------------
@@ -452,8 +315,8 @@ def register_backend(name: str, backend: KernelBackend,
                      replace: bool = False) -> None:
     """Register a backend under ``name`` for :func:`backend_by_name`.
 
-    Third-party backends (a numpy-vectorised kernel, an instrumented
-    debug kernel) register here and become selectable everywhere --
+    Third-party backends (an instrumented debug kernel, say) register
+    here and become selectable everywhere --
     ``simulate(backend=...)``, ``--backend``, ``REPRO_KERNEL_BACKEND``.
     """
     if not replace and name in _BACKENDS:
@@ -499,4 +362,3 @@ def resolve_backend(spec: Union[str, KernelBackend, None]
 
 register_backend(EventBackend.name, EventBackend())
 register_backend(ArrayBackend.name, ArrayBackend())
-register_backend(VectorBackend.name, VectorBackend())

@@ -5,11 +5,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean (0.0 for an empty input)."""
@@ -38,28 +33,13 @@ def percentile(values: Iterable[float], p: float) -> float:
     """The ``p``-th percentile (linear interpolation, ``p`` in [0, 100]).
 
     Documented semantics: ``numpy.percentile``'s default ("linear")
-    method; returns 0.0 for an empty input.  When numpy is importable
-    the computation *is* ``numpy.percentile``; otherwise the pure-Python
-    implementation (:func:`_percentile_py`, kept tested either way)
-    produces the same values.
+    method; returns 0.0 for an empty input.
     """
     if not 0.0 <= p <= 100.0:
         raise ValueError("percentile must be in [0, 100]")
-    values = list(values)
-    if not values:
-        return 0.0
-    if _np is not None:
-        return float(_np.percentile(values, p))
-    return _percentile_py(values, p)
-
-
-def _percentile_py(values: List[float], p: float) -> float:
-    """Pure-Python "linear" percentile (non-empty, validated input).
-
-    The fallback when numpy is absent; the stats test suite pins it
-    against :func:`percentile` so the two paths cannot drift.
-    """
     ordered = sorted(values)
+    if not ordered:
+        return 0.0
     if len(ordered) == 1:
         return ordered[0]
     rank = (p / 100.0) * (len(ordered) - 1)
@@ -79,11 +59,6 @@ def histogram(values: Iterable[float], bins: int = 10
     both sides), matching ``numpy.histogram``.  Empty input yields all
     zero counts over [0, 1]; constant input yields one occupied bin
     over ``[c, c + 1]``.
-
-    Varied input delegates to ``numpy.histogram`` when numpy is
-    importable; empty and constant inputs always take the Python path,
-    because numpy's constant-input range ``(c - 0.5, c + 0.5)`` differs
-    from the documented ``[c, c + 1]`` edges.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
@@ -91,9 +66,6 @@ def histogram(values: Iterable[float], bins: int = 10
     if not values:
         return [0] * bins, [i / bins for i in range(bins + 1)]
     low, high = min(values), max(values)
-    if _np is not None and low != high:
-        counts, edges = _np.histogram(values, bins=bins)
-        return [int(c) for c in counts], [float(e) for e in edges]
     if low == high:
         high = low + 1.0
     width = (high - low) / bins

@@ -90,14 +90,7 @@ class WorkloadSource(Protocol):
     """Outstanding-miss budget the cores should run with."""
 
     def chunk_source(self, core_id: int) -> ChunkSource:
-        """The chunked miss trace for one core.
-
-        The returned :class:`~repro.cpu.trace.ChunkSource` also exposes
-        ``next_chunk_array`` -- the same chunks as flat
-        :data:`~repro.cpu.trace.ENTRY_DTYPE` structured arrays -- for
-        vector-kernel consumers (a view change, never a different
-        trace).
-        """
+        """The chunked miss trace for one core."""
         ...
 
     def trace_factory(self) -> Callable[[int], ChunkSource]:
@@ -122,17 +115,6 @@ class IterableWorkloadSource:
     def chunk_source(self, core_id: int) -> ChunkSource:
         """The wrapped iterable, chunked for the core's fast path."""
         return chunk_entries(self._factory(core_id), self._chunk_size)
-
-    def trace_chunk_arrays(self, core_id: int, chunk_size: int = 256):
-        """The same chunks as :data:`~repro.cpu.trace.ENTRY_DTYPE`
-        structured arrays (vector-kernel view; generation unchanged),
-        so ad-hoc sources don't fall off the vector fast path."""
-        source = chunk_entries(self._factory(core_id), chunk_size)
-        while True:
-            chunk = source.next_chunk_array()
-            if chunk is None:
-                return
-            yield chunk
 
     def trace_factory(self) -> Callable[[int], ChunkSource]:
         """``core_id -> trace`` callable for ``MultiCoreSystem``."""

@@ -155,22 +155,8 @@ class AttackWorkload:
         return iter(factory())
 
     def chunk_source(self, core_id: int) -> ChunkSource:
-        """The chunked trace wrapped for :class:`repro.cpu.core.Core`.
-
-        Like every :class:`ChunkSource`, the result also serves the
-        chunks as structured arrays via ``next_chunk_array`` for the
-        vector kernel.
-        """
+        """The chunked trace wrapped for :class:`repro.cpu.core.Core`."""
         return chunk_entries(self.trace(core_id))
-
-    def trace_chunk_arrays(self, core_id: int, chunk_size: int = 256):
-        """The same chunks as structured arrays (vector-kernel view)."""
-        source = chunk_entries(self.trace(core_id), chunk_size)
-        while True:
-            chunk = source.next_chunk_array()
-            if chunk is None:
-                return
-            yield chunk
 
     def trace_factory(self) -> Callable[[int], ChunkSource]:
         """``core_id -> trace`` callable for ``MultiCoreSystem``."""

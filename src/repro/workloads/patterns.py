@@ -17,9 +17,9 @@ A pattern compiles two ways from the same definition:
 - :meth:`AttackPattern.trace` / :meth:`AttackPattern.workload` -- the
   equivalent :class:`~repro.cpu.trace.TraceEntry` stream and
   :class:`~repro.workloads.attacks.AttackWorkload` for full-system runs.
-  All three kernel backends consume that single stream through the
-  ``WorkloadSource`` seam, so event/array/vector results stay
-  bit-identical by the backend contract.
+  Both kernel backends consume that single stream through the
+  ``WorkloadSource`` seam, so event/array results stay bit-identical
+  by the backend contract.
 
 Compilation is parameterised by a :class:`CompileContext` -- the
 row-to-subarray mapping, the bank/subchannel coordinates, and the
@@ -98,8 +98,7 @@ class AttackPattern:
 
     def chunk_source(self, ctx: CompileContext,
                      chunk_size: int = 256) -> ChunkSource:
-        """The timed compilation, chunked for the core fast path (and,
-        via ``next_chunk_array``, for the vector kernel)."""
+        """The timed compilation, chunked for the core fast path."""
         return chunk_entries(self.trace(ctx), chunk_size)
 
     def workload(self, ctx: CompileContext,

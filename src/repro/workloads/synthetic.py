@@ -28,8 +28,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Tuple
 
-from repro.cpu.trace import ChunkSource, EntryTuple, TraceEntry, \
-    chunk_to_array
+from repro.cpu.trace import ChunkSource, EntryTuple, TraceEntry
 from repro.params import SimScale, SystemConfig, ns
 from repro.workloads.specs import WorkloadSpec
 
@@ -190,12 +189,6 @@ class SyntheticWorkload:
         for chunk in self.trace_chunks(core_id):
             for tup in chunk:
                 yield TraceEntry(*tup)
-
-    def trace_chunk_arrays(self, core_id: int, chunk_size: int = 256):
-        """The same chunk stream as :data:`~repro.cpu.trace.ENTRY_DTYPE`
-        arrays (vector-kernel view; generation is unchanged)."""
-        for chunk in self.trace_chunks(core_id, chunk_size):
-            yield chunk_to_array(chunk)
 
     def chunk_source(self, core_id: int) -> ChunkSource:
         """The chunked trace wrapped for :class:`repro.cpu.core.Core`."""

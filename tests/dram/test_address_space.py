@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dram import mapping
 from repro.dram.mapping import (
     AddressSpaceSpec,
     BitFieldDecoder,
@@ -14,9 +13,6 @@ from repro.dram.mapping import (
 from repro.params import DramGeometry
 
 GEOMETRY = DramGeometry()
-
-needs_numpy = pytest.mark.skipif(mapping._np is None,
-                                 reason="needs numpy")
 
 
 def spaces():
@@ -73,22 +69,6 @@ class TestTranslateContracts:
             StridedAddressSpace(GEOMETRY, stride=2)
 
 
-@needs_numpy
-class TestScalarArrayEquivalence:
-    @pytest.mark.parametrize("space", spaces(),
-                             ids=lambda s: type(s).__name__)
-    def test_translate_arrays_matches_scalar(self, space):
-        np = mapping._np
-        coords = sample_coords()
-        subch = np.array([c[0] for c in coords], dtype=np.int64)
-        bank = np.array([c[1] for c in coords], dtype=np.int64)
-        row = np.array([c[2] for c in coords], dtype=np.int64)
-        got = space.translate_arrays(subch, bank, row)
-        want = [space.translate(*c) for c in coords]
-        for i, (s, b, r) in enumerate(want):
-            assert (got[0][i], got[1][i], got[2][i]) == (s, b, r)
-
-
 class TestSpecFactory:
     @pytest.mark.parametrize("kind, cls", [
         ("identity", IdentityAddressSpace),
@@ -123,19 +103,3 @@ class TestBitFieldDecoder:
         with pytest.raises(ValueError):
             decoder.encode_bus(row=GEOMETRY.rows_per_bank, bank=0,
                                subchannel=0, column=0)
-
-    @needs_numpy
-    def test_decode_arrays_matches_scalar(self):
-        np = mapping._np
-        decoder = BitFieldDecoder.for_geometry(GEOMETRY)
-        addresses = [decoder.encode_bus(row=r, bank=b, subchannel=s,
-                                        column=c)
-                     for r, b, s, c in [(0, 0, 0, 0), (12345, 17, 1, 9),
-                                        (GEOMETRY.rows_per_bank - 1,
-                                         31, 1, 63)]]
-        arrays = decoder.decode_arrays(np.array(addresses,
-                                                dtype=np.int64))
-        for i, address in enumerate(addresses):
-            scalar = decoder.decode(address)
-            for name in scalar:
-                assert arrays[name][i] == scalar[name]

@@ -190,15 +190,7 @@ def _observed(result):
     }
 
 
-def _fast_backends():
-    from repro.sim.backend import vector_available
-    return ["array", pytest.param(
-        "vector", marks=pytest.mark.skipif(
-            not vector_available(),
-            reason="vector backend needs numpy"))]
-
-
-@pytest.mark.parametrize("backend", _fast_backends())
+@pytest.mark.parametrize("backend", ["array"])
 def test_fuzzed_cell_is_bit_identical_across_backends(backend):
     from repro.sim.runner import baseline_setup, simulate_source
     from repro.workloads.patterns import CompileContext

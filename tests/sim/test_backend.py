@@ -1,6 +1,6 @@
-"""Kernel-backend API tests and the event/array/vector identity gate.
+"""Kernel-backend API tests and the event/array identity gate.
 
-The fast backends' entire value proposition is "same bits, less
+The fast backend's entire value proposition is "same bits, less
 time", so the core of this module is a parametrized sweep: every
 mitigation family in the repository runs the same (workload, scale,
 seed) window under the event backend and each fast backend, and the
@@ -22,12 +22,10 @@ from repro.sim.backend import (
     ArrayBackend,
     EventBackend,
     KernelBackend,
-    VectorBackend,
     available_backends,
     backend_by_name,
     default_backend_name,
     resolve_backend,
-    vector_available,
 )
 from repro.sim.runner import (
     MitigationSetup,
@@ -44,12 +42,7 @@ from repro.sim.runner import (
 SCALE = SimScale(2048)
 SEED = 0
 
-FAST_BACKENDS = [
-    "array",
-    pytest.param("vector", marks=pytest.mark.skipif(
-        not vector_available(),
-        reason="vector backend needs numpy>=1.24")),
-]
+FAST_BACKENDS = ["array"]
 """The backends that must be bit-identical to ``event``."""
 
 
@@ -57,10 +50,9 @@ FAST_BACKENDS = [
 # Registry / selection API
 # ----------------------------------------------------------------------
 def test_builtin_backends_registered():
-    assert available_backends() == ["array", "event", "vector"]
+    assert available_backends() == ["array", "event"]
     assert isinstance(backend_by_name("event"), EventBackend)
     assert isinstance(backend_by_name("array"), ArrayBackend)
-    assert isinstance(backend_by_name("vector"), VectorBackend)
 
 
 def test_backends_satisfy_protocol():
@@ -71,17 +63,6 @@ def test_backends_satisfy_protocol():
 def test_unknown_backend_lists_known_names():
     with pytest.raises(KeyError, match="array"):
         backend_by_name("vectorised")
-
-
-def test_vector_backend_unavailable_raises_clear_error(monkeypatch):
-    """The vector backend stays registered but refuses to run when the
-    numpy fast paths are unavailable (here: force-disabled)."""
-    monkeypatch.setenv(backend_mod.DISABLE_ENV_VAR, "1")
-    assert not vector_available()
-    assert "vector" in available_backends()
-    with pytest.raises(ImportError, match="numpy>=1.24"):
-        simulate("tc", baseline_setup(), SimScale(8192), seed=SEED,
-                 backend="vector")
 
 
 def test_register_backend_rejects_duplicates():
@@ -108,6 +89,31 @@ def test_malformed_backend_env_warns_and_defaults(monkeypatch):
         warnings.simplefilter("always")
         assert default_backend_name() == "event"
     assert any("REPRO_KERNEL_BACKEND" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("name", ["bogus", "vector"])
+def test_cli_rejects_unknown_backend_flag(capsys, name):
+    """An explicit ``--backend`` is validated, not silently defaulted."""
+    from repro.__main__ import main
+    assert main(["run", "tc", "--setup", "mirza", "--backend", name,
+                 "--time-scale", "8192", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{name}'" in err
+    assert "array" in err and "event" in err
+
+
+def test_cli_malformed_backend_env_warns_and_runs_event(monkeypatch,
+                                                        capsys):
+    """The environment knob keeps its warn-once-and-default contract."""
+    from repro.__main__ import main
+    monkeypatch.setenv(backend_mod.ENV_VAR, "cli-bogus")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "tc", "--setup", "baseline",
+                     "--time-scale", "8192", "--no-cache"]) == 0
+    assert any("REPRO_KERNEL_BACKEND='cli-bogus'" in str(w.message)
+               for w in caught)
+    assert default_backend_name() == "event"
 
 
 def test_simulate_stamps_backend_metadata(monkeypatch):

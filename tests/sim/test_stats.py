@@ -1,10 +1,7 @@
 """Tests for the stats/table helpers."""
 
-import random
-
 import pytest
 
-from repro.sim import stats as stats_mod
 from repro.sim.stats import (
     format_table,
     geometric_mean,
@@ -98,44 +95,6 @@ class TestHistogram:
     def test_invalid_bins_raises(self):
         with pytest.raises(ValueError):
             histogram([1], bins=0)
-
-
-@pytest.mark.skipif(stats_mod._np is None, reason="needs numpy")
-class TestNumpyFallbackEquivalence:
-    """The numpy-delegated and pure-Python paths must agree exactly."""
-
-    def test_percentile_paths_agree(self, monkeypatch):
-        rng = random.Random(5)
-        for _ in range(20):
-            data = [rng.uniform(-50, 50)
-                    for _ in range(rng.randrange(1, 40))]
-            p = rng.uniform(0, 100)
-            with_numpy = percentile(data, p)
-            monkeypatch.setattr(stats_mod, "_np", None)
-            without = percentile(data, p)
-            monkeypatch.undo()
-            assert without == pytest.approx(with_numpy, abs=1e-9)
-
-    def test_histogram_paths_agree(self, monkeypatch):
-        rng = random.Random(9)
-        for _ in range(20):
-            data = [rng.uniform(0, 100)
-                    for _ in range(rng.randrange(2, 60))]
-            bins = rng.randrange(1, 12)
-            counts_np, edges_np = histogram(data, bins)
-            monkeypatch.setattr(stats_mod, "_np", None)
-            counts_py, edges_py = histogram(data, bins)
-            monkeypatch.undo()
-            assert counts_py == counts_np
-            assert edges_py == pytest.approx(edges_np)
-
-    def test_empty_and_constant_inputs_agree(self, monkeypatch):
-        for data in ([], [4.0, 4.0, 4.0]):
-            with_numpy = histogram(data, bins=3)
-            monkeypatch.setattr(stats_mod, "_np", None)
-            without = histogram(data, bins=3)
-            monkeypatch.undo()
-            assert without == with_numpy
 
 
 class TestFormatTable:

@@ -2,8 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
-
+import subprocess
+import sys
 
 import repro
 
@@ -110,28 +112,37 @@ class TestCuratedSurface:
         assert isinstance(synthetic, WorkloadSource)
         assert isinstance(TraceFileWorkload([]), WorkloadSource)
 
-    def test_deprecated_stats_shim_warns_once(self):
-        import warnings
-
-        import repro.sim as sim
-        from repro.sim import stats
-
-        sim._warned_stats.discard("geometric_mean")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = sim.geometric_mean
-            second = sim.geometric_mean
-        assert first is stats.geometric_mean
-        assert second is stats.geometric_mean
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.sim.stats" in str(deprecations[0].message)
+    def test_stats_helpers_live_only_in_sim_stats(self):
+        sim = importlib.import_module("repro.sim")
+        stats = importlib.import_module("repro.sim.stats")
+        for name in ("format_table", "geometric_mean", "mean"):
+            assert not hasattr(sim, name), name
+            assert callable(getattr(stats, name))
 
     def test_deprecated_names_not_in_curated_all(self):
         sim = importlib.import_module("repro.sim")
         for name in ("format_table", "geometric_mean", "mean"):
             assert name not in sim.__all__
+
+
+class TestDependencies:
+    def test_numpy_is_never_imported(self):
+        """The package, the report and the array kernel are pure Python:
+        importing them and running a simulation must not load numpy."""
+        script = (
+            "import sys\n"
+            "import repro, repro.experiments, repro.report\n"
+            "from repro.params import SimScale\n"
+            "from repro.sim.runner import mirza_setup, simulate\n"
+            "scale = SimScale(8192)\n"
+            "simulate('tc', mirza_setup(1000, scale), scale,"
+            " backend='array')\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestDeterminism:

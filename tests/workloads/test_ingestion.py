@@ -166,13 +166,15 @@ class TestTraceFileWorkloadRouting:
         shards = [workload.shard(4, core) for core in range(4)]
         assert [e for shard in shards for e in shard] == original
 
-    def test_trace_chunk_arrays_cover_the_trace(self, tmp_path):
-        numpy = pytest.importorskip("numpy")
+    def test_chunk_source_covers_the_trace(self, tmp_path):
         path = str(tmp_path / "t.trace")
         original = entries(10)
         write_trace(original, path)
-        workload = TraceFileWorkload(path)
-        chunks = list(workload.trace_chunk_arrays(0, chunk_size=4))
-        assert sum(len(c) for c in chunks) == len(original)
-        rows = numpy.concatenate([c["row"] for c in chunks])
-        assert list(rows) == [e.row for e in original]
+        source = TraceFileWorkload(path).chunk_source(0)
+        seen = []
+        while True:
+            chunk = source.next_chunk()
+            if chunk is None:
+                break
+            seen.extend(TraceEntry(*tup) for tup in chunk)
+        assert seen == original

@@ -170,17 +170,17 @@ class TestCompilationAgreement:
         assert [e.row for e in take(workload.trace(2), 9)] == rows
         assert list(workload.trace(1)) == []
 
-    def test_chunk_arrays_match_entries(self, ctx):
-        pytest.importorskip("numpy")
+    def test_chunk_source_matches_entries(self, ctx):
         pattern = Feint(tracker_entries=4, acts=20, decoys=1)
         rows = [e.row for e in pattern.trace(ctx)]
         source = pattern.chunk_source(ctx, chunk_size=8)
         seen = []
         while True:
-            chunk = source.next_chunk_array()
+            chunk = source.next_chunk()
             if chunk is None:
                 break
-            seen.extend(int(r) for r in chunk["row"])
+            assert len(chunk) <= 8
+            seen.extend(row for *_, row in chunk)
         assert seen == rows
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.params import SimScale, SystemConfig
-from repro.sim.backend import vector_available
 from repro.sim.runner import baseline_setup, simulate_tenants
 from repro.workloads.tenants import (
     Tenant,
@@ -15,11 +14,7 @@ from repro.workloads.tenants import (
 
 SCALE = SimScale(4096)
 
-backends = pytest.mark.parametrize("backend", [
-    "event", "array",
-    pytest.param("vector", marks=pytest.mark.skipif(
-        not vector_available(), reason="needs numpy>=1.24")),
-])
+backends = pytest.mark.parametrize("backend", ["event", "array"])
 
 
 class TestScenarioShape:
