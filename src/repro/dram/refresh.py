@@ -88,8 +88,15 @@ class RefreshScheduler:
         self.refptr = 0
         self.windows_completed = 0
 
-    def peek_slice(self, ref_index: int = None) -> RefreshSlice:
-        """Build the slice for ``ref_index`` without advancing RefPtr."""
+    def peek_slice(self, ref_index: int = None,
+                   logical_rows: bool = True) -> RefreshSlice:
+        """Build the slice for ``ref_index`` without advancing RefPtr.
+
+        ``logical_rows=False`` leaves :attr:`RefreshSlice.logical_rows`
+        empty, for consumers that read only the physical bounds (the
+        RCT's reset state machine) and would otherwise pay for a list
+        of ``rows_per_ref`` rows per REF.
+        """
         if ref_index is None:
             ref_index = self.refptr
         ref_index %= self.refs_per_window
@@ -100,7 +107,8 @@ class RefreshScheduler:
         rows_per_sa = self.geometry.rows_per_subarray
         subarray = min(start, self.geometry.rows_per_bank - 1) \
             // rows_per_sa
-        logical = self.mapping.logical_rows(start, end)
+        logical = (self.mapping.logical_rows(start, end) if logical_rows
+                   else [])
         return RefreshSlice(
             ref_index=ref_index,
             physical_start=start,

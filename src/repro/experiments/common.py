@@ -1,27 +1,37 @@
 """Shared plumbing for the experiment modules.
 
-Besides the environment knobs (scales, workload subsets, seed) and the
-activation-level measurement kernels (:func:`measure_cgf`,
-:func:`acts_per_subarray_for`), this module defines the *session job*
-wrappers the experiment sweeps submit to a
-:class:`~repro.sim.session.SimSession`: :class:`CgfJob` and
-:class:`SubarrayStatsJob` make the counting measurements cacheable and
-process-pool dispatchable exactly like the timed ``SimJob`` runs.
+Besides the environment knobs (scales, workload subsets, seed), this
+module holds the activation-level counting tier.  :class:`CgfJob`
+counts one benign row stream -- keyed by (workload, scale, config,
+seed) -- in a single pass through any number of Region Count Table
+filters plus, when asked, the per-subarray ACT histogram.  It is a
+session job, so counting results are cacheable and process-pool
+dispatchable exactly like the timed ``SimJob`` runs.  The experiment
+planner folds every counting cell that reads one stream into one
+:class:`CgfJob` (:meth:`CgfJob.merge`), so a report generates each
+stream once.  :func:`measure_cgf`, :func:`acts_per_subarray_for` and
+:class:`SubarrayStatsJob` are one-line views of the same pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import (
+    ClassVar,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.rct import RegionCountTable
-from repro.dram.mapping import (
-    RowToSubarrayMapping,
-    SequentialR2SA,
-    StridedR2SA,
-)
+from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.dram.refresh import RefreshScheduler
 from repro.params import SimScale, SystemConfig
 from repro.sim.runner import MitigationSetup
@@ -111,6 +121,243 @@ class CgfStats:
             if self.total_acts else 0.0
 
 
+_MAPPINGS = {"sequential": SequentialR2SA, "strided": StridedR2SA}
+
+
+@dataclass(frozen=True, order=True)
+class RctFilter:
+    """One Region Count Table configuration a counting pass evaluates.
+
+    Ordered, so a merged job can list its filters canonically.
+    """
+
+    mapping_kind: str
+    """Row-to-subarray mapping: ``"sequential"`` or ``"strided"``."""
+
+    fth: int
+    num_regions: int = 128
+
+    def __post_init__(self) -> None:
+        if self.mapping_kind not in _MAPPINGS:
+            raise ValueError(
+                f"unknown row-to-subarray mapping {self.mapping_kind!r}; "
+                f"expected one of {sorted(_MAPPINGS)}")
+
+
+@dataclass(frozen=True)
+class StreamCounts:
+    """What one counting pass measured over a row stream."""
+
+    cgf: Tuple[CgfStats, ...] = ()
+    """One :class:`CgfStats` per filter, in the job's ``filters`` order."""
+
+    subarrays: Optional[Tuple[float, float]] = None
+    """(mean, std) ACTs per subarray under strided mapping, if asked."""
+
+
+@dataclass(frozen=True)
+class CgfJob:
+    """One counting pass over a row stream, as a cacheable session job.
+
+    The stream is keyed by (``spec``, ``scale``, ``config``, ``seed``):
+    the workload generator's per-core miss traces, round-robined one
+    entry per core so bank interleaving matches the timed simulation's,
+    cut at one scaled window of activations.  There is no command
+    timing; the refresh sweep advances at the equivalent per-bank ACT
+    cadence.  The pass feeds the stream through a per-bank RCT for every
+    entry of ``filters`` (Table VI, the escape probability of Table
+    VIII and Figure 13) and, when ``subarrays`` is set, counts ACTs per
+    subarray under strided mapping (Figure 6, Table IV).
+    """
+
+    spec: WorkloadSpec
+    filters: Tuple[RctFilter, ...] = ()
+    subarrays: bool = False
+    scale: SimScale = SimScale(512)
+    config: SystemConfig = SystemConfig()
+    seed: int = 0
+
+    @classmethod
+    def single(cls, spec: WorkloadSpec, mapping_kind: str, fth: int,
+               num_regions: int = 128, scale: SimScale = SimScale(512),
+               config: SystemConfig = SystemConfig(),
+               seed: int = 0) -> "CgfJob":
+        """A one-filter job: what one Table VI or VIII cell declares."""
+        return cls(spec, (RctFilter(mapping_kind, fth, num_regions),),
+                   scale=scale, config=config, seed=seed)
+
+    @classmethod
+    def merge(cls, jobs: Sequence["CountingJob"]) -> "CgfJob":
+        """One job whose single pass answers every job in ``jobs``.
+
+        The jobs must read the same stream.  Filters are deduplicated
+        and sorted, so the merged job's cache token does not depend on
+        the order the cells were declared in.
+        """
+        streams = {job.stream for job in jobs}
+        if len(streams) != 1:
+            raise ValueError("only counting jobs that read the same row "
+                             "stream can merge")
+        spec, scale, config, seed = streams.pop()
+        return cls(spec,
+                   tuple(sorted({f for job in jobs for f in job.filters})),
+                   any(job.subarrays for job in jobs), scale, config, seed)
+
+    @property
+    def stream(self) -> Tuple[WorkloadSpec, SimScale, SystemConfig, int]:
+        """The key of the row stream this job reads."""
+        return (self.spec, self.scale, self.config, self.seed)
+
+    def label(self) -> str:
+        """Span/progress name, e.g. ``cgf:mcf/x16/seed0 (8 filters +
+        subarrays)``."""
+        if len(self.filters) == 1:
+            (only,) = self.filters
+            parts = [f"{only.mapping_kind} fth{only.fth} "
+                     f"r{only.num_regions}"]
+        else:
+            parts = [f"{len(self.filters)} filters"]
+        if self.subarrays:
+            parts.append("subarrays")
+        return (f"cgf:{self.spec.name}/x{self.scale.time_scale}/"
+                f"seed{self.seed} ({' + '.join(parts)})")
+
+    def result_from(self, merged: "CgfJob",
+                    counts: StreamCounts) -> StreamCounts:
+        """What this job returns, read off the ``counts`` of a
+        ``merged`` job that covers it."""
+        return StreamCounts(
+            tuple(counts.cgf[merged.filters.index(f)]
+                  for f in self.filters),
+            counts.subarrays if self.subarrays else None)
+
+    def execute(self) -> StreamCounts:
+        """Count the stream in one pass (uncached; the worker path).
+
+        Each bank's rows are buffered between its REF boundaries (one
+        REF every ``acts_per_ref`` ACTs to that bank).  A full run lands
+        on every filter's RCT through the bulk
+        :meth:`~repro.core.rct.RegionCountTable.on_activates`, then the
+        bank's next REF slice advances each RCT's reset state machine.
+        """
+        spec, scale, config = self.spec, self.scale, self.config
+        geometry = config.geometry
+        acts_per_bank = scale.scale_count(spec.acts_per_bank_per_window)
+        total_acts = int(acts_per_bank * geometry.total_banks)
+        refs = scale.scaled_refs_per_window(config.timings)
+        acts_per_ref = max(1, int(acts_per_bank / refs))
+        # The RCT reads only a slice's physical bounds, which do not
+        # depend on the mapping: one window of slices serves every bank
+        # and filter, each bank cycling through it at its own pace.
+        sweep = RefreshScheduler(geometry, refs_per_window=refs)
+        slices = [sweep.peek_slice(i, logical_rows=False)
+                  for i in range(refs)]
+        kinds = [f.mapping_kind for f in self.filters]
+        mappings = {kind: _MAPPINGS[kind](geometry) for kind in
+                    set(kinds) | ({"strided"} if self.subarrays else set())}
+        banks = geometry.subchannels * geometry.banks_per_subchannel
+        rcts = [[RegionCountTable(f.num_regions, f.fth, geometry)
+                 for f in self.filters] for _ in range(banks)]
+        histograms = [Counter() for _ in range(banks)]
+        rows_per_sa = geometry.rows_per_subarray
+
+        def land(bank: int, rows: List[int]) -> None:
+            physical = {kind: mapping.physical_indices(rows)
+                        for kind, mapping in mappings.items()}
+            for rct, kind in zip(rcts[bank], kinds):
+                rct.on_activates(physical[kind])
+            if self.subarrays:
+                histograms[bank].update(
+                    p // rows_per_sa for p in physical["strided"])
+
+        synthetic = SyntheticWorkload(spec, config, scale, seed=self.seed)
+        cores = [chain.from_iterable(synthetic.trace_chunks(core))
+                 for core in range(config.num_cores)]
+        per_subchannel = geometry.banks_per_subchannel
+        pending: List[List[int]] = [[] for _ in range(banks)]
+        refs_done = [0] * banks
+        for _, _, subchannel, bank, row in islice(
+                chain.from_iterable(zip(*cores)), total_acts):
+            index = subchannel * per_subchannel + bank
+            rows = pending[index]
+            rows.append(row)
+            if len(rows) == acts_per_ref:
+                land(index, rows)
+                rows.clear()
+                slice_ = slices[refs_done[index] % refs]
+                refs_done[index] += 1
+                for rct in rcts[index]:
+                    rct.on_ref_slice(slice_)
+        for index, rows in enumerate(pending):
+            if rows:
+                land(index, rows)
+
+        cgf = tuple(
+            CgfStats(total_acts=total_acts,
+                     filtered=sum(bank[i].filtered_acts for bank in rcts),
+                     escaped=sum(bank[i].escaped_acts for bank in rcts))
+            for i in range(len(self.filters)))
+        subarrays = None
+        if self.subarrays:
+            values = [histogram[sa] for histogram in histograms
+                      for sa in range(geometry.subarrays_per_bank)]
+            mean = sum(values) / len(values)
+            var = sum((v - mean) ** 2 for v in values) / len(values)
+            subarrays = (mean, var ** 0.5)
+        return StreamCounts(cgf, subarrays)
+
+
+@dataclass(frozen=True)
+class SubarrayStatsJob:
+    """The per-subarray ACT histogram of one row stream, as a job.
+
+    It reads like a :class:`CgfJob` with no filters and ``subarrays``
+    set, and the planner folds it into its stream's merged job.
+    """
+
+    spec: WorkloadSpec
+    scale: SimScale = SimScale(512)
+    config: SystemConfig = SystemConfig()
+    seed: int = 0
+
+    filters: ClassVar[Tuple[RctFilter, ...]] = ()
+    subarrays: ClassVar[bool] = True
+
+    @property
+    def stream(self) -> Tuple[WorkloadSpec, SimScale, SystemConfig, int]:
+        """The key of the row stream this job reads."""
+        return (self.spec, self.scale, self.config, self.seed)
+
+    def label(self) -> str:
+        """Span/progress name, e.g. ``subarrays:mcf/x16/seed0``."""
+        return (f"subarrays:{self.spec.name}/x{self.scale.time_scale}/"
+                f"seed{self.seed}")
+
+    def result_from(self, merged: CgfJob,
+                    counts: StreamCounts) -> Tuple[float, float]:
+        """What this job returns, read off a merged job's counts."""
+        return counts.subarrays
+
+    def execute(self) -> Tuple[float, float]:
+        """Run the pass for the histogram alone (uncached)."""
+        return CgfJob.merge([self]).execute().subarrays
+
+
+CountingJob = Union[CgfJob, SubarrayStatsJob]
+"""A counting cell's job; the planner merges these per row stream."""
+
+
+def _decode_counts(payload: dict) -> StreamCounts:
+    subarrays = payload["subarrays"]
+    return StreamCounts(
+        tuple(CgfStats(**stats) for stats in payload["cgf"]),
+        None if subarrays is None else tuple(subarrays))
+
+
+register_job_type(CgfJob, dataclasses.asdict, _decode_counts)
+register_job_type(SubarrayStatsJob, list, tuple)
+
+
 def measure_cgf(spec: WorkloadSpec,
                 mapping_kind: str,
                 fth: int,
@@ -118,53 +365,10 @@ def measure_cgf(spec: WorkloadSpec,
                 scale: SimScale = SimScale(512),
                 config: SystemConfig = SystemConfig(),
                 seed: int = 0) -> CgfStats:
-    """Replay one window of activations through per-bank RCTs.
-
-    This is the fast activation-level path (no command timing): the
-    workload generator's row visits are fed straight into a Region
-    Count Table per bank, with the refresh sweep advanced at the
-    equivalent per-bank ACT cadence.  Used for Table VI and the
-    escape-probability column of Table VIII.
-    """
-    geometry = config.geometry
-    mapping: RowToSubarrayMapping = (
-        StridedR2SA(geometry) if mapping_kind == "strided"
-        else SequentialR2SA(geometry))
-    synthetic = SyntheticWorkload(spec, config, scale, seed=seed)
-    acts_per_bank = scale.scale_count(spec.acts_per_bank_per_window)
-    total_acts = int(acts_per_bank * geometry.total_banks)
-
-    refs_per_window = scale.scaled_refs_per_window(config.timings)
-    rcts: Dict[Tuple[int, int], RegionCountTable] = {}
-    schedulers: Dict[Tuple[int, int], RefreshScheduler] = {}
-    acts_seen: Dict[Tuple[int, int], int] = {}
-    acts_per_ref = max(1, int(acts_per_bank / refs_per_window))
-
-    filtered = escaped = emitted = 0
-    # Round-robin the per-core traces so bank interleaving matches the
-    # timed simulation's.
-    traces = [synthetic.trace(core) for core in range(config.num_cores)]
-    core = 0
-    while emitted < total_acts:
-        entry = next(traces[core])
-        core = (core + 1) % len(traces)
-        key = (entry.subchannel, entry.bank)
-        if key not in rcts:
-            rcts[key] = RegionCountTable(num_regions, fth, geometry)
-            schedulers[key] = RefreshScheduler(
-                geometry, mapping, refs_per_window)
-            acts_seen[key] = 0
-        physical = mapping.physical_index(entry.row)
-        if rcts[key].on_activate(physical):
-            escaped += 1
-        else:
-            filtered += 1
-        emitted += 1
-        acts_seen[key] += 1
-        if acts_seen[key] % acts_per_ref == 0:
-            rcts[key].on_ref_slice(schedulers[key].advance())
-    return CgfStats(total_acts=emitted, filtered=filtered,
-                    escaped=escaped)
+    """Filter one window of a workload's activations through per-bank
+    RCTs (see :class:`CgfJob`)."""
+    return CgfJob.single(spec, mapping_kind, fth, num_regions, scale,
+                         config, seed).execute().cgf[0]
 
 
 def acts_per_subarray_for(spec: WorkloadSpec,
@@ -173,84 +377,4 @@ def acts_per_subarray_for(spec: WorkloadSpec,
                           seed: int = 0) -> Tuple[float, float]:
     """(mean, std) activations per subarray per window under strided
     mapping -- the Figure 6 / Table IV measurement, activation-level."""
-    geometry = config.geometry
-    mapping = StridedR2SA(geometry)
-    synthetic = SyntheticWorkload(spec, config, scale, seed=seed)
-    acts_per_bank = scale.scale_count(spec.acts_per_bank_per_window)
-    total_acts = int(acts_per_bank * geometry.total_banks)
-    counts: Dict[Tuple[int, int, int], int] = {}
-    traces = [synthetic.trace(core) for core in range(config.num_cores)]
-    emitted, core = 0, 0
-    while emitted < total_acts:
-        entry = next(traces[core])
-        core = (core + 1) % len(traces)
-        sa = mapping.subarray_of(entry.row)
-        key = (entry.subchannel, entry.bank, sa)
-        counts[key] = counts.get(key, 0) + 1
-        emitted += 1
-    values = []
-    for subch in range(geometry.subchannels):
-        for bank in range(geometry.banks_per_subchannel):
-            for sa in range(geometry.subarrays_per_bank):
-                values.append(counts.get((subch, bank, sa), 0))
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    return mean, var ** 0.5
-
-
-# ----------------------------------------------------------------------
-# Session jobs for the counting measurements
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CgfJob:
-    """One :func:`measure_cgf` call as a cacheable session job."""
-
-    spec: WorkloadSpec
-    mapping_kind: str
-    fth: int
-    num_regions: int = 128
-    scale: SimScale = SimScale(512)
-    config: SystemConfig = SystemConfig()
-    seed: int = 0
-
-    def execute(self) -> CgfStats:
-        """Run the measurement (uncached; the worker-process path)."""
-        return measure_cgf(self.spec, self.mapping_kind, self.fth,
-                           self.num_regions, self.scale, self.config,
-                           self.seed)
-
-
-@dataclass(frozen=True)
-class SubarrayStatsJob:
-    """One :func:`acts_per_subarray_for` call as a session job."""
-
-    spec: WorkloadSpec
-    scale: SimScale = SimScale(512)
-    config: SystemConfig = SystemConfig()
-    seed: int = 0
-
-    def execute(self) -> Tuple[float, float]:
-        """Run the measurement (uncached; the worker-process path)."""
-        return acts_per_subarray_for(self.spec, self.scale,
-                                     self.config, self.seed)
-
-
-register_job_type(CgfJob, dataclasses.asdict,
-                  lambda payload: CgfStats(**payload))
-register_job_type(SubarrayStatsJob, list, tuple)
-
-
-def measure_cgf_many(jobs: Sequence[CgfJob],
-                     session: Optional[SimSession] = None
-                     ) -> List[CgfStats]:
-    """Run a batch of :class:`CgfJob` through the (default) session."""
-    session = session or get_default_session()
-    return session.run_many(jobs)
-
-
-def subarray_stats_many(jobs: Sequence[SubarrayStatsJob],
-                        session: Optional[SimSession] = None
-                        ) -> List[Tuple[float, float]]:
-    """Run :class:`SubarrayStatsJob` batches through the session."""
-    session = session or get_default_session()
-    return session.run_many(jobs)
+    return SubarrayStatsJob(spec, scale, config, seed).execute()

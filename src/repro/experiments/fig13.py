@@ -51,9 +51,9 @@ def _grid(ctx: Context) -> List[Cell]:
         mirza_config = MirzaConfig.paper_config(trhd)
         cells.extend(
             Cell((trhd, spec.name),
-                 CgfJob(spec, "strided",
-                        scale.scale_threshold(mirza_config.fth),
-                        mirza_config.num_regions, scale))
+                 CgfJob.single(spec, "strided",
+                               scale.scale_threshold(mirza_config.fth),
+                               mirza_config.num_regions, scale))
             for spec in ctx.specs())
     return cells
 
@@ -71,7 +71,7 @@ def _reduce(cells: framework.Cells) -> Fig13Result:
             mint_rate = acts / MINT_RFM_WINDOWS[trhd]
             mint_vals.append(
                 100.0 * mint_rate * victims / rows_per_bank)
-            stats = cells[(trhd, spec.name)]
+            stats = cells[(trhd, spec.name)].cgf[0]
             escape = (stats.escaped / stats.total_acts
                       if stats.total_acts else 0.0)
             mirza_rate = acts * escape / mirza_config.mint_window

@@ -15,10 +15,12 @@ into one job list, derives the unprotected baselines slowdown cells
 need, and submits the whole thing as a *single*
 :meth:`~repro.sim.session.SimSession.run_many` batch.  Cells shared
 between experiments (the PRAC runs of Figure 3 and Figure 11, the
-baselines nearly every experiment references, the CGF measurements
-Table XIII transitively re-uses) are keyed by the session's content
-tokens and therefore planned exactly once.  Results fan back out to
-each experiment's reducer in dependency order.
+baselines nearly every experiment references) are keyed by the
+session's content tokens and therefore planned exactly once.  Counting
+cells go further: every ``CgfJob``/``SubarrayStatsJob`` cell that reads
+the same row stream is answered by one merged ``CgfJob``, so a report
+generates each stream once.  Results fan back out to each experiment's
+reducer in dependency order.
 
 Example -- a complete experiment in ~30 lines::
 
@@ -55,6 +57,7 @@ every other experiment that declares it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -65,6 +68,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -394,12 +398,14 @@ class PlanStats:
     """Grid cells plus derived baselines, before any deduplication."""
 
     unique_jobs: int = 0
-    """Distinct content tokens among the planned jobs (untokened jobs
-    each count as unique -- they can never deduplicate)."""
+    """Distinct content tokens among the submitted jobs, after every
+    counting cell was merged into its row stream's ``CgfJob``
+    (untokened jobs each count as unique -- they can never
+    deduplicate)."""
 
     @property
     def deduplicated(self) -> int:
-        """Planned jobs whose content another planned job covers."""
+        """Planned jobs whose content another submitted job covers."""
         return self.planned_cells - self.unique_jobs
 
 
@@ -408,6 +414,16 @@ class _Entry:
     experiment: Experiment
     ctx: Context
     cells: Tuple[Cell, ...]
+
+
+class _Slot(NamedTuple):
+    """Where one cell's value comes from in the submitted batch."""
+
+    cell: Cell
+    index: int
+    baseline_index: Optional[int]
+    select: Optional[Callable[[Any], Any]]
+    """Reads a counting cell's value off its merged job's result."""
 
 
 class Plan:
@@ -429,16 +445,23 @@ class Plan:
         self.results: Dict[str, Any] = {}
         self.wall_time = 0.0
         self._jobs: List[Any] = []
-        # name -> [(cell, job index, baseline index or None), ...]
-        self._layout: Dict[str, List[Tuple[Cell, int, Optional[int]]]] \
-            = {}
+        self._layout: Dict[str, List[_Slot]] = {}
         self._lay_out()
 
     def _lay_out(self) -> None:
+        """Lay every cell out on the batch, one ``CgfJob`` per stream.
+
+        Counting cells (``CgfJob``/``SubarrayStatsJob``) that read the
+        same row stream -- within one exhibit or across several -- are
+        answered by a single merged ``CgfJob`` placed where the first
+        of them was declared; each such cell reads its own value off
+        the merged result.
+        """
+        from repro.experiments.common import CgfJob, SubarrayStatsJob
         from repro.sim.runner import baseline_setup
         setup = baseline_setup()
+        declared: List[Tuple[str, Cell, Any]] = []
         for name, entry in self._entries.items():
-            slots: List[Tuple[Cell, int, Optional[int]]] = []
             seen_keys = set()
             for cell in entry.cells:
                 if cell.key in seen_keys:
@@ -448,17 +471,37 @@ class Plan:
                 seen_keys.add(cell.key)
                 job = (cell.job.resolved()
                        if hasattr(cell.job, "resolved") else cell.job)
+                declared.append((name, cell, job))
+        counting = (CgfJob, SubarrayStatsJob)
+        streams: Dict[Any, List[Any]] = {}
+        for _, _, job in declared:
+            if isinstance(job, counting):
+                streams.setdefault(job.stream, []).append(job)
+        merged = {key: CgfJob.merge(jobs) for key, jobs in streams.items()}
+        stream_index: Dict[Any, int] = {}
+
+        self._layout = {name: [] for name in self._entries}
+        for name, cell, job in declared:
+            select = None
+            if isinstance(job, counting):
+                stream = merged[job.stream]
+                index = stream_index.get(job.stream)
+                if index is None:
+                    index = stream_index[job.stream] = len(self._jobs)
+                    self._jobs.append(stream)
+                select = functools.partial(job.result_from, stream)
+            else:
                 index = len(self._jobs)
                 self._jobs.append(job)
-                baseline_index = None
-                if cell.slowdown:
-                    baseline_index = len(self._jobs)
-                    self._jobs.append(
-                        dataclasses.replace(job, setup=setup))
-                slots.append((cell, index, baseline_index))
-            self._layout[name] = slots
+            baseline_index = None
+            if cell.slowdown:
+                baseline_index = len(self._jobs)
+                self._jobs.append(dataclasses.replace(job, setup=setup))
+            self._layout[name].append(
+                _Slot(cell, index, baseline_index, select))
         tokens = [job_token(job) for job in self._jobs]
-        self.stats.planned_cells = len(self._jobs)
+        self.stats.planned_cells = sum(
+            self.cell_count(name) for name in self._entries)
         self.stats.unique_jobs = (
             len({t for t in tokens if t is not None})
             + sum(1 for t in tokens if t is None))
@@ -494,14 +537,17 @@ class Plan:
             values: Dict[Any, Any] = {}
             failures: List[JobFailure] = []
             missing: List[Any] = []
-            for cell, index, baseline_index in self._layout[name]:
+            for cell, index, baseline_index, select in self._layout[name]:
                 protected = results[index]
                 baseline = (results[baseline_index]
                             if baseline_index is not None else None)
                 if is_failure(protected) or is_failure(baseline):
+                    # Cells sharing a merged job share its failure.
                     failures.extend(f for f in (protected, baseline)
-                                    if is_failure(f))
+                                    if is_failure(f) and f not in failures)
                     missing.append(cell.key)
+                elif select is not None:
+                    values[cell.key] = select(protected)
                 elif baseline_index is None:
                     values[cell.key] = protected
                 else:

@@ -47,8 +47,8 @@ def _grid(ctx: Context) -> List[Cell]:
     scale = ctx.counting_scale()
     num_regions = ctx.opt("num_regions", _NUM_REGIONS)
     return [Cell(((fth, mapping), spec.name),
-                 CgfJob(spec, mapping, scale.scale_threshold(fth),
-                        num_regions, scale))
+                 CgfJob.single(spec, mapping, scale.scale_threshold(fth),
+                               num_regions, scale))
             for fth, mapping in _points(ctx)
             for spec in ctx.specs()]
 
@@ -58,7 +58,7 @@ def _reduce(cells: framework.Cells) -> Table6Result:
     for point in _points(cells.ctx):
         filtered = total = 0
         for spec in cells.ctx.specs():
-            stats = cells[(point, spec.name)]
+            stats = cells[(point, spec.name)].cgf[0]
             filtered += stats.filtered
             total += stats.total_acts
         # ACT-weighted aggregate: the paper's percentages are over

@@ -53,9 +53,9 @@ def _grid(ctx: Context) -> List[Cell]:
         config = MirzaConfig.paper_config(trhd)
         cells.extend(
             Cell((trhd, spec.name),
-                 CgfJob(spec, "strided",
-                        scale.scale_threshold(config.fth),
-                        config.num_regions, scale))
+                 CgfJob.single(spec, "strided",
+                               scale.scale_threshold(config.fth),
+                               config.num_regions, scale))
             for spec in ctx.specs())
     return cells
 
@@ -66,7 +66,7 @@ def _reduce(cells: framework.Cells) -> List[Table8Row]:
         config = MirzaConfig.paper_config(trhd)
         escaped = total = 0
         for spec in cells.ctx.specs():
-            stats = cells[(trhd, spec.name)]
+            stats = cells[(trhd, spec.name)].cgf[0]
             escaped += stats.escaped
             total += stats.total_acts
         # ACT-weighted pooled escape probability, as in the paper.

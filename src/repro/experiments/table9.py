@@ -58,8 +58,8 @@ def _grid(ctx: Context) -> List[Cell]:
                 slowdown=True))
             cells.append(Cell(
                 ("cgf", (window, fth), spec.name),
-                CgfJob(spec, "strided", scale.scale_threshold(fth),
-                       128, scale)))
+                CgfJob.single(spec, "strided",
+                              scale.scale_threshold(fth), 128, scale)))
     return cells
 
 
@@ -70,7 +70,7 @@ def _reduce(cells: framework.Cells) -> List[Table9Row]:
         slowdowns = [cells[("sd", (window, fth), spec.name)][0]
                      for spec in specs]
         remaining = [cells[("cgf", (window, fth),
-                            spec.name)].remaining_pct
+                            spec.name)].cgf[0].remaining_pct
                      for spec in specs]
         rows.append(Table9Row(
             mint_window=window, fth=fth,

@@ -28,6 +28,8 @@ class ProgressUpdate:
     retried: int
     failed: int
     elapsed_s: float
+    last: str = ""
+    """Label of the cell that just finished (see ``job_label``)."""
 
     @property
     def hit_rate(self) -> float:
@@ -53,6 +55,8 @@ def _format(update: ProgressUpdate) -> str:
     eta = update.eta_s
     if eta is not None and update.done < update.total:
         parts.append(f"ETA {eta:.0f}s")
+    if update.last:
+        parts.append(update.last)
     return " | ".join(parts)
 
 

@@ -160,7 +160,7 @@ class JobFailure:
     def describe(self) -> str:
         """One-line human-readable account of the failure."""
         kind = "timed out" if self.timed_out else "failed"
-        return (f"{type(self.job).__name__} {kind} after "
+        return (f"{job_label(self.job)} {kind} after "
                 f"{self.attempts} attempt(s): "
                 f"{self.error_type}: {self.message}")
 
@@ -322,12 +322,17 @@ def describe(obj: Any) -> Any:
 
 
 def job_label(job: Any) -> str:
-    """Short human-readable label for one job (span names, progress).
+    """Short human-readable label for one job (spans, progress, failures).
 
-    ``SimJob``-shaped jobs render as ``workload/setup``; anything else
-    falls back to the class name plus a token prefix, so two distinct
-    ad-hoc jobs never share a label by accident.
+    A job that defines ``label()`` names itself (the counting
+    ``CgfJob`` renders as ``cgf:mcf/x16/seed0 (8 filters +
+    subarrays)``); ``SimJob``-shaped jobs render as ``workload/setup``;
+    anything else falls back to the class name plus a token prefix, so
+    two distinct ad-hoc jobs never share a label by accident.
     """
+    label = getattr(job, "label", None)
+    if callable(label):
+        return label()
     workload = getattr(job, "workload", None)
     name = workload if isinstance(workload, str) \
         else getattr(workload, "name", None)
@@ -697,7 +702,7 @@ class _BatchMonitor:
                 done=self.done, total=self.total,
                 cache_hits=self.cache_hits,
                 retried=self.tally.retried, failed=self.failed,
-                elapsed_s=self.elapsed_s))
+                elapsed_s=self.elapsed_s, last=job_label(job)))
 
     @contextmanager
     def phase(self, name: str, **meta: Any):

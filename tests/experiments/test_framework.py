@@ -13,13 +13,17 @@ from repro.experiments.framework import (
     Context,
     Experiment,
 )
+from repro.experiments.common import CgfJob, SubarrayStatsJob
 from repro.params import SimScale
 from repro.report import generate_markdown
 from repro.sim.runner import prac_setup
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import SimJob, SimSession, fault_roll
+from repro.workloads.specs import workload_by_name
 
 FAST = Context.make(workloads=["tc"], scale=SimScale(4096),
                     cgf=SimScale(512))
+COUNTING = ("table6", "table8", "fig6", "fig13")
+TWO_STREAMS = Context.make(workloads=["tc", "mcf"], cgf=SimScale(512))
 
 
 def _demo(name, **kwargs):
@@ -198,6 +202,107 @@ class TestCliExperiments:
         assert "Table VII" in text
         assert "Table X" in text
         assert "Figure 3" not in text
+
+
+def _cell_dump(name):
+    """``name``'s grid under a reducer that returns the cell values."""
+    experiment = framework.experiment_by_name(name)
+    return _demo("cells-" + name, grid=experiment.grid,
+                 reduce=lambda cells: {key: cells[key] for key in cells})
+
+
+class TestCountingMerge:
+    def test_counting_exhibits_submit_one_job_per_stream(self):
+        plan = framework.plan(list(COUNTING), ctx=TWO_STREAMS,
+                              session=SimSession(disk_cache=False))
+        assert plan.stats.unique_jobs == 2
+        plan.execute()
+        assert plan.batch.submitted == plan.batch.computed == 2
+        assert plan.stats.planned_cells == sum(
+            plan.cell_count(name) for name in COUNTING)
+
+    def test_each_cell_gets_its_own_jobs_value(self):
+        dumps = [_cell_dump(name) for name in COUNTING]
+        plan = framework.plan(dumps, ctx=TWO_STREAMS,
+                              session=SimSession(disk_cache=False))
+        results = plan.execute()
+        assert plan.batch.submitted == 2
+        standalone = {}
+        for dump in dumps:
+            for cell in dump.grid(TWO_STREAMS):
+                if cell.job not in standalone:
+                    standalone[cell.job] = cell.job.execute()
+                assert results[dump.name][cell.key] == \
+                    standalone[cell.job], (dump.name, cell.key)
+
+    def test_serial_and_pooled_results_identical(self):
+        serial = framework.plan(list(COUNTING), ctx=TWO_STREAMS,
+                                session=SimSession(disk_cache=False))
+        pooled = framework.plan(
+            list(COUNTING), ctx=TWO_STREAMS,
+            session=SimSession(disk_cache=False, max_workers=2))
+        assert serial.execute() == pooled.execute()
+        assert pooled.batch.workers == 2
+
+    def test_counting_cells_merge_across_scales_only_per_stream(self):
+        # table4's histogram and table9's filters read the timed-scale
+        # stream, so they merge with each other but not with fig6.
+        ctx = Context.make(workloads=["tc"], scale=SimScale(4096),
+                           cgf=SimScale(512))
+        plan = framework.plan(["fig6", "table4", "table9"], ctx=ctx)
+        counting = [job for job in plan._jobs
+                    if isinstance(job, CgfJob)]
+        assert sorted(job.scale.time_scale for job in counting) \
+            == [512, 4096]
+
+
+class TestCountingFailures:
+    def _keep_going(self):
+        return SimSession(disk_cache=False,
+                          failure_policy="keep_going", max_retries=0)
+
+    def test_failed_stream_degrades_every_exhibit_reading_it(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
+        plan = framework.plan(["table6", "fig6", "table12"], ctx=FAST,
+                              session=self._keep_going())
+        results = plan.execute()
+        assert plan.batch.failed == 1
+        assert sorted(plan.degraded()) == ["fig6", "table6"]
+        assert not framework.is_degraded(results["table12"])
+        table6 = results["table6"]
+        assert len(table6.missing_cells) == plan.cell_count("table6")
+        (failure,) = table6.failures
+        assert failure.describe().startswith(
+            "cgf:tc/x512/seed0 (4 filters + subarrays) failed")
+        assert results["fig6"].failures == table6.failures
+
+    def test_failed_stream_spares_exhibits_on_other_streams(
+            self, monkeypatch):
+        scale = SimScale(2048)
+        tc_job = CgfJob.single(workload_by_name("tc"), "strided", 1,
+                               scale=scale)
+        mcf_job = SubarrayStatsJob(workload_by_name("mcf"), scale)
+        readers = [
+            _demo("reads-tc", grid=lambda ctx: [Cell("k", tc_job)],
+                  reduce=lambda cells: cells["k"]),
+            _demo("reads-mcf", grid=lambda ctx: [Cell("k", mcf_job)],
+                  reduce=lambda cells: cells["k"]),
+        ]
+        # A fault rate between the two merged jobs' rolls fails exactly
+        # the lower-rolling stream.
+        rolls = {"reads-tc": fault_roll(CgfJob.merge([tc_job])),
+                 "reads-mcf": fault_roll(CgfJob.merge([mcf_job]))}
+        monkeypatch.setenv("REPRO_FAULT_RATE",
+                           repr(sum(rolls.values()) / 2))
+        plan = framework.plan(readers, ctx=FAST,
+                              session=self._keep_going())
+        results = plan.execute()
+        failed = min(rolls, key=rolls.get)
+        spared = max(rolls, key=rolls.get)
+        assert plan.degraded() == [failed]
+        expected = (tc_job if spared == "reads-tc" else mcf_job).execute()
+        assert results[spared] == expected
 
 
 @dataclasses.dataclass(frozen=True)
