@@ -30,6 +30,7 @@ row number.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -306,6 +307,27 @@ class StridedAddressSpace(AddressSpace):
                 (row * self.stride + self.row_offset) % g.rows_per_bank)
 
 
+@functools.lru_cache(maxsize=4)
+def _permutation_tables(rows_per_bank: int, banks_per_subchannel: int,
+                        seed: int) -> Tuple[Tuple[int, ...],
+                                            Tuple[int, ...]]:
+    """A permuted space's (row table, bank table), shuffled once per
+    process: every tenant job of a scenario reuses a handful of seeds,
+    and a row shuffle of a full bank costs far more than the job's
+    other set-up.  Immutable tuples, so sharing them is safe.  Four
+    entries cover every scenario here (two seeds each) and bound what
+    the process keeps: a full-bank row table holds ~5 MB."""
+    # Mix the seed so spaces don't correlate with other consumers
+    # of small integer seeds; int seeding is hash-stable across
+    # processes (str/tuple seeding is not).
+    rng = random.Random(0x5EED_AD0 ^ (seed * 0x9E37_79B1))
+    row_table = list(range(rows_per_bank))
+    rng.shuffle(row_table)
+    bank_table = list(range(banks_per_subchannel))
+    rng.shuffle(bank_table)
+    return tuple(row_table), tuple(bank_table)
+
+
 class PermutedAddressSpace(AddressSpace):
     """Seeded pseudo-random bijection of rows and banks.
 
@@ -315,6 +337,7 @@ class PermutedAddressSpace(AddressSpace):
     the adversarial placement for locality-based arguments.  The same
     seed always yields the same table, so results are reproducible and
     cacheable; distinct seeds give tenants disjoint-looking layouts.
+    Spaces with the same geometry and seed share one table per process.
     """
 
     name = "permuted"
@@ -323,16 +346,8 @@ class PermutedAddressSpace(AddressSpace):
                  seed: int = 0) -> None:
         super().__init__(geometry)
         self.seed = seed
-        # Mix the seed so spaces don't correlate with other consumers
-        # of small integer seeds; int seeding is hash-stable across
-        # processes (str/tuple seeding is not).
-        rng = random.Random(0x5EED_AD0 ^ (seed * 0x9E37_79B1))
-        row_table = list(range(geometry.rows_per_bank))
-        rng.shuffle(row_table)
-        bank_table = list(range(geometry.banks_per_subchannel))
-        rng.shuffle(bank_table)
-        self._row_table = row_table
-        self._bank_table = bank_table
+        self._row_table, self._bank_table = _permutation_tables(
+            geometry.rows_per_bank, geometry.banks_per_subchannel, seed)
 
     def translate(self, subchannel: int, bank: int, row: int
                   ) -> Tuple[int, int, int]:

@@ -15,6 +15,10 @@ not licence forgetting the Misra-Gries undercount).  Because counts are
 sound lower bounds with bounded undercount, Mithril is *secure* -- but
 needs thousands of entries at low thresholds (4.5KB+ CAM per bank,
 Section I), which is exactly the storage cost MIRZA avoids.
+
+The eviction victim and the floor come from a
+:class:`~repro.mitigations.minheap.MinCountHeap` over the table, so a
+full table costs O(log k) per untracked activation, not a scan.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.mitigations.base import BankTracker, MitigationSlotSource
+from repro.mitigations.minheap import MinCountHeap
 
 
 class MithrilTracker(BankTracker):
@@ -37,28 +42,26 @@ class MithrilTracker(BankTracker):
         self.refs_per_mitigation = refs_per_mitigation
         self.bits_per_counter = bits_per_counter
         self._table: Dict[int, int] = {}
+        self._index = MinCountHeap(self._table, entries)
         self._last_mitigated: Dict[int, int] = {}
         self._mitigation_seq = 0
         self._refs_seen = 0
         self.spills = 0
 
-    def _table_min(self) -> int:
-        return min(self._table.values()) if self._table else 0
-
     def on_activate(self, row: int, now_ps: int) -> None:
-        if row in self._table:
-            self._table[row] += 1
+        table = self._table
+        if row in table:
+            table[row] += 1
             return
-        if len(self._table) < self.entries:
-            self._table[row] = 1
+        if len(table) < self.entries:
+            self._index.insert(row, 1)
             return
-        # Misra-Gries replacement: adopt the minimum entry's count + 1.
-        # This keeps every counter an upper bound on the true count while
-        # the undercount stays bounded by the number of replacements.
-        floor = self._table_min()
-        victim = min(self._table, key=lambda r: (self._table[r], r))
-        del self._table[victim]
-        self._table[row] = floor + 1
+        # Misra-Gries replacement: the minimum (count, row) entry makes
+        # way and the newcomer adopts its count + 1.  This keeps every
+        # counter an upper bound on the true count while the undercount
+        # stays bounded by the number of replacements.
+        floor, _ = self._index.minimum()
+        self._index.evict_minimum(row, floor + 1)
         self.spills += 1
 
     def on_mitigation_slot(self, now_ps: int,
@@ -77,7 +80,8 @@ class MithrilTracker(BankTracker):
                                  -self._last_mitigated.get(r, -1), -r))
         # Reset to the running minimum rather than zero: the entry may
         # still be undercounting by up to the Misra-Gries error floor.
-        self._table[row] = self._table_min()
+        floor, _ = self._index.minimum()
+        self._index.set_count(row, floor)
         self._mitigation_seq += 1
         self._last_mitigated[row] = self._mitigation_seq
         return [row]

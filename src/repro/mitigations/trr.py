@@ -3,8 +3,10 @@
 Reverse engineering showed DDR4 TRR trackers hold 4-28 entries per bank
 (Section X).  We model the common "capture the most-activated rows"
 shape: a table of (row, count); an activation increments its row's entry
-or claims a free/minimum slot.  One aggressor is mitigated per
-``refs_per_mitigation`` REF commands (proactive, borrowing REF time).
+or claims a free/minimum slot (found through a
+:class:`~repro.mitigations.minheap.MinCountHeap`, not a scan).  One
+aggressor is mitigated per ``refs_per_mitigation`` REF commands
+(proactive, borrowing REF time).
 
 TRR is **insecure**: patterns with more decoy rows than table entries
 (Blacksmith/TRRespass-style) evict the true aggressor, which the
@@ -17,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.mitigations.base import BankTracker, MitigationSlotSource
+from repro.mitigations.minheap import MinCountHeap
 
 
 class TrrTracker(BankTracker):
@@ -32,19 +35,20 @@ class TrrTracker(BankTracker):
         self.refs_per_mitigation = refs_per_mitigation
         self.mitigation_threshold = mitigation_threshold
         self._table: Dict[int, int] = {}
+        self._index = MinCountHeap(self._table, entries)
         self._refs_seen = 0
 
     def on_activate(self, row: int, now_ps: int) -> None:
-        if row in self._table:
-            self._table[row] += 1
+        table = self._table
+        if row in table:
+            table[row] += 1
             return
-        if len(self._table) < self.entries:
-            self._table[row] = 1
+        if len(table) < self.entries:
+            self._index.insert(row, 1)
             return
-        # Replace the minimum-count entry: the classic exploitable move.
-        victim = min(self._table, key=lambda r: (self._table[r], r))
-        del self._table[victim]
-        self._table[row] = 1
+        # Replace the minimum (count, row) entry: the classic
+        # exploitable move.
+        self._index.evict_minimum(row, 1)
 
     def on_mitigation_slot(self, now_ps: int,
                            source: MitigationSlotSource) -> List[int]:
@@ -58,7 +62,7 @@ class TrrTracker(BankTracker):
         row = max(self._table, key=lambda r: (self._table[r], -r))
         if self._table[row] < self.mitigation_threshold:
             return []
-        del self._table[row]
+        self._index.remove(row)
         return [row]
 
     def storage_bits(self) -> int:

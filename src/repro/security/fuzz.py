@@ -154,6 +154,10 @@ class FuzzJob:
     blast_radius: int = 2
     config: SystemConfig = SystemConfig()
 
+    def label(self) -> str:
+        """Span/progress name, e.g. ``fuzz:trr/feint(...)``."""
+        return f"fuzz:{self.mitigation}/{self.pattern.label()}"
+
     def execute(self) -> FuzzOutcome:
         """Drive the compiled stream through the harness (worker path)."""
         mapping = _mapping_for(self.mapping, self.config)

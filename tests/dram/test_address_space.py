@@ -1,5 +1,7 @@
 """Tests for the logical->physical AddressSpace translation layer."""
 
+import random
+
 import pytest
 
 from repro.dram.mapping import (
@@ -63,6 +65,34 @@ class TestTranslateContracts:
             == [two.translate(*c) for c in coords]
         assert [one.translate(*c) for c in coords] \
             != [other.translate(*c) for c in coords]
+
+    @pytest.mark.parametrize("seed, pinned", [
+        (1, [(0, 9, 53448), (1, 24, 109774), (0, 30, 89656)]),
+        (2, [(0, 30, 87336), (1, 5, 51), (0, 26, 511)]),
+    ])
+    def test_permutation_matches_a_fresh_shuffle(self, seed, pinned):
+        rng = random.Random(0x5EED_AD0 ^ (seed * 0x9E37_79B1))
+        rows = list(range(GEOMETRY.rows_per_bank))
+        rng.shuffle(rows)
+        banks = list(range(GEOMETRY.banks_per_subchannel))
+        rng.shuffle(banks)
+        space = PermutedAddressSpace(GEOMETRY, seed=seed)
+        assert [space.translate(0, 0, row)[2]
+                for row in range(GEOMETRY.rows_per_bank)] == rows
+        assert [space.translate(1, bank, 0)[1]
+                for bank in range(GEOMETRY.banks_per_subchannel)] == banks
+        assert [space.translate(*c) for c in sample_coords()[:3]] == pinned
+
+    def test_same_seed_shares_one_table(self):
+        one = PermutedAddressSpace(GEOMETRY, seed=1)
+        two = AddressSpaceSpec(kind="permuted", seed=1).build(GEOMETRY)
+        other = PermutedAddressSpace(GEOMETRY, seed=2)
+        assert one._row_table is two._row_table
+        assert one._bank_table is two._bank_table
+        assert isinstance(one._row_table, tuple)
+        assert one._row_table != other._row_table
+        small = DramGeometry(rows_per_bank=4096, rows_per_subarray=1024)
+        assert len(PermutedAddressSpace(small, seed=1)._row_table) == 4096
 
     def test_even_stride_rejected(self):
         with pytest.raises(ValueError, match="stride"):

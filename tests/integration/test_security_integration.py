@@ -13,11 +13,13 @@ single-bank harness and assert the paper's security claims:
 
 import random
 
+import pytest
 
 from repro.core.config import MirzaConfig
 from repro.core.mirza import MirzaTracker
 from repro.core.rct import ResetPolicy
 from repro.dram.mapping import SequentialR2SA
+from repro.experiments.table2 import FeintingJob
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.mithril import MithrilTracker
 from repro.mitigations.prac import PracTracker
@@ -25,6 +27,7 @@ from repro.mitigations.trr import TrrTracker
 from repro.security.attacks import SingleBankHarness
 from repro.security.mint_model import mint_tolerated_trhd
 from repro.security.mirza_model import abo_extra_acts
+from repro.sim.session import job_label
 from repro.workloads.attacks import (
     double_sided_attack_stream,
     feinting_attack_stream,
@@ -219,3 +222,16 @@ class TestMithrilFeinting:
         # Feinting sustains strictly more unmitigated ACTs than a
         # naive focused hammer (Table II is built on this).
         assert feinting_max > focused_max
+
+
+class TestFeintingJob:
+    # Table II's measured Mithril column (128 entries, 150k ACTs),
+    # captured with the O(entries) scan-based tracker.
+    @pytest.mark.parametrize("rate, pinned",
+                             [(1, 91), (2, 173), (4, 360), (8, 696)])
+    def test_golden_worst_case(self, rate, pinned):
+        assert FeintingJob(128, rate).execute() == pinned
+
+    def test_labels_itself(self):
+        assert job_label(FeintingJob(128, 4)) == \
+            "feint:mithril-128/1-per-4-REF/150000"

@@ -20,7 +20,7 @@ from repro.security.fuzz import (
     run_fuzz,
     sample_pattern,
 )
-from repro.sim.session import SimSession, job_token
+from repro.sim.session import SimSession, job_label, job_token
 from repro.workloads.patterns import DoubleSided, Feint
 
 SEQ = dict(mapping="sequential")
@@ -85,6 +85,19 @@ class TestSampling:
 
 
 class TestFuzzJob:
+    def test_labels_name_mitigation_and_pattern(self):
+        pattern = Feint(tracker_entries=8, acts=2000, decoys=1)
+        job = FuzzJob(pattern=pattern, mitigation="trr")
+        assert job_label(job) == f"fuzz:trr/{pattern.label()}"
+
+    def test_labels_are_distinct_across_the_fuzz_grid(self):
+        from repro.experiments import framework
+        ctx = framework.Context.make(scale=SimScale(8192), seed=1)
+        jobs = [cell.job
+                for cell in framework.experiment_by_name("fuzz").grid(ctx)]
+        assert len({job_label(job) for job in jobs}) == \
+            len({job_token(job) for job in jobs}) == len(jobs)
+
     def test_executes_and_reduces(self):
         job = FuzzJob(pattern=Feint(tracker_entries=8, acts=2000,
                                     decoys=1),
