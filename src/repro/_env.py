@@ -1,10 +1,10 @@
 """Defensive parsing for the ``REPRO_*`` environment knobs.
 
 Environment variables are typed by the user, not the library, so a
-malformed value (``REPRO_JOBS=auto`` before that spelling existed,
-``REPRO_WORKLOAD_CACHE=x``) must not surface as a bare ``ValueError``
-deep inside a sweep.  Every parser here warns once per (variable,
-value) and falls back to the caller's default instead.
+malformed value (``REPRO_JOBS=many``, ``REPRO_FAULT_RATE=lots``) must
+not surface as a bare ``ValueError`` deep inside a sweep.  Every parser
+here warns once per (variable, value) and falls back to the caller's
+default instead.
 """
 
 from __future__ import annotations

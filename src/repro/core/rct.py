@@ -190,33 +190,36 @@ class RegionCountTable:
     # Refresh-synchronised reset
     # ------------------------------------------------------------------
     def on_ref_slice(self, slice_: RefreshSlice) -> None:
-        """Advance the reset state machine with one REF's sweep slice."""
-        start_region = self.region_of(slice_.physical_start)
-        end_region = self.region_of(slice_.physical_end - 1)
-        for region in range(start_region, end_region + 1):
-            first = region * self.region_size
-            last = first + self.region_size  # exclusive
-            begins = slice_.physical_start <= first < slice_.physical_end
-            ends = slice_.physical_start < last <= slice_.physical_end
-            reset = False
-            if self.reset_policy is ResetPolicy.EAGER:
-                if begins:
-                    self._counters[region] = 0
-                    reset = True
-            elif self.reset_policy is ResetPolicy.LAZY:
-                if ends:
-                    self._counters[region] = 0
-                    reset = True
-            else:  # SAFE
-                if begins:
-                    self._rrc = self._counters[region]
-                    self._counters[region] = 0
-                    self._refreshing_region = region
-                    reset = True
-                if ends and self._refreshing_region == region:
-                    self._refreshing_region = None
-            if reset and self._m_resets is not None:
-                self._m_resets.value += 1
+        """Advance the reset state machine with one REF's sweep slice.
+
+        A slice *begins* the regions whose first row it refreshes and
+        *ends* those whose last row it refreshes; each set is a
+        contiguous run of regions, so the resets are one slice
+        assignment however many regions the slice spans.  Under SAFE,
+        each region begun overwrites the RRC and becomes the one in
+        flight, so only the last one begun survives the slice (and not
+        even that one if the slice also ends it).
+        """
+        size = self.region_size
+        start, end = slice_.physical_start, slice_.physical_end
+        first_ended, past_ended = start // size, end // size
+        if self.reset_policy is ResetPolicy.LAZY:
+            lo, hi = first_ended, past_ended
+        else:
+            lo, hi = -(-start // size), -(-end // size)
+        if self.reset_policy is ResetPolicy.SAFE:
+            if lo < hi:
+                self._rrc = self._counters[hi - 1]
+                self._refreshing_region = (None if hi - 1 < past_ended
+                                           else hi - 1)
+            elif (self._refreshing_region is not None
+                  and first_ended <= self._refreshing_region
+                  < past_ended):
+                self._refreshing_region = None
+        if lo < hi:
+            self._counters[lo:hi] = [0] * (hi - lo)
+            if self._m_resets is not None:
+                self._m_resets.value += hi - lo
 
     # ------------------------------------------------------------------
     # Reporting

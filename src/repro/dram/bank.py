@@ -15,9 +15,10 @@ and then ask the oracle whether the attack ever succeeded.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
+from repro.dram.refresh import RefreshSlice
 from repro.obs import metrics as _metrics
 from repro.params import DramGeometry
 
@@ -69,22 +70,9 @@ class RowActivationOracle:
         """Demand refresh of ``row`` resets its unmitigated count."""
         self._counts.pop(row, None)
 
-    def on_rows_refreshed(self, rows: Iterable[int]) -> None:
-        """Demand refresh of several rows at once.
-
-        A REF slice covers thousands of rows while the oracle tracks
-        counts only for the handful of rows activated since their last
-        refresh, so when ``rows`` supports O(1) membership tests the
-        intersection is walked from the (small) counts side instead of
-        popping every swept row individually.
-        """
-        counts = self._counts
-        if isinstance(rows, (set, frozenset)) and len(counts) < len(rows):
-            for row in [r for r in counts if r in rows]:
-                del counts[row]
-            return
-        for row in rows:
-            counts.pop(row, None)
+    def on_refresh(self, slice_: RefreshSlice) -> None:
+        """Demand refresh of one REF slice resets its rows' counts."""
+        slice_.reset_rows(self._counts)
 
     def on_mitigation(self, aggressor_row: int, blast_radius: int = 2
                       ) -> None:
@@ -202,9 +190,9 @@ class Bank:
         self.victim_rows_refreshed += len(victims)
         return len(victims)
 
-    def refresh_rows(self, rows: Iterable[int]) -> None:
-        """Demand-refresh ``rows`` (driven by the refresh scheduler)."""
-        self.oracle.on_rows_refreshed(rows)
+    def refresh(self, slice_: RefreshSlice) -> None:
+        """Demand-refresh the rows of one REF slice."""
+        self.oracle.on_refresh(slice_)
         counter = self._m_refs
         if counter is not None:
             counter.value += 1

@@ -238,13 +238,13 @@ class DramDevice:
         if self._m_refs is not None:
             self._m_refs.value += 1
         trace = self._tr
-        # One membership-testable set shared by every bank's oracle (and
-        # any tracker that wants it): a slice covers thousands of rows,
-        # and per-row pops across all banks dominated the whole
-        # simulation before this.
-        swept = slice_.row_set()
+        # A slice covers 16 * time_scale rows (the whole bank at scale
+        # 8192); every reset below goes through RefreshSlice.reset_rows
+        # or the RCT's closed form, so it costs O(live rows), and the
+        # slice's logical rows are only built if some table outgrows it.
+        swept = slice_.num_rows
         for bank, tracker in zip(self.banks, self.trackers):
-            bank.refresh_rows(swept)
+            bank.refresh(slice_)
             tracker.on_ref_slice(slice_, now_ps)
             rows = tracker.on_mitigation_slot(
                 now_ps, MitigationSlotSource.REF)
@@ -256,7 +256,7 @@ class DramDevice:
                 if trace is not None:
                     trace.instant(now_ps, "MITIGATE", self.subch,
                                   bank.bank_id)
-            self.stats.demand_rows_refreshed += len(slice_.logical_rows)
+            self.stats.demand_rows_refreshed += swept
         return slice_
 
     def rfm(self, bank_id: int, now_ps: int) -> int:

@@ -8,13 +8,20 @@ order is *physical*: one subarray at a time, 64 REFs per subarray.
 The scheduler is window-size agnostic: ``refs_per_window`` may be the
 full 8192 or a scaled-down count (see :class:`repro.params.SimScale`), in
 which case each REF slice covers proportionally more rows so one full
-sweep still fits in one window.
+sweep still fits in one window -- at scale 8192, the whole bank.
+
+A slice is therefore described by its physical bounds, not by a row
+list.  Its logical rows are derived only on demand, and the counter
+tables it resets (the ground-truth oracle, per-row trackers) go through
+:meth:`RefreshSlice.reset_rows`, which walks whichever is smaller: the
+table's live rows or the slice's rows.  A REF then costs O(rows
+activated since the last sweep), not O(rows swept).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.params import DramGeometry
@@ -33,8 +40,8 @@ class RefreshSlice:
     physical_end: int
     """One past the last physical row index refreshed."""
 
-    logical_rows: List[int] = field(default_factory=list)
-    """Logical row numbers refreshed by this slice."""
+    mapping: RowToSubarrayMapping = field(repr=False, compare=False)
+    """Where logical rows sit in the bank (derives :attr:`logical_rows`)."""
 
     subarray: int = 0
     """Subarray the slice starts in."""
@@ -48,19 +55,40 @@ class RefreshSlice:
     wraps_window: bool = False
     """True when this REF completes the sweep (RefPtr wraps to zero)."""
 
-    def row_set(self) -> frozenset:
-        """Membership-testable view of :attr:`logical_rows`, cached.
+    @property
+    def num_rows(self) -> int:
+        """Rows refreshed by this slice."""
+        return self.physical_end - self.physical_start
 
-        A slice covers thousands of rows and is consumed by every bank's
-        oracle plus several trackers; building the frozenset once per
-        slice (instead of per consumer) keeps refresh sweeps off the
-        profile.
+    @property
+    def logical_rows(self) -> List[int]:
+        """Logical row numbers refreshed by this slice, built on first use."""
+        rows = self.__dict__.get("_logical_rows")
+        if rows is None:
+            rows = self.mapping.logical_rows(self.physical_start,
+                                             self.physical_end)
+            object.__setattr__(self, "_logical_rows", rows)
+        return rows
+
+    def reset_rows(self, table: Dict[int, object]) -> None:
+        """Delete the keys of the row-keyed ``table`` this slice covers.
+
+        Only rows activated since their last refresh hold entries, so
+        the table is usually far smaller than the slice and its keys'
+        physical indices are tested against the bounds; otherwise the
+        slice's rows are popped.  The surviving keys keep their order
+        either way.
         """
-        cached = self.__dict__.get("_row_set")
-        if cached is None:
-            cached = frozenset(self.logical_rows)
-            object.__setattr__(self, "_row_set", cached)
-        return cached
+        start, end = self.physical_start, self.physical_end
+        if len(table) < end - start:
+            rows = list(table)
+            for row, p in zip(rows, self.mapping.physical_indices(rows)):
+                if start <= p < end:
+                    del table[row]
+        else:
+            pop = table.pop
+            for row in self.logical_rows:
+                pop(row, None)
 
 
 class RefreshScheduler:
@@ -88,15 +116,8 @@ class RefreshScheduler:
         self.refptr = 0
         self.windows_completed = 0
 
-    def peek_slice(self, ref_index: int = None,
-                   logical_rows: bool = True) -> RefreshSlice:
-        """Build the slice for ``ref_index`` without advancing RefPtr.
-
-        ``logical_rows=False`` leaves :attr:`RefreshSlice.logical_rows`
-        empty, for consumers that read only the physical bounds (the
-        RCT's reset state machine) and would otherwise pay for a list
-        of ``rows_per_ref`` rows per REF.
-        """
+    def peek_slice(self, ref_index: int = None) -> RefreshSlice:
+        """Build the slice for ``ref_index`` without advancing RefPtr."""
         if ref_index is None:
             ref_index = self.refptr
         ref_index %= self.refs_per_window
@@ -107,13 +128,11 @@ class RefreshScheduler:
         rows_per_sa = self.geometry.rows_per_subarray
         subarray = min(start, self.geometry.rows_per_bank - 1) \
             // rows_per_sa
-        logical = (self.mapping.logical_rows(start, end) if logical_rows
-                   else [])
         return RefreshSlice(
             ref_index=ref_index,
             physical_start=start,
             physical_end=end,
-            logical_rows=logical,
+            mapping=self.mapping,
             subarray=subarray,
             starts_subarray=(start % rows_per_sa == 0),
             finishes_subarray=(end % rows_per_sa == 0),

@@ -250,8 +250,7 @@ class CgfJob:
         # depend on the mapping: one window of slices serves every bank
         # and filter, each bank cycling through it at its own pace.
         sweep = RefreshScheduler(geometry, refs_per_window=refs)
-        slices = [sweep.peek_slice(i, logical_rows=False)
-                  for i in range(refs)]
+        slices = [sweep.peek_slice(i) for i in range(refs)]
         kinds = [f.mapping_kind for f in self.filters]
         mappings = {kind: _MAPPINGS[kind](geometry) for kind in
                     set(kinds) | ({"strided"} if self.subarrays else set())}

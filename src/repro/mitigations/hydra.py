@@ -101,8 +101,7 @@ class HydraTracker(BankTracker):
     def on_ref_slice(self, slice_, now_ps: int) -> None:
         """Refreshed rows reset their exact counters; a fully swept
         window (wrap) resets the group stage."""
-        for row in slice_.logical_rows:
-            self._row_counts.pop(row, None)
+        slice_.reset_rows(self._row_counts)
         if slice_.wraps_window:
             self._group_counts.clear()
 

@@ -131,23 +131,8 @@ class PracTracker(BankTracker):
         return [row]
 
     def on_ref_slice(self, slice_, now_ps: int) -> None:
-        """Demand refresh resets the refreshed rows' counters.
-
-        A slice covers thousands of rows while only the rows activated
-        since their last refresh hold counters, so the intersection is
-        walked from the (small) counter side -- the same asymmetry the
-        row-activation oracle exploits.  Pop order does not matter: the
-        final dict state is identical either way.
-        """
-        counters = self._counters
-        rows = slice_.logical_rows
-        if len(counters) < len(rows):
-            swept = slice_.row_set()
-            for row in [r for r in counters if r in swept]:
-                del counters[row]
-            return
-        for row in rows:
-            counters.pop(row, None)
+        """Demand refresh resets the refreshed rows' counters."""
+        slice_.reset_rows(self._counters)
 
     def max_counter(self) -> int:
         """Largest per-row counter (used by tests and experiments)."""

@@ -98,7 +98,7 @@ class SingleBankHarness:
     def _do_ref(self, now: int) -> None:
         self._acts_since_ref = 0
         slice_ = self.refresh.advance()
-        self.bank.refresh_rows(slice_.logical_rows)
+        self.bank.refresh(slice_)
         self.tracker.on_ref_slice(slice_, now)
         for row in self.tracker.on_mitigation_slot(
                 now, MitigationSlotSource.REF):

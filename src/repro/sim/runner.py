@@ -38,7 +38,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
-from repro import _env
 from repro import obs as _obs
 from repro.core.config import MirzaConfig
 from repro.obs import metrics as _metrics
@@ -242,14 +241,9 @@ _WORKLOAD_CACHE: "OrderedDict[Tuple, int]" = OrderedDict()
 the :class:`SyntheticWorkload` object itself: every call gets a fresh
 workload, so a caller mutating its copy can't corrupt later hits."""
 
-
-def _workload_cache_cap() -> int:
-    """Entry bound for the calibration cache (REPRO_WORKLOAD_CACHE).
-
-    A malformed value warns once and falls back to the default instead
-    of raising deep inside a sweep.
-    """
-    return _env.env_int("REPRO_WORKLOAD_CACHE", 64, minimum=1)
+_WORKLOAD_CACHE_LIMIT = 64
+"""Entry bound of :data:`_WORKLOAD_CACHE`: far more keys than any report
+calibrates, at a few hundred bytes each."""
 
 
 def _resolve(workload: Union[str, WorkloadSpec]) -> WorkloadSpec:
@@ -304,7 +298,7 @@ def calibrated_workload(workload: Union[str, WorkloadSpec],
             250, int(synthetic.compute_per_miss_ps
                      + (wanted_inter - measured_inter)))
     _WORKLOAD_CACHE[key] = synthetic.compute_per_miss_ps
-    while len(_WORKLOAD_CACHE) > _workload_cache_cap():
+    while len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_LIMIT:
         _WORKLOAD_CACHE.popitem(last=False)
     return synthetic
 

@@ -25,17 +25,52 @@ just as in the real system.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.cpu.trace import ChunkSource, EntryTuple, TraceEntry
-from repro.params import SimScale, SystemConfig, ns
+from repro.params import DramGeometry, SimScale, SystemConfig, ns
 from repro.workloads.specs import WorkloadSpec
 
 _LOADED_LATENCY_PS = ns(80)
 """Estimated loaded DRAM round trip used for pacing calibration."""
 
 _MIN_COMPUTE_PS = ns(0.25)
+
+Placement = Tuple[int, Tuple[int, ...]]
+"""One bank's working set: (base logical row, hot-row offsets)."""
+
+
+def _derived_seed(seed: int, salt: int, subchannel: int, bank: int) -> int:
+    """Stable per-structure RNG seed (independent of PYTHONHASHSEED)."""
+    return seed * 1_000_003 + salt * 8_191 + subchannel * 131 + bank + 1
+
+
+@functools.lru_cache(maxsize=4)
+def _bank_placements(seed: int, geometry: DramGeometry, ws_rows: int,
+                     hot_rows: int) -> Tuple[Placement, ...]:
+    """Every bank's placement, indexed ``subchannel * banks + bank``.
+
+    Each bank seeds two fresh RNGs, so the table is a pure function of
+    its arguments; it is drawn once per process because every job (and
+    every calibration probe) of a workload asks for the same one, and
+    the RNG seeding costs more than a short job's other set-up.  Four
+    entries cover the seeds a report uses (the run seed, plus seed 0
+    for the counting tier) and bound what the process keeps: one table
+    holds ~0.4 MB.  Immutable tuples, so sharing them is safe.
+    """
+    rows = geometry.rows_per_bank
+    count = min(hot_rows, ws_rows)
+    table = []
+    for subchannel in range(geometry.subchannels):
+        for bank in range(geometry.banks_per_subchannel):
+            base = random.Random(_derived_seed(seed, 1, subchannel, bank)
+                                 ).randrange(0, rows - ws_rows)
+            hot = random.Random(_derived_seed(seed, 2, subchannel, bank)
+                                ).sample(range(ws_rows), count)
+            table.append((base, tuple(hot)))
+    return tuple(table)
 
 
 class SyntheticWorkload:
@@ -55,8 +90,6 @@ class SyntheticWorkload:
         self.hot_rows = hot_rows
         self.bank_stickiness = bank_stickiness
         self.seed = seed
-        self._base_cache: Dict[Tuple[int, int], int] = {}
-        self._hot_cache: Dict[Tuple[int, int], List[int]] = {}
         geometry = config.geometry
         window = scale.scaled_trefw(config.timings)
         acts_per_bank = scale.scale_count(spec.acts_per_bank_per_window)
@@ -83,34 +116,11 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------
     # Per-bank row placement
     # ------------------------------------------------------------------
-    def _derived_seed(self, salt: int, subchannel: int, bank: int) -> int:
-        """Stable per-structure RNG seed (independent of PYTHONHASHSEED)."""
-        return (self.seed * 1_000_003 + salt * 8_191
-                + subchannel * 131 + bank + 1)
-
-    # Placement is a pure function of (seed, subchannel, bank) -- each
-    # call seeds a fresh RNG -- so results are memoized per instance:
-    # every core's trace asks for the same few hundred (subch, bank)
-    # placements and rng.sample() is expensive.
-    def _bank_base(self, subchannel: int, bank: int) -> int:
-        key = (subchannel, bank)
-        base = self._base_cache.get(key)
-        if base is None:
-            rows = self.config.geometry.rows_per_bank
-            rng = random.Random(self._derived_seed(1, subchannel, bank))
-            base = rng.randrange(0, rows - self.ws_rows)
-            self._base_cache[key] = base
-        return base
-
-    def _bank_hot_offsets(self, subchannel: int, bank: int) -> List[int]:
-        key = (subchannel, bank)
-        hot = self._hot_cache.get(key)
-        if hot is None:
-            rng = random.Random(self._derived_seed(2, subchannel, bank))
-            count = min(self.hot_rows, self.ws_rows)
-            hot = rng.sample(range(self.ws_rows), count)
-            self._hot_cache[key] = hot
-        return hot
+    @property
+    def placements(self) -> Tuple[Placement, ...]:
+        """This workload's :func:`_bank_placements` table."""
+        return _bank_placements(self.seed, self.config.geometry,
+                                self.ws_rows, self.hot_rows)
 
     # ------------------------------------------------------------------
     # Trace generation
@@ -125,7 +135,7 @@ class SyntheticWorkload:
         """
         spec = self.spec
         geometry = self.config.geometry
-        rng = random.Random(self._derived_seed(3, core_id, 0))
+        rng = random.Random(_derived_seed(self.seed, 3, core_id, 0))
         rnd = rng.random
         randrange = rng.randrange
         uniform = rng.uniform
@@ -133,8 +143,7 @@ class SyntheticWorkload:
         stickiness = self.bank_stickiness
         burst = spec.miss_burst
         instructions = spec.instructions_per_miss
-        bases = {}
-        hots = {}
+        placements = self.placements
         num_subch = geometry.subchannels
         num_banks = geometry.banks_per_subchannel
         compute = self.compute_per_miss_ps
@@ -157,18 +166,13 @@ class SyntheticWorkload:
                 else:
                     subchannel = randrange(num_subch)
                     bank = randrange(num_banks)
-                key = (subchannel, bank)
-                prev_key = key
-                hot = hots.get(key)
-                if hot is None:
-                    bases[key] = self._bank_base(subchannel, bank)
-                    hots[key] = hot = self._bank_hot_offsets(
-                        subchannel, bank)
+                prev_key = (subchannel, bank)
+                base, hot = placements[subchannel * num_banks + bank]
                 if rnd() < hot_fraction:
                     offset = hot[randrange(len(hot))]
                 else:
                     offset = randrange(ws_rows)
-                row = bases[key] + offset
+                row = base + offset
                 # The visit's whole compute budget precedes its first
                 # line; the budget is per-miss, so scale by the burst.
                 jitter = uniform(0.7, 1.3)

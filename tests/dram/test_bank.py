@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.bank import Bank, RowActivationOracle
-from repro.dram.mapping import StridedR2SA
+from repro.dram.mapping import SequentialR2SA, StridedR2SA
+from repro.dram.refresh import RefreshSlice
 
 
 class TestRowActivationOracle:
@@ -59,7 +60,8 @@ class TestRowActivationOracle:
         o = RowActivationOracle()
         for r in range(5):
             o.on_activate(r)
-        o.on_rows_refreshed(range(3))
+        o.on_refresh(RefreshSlice(ref_index=0, physical_start=0,
+                                  physical_end=3, mapping=SequentialR2SA()))
         assert o.current_max() == 1
         assert o.count(3) == 1
 
@@ -117,7 +119,8 @@ class TestBank:
     def test_refresh_rows_resets_counts(self, small_geometry):
         b = Bank(0, small_geometry)
         b.activate(3)
-        b.refresh_rows([3])
+        b.refresh(RefreshSlice(ref_index=0, physical_start=3,
+                               physical_end=4, mapping=b.mapping))
         assert b.oracle.count(3) == 0
 
     def test_strided_mapping_victims(self, small_geometry):

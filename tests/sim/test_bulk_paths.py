@@ -71,7 +71,7 @@ def test_prac_bulk_path_matches_per_act(seed):
         if i % 4 == 0:
             slice_ = RefreshSlice(ref_index=i, physical_start=0,
                                   physical_end=64,
-                                  logical_rows=list(range(64)))
+                                  mapping=SequentialR2SA())
             stepped.on_ref_slice(slice_, now_ps=0)
             bulk.on_ref_slice(slice_, now_ps=0)
         assert _prac_state(stepped) == _prac_state(bulk)
@@ -138,11 +138,10 @@ def test_rct_bulk_path_matches_per_act_with_safe_sweep_in_flight():
     # A slice that begins (but does not finish) region 0's sweep, then
     # one that finishes it: the second run lands mid-sweep.
     begin = RefreshSlice(ref_index=0, physical_start=0, physical_end=10,
-                         logical_rows=list(range(10)))
+                         mapping=SequentialR2SA())
     region = DramGeometry().rows_per_bank // 128
     finish = RefreshSlice(ref_index=1, physical_start=10,
-                          physical_end=region,
-                          logical_rows=list(range(10, region)))
+                          physical_end=region, mapping=SequentialR2SA())
     runs = [[1, 2, 3] * 20, [1, 2, region + 3] * 20, [4, 5] * 30]
     _rct_equivalence(128, runs, slices=(begin, finish))
 
@@ -163,11 +162,13 @@ def test_mapping_bulk_views_match_scalar(mapping_cls):
         == [mapping.logical_row(p) for p in range(start, end)]
 
 
-def test_refresh_slice_row_set_matches_logical_rows():
-    slice_ = RefreshSlice(ref_index=0, physical_start=0, physical_end=8,
-                          logical_rows=[5, 1, 9, 2, 5, 0, 7, 3])
-    assert slice_.row_set() == set(slice_.logical_rows)
-    assert slice_.row_set() is slice_.row_set()  # cached
+def test_refresh_slice_logical_rows_follow_the_mapping():
+    mapping = StridedR2SA(DramGeometry())
+    slice_ = RefreshSlice(ref_index=0, physical_start=1000,
+                          physical_end=1100, mapping=mapping)
+    assert slice_.num_rows == 100
+    assert slice_.logical_rows == mapping.logical_rows(1000, 1100)
+    assert slice_.logical_rows is slice_.logical_rows  # cached
 
 
 # ----------------------------------------------------------------------
@@ -187,9 +188,10 @@ def test_oracle_bulk_path_matches_per_act(seed):
         bulk.on_activates(run)
         assert _oracle_state(stepped) == _oracle_state(bulk)
         if i % 3 == 0:
-            swept = frozenset(range(0, 128))
-            stepped.on_rows_refreshed(swept)
-            bulk.on_rows_refreshed(swept)
+            swept = RefreshSlice(ref_index=i, physical_start=0,
+                                 physical_end=128, mapping=SequentialR2SA())
+            stepped.on_refresh(swept)
+            bulk.on_refresh(swept)
             assert _oracle_state(stepped) == _oracle_state(bulk)
 
 
@@ -280,7 +282,7 @@ def test_mirza_tracker_bulk_path_matches_per_act(seed):
         if i % 4 == 0:
             slice_ = RefreshSlice(
                 ref_index=i, physical_start=0, physical_end=1024,
-                logical_rows=mapping.logical_rows(0, 1024))
+                mapping=mapping)
             stepped.on_ref_slice(slice_, now_ps=0)
             bulk.on_ref_slice(slice_, now_ps=0)
         assert _mirza_state(stepped) == _mirza_state(bulk)

@@ -361,14 +361,6 @@ class TestEnvKnobs:
         with pytest.warns(UserWarning, match="REPRO_JOBS"):
             assert session._effective_workers(None, 128) == 1
 
-    def test_malformed_workload_cache_warns_and_defaults(
-            self, monkeypatch):
-        from repro.sim.runner import _workload_cache_cap
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "x")
-        _env._WARNED.clear()
-        with pytest.warns(UserWarning, match="REPRO_WORKLOAD_CACHE"):
-            assert _workload_cache_cap() == 64
-
     def test_malformed_fault_rate_warns_and_stays_off(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_RATE", "lots")
@@ -379,14 +371,15 @@ class TestEnvKnobs:
 
     def test_warning_fires_once_per_value(self, monkeypatch):
         import warnings as warnings_module
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "y")
+        monkeypatch.setenv("REPRO_JOBS", "y")
         _env._WARNED.clear()
-        from repro.sim.runner import _workload_cache_cap
+        session = SimSession(disk_cache=False)
         with pytest.warns(UserWarning):
-            _workload_cache_cap()
+            session._effective_workers(None, 128)
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            assert _workload_cache_cap() == 64  # silent second parse
+            # silent second parse
+            assert session._effective_workers(None, 128) == 1
 
 
 class TestObservabilityCounters:

@@ -87,7 +87,7 @@ class TestCalibration:
 
     def test_cache_is_bounded_lru(self, monkeypatch):
         from repro.sim import runner
-        monkeypatch.setenv("REPRO_WORKLOAD_CACHE", "2")
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE_LIMIT", 2)
         runner._WORKLOAD_CACHE.clear()
         for name in ("tc", "cc", "bc"):
             calibrated_workload(name, SCALE, seed=3)

@@ -6,7 +6,10 @@ import pytest
 from repro.cpu.trace import take
 from repro.params import SimScale, SystemConfig
 from repro.workloads.specs import workload_by_name
-from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.synthetic import (
+    SyntheticWorkload,
+    _bank_placements,
+)
 
 
 @pytest.fixture
@@ -114,3 +117,36 @@ class TestSpatialLocality:
         # Under a uniform generator the top decile would hold ~10% of
         # the traffic; the hot-row overlay must concentrate well beyond.
         assert hot_share > 0.18
+
+
+class TestPlacementMemo:
+    """Bank placements are drawn once per process and shared."""
+
+    def test_placements_pinned(self):
+        # Values drawn by the per-instance placement RNGs this memo
+        # replaced; any change here moves every synthetic trace.
+        tc = workload_by_name("tc")
+        seed0 = SyntheticWorkload(tc, seed=0).placements
+        base, hot = seed0[0 * 32 + 0]  # subchannel 0, bank 0
+        assert (base, hot[:5]) == (69680, (4073, 3660, 3139, 2496, 3789))
+        seed7 = SyntheticWorkload(tc, seed=7).placements
+        base, hot = seed7[1 * 32 + 31]  # subchannel 1, bank 31
+        assert (base, hot[:5]) == (84068, (2446, 2425, 2265, 3661, 1440))
+
+    def test_same_seed_shares_one_table(self):
+        a = SyntheticWorkload(workload_by_name("tc"), seed=3)
+        b = SyntheticWorkload(workload_by_name("cc"), SystemConfig(),
+                              SimScale(64), seed=3)
+        c = SyntheticWorkload(workload_by_name("tc"), seed=4)
+        assert a.placements is b.placements
+        assert c.placements != a.placements
+
+    def test_memo_is_bounded_and_holds_tuples(self):
+        table = SyntheticWorkload(workload_by_name("tc"), seed=5).placements
+        assert _bank_placements.cache_info().maxsize == 4
+        geometry = SystemConfig().geometry
+        assert len(table) == (geometry.subchannels
+                              * geometry.banks_per_subchannel)
+        assert isinstance(table, tuple)
+        assert all(isinstance(hot, tuple) and len(hot) == 184
+                   for _, hot in table)
