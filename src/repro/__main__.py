@@ -531,7 +531,8 @@ def _run_fuzz(args: argparse.Namespace, session: SimSession) -> int:
 def _run_experiments(names: List[str], session: SimSession) -> int:
     """Plan the named experiment declarations as one deduplicated
     batch, then print each rendered table with its declared
-    paper-reference checks and the plan's dedup statistics."""
+    paper-reference checks and claims and the plan's dedup
+    statistics."""
     from repro.experiments import framework
 
     try:
@@ -549,6 +550,8 @@ def _run_experiments(names: List[str], session: SimSession) -> int:
         for dev in framework.evaluate_checks(experiment, result):
             print(f"  {dev.flag}: {dev.label} — measured "
                   f"{dev.measured:g}, paper {dev.paper:g}")
+        for claim in framework.evaluate_claims(experiment, result):
+            print(f"  {claim.flag}: {claim.label} — {claim.outcome}")
         print()
     stats = plan.stats
     line = (f"planned {stats.planned_cells} cells -> "

@@ -18,7 +18,8 @@ counter into a Refreshed-Region-Counter (RRC) register when the region's
 sweep begins, resets the table entry, mirrors updates into both, and
 uses the RRC for the filtering decision while the sweep is in flight.
 All three policies are implemented so the security tests can demonstrate
-the gap (``benchmarks/test_ablation_rct_reset.py``).
+the gap (``TestResetPolicyAblation`` in
+``tests/integration/test_security_integration.py``).
 
 Edge rule (Section VI-B footnote): when the region size is smaller than
 a subarray, an activation to a row at a region boundary also increments

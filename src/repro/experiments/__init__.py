@@ -4,10 +4,10 @@ Every module is a declarative :class:`~repro.experiments.framework.
 Experiment` registration plus a thin ``run(...)`` compatibility wrapper
 returning the structured results and a ``main()`` that prints the
 paper-style table with the published numbers alongside the reproduced
-ones.  The benchmark harness under ``benchmarks/`` calls the ``run``
-functions; the report generator plans every registered declaration as
-one deduplicated session batch; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+ones.  The report generator plans every registered declaration as
+one deduplicated session batch and flags each exhibit's point checks
+and shape claims; the tests call the ``run`` functions;
+EXPERIMENTS.md records the paper-vs-measured comparison.
 
 Experiment scope knobs (environment variables, also accepted as
 arguments):

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
-from repro.experiments.framework import Check, Context
+from repro.experiments.framework import Check, Claim, Context, near
 from repro.params import SimScale
 from repro.sim.session import SimSession
 from repro.sim.stats import format_table
@@ -70,6 +70,15 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r.area_reduction, rel_tol=0.5),
         Check("SRAM bytes per bank", PAPER["sram_bytes"],
               lambda r: r.sram_bytes_per_bank, rel_tol=0.1),
+    ),
+    claims=(
+        Claim("MIRZA needs over 8x fewer mitigations than MINT",
+              lambda r: r.mitigation_reduction > 8),
+        Claim("PRAC needs 45x MIRZA's area, within 5%",
+              lambda r: near(r.area_reduction, PAPER["area_reduction"],
+                             rel_tol=0.05)),
+        Claim("MIRZA needs exactly 196 B of SRAM per bank",
+              lambda r: r.sram_bytes_per_bank == PAPER["sram_bytes"]),
     ),
 ))
 

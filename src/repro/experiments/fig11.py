@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import framework
-from repro.experiments.framework import Cell, Check, Context, TableSpec
+from repro.experiments.framework import (
+    Cell,
+    Check,
+    Claim,
+    Context,
+    TableSpec,
+)
 from repro.params import SimScale
 from repro.sim.runner import mirza_setup, prac_setup
 from repro.sim.session import SimJob, SimSession
@@ -118,6 +124,22 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               PAPER["mirza_alerts_per_100_trefi_1k"],
               lambda r: r.mirza_alert_rate.get(1000, float("nan")),
               rel_tol=1.0, abs_tol=2.0),
+    ),
+    claims=(
+        Claim("MIRZA slows less than PRAC+ABO at every TRHD",
+              lambda r: all(sd < r.prac_slowdown
+                            for sd in r.mirza_slowdown.values())),
+        Claim("MIRZA slows less as TRHD relaxes (500 >= 2K)",
+              lambda r: r.mirza_slowdown[500] >= r.mirza_slowdown[2000]),
+        Claim("MIRZA-1000 stays near-free (under 2.5%)",
+              lambda r: r.mirza_slowdown[1000] < 2.5),
+        Claim("PRAC+ABO raises almost no ALERTs (< 0.01 per 100 tREFI)",
+              lambda r: r.prac_alert_rate < 0.01),
+        Claim("MIRZA ALERTs less as TRHD relaxes (500 >= 2K)",
+              lambda r: r.mirza_alert_rate[500]
+              >= r.mirza_alert_rate[2000]),
+        Claim("MIRZA-1000 raises under 25 ALERTs per 100 tREFI",
+              lambda r: r.mirza_alert_rate[1000] < 25.0),
     ),
 ))
 

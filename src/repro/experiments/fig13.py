@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
-from repro.experiments.framework import Cell, Check, Context
+from repro.experiments.framework import Cell, Check, Claim, Context
 from repro.params import MitigationCosts, SimScale, SystemConfig
 from repro.sim.runner import MINT_RFM_WINDOWS
 from repro.sim.session import SimSession
@@ -112,6 +112,22 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
         Check("MIRZA-1000 refresh power %", PAPER["mirza"][1000],
               lambda r: r.mirza_overhead.get(1000, float("nan")),
               rel_tol=1.0, abs_tol=1.0),
+    ),
+    claims=(
+        Claim("MIRZA needs less refresh power than MINT at TRHD=500",
+              lambda r: r.mirza_overhead[500] < r.mint_overhead[500]),
+        Claim("MIRZA needs under a third of MINT's refresh power at "
+              "TRHD=1K",
+              lambda r: r.mirza_overhead[1000]
+              < r.mint_overhead[1000] / 3),
+        Claim("MIRZA needs under a tenth of MINT's refresh power at "
+              "TRHD=2K",
+              lambda r: r.mirza_overhead[2000]
+              < r.mint_overhead[2000] / 10),
+        Claim("MINT's refresh power falls as TRHD relaxes (500 > 2K)",
+              lambda r: r.mint_overhead[500] > r.mint_overhead[2000]),
+        Claim("MIRZA-1000 refresh power stays under 1.5%",
+              lambda r: r.mirza_overhead[1000] < 1.5),
     ),
 ))
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import framework
-from repro.experiments.framework import Cell, Check, Context, TableSpec
+from repro.experiments.framework import (
+    Cell,
+    Check,
+    Claim,
+    Context,
+    TableSpec,
+)
 from repro.params import SimScale
 from repro.sim.runner import mint_rfm_setup, prac_setup
 from repro.sim.session import SimJob, SimSession
@@ -120,6 +126,16 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               PAPER["mint_refresh_power"][1000],
               lambda r: r.mint_refresh_power.get(1000, float("nan")),
               rel_tol=0.75),
+    ),
+    claims=(
+        Claim("MINT+RFM slows less as TRHD relaxes (500 > 1K > 2K)",
+              lambda r: r.mint_slowdown[500] > r.mint_slowdown[1000]
+              > r.mint_slowdown[2000]),
+        Claim("MINT+RFM refresh power falls as TRHD relaxes (500 > 2K)",
+              lambda r: r.mint_refresh_power[500]
+              > r.mint_refresh_power[2000]),
+        Claim("PRAC+ABO pays a timing tax of over 1%",
+              lambda r: r.prac_slowdown > 1.0),
     ),
 ))
 

@@ -5,9 +5,10 @@ Every table/figure in this repository is an :class:`Experiment`
 ``SubarrayStatsJob``, or any session-runnable job type), a pure
 ``reduce(cells) -> Result`` that folds the cell results into the
 module's structured result object, a render schema (usually a
-:class:`TableSpec`), and the paper's reference values with declared
-tolerances (:class:`Check`).  Declarations register themselves in a
-process-wide registry mirroring :mod:`repro.sim.registry`.
+:class:`TableSpec`), the paper's reference values with declared
+tolerances (:class:`Check`), and the paper's claims about the
+result's shape (:class:`Claim`).  Declarations register themselves in
+a process-wide registry mirroring :mod:`repro.sim.registry`.
 
 The payoff is the **planner**: :func:`plan` flattens the grids of any
 set of experiments -- plus their declared dependencies (``needs``) --
@@ -192,6 +193,29 @@ class Check:
     abs_tol: float = 0.0
 
 
+def near(measured: float, paper: float, rel_tol: float = 0.0,
+         abs_tol: float = 0.0) -> bool:
+    """True when ``measured`` is within ``max(abs_tol, rel_tol *
+    |paper|)`` of ``paper`` -- the tolerance rule of :class:`Check`."""
+    return abs(measured - paper) <= max(abs_tol, rel_tol * abs(paper))
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One of the paper's claims about the shape of an exhibit's Result.
+
+    Most of the paper's results are orderings -- MIRZA below PRAC at
+    every threshold, the saving over MINT growing as TRHD relaxes --
+    which a point :class:`Check` cannot express.  ``label`` states the
+    claim in words and ``holds(result)`` decides it.  Claims render
+    beside the checks but stay out of :func:`evaluate_checks`, so they
+    never enter a paper-error average.
+    """
+
+    label: str
+    holds: Callable[[Any], bool]
+
+
 @dataclass(frozen=True)
 class Deviation:
     """An evaluated :class:`Check`: measured vs paper, flagged.
@@ -212,6 +236,27 @@ class Deviation:
         if self.degraded:
             return "DEGRADED"
         return "ok" if self.within else "DEV"
+
+
+@dataclass(frozen=True)
+class ClaimVerdict:
+    """An evaluated :class:`Claim`, flagged like a :class:`Deviation`."""
+
+    label: str
+    holds: bool
+    degraded: bool = False
+
+    @property
+    def outcome(self) -> str:
+        if self.degraded:
+            return "unevaluated"
+        return "holds" if self.holds else "fails"
+
+    @property
+    def flag(self) -> str:
+        if self.degraded:
+            return "DEGRADED"
+        return "ok" if self.holds else "DEV"
 
 
 @dataclass(frozen=True)
@@ -277,7 +322,8 @@ class Experiment:
     ``reduce(cells)`` is a pure fold from cell results (and declared
     dependency results, via ``cells.dep(name)``) to the module's Result
     object; ``render`` turns a Result into the paper-style table;
-    ``checks`` compare the Result against the paper's numbers.
+    ``checks`` compare the Result against the paper's numbers and
+    ``claims`` test the paper's statements about its shape.
     ``needs`` names experiments whose Results the reducer consumes --
     the planner plans their grids into the same batch, which is where
     cross-experiment cell dedup comes from.
@@ -292,6 +338,7 @@ class Experiment:
     paper: Mapping[Any, Any] = field(default_factory=dict)
     needs: Tuple[str, ...] = ()
     checks: Tuple[Check, ...] = ()
+    claims: Tuple[Claim, ...] = ()
 
 
 class Cells:
@@ -675,8 +722,24 @@ def evaluate_checks(experiment: Union[str, Experiment],
     deviations = []
     for check in experiment.checks:
         measured = float(check.measured(result))
-        allowed = max(check.abs_tol, check.rel_tol * abs(check.paper))
         deviations.append(Deviation(
             label=check.label, measured=measured, paper=check.paper,
-            within=abs(measured - check.paper) <= allowed))
+            within=near(measured, check.paper, check.rel_tol,
+                        check.abs_tol)))
     return deviations
+
+
+def evaluate_claims(experiment: Union[str, Experiment],
+                    result: Any) -> List[ClaimVerdict]:
+    """Decide every declared :class:`Claim` on a Result.
+
+    A :class:`DegradedResult` cannot be judged: each claim comes back
+    flagged ``DEGRADED``.
+    """
+    if not isinstance(experiment, Experiment):
+        experiment = experiment_by_name(experiment)
+    degraded = is_degraded(result)
+    return [ClaimVerdict(label=claim.label,
+                         holds=not degraded and bool(claim.holds(result)),
+                         degraded=degraded)
+            for claim in experiment.claims]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.experiments import framework
-from repro.experiments.framework import Check, Context
+from repro.experiments.framework import Check, Claim, Context, near
 from repro.params import AboTimings, DramTimings
 from repro.sim.session import SimSession
 from repro.sim.stats import format_table
@@ -94,6 +94,23 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _throughput_of(12), rel_tol=0.25),
         Check("W=8 relative throughput %", PAPER[8][0],
               _throughput_of(8), rel_tol=0.25),
+    ),
+    claims=(
+        Claim("relative throughput is within 10% of Table XI at every "
+              "MINT-W",
+              lambda rows: all(near(row.relative_throughput_pct,
+                                    PAPER[row.mint_window][0],
+                                    rel_tol=0.1) for row in rows)),
+        Claim("attack slowdown is within 10% of Table XI at every MINT-W",
+              lambda rows: all(near(row.slowdown_factor,
+                                    PAPER[row.mint_window][1],
+                                    rel_tol=0.1) for row in rows)),
+        Claim("narrower windows suffer more under attack (W=8 > 12 > 16)",
+              lambda rows: _throughput_of(8)(rows)
+              < _throughput_of(12)(rows) < _throughput_of(16)(rows)),
+        Claim("every window stays under 3x, like a contention attack",
+              lambda rows: all(row.slowdown_factor < 3.0
+                               for row in rows)),
     ),
 ))
 

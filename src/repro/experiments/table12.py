@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.experiments import framework
-from repro.experiments.framework import Check, Context
+from repro.experiments.framework import Check, Claim, Context, near
 from repro.security.area import (
     mint_storage_bytes_per_bank,
     mirza_storage_bytes_per_bank,
@@ -101,6 +101,23 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _storage_of("MIRZA"), rel_tol=0.25),
         Check("MINT storage bytes/bank", PAPER["MINT"]["storage"],
               _storage_of("MINT"), rel_tol=0.5),
+    ),
+    claims=(
+        Claim("storage is within 4 B of Table XII for every tracker",
+              lambda rows: all(near(row.storage_bytes,
+                                    PAPER[row.tracker]["storage"],
+                                    abs_tol=4) for row in rows)),
+        Claim("only TRR is insecure, as in Table XII",
+              lambda rows: all(row.secure == PAPER[row.tracker]["secure"]
+                               for row in rows)),
+        Claim("REF cannibalization is within 1 point of Table XII",
+              lambda rows: all(near(
+                  row.cannibalization_pct,
+                  PAPER[row.tracker]["cannibalization"], abs_tol=1.0)
+                  for row in rows)),
+        Claim("MIRZA cannibalizes no REF time",
+              lambda rows: all(row.cannibalization_pct == 0.0
+                               for row in rows if row.tracker == "MIRZA")),
     ),
 ))
 

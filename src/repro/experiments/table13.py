@@ -10,11 +10,11 @@ bandwidth question, not a tracker question).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
-from repro.experiments.framework import Check, Context
+from repro.experiments.framework import Check, Claim, Context
 from repro.experiments.table11 import attack_relative_throughput
 from repro.params import SimScale
 from repro.sim.session import SimSession
@@ -84,6 +84,14 @@ def _attack_of(trhd: int, tracker: str):
     return measured
 
 
+def _versus(rows: List[Table13Row], tracker: str
+            ) -> List[Tuple[Table13Row, Table13Row]]:
+    """(MIRZA row, ``tracker`` row) pairs, one per TRHD."""
+    by_key = {(row.trhd, row.tracker): row for row in rows}
+    return [(row, by_key[(row.trhd, tracker)])
+            for row in rows if row.tracker == "MIRZA"]
+
+
 EXPERIMENT = framework.register_experiment(framework.Experiment(
     name="table13",
     title="Table XIII",
@@ -100,6 +108,23 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
         Check("MIRZA-500 perf-attack slowdown x",
               PAPER[(500, "MIRZA")][0],
               _attack_of(500, "MIRZA"), rel_tol=0.5),
+    ),
+    claims=(
+        Claim("MIRZA slows less than PRAC+ABO on average at every TRHD",
+              lambda rows: all(
+                  mirza.average_slowdown_pct < other.average_slowdown_pct
+                  for mirza, other in _versus(rows, "PRAC+ABO"))),
+        Claim("MIRZA slows less than MINT+RFM on average at every TRHD",
+              lambda rows: all(
+                  mirza.average_slowdown_pct < other.average_slowdown_pct
+                  for mirza, other in _versus(rows, "MINT+RFM"))),
+        Claim("MIRZA pays with a worse attack slowdown than PRAC+ABO",
+              lambda rows: all(
+                  mirza.attack_slowdown_x > other.attack_slowdown_x
+                  for mirza, other in _versus(rows, "PRAC+ABO"))),
+        Claim("MIRZA's attack slowdown stays under 3x at every TRHD",
+              lambda rows: all(row.attack_slowdown_x < 3.0
+                               for row in rows if row.tracker == "MIRZA")),
     ),
 ))
 

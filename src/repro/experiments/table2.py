@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.experiments import framework
-from repro.experiments.framework import Cell, Check, Context
+from repro.experiments.framework import Cell, Check, Claim, Context, near
 from repro.mitigations.mithril import MithrilTracker
 from repro.security.analysis import (
     acts_per_ref_interval,
@@ -133,6 +133,11 @@ def _row_of(rate: int, attr: str):
     return measured
 
 
+def _mithril_grows(rows: List[Table2Row]) -> bool:
+    measured = [row.mithril_measured for row in rows]
+    return min(measured) > 0 and measured == sorted(measured)
+
+
 EXPERIMENT = framework.register_experiment(framework.Experiment(
     name="table2",
     title="Table II",
@@ -147,6 +152,21 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _row_of(4, "cannibalization_pct"), rel_tol=0.25),
         Check("1/4 REF MINT TRHD", PAPER[4]["mint"],
               _row_of(4, "mint_trhd"), rel_tol=0.25),
+    ),
+    claims=(
+        Claim("MINT's tolerated TRHD is within 5% of Table II at every "
+              "rate",
+              lambda rows: all(near(
+                  row.mint_trhd, PAPER[row.refs_per_mitigation]["mint"],
+                  rel_tol=0.05) for row in rows)),
+        Claim("REF cannibalization is within 0.5 points of Table II at "
+              "every rate",
+              lambda rows: all(near(
+                  row.cannibalization_pct,
+                  PAPER[row.refs_per_mitigation]["cannibalization"],
+                  abs_tol=0.5) for row in rows)),
+        Claim("Mithril's feinting worst case is positive and grows with "
+              "the mitigation period", _mithril_grows),
     ),
 ))
 

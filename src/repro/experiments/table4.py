@@ -14,11 +14,12 @@ from typing import Dict, List, Optional
 
 from repro.experiments import framework
 from repro.experiments.common import SubarrayStatsJob
-from repro.experiments.framework import Cell, Context
+from repro.experiments.framework import Cell, Claim, Context, near
 from repro.params import SimScale
 from repro.sim.runner import baseline_setup
 from repro.sim.session import SimJob, SimSession
 from repro.sim.stats import format_table
+from repro.workloads.specs import workload_by_name
 
 
 @dataclass
@@ -65,8 +66,24 @@ def _reduce(cells: framework.Cells) -> Dict[str, WorkloadMeasurement]:
     return out
 
 
+def _densities_match(measurements: Dict[str, WorkloadMeasurement]
+                     ) -> bool:
+    return all(near(m.acts_per_subarray_mean,
+                    workload_by_name(name).acts_per_subarray_mean,
+                    rel_tol=0.4)
+               for name, m in measurements.items())
+
+
+def _ranking_matches(measurements: Dict[str, WorkloadMeasurement]
+                     ) -> bool:
+    def paper(name: str) -> float:
+        return workload_by_name(name).acts_per_subarray_mean
+    measured = sorted(measurements,
+                      key=lambda n: measurements[n].acts_per_subarray_mean)
+    return measured == sorted(measurements, key=paper)
+
+
 def _render(measurements: Dict[str, WorkloadMeasurement]) -> str:
-    from repro.workloads.specs import workload_by_name
     rows = []
     for name, m in measurements.items():
         spec = workload_by_name(name)
@@ -93,6 +110,12 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
     grid=_grid,
     reduce=_reduce,
     render=_render,
+    claims=(
+        Claim("every workload's ACTs/subarray mean is within 40% of "
+              "Table IV", _densities_match),
+        Claim("the workloads rank by ACT intensity as in Table IV",
+              _ranking_matches),
+    ),
 ))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import framework
-from repro.experiments.framework import Cell, Check, Context
+from repro.experiments.framework import Cell, Check, Claim, Context
 from repro.params import SimScale
 from repro.sim.runner import naive_mirza_setup
 from repro.sim.session import SimJob, SimSession
@@ -93,6 +93,17 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
         Check("MINT-W 48, Q=4 slowdown %", PAPER[(48, 4)],
               lambda r: r.slowdown.get((48, 4), float("nan")),
               rel_tol=1.0, abs_tol=3.0),
+    ),
+    claims=(
+        Claim("a 1-entry MIRZA-Q slows more than 4 entries at every "
+              "MINT-W",
+              lambda r: all(r.slowdown[(w, 1)] > r.slowdown[(w, 4)]
+                            for w, q in r.slowdown if q == 1)),
+        Claim("wider MINT windows slow less (W=24 >= W=96 at Q=4)",
+              lambda r: r.slowdown[(24, 4)] >= r.slowdown[(96, 4)]),
+        Claim("even the best naive design stays RFM-like (W=24, Q=4 "
+              "over 0.5%)",
+              lambda r: r.slowdown[(24, 4)] > 0.5),
     ),
 ))
 

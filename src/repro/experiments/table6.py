@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
-from repro.experiments.framework import Cell, Check, Context
+from repro.experiments.framework import Cell, Check, Claim, Context
 from repro.params import SimScale
 from repro.sim.session import SimSession
 from repro.sim.stats import format_table
@@ -87,6 +87,14 @@ def _render(result: Table6Result) -> str:
         rows, title="Table VI: CGF effectiveness by R2SA mapping")
 
 
+def _every_fth(result: Table6Result, holds) -> bool:
+    """``holds(strided %, sequential %)`` at every FTH of the sweep."""
+    return all(holds(result.filtered_pct[(fth, "strided")],
+                     result.filtered_pct[(fth, "sequential")])
+               for fth, mapping in result.filtered_pct
+               if mapping == "strided")
+
+
 EXPERIMENT = framework.register_experiment(framework.Experiment(
     name="table6",
     title="Table VI",
@@ -106,6 +114,18 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r.filtered_pct.get((1500, "sequential"),
                                            float("nan")),
               rel_tol=1.0, abs_tol=15.0),
+    ),
+    claims=(
+        Claim("strided mapping filters over 90% at every FTH",
+              lambda r: _every_fth(r, lambda strided, _: strided > 90.0)),
+        Claim("sequential mapping filters under 40% at every FTH",
+              lambda r: _every_fth(r, lambda _, seq: seq < 40.0)),
+        Claim("strided beats sequential by over 50 points at every FTH",
+              lambda r: _every_fth(
+                  r, lambda strided, seq: strided > seq + 50.0)),
+        Claim("strided filtering strengthens with FTH (1700 >= 1400)",
+              lambda r: r.filtered_pct[(1700, "strided")]
+              >= r.filtered_pct[(1400, "strided")]),
     ),
 ))
 

@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
-from repro.experiments.framework import Cell, Check, Context
+from repro.experiments.framework import Cell, Check, Claim, Context
 from repro.params import SimScale
 from repro.sim.runner import MINT_RFM_WINDOWS
 from repro.sim.session import SimSession
@@ -122,6 +122,21 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               PAPER[1000]["ratio"], _reduction_of(1000), rel_tol=0.9),
         Check("TRHD 500 mitigation reduction x",
               PAPER[500]["ratio"], _reduction_of(500), rel_tol=0.9),
+    ),
+    claims=(
+        Claim("MIRZA needs over 1.5x fewer mitigations than MINT at "
+              "TRHD=500", lambda rows: _reduction_of(500)(rows) > 1.5),
+        Claim("MIRZA needs over 8x fewer mitigations than MINT at "
+              "TRHD=1K", lambda rows: _reduction_of(1000)(rows) > 8),
+        Claim("MIRZA needs over 25x fewer mitigations than MINT at "
+              "TRHD=2K", lambda rows: _reduction_of(2000)(rows) > 25),
+        Claim("the saving over MINT grows as TRHD relaxes "
+              "(2K > 1K > 500)",
+              lambda rows: _reduction_of(2000)(rows)
+              > _reduction_of(1000)(rows) > _reduction_of(500)(rows)),
+        Claim("under 5% of ACTs escape the filter at TRHD=1K",
+              lambda rows: all(row.escape_probability < 0.05
+                               for row in rows if row.trhd == 1000)),
     ),
 ))
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
-from repro.experiments.framework import Cell, Check, Context
+from repro.experiments.framework import Cell, Check, Claim, Context
 from repro.params import SimScale
 from repro.sim.runner import mirza_setup
 from repro.sim.session import SimJob, SimSession
@@ -135,6 +135,15 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _remaining_of(12), rel_tol=1.0, abs_tol=2.0),
         Check("W=16 remaining ACTs %", PAPER_REMAINING[16],
               _remaining_of(16), rel_tol=1.0, abs_tol=3.0),
+    ),
+    claims=(
+        Claim("a lower FTH leaves more ACTs unfiltered (W=16 > W=4)",
+              lambda rows: _remaining_of(16)(rows)
+              > _remaining_of(4)(rows)),
+        Claim("SRAM per bank is the same at every point",
+              lambda rows: len({row.sram_bytes for row in rows}) == 1),
+        Claim("every point slows under 4%, well below PRAC's 6.5%",
+              lambda rows: all(row.slowdown_pct < 4.0 for row in rows)),
     ),
 ))
 

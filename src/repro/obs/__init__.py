@@ -38,6 +38,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Union, IO
 
+from repro import _profile
 from repro.obs import metrics as _metrics_mod
 from repro.obs import spans as _spans_mod
 from repro.obs import trace as _trace_mod
@@ -120,17 +121,20 @@ def suppressed() -> Iterator[None]:
 
     Used around work that must never be observed -- e.g. calibration
     probes inside :func:`repro.sim.runner.simulate`, which would
-    otherwise bind to an enclosing registry and skew its totals.
+    otherwise bind to an enclosing registry, or count as kernel runs
+    in an enclosing ``--profile``, and skew its totals.
     """
     prev_registry = _metrics_mod.install(None)
     prev_buffer = _trace_mod.install(None)
     prev_spans = _spans_mod.install(None)
+    prev_profile = _profile.install(None)
     try:
         yield
     finally:
         _metrics_mod.install(prev_registry)
         _trace_mod.install(prev_buffer)
         _spans_mod.install(prev_spans)
+        _profile.install(prev_profile)
 
 
 @contextmanager

@@ -12,10 +12,10 @@ deduplicated session batch -- cells shared between exhibits (the PRAC
 runs of Figures 3 and 11, the CGF measurements Table XIII transitively
 re-uses, every slowdown cell's unprotected baseline) are simulated
 exactly once.  Each exhibit's section carries the declared
-paper-reference checks with deviation flags, and the report ends with
-the plan's dedup and wall-time footer.
+paper-reference checks and the paper's shape claims with their flags,
+and the report ends with the plan's dedup and wall-time footer.
 
-The heavy exhibits honour the same environment knobs as the benchmarks
+The heavy exhibits honour the environment knobs
 (``REPRO_TIME_SCALE``, ``REPRO_CGF_SCALE``, ``REPRO_WORKLOADS``), and
 all simulation work is submitted through a
 :class:`~repro.sim.session.SimSession` -- pass one to
@@ -100,6 +100,9 @@ def _summary_table(selected: List[Tuple[str, str, str]],
         for dev in framework.evaluate_checks(experiment, result):
             rows.append(f"| {title} | {dev.label} | {dev.measured:g} "
                         f"| {dev.paper:g} | {dev.flag} |")
+        for claim in framework.evaluate_claims(experiment, result):
+            rows.append(f"| {title} | {claim.label} | {claim.outcome} "
+                        f"| holds | {claim.flag} |")
     if not rows:
         return []
     return [
@@ -112,6 +115,8 @@ def _summary_table(selected: List[Tuple[str, str, str]],
         "`DEV` marks a check outside its declared tolerance (see the",
         "per-exhibit notes; scale-induced spread is expected at the",
         "default `REPRO_TIME_SCALE`).",
+        "A row measured `holds` or `fails` is one of the paper's claims",
+        "about a result's shape; `DEV` there means the claim fails.",
         "",
     ]
 
@@ -201,6 +206,9 @@ def generate_markdown(only: Optional[List[str]] = None,
         for dev in framework.evaluate_checks(experiment, result):
             lines.append(f"- {dev.flag}: {dev.label} — measured "
                          f"{dev.measured:g}, paper {dev.paper:g}")
+        for claim in framework.evaluate_claims(experiment, result):
+            lines.append(f"- {claim.flag}: {claim.label} — "
+                         f"{claim.outcome}")
         lines.append("")
     lines.extend(_footer(plan, time.perf_counter() - start))
     return "\n".join(lines)

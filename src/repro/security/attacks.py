@@ -10,6 +10,7 @@ attacker can exploit:
 - the ABO prologue: after a tracker asserts ALERT, the attacker lands
   ``acts_during_prologue`` more activations before the stall, and one
   mandatory epilogue ACT before the next ALERT (Phase D / Figure 10);
+  each ALERT then serves ``rfms_per_alert`` mitigation slots;
 - proactive REF-slot mitigations for REF-paced trackers.
 
 Security tests drive adversarial streams through the harness and assert
@@ -109,10 +110,11 @@ class SingleBankHarness:
         self._alert_countdown = None
         self._acts_since_alert = 0
         self.alerts += 1
-        for row in self.tracker.on_mitigation_slot(
-                now, MitigationSlotSource.ALERT):
-            self.bank.mitigate(row, self.blast_radius)
-            self.mitigations += 1
+        for _ in range(self.abo.rfms_per_alert):
+            for row in self.tracker.on_mitigation_slot(
+                    now, MitigationSlotSource.ALERT):
+                self.bank.mitigate(row, self.blast_radius)
+                self.mitigations += 1
 
     # ------------------------------------------------------------------
     @property

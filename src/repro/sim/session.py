@@ -11,7 +11,7 @@ repository runs on.  It owns two things:
    identities.  Results are memoised in memory and, when enabled,
    serialized to JSON under a cache directory (``REPRO_CACHE_DIR`` or
    ``~/.cache/repro``), so repeated invocations of the report or the
-   benchmarks skip work they have already done.
+   CLI skip work they have already done.
 
 2. **A fault-tolerant process-pool fan-out API.**
    :meth:`SimSession.run_many` submits independent jobs to worker
@@ -559,7 +559,7 @@ def _pool_env_overrides() -> Dict[str, str]:
     # Kernel backend selection follows the same route: workers must run
     # the same (bit-identical) kernel the parent would have, both so
     # timing expectations hold and so serial/pool runs stay
-    # interchangeable in benchmarks.
+    # interchangeable.
     backend = os.environ.get(_backend_mod.ENV_VAR)
     if backend:
         env[_backend_mod.ENV_VAR] = backend

@@ -6,10 +6,11 @@ import math
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.experiments import framework
+from repro.experiments import framework, table11
 from repro.experiments.framework import (
     Cell,
     Check,
+    Claim,
     Context,
     Experiment,
 )
@@ -164,6 +165,43 @@ class TestChecks:
         assert "Paper vs reproduction at a glance" in report
         assert "MIRZA storage bytes/bank" in report
         assert "- ok:" in report or "- DEV:" in report
+
+
+class TestClaims:
+    ORDERING = "narrower windows suffer more under attack (W=8 > 12 > 16)"
+
+    def _flag(self, rows):
+        verdicts = framework.evaluate_claims("table11", rows)
+        return {v.label: v.flag for v in verdicts}[self.ORDERING]
+
+    def test_swapped_ordering_reads_dev(self):
+        rows = table11.run()
+        assert self._flag(rows) == "ok"
+        by_window = {row.mint_window: row for row in rows}
+        w8, w16 = by_window[8], by_window[16]
+        swapped = [
+            dataclasses.replace(
+                w8, relative_throughput_pct=w16.relative_throughput_pct),
+            by_window[12],
+            dataclasses.replace(
+                w16, relative_throughput_pct=w8.relative_throughput_pct)]
+        assert self._flag(swapped) == "DEV"
+
+    def test_claims_stay_out_of_checks(self):
+        exp = _demo("claim-demo",
+                    checks=(Check("value", 1.0, lambda r: r),),
+                    claims=(Claim("positive", lambda r: r > 0),
+                            Claim("below 2", lambda r: r < 2)))
+        assert len(framework.evaluate_checks(exp, 3.0)) == 1
+        assert [(v.flag, v.outcome)
+                for v in framework.evaluate_claims(exp, 3.0)] == [
+            ("ok", "holds"), ("DEV", "fails")]
+
+    def test_report_renders_claims(self):
+        report = generate_markdown(only=["table11"], progress=False)
+        assert f"| Table XI | {self.ORDERING} | holds | holds | ok |" \
+            in report
+        assert f"- ok: {self.ORDERING} — holds" in report
 
 
 class TestCliExperiments:
@@ -384,6 +422,22 @@ class TestDegraded:
         assert dev.flag == "DEGRADED"
         assert math.isnan(dev.measured)
         assert not dev.within
+
+    def test_degraded_claims_render_degraded(self, monkeypatch):
+        import repro.report as report_module
+        exp = framework.register_experiment(self._poisoned(
+            "claims-demo",
+            claims=(Claim("the value is positive", lambda r: r > 0),)))
+        monkeypatch.setattr(report_module, "EXHIBITS",
+                            [(exp.title, exp.description, exp.name)])
+        try:
+            report = generate_markdown(progress=False,
+                                       session=self._keep_going())
+        finally:
+            framework._REGISTRY.pop(framework.canonical_name(exp.name))
+        assert ("| Claims-Demo | the value is positive | unevaluated "
+                "| holds | DEGRADED |") in report
+        assert "- DEGRADED: the value is positive — unevaluated" in report
 
     def test_degraded_without_checks_yields_synthetic_row(self):
         exp = self._poisoned()

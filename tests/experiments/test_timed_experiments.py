@@ -2,7 +2,7 @@
 
 Run at an extreme time scale with a single light workload: these check
 shapes, keys, and bookkeeping rather than the numbers themselves (the
-benchmarks do that at meaningful scales).
+report's checks and claims do that at meaningful scales).
 """
 
 import pytest

@@ -8,7 +8,8 @@ single-bank harness and assert the paper's security claims:
 - the eager/lazy RCT reset policies of Appendix B leak ~2x FTH;
 - TRR is broken by an eviction pattern while MIRZA is not;
 - PRAC+ABO never lets a row cross its threshold;
-- proactive MINT catches a focused hammer within its analytic bound.
+- proactive MINT catches a focused hammer within its analytic bound;
+- across the tracker-vs-attack matrix every principled tracker holds.
 """
 
 import random
@@ -18,12 +19,16 @@ import pytest
 from repro.core.config import MirzaConfig
 from repro.core.mirza import MirzaTracker
 from repro.core.rct import ResetPolicy
-from repro.dram.mapping import SequentialR2SA
+from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.experiments.table2 import FeintingJob
+from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.mithril import MithrilTracker
 from repro.mitigations.prac import PracTracker
+from repro.mitigations.protrr import ProTrrTracker
+from repro.mitigations.qprac import QpracTracker
 from repro.mitigations.trr import TrrTracker
+from repro.params import DramGeometry, SystemConfig
 from repro.security.attacks import SingleBankHarness
 from repro.security.mint_model import mint_tolerated_trhd
 from repro.security.mirza_model import abo_extra_acts
@@ -39,16 +44,15 @@ WINDOW = 4
 QTH = 4
 
 
-def small_mirza(geometry, policy=ResetPolicy.SAFE, seed=0):
+def small_mirza(geometry, policy=ResetPolicy.SAFE, seed=0, qth=QTH):
     config = MirzaConfig(trhd=0, fth=FTH, mint_window=WINDOW,
                          num_regions=geometry.subarrays_per_bank,
-                         queue_entries=4, qth=QTH)
+                         queue_entries=4, qth=qth)
     return MirzaTracker(config, geometry, SequentialR2SA(geometry),
                         random.Random(seed), reset_policy=policy)
 
 
 def harness_for(tracker, geometry, acts_per_ref=50):
-    from repro.params import SystemConfig
     config = SystemConfig(geometry=geometry)
     return SingleBankHarness(tracker, config, acts_per_ref=acts_per_ref)
 
@@ -108,6 +112,21 @@ class TestMirzaDefends:
         assert tracker.queue.dropped_insertions == 0
 
 
+class TestQthAblation:
+    def test_larger_qth_trades_alerts_for_budget(self, small_geometry):
+        # QTH bounds how long a queued row absorbs ACTs before an
+        # ALERT is forced (Phase C): a larger QTH defers ALERTs at the
+        # cost of a larger worst-case unmitigated count.
+        def hammer(qth):
+            h = harness_for(small_mirza(small_geometry, seed=1, qth=qth),
+                            small_geometry)
+            h.run(iter([777] * 30_000))
+            return h
+        tight, loose = hammer(4), hammer(64)
+        assert tight.alerts > loose.alerts
+        assert tight.max_unmitigated <= loose.max_unmitigated
+
+
 class TestResetPolicyAblation:
     """Appendix B: eager/lazy resets undercount around the sweep."""
 
@@ -137,8 +156,10 @@ class TestResetPolicyAblation:
     def test_safe_reset_catches_second_batch(self, small_geometry):
         tracker, h = self._attack(small_geometry, ResetPolicy.SAFE)
         # The RRC remembers the pre-sweep count: the second batch
-        # escapes the filter and participates in MINT.
+        # escapes the filter and participates in MINT, which leaves
+        # fewer unmitigated ACTs than eager's 2*(FTH-1).
         assert tracker.rct.escaped_acts > 0
+        assert h.bank.oracle.count(1023) < 2 * (FTH - 1)
 
     def test_lazy_reset_undercounts_after_sweep(self, small_geometry):
         tracker = small_mirza(small_geometry, policy=ResetPolicy.LAZY)
@@ -235,3 +256,83 @@ class TestFeintingJob:
     def test_labels_itself(self):
         assert job_label(FeintingJob(128, 4)) == \
             "feint:mithril-128/1-per-4-REF/150000"
+
+
+class TestFig12AttackKernel:
+    def test_primes_the_region_then_sustains_alerts(self):
+        system = SystemConfig()
+        config = MirzaConfig.paper_config(1000)
+        tracker = MirzaTracker(config, system.geometry,
+                               StridedR2SA(system.geometry),
+                               random.Random(3))
+        h = SingleBankHarness(tracker, system)
+        stride = system.geometry.subarrays_per_bank
+        rows = [i * stride for i in range(8)]  # one RCT region
+        total = 50_000
+        h.run(rows[i % 8] for i in range(total))
+        # Priming costs FTH ACTs: under 5% of the attack (paper: under
+        # 1% of tREFW).
+        assert config.fth / total < 0.05
+        # Steady state: one selection per MINT window; the queue turns
+        # between about half (selection jitter against a full queue)
+        # and all of them into ALERTs.
+        selections = (total - config.fth) / config.mint_window
+        assert 0.4 * selections <= h.alerts <= 1.1 * selections
+
+
+MATRIX_GEOMETRY = DramGeometry(banks_per_subchannel=2, subchannels=1,
+                               rows_per_bank=4096, rows_per_subarray=1024,
+                               rows_per_ref=16)
+MATRIX_TRH = 260
+MATRIX_ACTS = 60_000
+MATRIX_TRACKERS = {
+    "mirza": lambda mapping: MirzaTracker(
+        MirzaConfig(trhd=MATRIX_TRH, fth=80, mint_window=4,
+                    num_regions=4, qth=8),
+        MATRIX_GEOMETRY, mapping, random.Random(3)),
+    "prac": lambda mapping: PracTracker(trhd=MATRIX_TRH),
+    "qprac": lambda mapping: QpracTracker(trhd=MATRIX_TRH),
+    # MINT's window matches its REF pacing (one selection per REF).
+    "mint": lambda mapping: MintTracker(window=12, refs_per_mitigation=1,
+                                        rng=random.Random(4)),
+    "mithril": lambda mapping: MithrilTracker(entries=64,
+                                              refs_per_mitigation=1),
+    "protrr": lambda mapping: ProTrrTracker(entries=64,
+                                            refs_per_mitigation=1),
+    "hydra": lambda mapping: HydraTracker(
+        rows_per_bank=4096, rows_per_group=64, group_threshold=60,
+        mitigation_threshold=MATRIX_TRH // 2),
+    "trr": lambda mapping: TrrTracker(entries=8, refs_per_mitigation=4),
+}
+MATRIX_ATTACKS = {
+    "focused": lambda mapping: iter([777] * MATRIX_ACTS),
+    "double-sided": lambda mapping: double_sided_attack_stream(
+        500, mapping, MATRIX_ACTS),
+    "evasion": lambda mapping: trr_evasion_pattern(8, 900, MATRIX_ACTS,
+                                                   seed=7),
+}
+
+
+class TestSecurityMatrix:
+    """Every principled tracker against every attack pattern, judged by
+    the oracle; TRR breaks to its eviction pattern, the way Section X
+    describes.  PRIDE's probabilistic insertion gives no bound at this
+    threshold, so it is left out."""
+
+    def _worst(self, tracker, attack):
+        mapping = SequentialR2SA(MATRIX_GEOMETRY)
+        h = SingleBankHarness(MATRIX_TRACKERS[tracker](mapping),
+                              SystemConfig(geometry=MATRIX_GEOMETRY),
+                              acts_per_ref=12 if tracker == "mint" else 50)
+        h.run(MATRIX_ATTACKS[attack](mapping))
+        return h.max_unmitigated
+
+    @pytest.mark.parametrize("attack", sorted(MATRIX_ATTACKS))
+    @pytest.mark.parametrize("tracker", sorted(set(MATRIX_TRACKERS)
+                                               - {"trr"}))
+    def test_principled_trackers_bound_every_attack(self, tracker,
+                                                    attack):
+        assert self._worst(tracker, attack) <= MATRIX_TRH
+
+    def test_trr_breaks_to_its_eviction_pattern(self):
+        assert self._worst("trr", "evasion") > MATRIX_TRH

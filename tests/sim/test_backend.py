@@ -11,6 +11,7 @@ are covered around it.
 
 from __future__ import annotations
 
+import os
 import random
 import warnings
 
@@ -37,7 +38,9 @@ from repro.sim.runner import (
     naive_mirza_setup,
     prac_setup,
     simulate,
+    simulate_trace,
 )
+from repro.workloads.tracefile import convert_trace
 
 SCALE = SimScale(2048)
 SEED = 0
@@ -274,6 +277,23 @@ def test_fast_backend_identical_under_attack_pressure(backend) -> None:
     assert fast.alerts != [0, 0] or fast.mitigations > 0, (
         "attack failed to exercise the ALERT path; strengthen it")
     assert _observed(event) == _observed(fast)
+
+
+@pytest.mark.parametrize("backend", FAST_BACKENDS)
+def test_fast_backend_identical_on_trace_replay(tmp_path, backend):
+    """The ingestion path: a converted DRAMSim3 trace replayed under
+    MIRZA, the way the CLI's ``run tc.trace --setup mirza`` does."""
+    fixture = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "fixtures", "tc.dramsim3")
+    trace = str(tmp_path / "tc.trace")
+    convert_trace(fixture, trace, workload="tc", instructions=11)
+    scale = SimScale(4096)
+    event, fast = (
+        _observed(simulate_trace(trace, mirza_setup(1000, scale), scale,
+                                 seed=SEED, backend=name))
+        for name in ("event", backend))
+    assert event["total_requests"] > 0
+    assert event == fast
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro import _profile as profile_impl
 from repro.params import SimScale
+from repro.sim import runner
 from repro.sim.profile import (
     KernelProfile,
     active,
@@ -14,6 +17,7 @@ from repro.sim.profile import (
 )
 from repro.sim.registry import setup_by_name
 from repro.sim.runner import calibrated_workload, simulate
+from repro.sim.session import SimJob, SimSession
 
 
 def test_inactive_by_default():
@@ -87,6 +91,23 @@ def test_simulate_populates_profile():
     # Sub-phases are measured inside the serve window.
     assert prof.requests_per_sec() > 0
     assert prof.acts_per_sec() > 0
+
+
+def test_calibration_probes_are_not_kernel_runs(monkeypatch):
+    # Cold calibration keys: every job's first calibration runs probe
+    # windows, in this process when serial and in the workers when
+    # pooled.  Neither may show up as profiled kernel work.
+    scale = SimScale(8192)
+    jobs = [SimJob(name, setup_by_name(setup, scale), scale)
+            for name in ("tc", "mcf")
+            for setup in ("mirza-1000", "prac-1000", "mint-rfm-1000")]
+    for workers in (1, 2):
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        session = SimSession(disk_cache=False, max_workers=workers)
+        with profiling() as prof:
+            results = session.run_many(jobs)
+        assert prof.runs == len(jobs), workers
+        assert prof.requests == sum(r.total_requests for r in results)
 
 
 def test_profiling_does_not_change_results():

@@ -9,10 +9,12 @@ from repro.sim.runner import (
     calibrated_workload,
     mint_rfm_setup,
     mirza_setup,
+    mist_setup,
     naive_mirza_setup,
     prac_setup,
     run_baseline,
     run_workload,
+    simulate,
     slowdown_for,
 )
 
@@ -144,3 +146,16 @@ class TestRunning:
                                    SCALE)
         rfm_sd, _ = slowdown_for("tc", mint_rfm_setup(1000), SCALE)
         assert mirza_sd <= rfm_sd
+
+    def test_mc_side_drfm_mitigates_more_than_mirza(self):
+        # Section X: MIST-style DRFM mitigates proactively, far more
+        # often than filtered MIRZA; both keep benign rows far below
+        # any threshold.
+        scale = SimScale(4096)
+        names = ("cc", "tc", "mcf")
+        mist = [simulate(n, mist_setup(1000), scale) for n in names]
+        mirza = [simulate(n, mirza_setup(1000, scale), scale)
+                 for n in names]
+        assert sum(r.mitigations for r in mist) > \
+            sum(r.mitigations for r in mirza)
+        assert all(r.max_unmitigated_acts < 5000 for r in mist + mirza)

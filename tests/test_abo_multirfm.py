@@ -1,11 +1,15 @@
 """Tests for the multi-RFM-per-ALERT extension."""
 
 import dataclasses
+import random
 
-
+from repro.core.config import MirzaConfig
+from repro.core.mirza import MirzaTracker
 from repro.dram.device import DramDevice
+from repro.dram.mapping import SequentialR2SA
 from repro.mitigations.base import BankTracker, MitigationSlotSource
 from repro.params import AboTimings, SystemConfig, ns
+from repro.security.attacks import SingleBankHarness
 
 
 class QueueTracker(BankTracker):
@@ -83,3 +87,29 @@ class TestControllerStallScaling:
         engine = AboEngine(abo)
         start, end = engine.assert_alert(ns(1000))
         assert end - start == ns(700)
+
+
+class TestRfmsPerAlertAblation:
+    """Section V-E picks 1 RFM per ALERT.  More RFMs drain more
+    MIRZA-Q entries per stall, so fewer ALERTs, at a longer stall."""
+
+    def _hammer(self, geometry, rfms):
+        system = dataclasses.replace(SystemConfig(geometry=geometry),
+                                     abo=AboTimings(rfms_per_alert=rfms))
+        config = MirzaConfig(trhd=0, fth=40, mint_window=4,
+                             num_regions=4, queue_entries=4, qth=8)
+        tracker = MirzaTracker(config, geometry, SequentialR2SA(geometry),
+                               random.Random(2))
+        harness = SingleBankHarness(tracker, system, acts_per_ref=50)
+        rows = [100, 200, 300, 400, 500, 600]
+        harness.run(rows[i % 6] for i in range(30_000))
+        return harness
+
+    def test_more_rfms_fewer_alerts_same_security(self, small_geometry):
+        one, two, four = (self._hammer(small_geometry, rfms)
+                          for rfms in (1, 2, 4))
+        assert one.alerts > two.alerts >= four.alerts
+        # The mitigation total is roughly conserved...
+        assert four.mitigations >= 0.5 * one.mitigations
+        # ...and extra slots never weaken security.
+        assert four.max_unmitigated <= one.max_unmitigated + 8
