@@ -17,7 +17,8 @@ coarse-grained event and accumulate wall time into named phases:
     (a subset of ``serve``).
 ``trackers``
     Per-activation mitigation-tracker bookkeeping (a subset of
-    ``serve``).
+    ``serve``).  Deferred ACTs the array backend lands during a REF
+    count here, not under ``refresh``, so the two never overlap.
 
 Activation is explicit (:func:`profiling`) or environmental
 (``REPRO_PROFILE=1`` plus :func:`maybe_profile_from_env`); the CLI's

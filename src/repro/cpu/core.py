@@ -98,12 +98,21 @@ class Core:
     def pop_tuple(self) -> Tuple[int, EntryTuple]:
         """Commit to the next miss; returns ``(issue_time, entry_tuple)``.
 
-        The hot-path twin of :meth:`pop_request`: the entry comes back
-        as a plain :data:`repro.cpu.trace.EntryTuple`.
+        The entry comes back as a plain
+        :data:`repro.cpu.trace.EntryTuple`.
         """
         issue = self.peek_issue_time()
         if issue is None:
             raise StopIteration("trace exhausted")
+        return issue, self.commit(issue)
+
+    def commit(self, issue: int) -> EntryTuple:
+        """Issue the next miss at ``issue``; return its entry tuple.
+
+        The run loop's hot path: ``issue`` must be what
+        :meth:`peek_issue_time` returned with no call to this core in
+        between, so the peek need not run again.
+        """
         tup = self._buf[self._idx]
         self._idx += 1
         counter = self._m_stall_ps
@@ -119,7 +128,7 @@ class Core:
         self.clock = issue
         self.retired_instructions += tup[1]
         self.misses_issued += 1
-        return issue, tup
+        return tup
 
     def pop_request(self) -> Tuple[int, TraceEntry]:
         """Commit to issuing the next miss; returns (issue_time, entry)."""

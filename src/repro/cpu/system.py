@@ -244,27 +244,23 @@ class MultiCoreSystem:
             if t is not None:
                 heappush(heap, (t, core.core_id))
         while heap:
+            # A queued core's state never changes while it waits, so its
+            # key is exact and is committed as popped.
             issue, core_id = heappop(heap)
-            core = cores[core_id]
             if issue >= window_ps:
-                # A queued core's state never changes while it waits, so
-                # the key is exact and every later request of this core
-                # is also past the window; re-derive defensively and
-                # re-queue rather than dropping in-window work if that
-                # invariant is ever broken.
-                current = core.peek_issue_time()
-                if current is not None and current < window_ps:
-                    heappush(heap, (current, core_id))
-                continue
+                # A core's issue times never decrease, so every request
+                # still queued is past the window too.
+                break
+            core = cores[core_id]
             # tup fields: (compute_ps, instructions, subchannel, bank,
             # row) -- see repro.cpu.trace.EntryTuple.
-            issue_time, tup = core.pop_tuple()
+            tup = core.commit(issue)
             mc = mcs[tup[2] % num_mcs]
             if prof is None:
-                data_done = mc.serve_timing(tup[3], tup[4], issue_time)[1]
+                data_done = mc.serve_timing(tup[3], tup[4], issue)[1]
             else:
                 s0 = perf_counter()
-                data_done = mc.serve_timing(tup[3], tup[4], issue_time)[1]
+                data_done = mc.serve_timing(tup[3], tup[4], issue)[1]
                 serve_s += perf_counter() - s0
             core.complete(data_done)
             nxt = core.peek_issue_time()

@@ -14,13 +14,20 @@ tracker raises ``wants_alert``, the whole subchannel goes through the
 ABO sequence and **every** bank with pending work mitigates one entry
 (Section IV-A: queues synchronise mitigations across banks so one ALERT
 serves many banks).
+
+The device keeps that ALERT line incrementally.  A tracker's answer
+changes only when the tracker itself is driven (see
+:meth:`~repro.mitigations.base.BankTracker.wants_alert`), so the device
+re-polls the touched bank after ``activate``, ``apply_activations``,
+``note_row_press`` and ``rfm``, and every alertable bank after
+``do_ref`` and ``service_alert``; ``alert_pending`` is then a set read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set
 
 from repro import _profile
 from repro.dram.bank import Bank
@@ -107,12 +114,15 @@ class DramDevice:
             tracker_factory = lambda bank_id: NoMitigation()  # noqa: E731
         self.trackers: List[BankTracker] = [
             tracker_factory(i) for i in range(self.num_banks)]
-        # Trackers that inherit the base wants_alert can never request an
-        # ALERT; precomputing the overriders lets alert_pending -- polled
-        # once per activation -- skip purely proactive configurations.
-        self._alertable: List[BankTracker] = [
-            t for t in self.trackers
-            if type(t).wants_alert is not BankTracker.wants_alert]
+        self.alertable_banks: FrozenSet[int] = frozenset(
+            i for i, t in enumerate(self.trackers)
+            if type(t).wants_alert is not BankTracker.wants_alert)
+        """Banks whose tracker can ever request an ALERT (trackers that
+        inherit the base ``wants_alert`` never do)."""
+        self.alerting_banks: Set[int] = set()
+        """Banks whose tracker requests an ALERT right now.  Updated in
+        place, so a view bound to it stays live."""
+        self._poll_all()
         self.refresh = RefreshScheduler(geometry, self.mapping,
                                         refs_per_window)
         self.stats = DeviceStats()
@@ -143,6 +153,8 @@ class DramDevice:
             self.trackers[bank_id].on_activate(row, now_ps)
             prof.trackers_s += perf_counter() - t0
         self.stats.activations += 1
+        if bank_id in self.alertable_banks:
+            self._poll(bank_id)
 
     def apply_activations(self, bank_id: int, rows: Sequence[int],
                           times: Sequence[int]) -> None:
@@ -162,6 +174,8 @@ class DramDevice:
             self.trackers[bank_id].on_activates(rows, times)
             prof.trackers_s += perf_counter() - t0
         self.stats.activations += len(rows)
+        if bank_id in self.alertable_banks:
+            self._poll(bank_id)
 
     def drfm_mitigate(self, bank_id: int, aggressor_row: int) -> int:
         """Mitigate one MC-sampled aggressor (DRFM); return victim count.
@@ -192,13 +206,24 @@ class DramDevice:
             bank.oracle.on_activate(row)
             self.trackers[bank_id].on_activate(row, now_ps)
         self.stats.row_press_equivalents += equivalent_acts
+        if bank_id in self.alertable_banks:
+            self._poll(bank_id)
 
     def alert_pending(self) -> bool:
         """True if any bank's tracker needs an ALERT right now."""
-        for tracker in self._alertable:
-            if tracker.wants_alert():
-                return True
-        return False
+        return bool(self.alerting_banks)
+
+    def _poll(self, bank_id: int) -> None:
+        """Re-read one alertable bank's ALERT request."""
+        if self.trackers[bank_id].wants_alert():
+            self.alerting_banks.add(bank_id)
+        else:
+            self.alerting_banks.discard(bank_id)
+
+    def _poll_all(self) -> None:
+        """Re-read every alertable bank (after REF or ALERT service)."""
+        for bank_id in self.alertable_banks:
+            self._poll(bank_id)
 
     def service_alert(self, now_ps: int, rfm_slots: int = None) -> int:
         """Run the mitigation phase of one ALERT; return rows mitigated.
@@ -229,6 +254,7 @@ class DramDevice:
                     if trace is not None:
                         trace.instant(now_ps, "MITIGATE", self.subch,
                                       bank.bank_id)
+        self._poll_all()
         return total_victims
 
     def do_ref(self, now_ps: int) -> RefreshSlice:
@@ -257,6 +283,7 @@ class DramDevice:
                     trace.instant(now_ps, "MITIGATE", self.subch,
                                   bank.bank_id)
             self.stats.demand_rows_refreshed += swept
+        self._poll_all()
         return slice_
 
     def rfm(self, bank_id: int, now_ps: int) -> int:
@@ -272,6 +299,8 @@ class DramDevice:
             self._note_mitigation(MitigationSlotSource.RFM, victims)
             if trace is not None:
                 trace.instant(now_ps, "MITIGATE", self.subch, bank_id)
+        if bank_id in self.alertable_banks:
+            self._poll(bank_id)
         return len(rows)
 
     def _note_mitigation(self, source: MitigationSlotSource,

@@ -183,13 +183,22 @@ class BusTracker:
 
     def transfer(self, at: int) -> int:
         """Book the first free slot at/after ``at``; return its end."""
+        return self.book(self.earliest_transfer(at))
+
+    def book(self, start: int) -> int:
+        """Book the slot at ``start``, a free gap's start; return its end.
+
+        ``start`` must be an :meth:`earliest_transfer` result with no
+        booking since, which lets a caller that already searched skip
+        the second scan :meth:`transfer` would make.
+        """
         burst = self._tBURST
-        start = self.earliest_transfer(at)
         end = start + burst
         slots = self._slots
-        slots.append((start, end))
-        if len(slots) > 1 and slots[-2][0] > start:
-            self._slots = deque(sorted(slots))
+        if slots and slots[-1][0] > start:
+            bisect.insort(slots, (start, end))
+        else:
+            slots.append((start, end))
         self.busy_time += burst
         return end
 
@@ -198,42 +207,3 @@ class BusTracker:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
-
-
-class ChannelStall:
-    """Channel-wide blackout windows (ALERT stalls affect every bank)."""
-
-    __slots__ = ("_blocked_until", "total_stall")
-
-    def __init__(self) -> None:
-        self._blocked_until = 0
-        self.total_stall = 0
-
-    def earliest(self, now: int) -> int:
-        """Earliest instant >= ``now`` outside the blackout."""
-        return max(now, self._blocked_until)
-
-    def stall(self, start: int, duration: int) -> int:
-        """Stall the channel for ``duration`` starting at ``start``."""
-        end = start + duration
-        if end > self._blocked_until:
-            self.total_stall += end - max(start, self._blocked_until) \
-                if self._blocked_until > start else duration
-            self._blocked_until = end
-        return end
-
-    @property
-    def blocked_until(self) -> int:
-        return self._blocked_until
-
-
-def alert_sequence_times(assert_time: int, prologue: int, stall: int
-                         ) -> "tuple[int, int]":
-    """Return (stall_start, stall_end) for an ALERT asserted at a time.
-
-    Per Figure 4, after ALERT asserts the MC may operate normally for the
-    prologue, then must stall the channel for the stall period while the
-    DRAM mitigates.
-    """
-    stall_start = assert_time + prologue
-    return stall_start, stall_start + stall

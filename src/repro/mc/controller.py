@@ -108,7 +108,7 @@ class MemoryController:
         self._tRFC = self.timings.tRFC
         self._stalls = self.abo.stalls
         self._rfm_enabled = rfm_bat is not None
-        self._alert_possible = bool(device._alertable)
+        self._alert_possible = bool(device.alertable_banks)
         # Observability: metric objects and the trace buffer are bound
         # once here; the off path in serve_timing is one None check.
         self.subch = subch
@@ -132,7 +132,9 @@ class MemoryController:
         if until < self._next_ref:
             return
         prof = _profile._ACTIVE
-        t0 = perf_counter() if prof is not None else 0.0
+        if prof is not None:
+            t0 = perf_counter()
+            trackers_s = prof.trackers_s
         refs = 0
         adjust = self._stalls.adjust
         tRFC = self._tRFC
@@ -154,7 +156,10 @@ class MemoryController:
             refs += 1
         self._stalls.drop_before(until - 10 * tREFI)
         if prof is not None:
-            prof.refresh_s += perf_counter() - t0
+            # Deferred ACTs the array backend lands inside a REF are
+            # tracker time: charge them to that phase alone.
+            prof.refresh_s += (perf_counter() - t0
+                               - (prof.trackers_s - trackers_s))
             prof.refs += refs
 
     # ------------------------------------------------------------------
@@ -174,7 +179,8 @@ class MemoryController:
         self.faw.release_before(arrival)
         self.total_requests += 1
         bank = self.banks[bank_id]
-        # Inlined _effective_open_row (soft close-page policy).
+        # Soft close-page policy: the row auto-closed tRAS after its last
+        # use (the precharge residue is paid in _activate).
         open_row = self._open_row[bank_id]
         if open_row is not None and arrival > self._row_close_at[bank_id]:
             open_row = None
@@ -200,7 +206,9 @@ class MemoryController:
 
         transfer = bus.earliest_transfer(arrival)
         cas = adjust(transfer if transfer > lower else lower)
-        data_done = bus.transfer(cas) + self._tCAS
+        # A CAS that lands in the gap just found books it unscanned.
+        start = transfer if cas == transfer else bus.earliest_transfer(cas)
+        data_done = bus.book(start) + self._tCAS
         counter = self._m_requests
         if counter is not None:
             counter.value += 1
@@ -222,19 +230,6 @@ class MemoryController:
         return RequestResult(issue_time=issue, completion_time=data_done,
                              activated=activated,
                              row_hit=(not activated))
-
-    def _effective_open_row(self, bank_id: int, now: int) -> Optional[int]:
-        """Open row visible at ``now`` under the soft close-page policy."""
-        row = self._open_row[bank_id]
-        if row is None:
-            return None
-        if now > self._row_close_at[bank_id]:
-            # The row auto-closed; model the precharge as already done
-            # (it started at close time, well before `now` arrivals that
-            # exceed close + tRP; earlier arrivals pay the residue via
-            # BankTiming's precharge bookkeeping below).
-            return None
-        return row
 
     def _activate(self, bank_id: int, row: int, arrival: int,
                   conflict: bool) -> int:
@@ -342,14 +337,7 @@ class MemoryController:
 
     def _check_alert(self, now: int) -> None:
         """Run the ABO sequence if any tracker is requesting ALERT."""
-        prof = _profile._ACTIVE
-        if prof is None:
-            pending = self.device.alert_pending()
-        else:
-            t0 = perf_counter()
-            pending = self.device.alert_pending()
-            prof.trackers_s += perf_counter() - t0
-        asserted = self.abo.maybe_assert(pending, now)
+        asserted = self.abo.maybe_assert(self.device.alert_pending(), now)
         if asserted is None:
             return
         stall_start, stall_end = asserted

@@ -68,6 +68,13 @@ class BankTracker(abc.ABC):
         """True if the tracker needs the channel to assert ALERT now.
 
         Proactive trackers never request ALERT; the default is ``False``.
+
+        Contract: the answer depends only on the tracker's own state,
+        and that state changes only through :meth:`on_activate`,
+        :meth:`on_activates`, :meth:`on_mitigation_slot` and
+        :meth:`on_ref_slice`.  The device polls a bank only after one
+        of those calls, so a tracker that breaks the contract raises or
+        drops ALERT late.
         """
         return False
 

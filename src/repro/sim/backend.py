@@ -6,9 +6,9 @@ does not have to run in lock-step with it.  This module makes that
 choice a first-class API:
 
 ``event``
-    Today's per-command dispatch: every ACT updates bank, oracle, and
-    tracker state immediately, and the tracker ALERT lines are polled
-    after every activation.
+    Per-command dispatch: every ACT updates bank, oracle, and tracker
+    state immediately, and the device re-polls the activated bank's
+    ALERT request.
 
 ``array``
     Chunked array-at-a-time execution: ACTs are buffered per bank as
@@ -17,9 +17,9 @@ choice a first-class API:
     accounting / end of window).  Between those events, each alertable
     tracker publishes an :meth:`~repro.mitigations.base.BankTracker.
     alert_slack` lower bound on how many ACTs must pass before its
-    ALERT line can rise, so the per-ACT ``wants_alert`` polling of the
-    event path collapses to one poll per slack horizon.  Trackers
-    without an exact slack bound fall back to a slack of one -- per-ACT
+    ALERT line can rise, so a bank's tracker is updated and re-polled
+    once per slack horizon instead of once per ACT.  Trackers without
+    an exact slack bound fall back to a slack of one -- per-ACT
     stepping, i.e. exactly the event path's behaviour -- so the fast
     path is *provably bit-identical* (the golden-results suite pins it).
 
@@ -41,7 +41,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.dram.device import DramDevice
 from repro.dram.refresh import RefreshSlice
-from repro.mitigations.base import BankTracker, UNBOUNDED_SLACK
+from repro.mitigations.base import UNBOUNDED_SLACK
 
 
 @runtime_checkable
@@ -90,18 +90,18 @@ class _BatchingDevice:
     :meth:`DramDevice.apply_activations`, so the real device always
     observes the same per-bank event order as under the event backend.
 
-    The ALERT line is maintained incrementally: a bank's tracker is
-    re-polled when its slack countdown expires or one of its buffered
-    runs is flushed, and ``alert_pending`` answers from the resulting
-    pending set -- bit-identical to polling every tracker per ACT,
-    because tracker state only changes on that bank's own ACTs and on
-    mitigation slots, both of which are poll points.
+    The ALERT line is the real device's: it re-polls a bank whenever it
+    lands that bank's run or gives it a mitigation slot, so
+    ``alert_pending`` reads :attr:`DramDevice.alerting_banks`.  What
+    the facade adds is when to land: each alertable bank counts down
+    its tracker's ``alert_slack`` and lands its run when the countdown
+    expires, so the line can never rise while ACTs sit in a buffer.
     """
 
-    __slots__ = ("_real", "_rows", "_times", "_countdown", "_pending",
-                 "_alertable_ids", "banks", "trackers", "stats",
-                 "config", "mapping", "refresh", "subch", "num_banks",
-                 "blast_radius", "_flush_hist", "_trace_buf")
+    __slots__ = ("_real", "_rows", "_times", "_countdown", "banks",
+                 "trackers", "stats", "config", "mapping", "refresh",
+                 "subch", "num_banks", "blast_radius", "alertable_banks",
+                 "alerting_banks", "_flush_hist", "_trace_buf")
 
     def __init__(self, real: DramDevice) -> None:
         self._real = real
@@ -124,18 +124,13 @@ class _BatchingDevice:
         self.subch = real.subch
         self.num_banks = real.num_banks
         self.blast_radius = real.blast_radius
+        self.alertable_banks = real.alertable_banks
+        self.alerting_banks = real.alerting_banks
         n = real.num_banks
         self._rows: List[List[int]] = [[] for _ in range(n)]
         self._times: List[List[int]] = [[] for _ in range(n)]
-        self._pending: set = set()
-        trackers = real.trackers
-        self._alertable_ids = frozenset(
-            i for i in range(n)
-            if type(trackers[i]).wants_alert is not BankTracker.wants_alert)
-        self._countdown: List[int] = [
-            trackers[i].alert_slack() if i in self._alertable_ids
-            else UNBOUNDED_SLACK
-            for i in range(n)]
+        self._countdown: List[int] = [UNBOUNDED_SLACK] * n
+        self._rearm_all()
 
     # ------------------------------------------------------------------
     # Deferral machinery
@@ -167,86 +162,84 @@ class _BatchingDevice:
             self._rows[bank_id] = []
             self._times[bank_id] = []
 
-    def _poll(self, bank_id: int) -> None:
-        """Refresh ``bank_id``'s ALERT status and slack countdown."""
-        if bank_id not in self._alertable_ids:
-            self._countdown[bank_id] = UNBOUNDED_SLACK
-            return
-        tracker = self._real.trackers[bank_id]
-        if tracker.wants_alert():
-            self._pending.add(bank_id)
+    def _rearm(self, bank_id: int) -> None:
+        """Restart ``bank_id``'s countdown from its landed tracker state.
+
+        A bank that wants ALERT lands every ACT; any other alertable
+        bank may defer as many ACTs as its tracker's slack allows.
+        """
+        if bank_id in self.alerting_banks:
             self._countdown[bank_id] = 1
-        else:
-            self._pending.discard(bank_id)
-            self._countdown[bank_id] = tracker.alert_slack()
+        elif bank_id in self.alertable_banks:
+            self._countdown[bank_id] = \
+                self.trackers[bank_id].alert_slack()
 
     def _flush_all(self) -> None:
         """Land every bank's buffered run (REF/ALERT boundaries)."""
         for bank_id in range(self.num_banks):
             self._flush(bank_id)
 
-    def _poll_all(self) -> None:
-        """Re-poll every alertable bank (after REF/ALERT service)."""
-        for bank_id in self._alertable_ids:
-            self._poll(bank_id)
+    def _rearm_all(self) -> None:
+        """Restart every alertable bank (after REF/ALERT service)."""
+        for bank_id in self.alertable_banks:
+            self._rearm(bank_id)
 
     def flush(self) -> None:
         """Land all deferred state (end of window, before collection)."""
         self._flush_all()
-        self._poll_all()
 
     # ------------------------------------------------------------------
     # DramDevice-facing operations
     # ------------------------------------------------------------------
     def activate(self, bank_id: int, row: int, now_ps: int) -> None:
-        """Buffer one ACT; flush and re-poll at the slack horizon."""
+        """Buffer one ACT; land the run at the slack horizon."""
         self._rows[bank_id].append(row)
         self._times[bank_id].append(now_ps)
         remaining = self._countdown[bank_id] - 1
         self._countdown[bank_id] = remaining
         if remaining <= 0:
             self._flush(bank_id)
-            self._poll(bank_id)
+            self._rearm(bank_id)
 
     def alert_pending(self) -> bool:
         """True if any bank's tracker needs an ALERT right now."""
-        return bool(self._pending)
+        return bool(self.alerting_banks)
 
     def service_alert(self, now_ps: int,
                       rfm_slots: Optional[int] = None) -> int:
-        """Flush everything, run the ALERT service, re-poll all banks."""
+        """Flush everything, run the ALERT service, rearm all banks."""
         self._flush_all()
         victims = self._real.service_alert(now_ps, rfm_slots)
-        self._poll_all()
+        self._rearm_all()
         return victims
 
     def do_ref(self, now_ps: int) -> RefreshSlice:
-        """Flush everything, issue the REF, re-poll all banks."""
+        """Flush everything, issue the REF, rearm all banks."""
         self._flush_all()
         slice_ = self._real.do_ref(now_ps)
-        self._poll_all()
+        self._rearm_all()
         return slice_
 
     def rfm(self, bank_id: int, now_ps: int) -> int:
         """Flush ``bank_id`` (its triggering ACT included), then RFM."""
         self._flush(bank_id)
         mitigated = self._real.rfm(bank_id, now_ps)
-        self._poll(bank_id)
+        self._rearm(bank_id)
         return mitigated
 
     def drfm_mitigate(self, bank_id: int, aggressor_row: int) -> int:
         """Flush ``bank_id`` so the oracle pop lands in event order."""
         self._flush(bank_id)
         victims = self._real.drfm_mitigate(bank_id, aggressor_row)
-        self._poll(bank_id)
+        self._rearm(bank_id)
         return victims
 
     def note_row_press(self, bank_id: int, row: int,
                        equivalent_acts: int, now_ps: int) -> None:
-        """Flush ``bank_id``, account the RowPress ACTs, re-poll."""
+        """Flush ``bank_id``, account the RowPress ACTs, rearm."""
         self._flush(bank_id)
         self._real.note_row_press(bank_id, row, equivalent_acts, now_ps)
-        self._poll(bank_id)
+        self._rearm(bank_id)
 
     def apply_activations(self, bank_id: int, rows: Sequence[int],
                           times: Sequence[int]) -> None:

@@ -3,13 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.timing import (
-    BankTiming,
-    BusTracker,
-    ChannelStall,
-    FawTracker,
-    alert_sequence_times,
-)
+from repro.dram.timing import BankTiming, BusTracker, FawTracker
 from repro.params import DramTimings, ns
 
 
@@ -150,6 +144,14 @@ class TestBusTracker:
         end = bus.transfer(ns(3))
         assert end == ns(6)      # fits in [3, 10) gap
 
+    def test_book_at_found_gap_matches_transfer(self):
+        searched, scanned = BusTracker(DramTimings()), BusTracker(
+            DramTimings())
+        for at in (0, ns(10), ns(3), 0, ns(4), ns(11)):
+            assert searched.book(searched.earliest_transfer(at)) == \
+                scanned.transfer(at)
+        assert searched._slots == scanned._slots
+
     def test_utilization(self):
         bus = BusTracker(DramTimings())
         for _ in range(10):
@@ -162,18 +164,3 @@ class TestBusTracker:
             bus.transfer(i * ns(3))
         bus.release_before(ns(30))
         assert bus.earliest_transfer(ns(30)) == ns(60)
-
-
-class TestChannelStall:
-    def test_stall_blocks(self):
-        c = ChannelStall()
-        c.stall(0, ns(100))
-        assert c.earliest(ns(50)) == ns(100)
-        assert c.earliest(ns(200)) == ns(200)
-
-
-class TestAlertSequenceTimes:
-    def test_figure4_windows(self):
-        start, end = alert_sequence_times(ns(1000), ns(180), ns(350))
-        assert start == ns(1180)
-        assert end == ns(1530)

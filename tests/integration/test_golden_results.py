@@ -11,15 +11,27 @@ shifting every downstream table.
 
 Floats are compared after rounding to 6 decimals (the precision the
 report prints at); integers must match exactly.
+
+The registry cells never alert at this scale, so the ALERT path is
+pinned separately: Table V's naive MIRZA at W=8, Q=1 and a MIRZA-1000
+hammer, each under both kernel backends.  The backends share one ALERT
+line, so their identity tests cannot catch a change to ALERT timing;
+these cells can.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.params import SimScale
+from repro.cpu.system import MultiCoreSystem
+from repro.cpu.trace import TraceEntry
+from repro.params import SimScale, SystemConfig, ns
+from repro.sim.backend import backend_by_name
 from repro.sim.registry import setup_by_name
-from repro.sim.runner import simulate
+from repro.sim.runner import mirza_setup, naive_mirza_setup, simulate
+from repro.workloads import AttackWorkload
 
 SCALE = SimScale(2048)
 SEED = 0
@@ -141,6 +153,53 @@ GOLDEN = {
 }
 
 
+# Captured at SimScale(2048), seed 0, under both backends, before the
+# ALERT line became incremental.
+ALERT_GOLDEN = {
+    ("mcf", "naive-mirza-w8-q1"): {
+        "total_requests": 2135,
+        "total_activations": 1226,
+        "row_hit_rate": 0.425761,
+        "alerts": [30, 28],
+        "rfms": [0, 0],
+        "mitigations": 143,
+        "victim_rows_refreshed": 572,
+        "demand_rows_refreshed": 8388608,
+        "max_unmitigated_acts": 3,
+        "ipc": [0.219632, 0.25016, 0.204368, 0.24592,
+                0.218784, 0.208608, 0.22048, 0.242528],
+        "bus_utilization": 0.20496,
+    },
+    ("tc", "naive-mirza-w8-q1"): {
+        "total_requests": 1711,
+        "total_activations": 934,
+        "row_hit_rate": 0.45412,
+        "alerts": [25, 28],
+        "rfms": [0, 0],
+        "mitigations": 108,
+        "victim_rows_refreshed": 432,
+        "demand_rows_refreshed": 8388608,
+        "max_unmitigated_acts": 3,
+        "ipc": [0.035376, 0.038896, 0.035024, 0.038192,
+                0.03696, 0.039776, 0.033792, 0.04312],
+        "bus_utilization": 0.164256,
+    },
+    ("hammer", "mirza-1000"): {
+        "total_requests": 257,
+        "total_activations": 253,
+        "row_hit_rate": 0.015564,
+        "alerts": [11, 0],
+        "rfms": [0, 0],
+        "mitigations": 11,
+        "victim_rows_refreshed": 42,
+        "demand_rows_refreshed": 8388608,
+        "max_unmitigated_acts": 11,
+        "ipc": [0.002048, 0.002064, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "bus_utilization": 0.024672,
+    },
+}
+
+
 def _observed(result) -> dict:
     return {
         "total_requests": result.total_requests,
@@ -173,3 +232,51 @@ def test_golden_sim_result(workload: str, setup_name: str) -> None:
     assert not mismatches, (
         f"{workload}/{setup_name} drifted from the golden capture "
         f"(observed, expected): {mismatches}")
+
+
+def _hammer_run(backend: str):
+    """Two cores hammer 24 random rows of bank 0 under MIRZA-1000."""
+
+    def hammer():
+        rng = random.Random(13)
+        rows = [rng.randrange(4096) for _ in range(24)]
+        while True:
+            for row in rows:
+                yield TraceEntry(compute_ps=ns(0.25), instructions=1,
+                                 subchannel=0, bank=0, row=row)
+
+    workload = AttackWorkload({0: hammer, 1: hammer}, mlp=4)
+    setup = mirza_setup(1000, SCALE)
+    config = SystemConfig()
+    system = MultiCoreSystem(
+        config,
+        trace_factory=workload.trace_factory(),
+        tracker_factory=lambda s, b: setup.tracker_factory(SEED, s, b),
+        mapping_factory=lambda: setup.make_mapping(config),
+        refs_per_window=SCALE.scaled_refs_per_window(config.timings),
+        mlp=workload.mlp)
+    return backend_by_name(backend).run(
+        system, SCALE.scaled_trefw(config.timings))
+
+
+@pytest.mark.parametrize("backend", ["event", "array"])
+@pytest.mark.parametrize("workload,setup_name", sorted(ALERT_GOLDEN),
+                         ids=lambda v: v)
+def test_golden_alert_path(workload: str, setup_name: str,
+                           backend: str) -> None:
+    if workload == "hammer":
+        result = _hammer_run(backend)
+    else:
+        result = simulate(workload,
+                          naive_mirza_setup(8, queue_entries=1), SCALE,
+                          seed=SEED, backend=backend)
+    observed = _observed(result)
+    expected = ALERT_GOLDEN[(workload, setup_name)]
+    mismatches = {
+        field: (observed[field], want)
+        for field, want in expected.items()
+        if observed[field] != want
+    }
+    assert not mismatches, (
+        f"{workload}/{setup_name}/{backend} drifted from the golden "
+        f"capture (observed, expected): {mismatches}")
