@@ -16,9 +16,7 @@ Public API highlights
   measure slowdown, ALERT rate, and refresh-power overhead.  The
   :class:`repro.SimSession` object owns result caching and parallel
   fan-out; :func:`repro.setup_by_name` names the paper's setups;
-  :func:`repro.simulate` is the uncached kernel underneath, and
-  :class:`repro.KernelBackend` (``event`` / ``array``, selected per
-  call or via ``REPRO_KERNEL_BACKEND``) chooses how it executes.
+  :func:`repro.simulate` is the uncached kernel underneath.
 - :mod:`repro.security` -- analytic safe-TRH models, the attack
   verification harness, and area/storage accounting.
 - :mod:`repro.workloads` -- Table IV workload generators and attack
@@ -52,10 +50,8 @@ from repro.params import (
     SystemConfig,
 )
 from repro.sim import (
-    KernelBackend,
     SimJob,
     SimSession,
-    available_backends,
     available_setups,
     setup_by_name,
     simulate,
@@ -75,7 +71,6 @@ __all__ = [
     "AboTimings",
     "DramGeometry",
     "DramTimings",
-    "KernelBackend",
     "MintSampler",
     "MirzaConfig",
     "MirzaQueue",
@@ -89,7 +84,6 @@ __all__ = [
     "SystemConfig",
     "WorkloadSource",
     "WorkloadSpec",
-    "available_backends",
     "available_setups",
     "setup_by_name",
     "simulate",

@@ -25,7 +25,7 @@ Usage::
 
     python -m repro trace convert tc.dramsim3 tc.trace \\
         --workload tc --instructions 11    # ingest an external trace
-    python -m repro run tc.trace --setup mirza --backend array
+    python -m repro run tc.trace --setup mirza
                                            # replay it, with the
                                            # calibration check printed
 
@@ -34,7 +34,7 @@ for ``python -m repro run table7``).
 
 Every subcommand accepts the shared simulation flags (``--jobs``,
 ``--time-scale``, ``--cgf-scale``, ``--workloads``, ``--seed``,
-``--backend``, ``--cache-dir``, ``--no-cache``, ``--profile``), the
+``--cache-dir``, ``--no-cache``, ``--profile``), the
 observability
 flags (``--metrics``, ``--trace-out``, ``--trace-limit``; see
 ``docs/observability.md``), and the failure-handling flags
@@ -59,7 +59,6 @@ import sys
 from typing import Iterator, List, Optional
 
 from repro.report import exhibit_names, run_exhibit, write_report
-from repro.sim.backend import available_backends
 from repro.sim.session import FailurePolicy, SimSession
 
 _SUBCOMMANDS = ("list", "run", "report", "stats", "trace", "fuzz")
@@ -73,8 +72,20 @@ _ENV_FLAGS = [
     ("cgf_scale", "REPRO_CGF_SCALE"),
     ("workloads", "REPRO_WORKLOADS"),
     ("seed", "REPRO_SEED"),
-    ("backend", "REPRO_KERNEL_BACKEND"),
 ]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a window divisor: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,11 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="worker processes for simulation sweeps "
                  "(default: REPRO_JOBS or 1)")
         p.add_argument(
-            "--time-scale", type=int, default=None, metavar="S",
+            "--time-scale", type=_positive_int, default=None,
+            metavar="S",
             help="window divisor for timed simulation "
                  "(default: REPRO_TIME_SCALE or 512)")
         p.add_argument(
-            "--cgf-scale", type=int, default=None, metavar="S",
+            "--cgf-scale", type=_positive_int, default=None,
+            metavar="S",
             help="window divisor for counting measurements "
                  "(default: REPRO_CGF_SCALE or 16)")
         p.add_argument(
@@ -105,10 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--seed", type=int, default=None, metavar="N",
             help="base RNG seed (default: REPRO_SEED or 0)")
-        p.add_argument(
-            "--backend", default=None, choices=available_backends(),
-            help="kernel backend for every simulation (bit-identical; "
-                 "default: REPRO_KERNEL_BACKEND or event)")
         p.add_argument(
             "--cache-dir", default=None, metavar="DIR",
             help="persistent result-cache directory "

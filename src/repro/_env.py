@@ -49,24 +49,6 @@ def env_int(var: str, default: int, minimum: Optional[int] = None,
     return value
 
 
-def env_choice(var: str, default: str, choices: Tuple[str, ...]) -> str:
-    """``os.environ[var]`` restricted to ``choices``, warn-and-default.
-
-    Matching is case-insensitive after stripping whitespace, mirroring
-    the alias handling of :func:`env_int`; an unrecognised spelling
-    (``REPRO_KERNEL_BACKEND=bogus``) warns once and falls back to
-    ``default`` instead of raising mid-sweep.
-    """
-    raw = os.environ.get(var)
-    if raw is None or raw == "":
-        return default
-    value = raw.strip().lower()
-    if value in choices:
-        return value
-    _warn_once(var, raw, default)
-    return default
-
-
 def env_float(var: str, default: float,
               minimum: Optional[float] = None) -> float:
     """``float(os.environ[var])`` with a warn-and-default fallback."""

@@ -17,8 +17,7 @@ coarse-grained event and accumulate wall time into named phases:
     (a subset of ``serve``).
 ``trackers``
     Per-activation mitigation-tracker bookkeeping (a subset of
-    ``serve``).  Deferred ACTs the array backend lands during a REF
-    count here, not under ``refresh``, so the two never overlap.
+    ``serve``).
 
 Activation is explicit (:func:`profiling`) or environmental
 (``REPRO_PROFILE=1`` plus :func:`maybe_profile_from_env`); the CLI's

@@ -16,7 +16,7 @@ needs only a single entry of storage.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.obs import metrics as _metrics
 
@@ -71,70 +71,6 @@ class MintSampler:
             self._target = self.rng.randrange(self.window)
             self.windows_completed += 1
         return picked
-
-    def observe_many(self, rows: Sequence[int]) -> List[int]:
-        """Observe a run of activations; return the selected rows in order.
-
-        Bit-identical to calling :meth:`observe` per entry -- the same
-        selections fall out, ``windows_completed`` advances identically,
-        and exactly one ``randrange`` is drawn per completed window in
-        the same sequence -- but window boundaries are skipped over
-        arithmetically instead of counted one ACT at a time.
-        """
-        n = len(rows)
-        if n == 0:
-            return []
-        self.observed += n
-        counter = self._m_observed
-        if counter is not None:
-            counter.value += n
-        picked: List[int] = []
-        pos = self._position
-        target = self._target
-        window = self.window
-        randrange = self.rng.randrange
-        i = 0
-        while i < n:
-            remaining = window - pos
-            if target >= pos:
-                idx = i + (target - pos)
-                if idx < n:
-                    picked.append(int(rows[idx]))
-            if remaining <= n - i:
-                i += remaining
-                pos = 0
-                target = randrange(window)
-                self.windows_completed += 1
-            else:
-                pos += n - i
-                break
-        self._position = pos
-        self._target = target
-        if picked:
-            self.selected += len(picked)
-            counter = self._m_selected
-            if counter is not None:
-                counter.value += len(picked)
-        return picked
-
-    def acts_until_nth_selection(self, n: int) -> int:
-        """Earliest future observation (1-based) that can be the ``n``-th
-        selection.
-
-        A lower bound: the current window's pending target is exact, but
-        later windows assume their random target lands on the first slot.
-        Used by the array backend to bound how long MIRZA's queue can go
-        unpolled.
-        """
-        if n <= 0:
-            return 0
-        window = self.window
-        to_window_end = window - self._position
-        if self._target >= self._position:
-            if n == 1:
-                return self._target - self._position + 1
-            return to_window_end + (n - 2) * window + 1
-        return to_window_end + (n - 1) * window + 1
 
     @property
     def selection_probability(self) -> float:

@@ -20,7 +20,7 @@ highest-tardiness entry.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.config import MirzaConfig
 from repro.core.mint import MintSampler
@@ -67,76 +67,8 @@ class MirzaTracker(BankTracker):
             if selected is not None:
                 self.queue.insert(selected)
 
-    def on_activates(self, rows: Sequence[int],
-                     times: Sequence[int]) -> None:
-        """Bulk path: batch the RCT lookups, then replay queue/MINT.
-
-        The RCT's state is independent of the queue and sampler, so the
-        escape decisions of a whole run can be computed up front (one
-        tight loop in :class:`RegionCountTable`) and the queue/MINT pass
-        -- whose entries do interact ACT-by-ACT -- replayed afterwards
-        in arrival order.  Final state, metrics, and RNG draws are
-        identical to entry-at-a-time observation.
-        """
-        if type(self).on_activate is not MirzaTracker.on_activate:
-            BankTracker.on_activates(self, rows, times)
-            return
-        self.acts_observed += len(rows)
-        escapes = self.rct.on_activates(
-            self.mapping.physical_indices(rows))
-        queue = self.queue
-        queue_bump = queue.on_activate
-        observe = self.mint.observe
-        insert = queue.insert
-        n = len(rows)
-        i = 0
-        # While the queue is empty, bumping it is a no-op and only
-        # escaped rows can change any state, so filtered runs are
-        # skipped at C speed (list.index) instead of replayed.
-        while i < n and not len(queue):
-            try:
-                i = escapes.index(True, i)
-            except ValueError:
-                return
-            selected = observe(rows[i])
-            if selected is not None:
-                insert(selected)
-            i += 1
-        for row, escaped in zip(rows[i:], escapes[i:]):
-            if queue_bump(row):
-                continue
-            if escaped:
-                selected = observe(row)
-                if selected is not None:
-                    insert(selected)
-
     def wants_alert(self) -> bool:
         return self.queue.wants_alert()
-
-    def alert_slack(self) -> int:
-        """ACTs before the queue can possibly need an ALERT.
-
-        Two ways ``wants_alert`` can flip: the queue fills (needs at
-        least ``capacity - len`` more MINT selections, each bounded
-        below by the sampler's window arithmetic) or a queued entry's
-        tardiness exceeds QTH (at most one bump per ACT, so at least
-        ``qth + 1 - max_tardiness`` ACTs; a future insertion starts at
-        tardiness 1 and is covered by the same bound through the
-        selection distance).  Both are lower bounds, so the minimum is a
-        safe polling horizon.
-        """
-        queue = self.queue
-        free = queue.capacity - len(queue)
-        if free <= 0:
-            return 1
-        until_full = self.mint.acts_until_nth_selection(free)
-        if len(queue):
-            until_tardy = queue.qth + 1 - queue.max_tardiness()
-        else:
-            until_tardy = (self.mint.acts_until_nth_selection(1)
-                           + queue.qth)
-        slack = until_full if until_full < until_tardy else until_tardy
-        return slack if slack > 1 else 1
 
     def on_mitigation_slot(self, now_ps: int,
                            source: MitigationSlotSource) -> List[int]:

@@ -47,9 +47,6 @@ class SimResult:
     """Structured trace events from the run (None when disabled)."""
     spans: Optional[list] = None
     """Wall-clock execution spans from the run (None when disabled)."""
-    backend: Optional[str] = None
-    """Kernel backend that produced this result (None = pre-backend
-    payloads; backends are bit-identical, so this is pure metadata)."""
     tenants: Optional[List[Optional[str]]] = None
     """Per-core tenant names (None outside multi-tenant scenarios)."""
     unmitigated_by_bank: Optional[List[List[int]]] = None
@@ -226,10 +223,9 @@ class MultiCoreSystem:
     def drive(self, window_ps: int) -> None:
         """Issue every in-window request (the heap loop of :meth:`run`).
 
-        Splitting the drive phase from :meth:`finish`-and-:meth:`collect`
-        lets kernel backends interpose between the last command and the
-        measurement pass (the array backend flushes its deferred device
-        bookkeeping there).
+        Kept apart from the ``finish``-and-:meth:`collect` tail so the
+        request loop can be timed as its own layer
+        (``reportbench/instrument.py`` does).
         """
         prof = _profile._ACTIVE
         heappush = heapq.heappush
@@ -294,9 +290,6 @@ class MultiCoreSystem:
             d.stats.demand_rows_refreshed for d in self.devices)
         result.max_unmitigated_acts = max(
             d.max_unmitigated_acts() for d in self.devices)
-        # Per-bank exposure and tenant labels are gathered here, after
-        # every backend's deferred bookkeeping has flushed, so the
-        # additions stay backend-neutral for free.
         result.unmitigated_by_bank = [
             [bank.oracle.max_unmitigated for bank in d.banks]
             for d in self.devices]

@@ -15,7 +15,7 @@ and then ask the oracle whether the attack ever succeeded.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.dram.refresh import RefreshSlice
@@ -45,26 +45,6 @@ class RowActivationOracle:
             self._max_seen = count
             self._max_row = row
         return count
-
-    def on_activates(self, rows: Sequence[int]) -> None:
-        """Record a run of activations (bulk form of :meth:`on_activate`).
-
-        Increments apply in arrival order, so the running max (and the
-        row that reached it) land exactly as entry-at-a-time counting
-        would leave them.
-        """
-        counts = self._counts
-        get = counts.get
-        max_seen = self._max_seen
-        max_row = self._max_row
-        for row in rows:
-            count = get(row, 0) + 1
-            counts[row] = count
-            if count > max_seen:
-                max_seen = count
-                max_row = row
-        self._max_seen = max_seen
-        self._max_row = max_row
 
     def on_row_refreshed(self, row: int) -> None:
         """Demand refresh of ``row`` resets its unmitigated count."""
@@ -150,29 +130,6 @@ class Bank:
         counter = self._m_acts
         if counter is not None:
             counter.value += 1
-
-    def activate_many(self, rows: Sequence[int]) -> None:
-        """Open each row of a deferred run in order (bulk activate).
-
-        Equivalent to calling :meth:`activate` per row, except that an
-        out-of-range row is reported before any of the run is applied
-        (the array backend validates eagerly; arrival order within a
-        valid run is preserved everywhere it matters).
-        """
-        if not rows:
-            return
-        if not 0 <= min(rows) <= max(rows) < self._rows_per_bank:
-            bad = next(r for r in rows
-                       if not 0 <= r < self._rows_per_bank)
-            raise ValueError(
-                f"row {bad} out of range for bank with "
-                f"{self.geometry.rows_per_bank} rows")
-        self.open_row = rows[-1]
-        self.total_activations += len(rows)
-        self.oracle.on_activates(rows)
-        counter = self._m_acts
-        if counter is not None:
-            counter.value += len(rows)
 
     def precharge(self) -> None:
         """Close the open row (idempotent)."""

@@ -18,9 +18,9 @@ serves many banks).
 The device keeps that ALERT line incrementally.  A tracker's answer
 changes only when the tracker itself is driven (see
 :meth:`~repro.mitigations.base.BankTracker.wants_alert`), so the device
-re-polls the touched bank after ``activate``, ``apply_activations``,
-``note_row_press`` and ``rfm``, and every alertable bank after
-``do_ref`` and ``service_alert``; ``alert_pending`` is then a set read.
+re-polls the touched bank after ``activate``, ``note_row_press`` and
+``rfm``, and every alertable bank after ``do_ref`` and
+``service_alert``; ``alert_pending`` is then a set read.
 """
 
 from __future__ import annotations
@@ -158,31 +158,19 @@ class DramDevice:
 
     def apply_activations(self, bank_id: int, rows: Sequence[int],
                           times: Sequence[int]) -> None:
-        """Apply a deferred run of ACTs to one bank in arrival order.
+        """:meth:`activate` each ``(row, time)`` of a run, in order.
 
-        The array backend buffers ``activate`` calls between
-        timing-relevant events and lands them here in bulk; bank, oracle,
-        tracker, and stats end in exactly the state ``len(rows)``
-        individual :meth:`activate` calls would have produced.
+        Nothing in the kernel calls this; ``reportbench/instrument.py``
+        wraps it by name.
         """
-        self.banks[bank_id].activate_many(rows)
-        prof = _profile._ACTIVE
-        if prof is None:
-            self.trackers[bank_id].on_activates(rows, times)
-        else:
-            t0 = perf_counter()
-            self.trackers[bank_id].on_activates(rows, times)
-            prof.trackers_s += perf_counter() - t0
-        self.stats.activations += len(rows)
-        if bank_id in self.alertable_banks:
-            self._poll(bank_id)
+        for row, now_ps in zip(rows, times):
+            self.activate(bank_id, row, now_ps)
 
     def drfm_mitigate(self, bank_id: int, aggressor_row: int) -> int:
         """Mitigate one MC-sampled aggressor (DRFM); return victim count.
 
         The controller's DRFM engine latches aggressors MC-side; the
-        actual victim refresh is device work, routed through here so
-        backends that defer device bookkeeping can interpose.
+        actual victim refresh is device work, routed through here.
         """
         victims = self.banks[bank_id].mitigate(aggressor_row,
                                                self.blast_radius)

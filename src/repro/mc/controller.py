@@ -134,7 +134,6 @@ class MemoryController:
         prof = _profile._ACTIVE
         if prof is not None:
             t0 = perf_counter()
-            trackers_s = prof.trackers_s
         refs = 0
         adjust = self._stalls.adjust
         tRFC = self._tRFC
@@ -156,10 +155,7 @@ class MemoryController:
             refs += 1
         self._stalls.drop_before(until - 10 * tREFI)
         if prof is not None:
-            # Deferred ACTs the array backend lands inside a REF are
-            # tracker time: charge them to that phase alone.
-            prof.refresh_s += (perf_counter() - t0
-                               - (prof.trackers_s - trackers_s))
+            prof.refresh_s += perf_counter() - t0
             prof.refs += refs
 
     # ------------------------------------------------------------------

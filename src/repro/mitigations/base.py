@@ -24,12 +24,9 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import List, Sequence
+from typing import List
 
 from repro.dram.refresh import RefreshSlice
-
-UNBOUNDED_SLACK = 1 << 60
-"""Sentinel slack for trackers that can never request an ALERT."""
 
 
 class MitigationSlotSource(enum.Enum):
@@ -51,19 +48,6 @@ class BankTracker(abc.ABC):
     def on_activate(self, row: int, now_ps: int) -> None:
         """Observe an activation of ``row`` at time ``now_ps``."""
 
-    def on_activates(self, rows: Sequence[int],
-                     times: Sequence[int]) -> None:
-        """Observe a run of activations (array-backend bulk path).
-
-        The default replays :meth:`on_activate` entry-at-a-time, so any
-        tracker is bulk-safe by construction; hot trackers override this
-        with a loop-free (or attribute-hoisted) equivalent that leaves
-        *identical* final state, metric counts, and RNG consumption.
-        """
-        on_activate = self.on_activate
-        for row, now_ps in zip(rows, times):
-            on_activate(row, now_ps)
-
     def wants_alert(self) -> bool:
         """True if the tracker needs the channel to assert ALERT now.
 
@@ -71,27 +55,11 @@ class BankTracker(abc.ABC):
 
         Contract: the answer depends only on the tracker's own state,
         and that state changes only through :meth:`on_activate`,
-        :meth:`on_activates`, :meth:`on_mitigation_slot` and
-        :meth:`on_ref_slice`.  The device polls a bank only after one
-        of those calls, so a tracker that breaks the contract raises or
-        drops ALERT late.
+        :meth:`on_mitigation_slot` and :meth:`on_ref_slice`.  The device
+        polls a bank only after one of those calls, so a tracker that
+        breaks the contract raises or drops ALERT late.
         """
         return False
-
-    def alert_slack(self) -> int:
-        """Lower bound on future ACTs before ``wants_alert`` can flip.
-
-        Returns ``k >= 1`` guaranteeing that :meth:`wants_alert` cannot
-        become True before this bank's *k*-th future :meth:`on_activate`
-        call; the array backend defers tracker updates and re-polls only
-        at that horizon.  Trackers that never alert should return
-        :data:`UNBOUNDED_SLACK`; the conservative default of 1
-        degenerates to the event backend's poll-every-ACT behaviour and
-        is always correct.
-        """
-        if type(self).wants_alert is BankTracker.wants_alert:
-            return UNBOUNDED_SLACK
-        return 1
 
     def on_mitigation_slot(self, now_ps: int,
                            source: MitigationSlotSource) -> List[int]:

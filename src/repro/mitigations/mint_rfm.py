@@ -16,7 +16,7 @@ TRHD = 4.8K.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.mint import MintSampler
 from repro.mitigations.base import BankTracker, MitigationSlotSource
@@ -60,21 +60,6 @@ class MintTracker(BankTracker):
     def on_activate(self, row: int, now_ps: int) -> None:
         selected = self.sampler.observe(row)
         if selected is not None:
-            self._push(row)
-
-    def on_activates(self, rows: Sequence[int],
-                     times: Sequence[int]) -> None:
-        """Bulk path: one sampler sweep, then replay the DMQ updates.
-
-        Selections interact with the DMQ only in arrival order (which
-        :meth:`MintSampler.observe_many` preserves), and mitigation
-        slots always flush the deferred run first, so the queue sees the
-        same sequence of events as entry-at-a-time observation.
-        """
-        if type(self).on_activate is not MintTracker.on_activate:
-            BankTracker.on_activates(self, rows, times)
-            return
-        for row in self.sampler.observe_many(rows):
             self._push(row)
 
     def on_mitigation_slot(self, now_ps: int,

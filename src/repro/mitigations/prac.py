@@ -22,7 +22,7 @@ PRAC+ABO performs almost no mitigations (Figure 11b shows ~0 ALERTs).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.mitigations.base import BankTracker, MitigationSlotSource
 from repro.obs import metrics as _metrics
@@ -56,10 +56,6 @@ class PracTracker(BankTracker):
                                 else prac_alert_threshold(trhd, abo))
         self._counters: Dict[int, int] = {}
         self._over_threshold: List[int] = []
-        # Monotone upper bound on the largest counter ever reached; never
-        # decremented on refresh/mitigation resets, so the slack derived
-        # from it only ever *under*-estimates (which is the safe side).
-        self._max_count = 0
         reg = _metrics._ACTIVE
         self._m_alert_rows = reg.counter("prac.alert_rows") \
             if reg is not None else None
@@ -67,60 +63,14 @@ class PracTracker(BankTracker):
     def on_activate(self, row: int, now_ps: int) -> None:
         count = self._counters.get(row, 0) + 1
         self._counters[row] = count
-        if count > self._max_count:
-            self._max_count = count
         if count == self.alert_threshold:
             self._over_threshold.append(row)
             counter = self._m_alert_rows
             if counter is not None:
                 counter.value += 1
 
-    def on_activates(self, rows: Sequence[int],
-                     times: Sequence[int]) -> None:
-        """Bulk counter updates over a deferred run of ACTs.
-
-        Bit-identical to replaying :meth:`on_activate`: counters only
-        accumulate between mitigation slots, so the order of increments
-        within the run is immaterial and the over-threshold list gets the
-        same rows in the same (arrival) order.
-        """
-        if type(self).on_activate is not PracTracker.on_activate:
-            # A subclass (e.g. QPRAC) customises per-ACT behaviour; the
-            # generic replay keeps its semantics.
-            BankTracker.on_activates(self, rows, times)
-            return
-        counters = self._counters
-        get = counters.get
-        threshold = self.alert_threshold
-        max_count = self._max_count
-        over = self._over_threshold
-        metric = self._m_alert_rows
-        for row in rows:
-            count = get(row, 0) + 1
-            counters[row] = count
-            if count > max_count:
-                max_count = count
-            if count == threshold:
-                over.append(row)
-                if metric is not None:
-                    metric.value += 1
-        self._max_count = max_count
-
     def wants_alert(self) -> bool:
         return bool(self._over_threshold)
-
-    def alert_slack(self) -> int:
-        """ACTs before any counter can reach the alert threshold.
-
-        ``_max_count`` is a stale-high bound (resets never lower it), so
-        ``threshold - _max_count`` can only under-estimate the true
-        distance; the clamp to 1 covers the stale case where the bound
-        exceeds every live counter.
-        """
-        if self._over_threshold:
-            return 1
-        slack = self.alert_threshold - self._max_count
-        return slack if slack > 1 else 1
 
     def on_mitigation_slot(self, now_ps: int,
                            source: MitigationSlotSource) -> List[int]:

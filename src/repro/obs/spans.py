@@ -61,8 +61,8 @@ SPAN_NAMES = {
     "workers": "the batch's fan-out/execution phase (session track)",
     "cell:<label>": "one unique cell, disposition in meta "
                     "(session track)",
-    "kernel:<backend>": "one simulate() kernel run, pid in meta "
-                        "(worker track)",
+    "kernel:event": "one simulate() kernel run, pid in meta "
+                    "(worker track)",
 }
 """The span taxonomy: name -> meaning (see docs/observability.md)."""
 

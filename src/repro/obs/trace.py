@@ -49,8 +49,6 @@ EVENT_NAMES = {
     "ALERT": "device asserted ALERT (instant, channel lane)",
     "STALL": "ABO stall window (B/E window, channel lane)",
     "MITIGATE": "tracker mitigated an aggressor (instant, bank lane)",
-    "FLUSH": "array backend landed a deferred ACT run "
-             "(B/E window -- or instant for one-ACT runs -- bank lane)",
 }
 """The event taxonomy: name -> meaning (see docs/observability.md)."""
 

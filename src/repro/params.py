@@ -203,6 +203,11 @@ class SimScale:
 
     time_scale: int = 1
 
+    def __post_init__(self) -> None:
+        if self.time_scale < 1:
+            raise ValueError(
+                f"SimScale time_scale must be >= 1, got {self.time_scale}")
+
     def scaled_trefw(self, timings: DramTimings) -> int:
         """Length of the scaled observation window in picoseconds."""
         return timings.tREFW // self.time_scale

@@ -8,20 +8,8 @@ cores and repeated runs are served from disk.
 :mod:`repro.sim.registry` names the paper's setups ("mirza-1000", ...)
 for CLIs and sweep scripts, and :mod:`repro.sim.stats` holds the small
 numeric/table helpers the experiment modules share.
-:mod:`repro.sim.backend` selects *how* the kernel under
-:func:`simulate` executes -- per-command (``event``) or chunked
-array-at-a-time (``array``), bit-identical by contract.
 """
 
-from repro.sim.backend import (
-    ArrayBackend,
-    EventBackend,
-    KernelBackend,
-    available_backends,
-    backend_by_name,
-    register_backend,
-    resolve_backend,
-)
 from repro.sim.runner import (
     MitigationSetup,
     baseline_setup,
@@ -56,19 +44,14 @@ from repro.sim.session import (
     using_session,
 )
 __all__ = [
-    "ArrayBackend",
     "BatchStats",
-    "EventBackend",
     "FailurePolicy",
     "JobFailed",
     "JobFailure",
-    "KernelBackend",
     "MitigationSetup",
     "SimJob",
     "SimSession",
-    "available_backends",
     "available_setups",
-    "backend_by_name",
     "is_failure",
     "baseline_setup",
     "calibrated_workload",
@@ -79,10 +62,8 @@ __all__ = [
     "mist_setup",
     "naive_mirza_setup",
     "prac_setup",
-    "register_backend",
     "register_job_type",
     "register_setup",
-    "resolve_backend",
     "run_baseline",
     "run_workload",
     "set_default_session",

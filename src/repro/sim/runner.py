@@ -40,10 +40,8 @@ from typing import Callable, Optional, Tuple, Union
 
 from repro import obs as _obs
 from repro.core.config import MirzaConfig
-from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
-from repro.sim import backend as _backend
-from repro.sim.backend import KernelBackend
+from repro.sim.backend import KERNEL
 from repro.core.mirza import MirzaTracker
 from repro.cpu.system import MultiCoreSystem, SimResult
 from repro.dram.mapping import (
@@ -307,9 +305,7 @@ def simulate(workload: Union[str, WorkloadSpec],
              setup: MitigationSetup,
              scale: SimScale = SimScale(64),
              seed: int = 0,
-             config: SystemConfig = SystemConfig(),
-             backend: Union[str, "KernelBackend", None] = None
-             ) -> SimResult:
+             config: SystemConfig = SystemConfig()) -> SimResult:
     """Simulate one scaled refresh window -- always fresh, never cached.
 
     This is the pure compute kernel underneath the session: a
@@ -317,13 +313,6 @@ def simulate(workload: Union[str, WorkloadSpec],
     path and the process-pool workers call.  Use :func:`run_workload`
     (or a :class:`~repro.sim.session.SimSession`) unless you
     specifically need to bypass result caching.
-
-    ``backend`` selects the kernel backend (see
-    :mod:`repro.sim.backend`): a registered name (``"event"`` or
-    ``"array"``), a :class:`~repro.sim.backend.KernelBackend` object,
-    or ``None`` to defer to ``REPRO_KERNEL_BACKEND`` (default
-    ``event``).  Backends are bit-identical by contract, so the choice
-    never changes the result -- only how fast it is produced.
 
     When observability is requested (an installed registry/trace buffer
     or the ``REPRO_METRICS`` / ``REPRO_TRACE`` knobs), collection is
@@ -343,14 +332,13 @@ def simulate(workload: Union[str, WorkloadSpec],
     with _obs.suppressed():
         synthetic = calibrated_workload(spec, scale, seed, config)
     return simulate_source(synthetic, setup, scale, seed=seed,
-                           config=config, backend=backend)
+                           config=config)
 
 
 def simulate_source(source, setup: MitigationSetup,
                     scale: SimScale = SimScale(64),
                     seed: int = 0,
                     config: SystemConfig = SystemConfig(),
-                    backend: Union[str, "KernelBackend", None] = None,
                     tenants=None) -> SimResult:
     """Simulate one window of an arbitrary ``WorkloadSource``.
 
@@ -358,7 +346,7 @@ def simulate_source(source, setup: MitigationSetup,
     ``setup`` around ``source`` (anything satisfying the
     :class:`~repro.workloads.WorkloadSource` seam -- calibrated
     synthetics, trace files, tenant compositions) and hands it to the
-    kernel backend under the same observability scoping.  ``tenants``
+    kernel under the same observability scoping.  ``tenants``
     is the optional per-core tenant label list threaded into the
     system and back out on the result.
     """
@@ -387,43 +375,35 @@ def simulate_source(source, setup: MitigationSetup,
         )
 
     window = scale.scaled_trefw(config.timings)
-    return _run_kernel(build, window, backend)
+    return _run_kernel(build, window)
 
 
-def _run_kernel(build: Callable[[], MultiCoreSystem], window: int,
-                backend: Union[str, "KernelBackend", None]
+def _run_kernel(build: Callable[[], MultiCoreSystem], window: int
                 ) -> SimResult:
-    """Resolve the backend and run ``build()`` over ``window``.
+    """Run ``build()`` over ``window`` on :data:`~repro.sim.backend.KERNEL`.
 
     The shared execution tail of every simulate entry point: when
     observability is requested, collection is scoped over system
     construction and the run only, and the snapshot/events/spans are
     attached to the result.
     """
-    kernel = _backend.resolve_backend(backend)
     collect_metrics = _obs.metrics_requested()
     collect_trace = _obs.trace_requested()
     collect_spans = _obs.spans_requested()
     if not (collect_metrics or collect_trace or collect_spans):
-        result = kernel.run(build(), window)
-        result.backend = kernel.name
-        return result
+        return KERNEL.run(build(), window)
     with _obs.collecting(metrics=collect_metrics,
                          trace=collect_trace,
                          spans=collect_spans) as col:
         if col.spans is not None:
             with col.spans.span(_spans.TRACK_WORKER,
-                                f"kernel:{kernel.name}",
+                                f"kernel:{KERNEL.name}",
                                 {"pid": os.getpid()}) as attrs:
-                result = kernel.run(build(), window)
+                result = KERNEL.run(build(), window)
                 attrs["requests"] = result.total_requests
                 attrs["activations"] = result.total_activations
         else:
-            result = kernel.run(build(), window)
-        reg = _metrics._ACTIVE
-        if reg is not None:
-            reg.counter(f"sim.backend.{kernel.name}").value += 1
-    result.backend = kernel.name
+            result = KERNEL.run(build(), window)
     result.metrics = col.metrics_snapshot()
     result.trace_events = col.trace_events()
     result.spans = col.spans_list()
@@ -462,7 +442,6 @@ def simulate_trace(trace, setup: MitigationSetup,
                    scale: SimScale = SimScale(64),
                    seed: int = 0,
                    config: SystemConfig = SystemConfig(),
-                   backend: Union[str, "KernelBackend", None] = None,
                    mlp: int = 8,
                    address_space=None) -> SimResult:
     """Replay an ingested trace through one simulated window.
@@ -485,14 +464,13 @@ def simulate_trace(trace, setup: MitigationSetup,
             geometry=config.geometry,
             shard_cores=config.num_cores)
     return simulate_source(source, setup, scale, seed=seed,
-                           config=config, backend=backend)
+                           config=config)
 
 
 def simulate_tenants(scenario, setup: MitigationSetup,
                      scale: SimScale = SimScale(64),
                      seed: int = 0,
-                     config: SystemConfig = SystemConfig(),
-                     backend: Union[str, "KernelBackend", None] = None
+                     config: SystemConfig = SystemConfig()
                      ) -> SimResult:
     """Simulate a multi-tenant scenario through one window.
 
@@ -512,7 +490,6 @@ def simulate_tenants(scenario, setup: MitigationSetup,
                               sources=sources)
     return simulate_source(
         workload, setup, scale, seed=seed, config=config,
-        backend=backend,
         tenants=workload.tenant_labels(config.num_cores))
 
 

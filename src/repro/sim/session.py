@@ -75,7 +75,6 @@ from typing import (
 from repro import _profile
 from repro._env import env_float, env_int
 from repro.cpu.system import SimResult
-from repro.sim import backend as _backend_mod
 from repro.obs import metrics as _obs_metrics
 from repro.obs import spans as _obs_spans
 from repro.obs import trace as _obs_trace
@@ -91,7 +90,7 @@ from repro.params import (
 )
 from repro.workloads.specs import WorkloadSpec, workload_by_name
 
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 """Bump when job hashing or result serialization changes shape.
 
 Format 2: :class:`SimResult` grew optional ``metrics`` and
@@ -104,6 +103,7 @@ Format 4: :class:`SimResult` grew optional ``tenants`` and
 :class:`repro.security.fuzz.FuzzJob` later joined the cacheable job
 types under the same format -- a new job class mints new tokens, so
 no bump was needed.
+Format 5: :class:`SimResult` lost its ``backend`` field (one kernel).
 """
 
 _MISS = object()
@@ -556,13 +556,6 @@ def _pool_env_overrides() -> Dict[str, str]:
         value = os.environ.get(var)
         if value:
             env[var] = value
-    # Kernel backend selection follows the same route: workers must run
-    # the same (bit-identical) kernel the parent would have, both so
-    # timing expectations hold and so serial/pool runs stay
-    # interchangeable.
-    backend = os.environ.get(_backend_mod.ENV_VAR)
-    if backend:
-        env[_backend_mod.ENV_VAR] = backend
     return env
 
 

@@ -16,10 +16,8 @@ A pattern compiles two ways from the same definition:
   SingleBankHarness` consumes in security tests;
 - :meth:`AttackPattern.trace` / :meth:`AttackPattern.workload` -- the
   equivalent :class:`~repro.cpu.trace.TraceEntry` stream and
-  :class:`~repro.workloads.attacks.AttackWorkload` for full-system runs.
-  Both kernel backends consume that single stream through the
-  ``WorkloadSource`` seam, so event/array results stay bit-identical
-  by the backend contract.
+  :class:`~repro.workloads.attacks.AttackWorkload` for full-system runs,
+  which the kernel consumes through the ``WorkloadSource`` seam.
 
 Compilation is parameterised by a :class:`CompileContext` -- the
 row-to-subarray mapping, the bank/subchannel coordinates, and the

@@ -139,8 +139,7 @@ class TranslatedChunkSource:
     :class:`~repro.dram.mapping.AddressSpace`.
 
     Each tuple chunk is translated with the space's scalar
-    ``translate``, so every kernel backend sees the identical physical
-    stream.
+    ``translate``.
     """
 
     __slots__ = ("_inner", "_space")

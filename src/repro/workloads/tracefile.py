@@ -391,8 +391,7 @@ class TraceFileWorkload:
     Trace coordinates are *logical*: they are routed through
     ``address_space`` (an :class:`~repro.dram.mapping.AddressSpace` or
     an :class:`~repro.dram.mapping.AddressSpaceSpec`) once at load
-    time, so every kernel backend replays the identical physical
-    stream.
+    time.
 
     ``per_core`` picks each core's share of the trace: ``None``
     replays the whole trace on every core (single-program mode),

@@ -117,12 +117,10 @@ def test_alert_line_polls_once_per_act(monkeypatch):
         counting(DramDevice, name)
     geometry = SystemConfig().geometry
     banks = geometry.banks_per_subchannel
-    for backend in ("event", "array"):
-        calls.clear()
-        result = simulate("tc", naive_mirza_setup(8, queue_entries=1),
-                          scale, seed=0, backend=backend)
-        assert sum(result.alerts) > 40, backend
-        bound = (result.total_activations + calls["rfm"]
-                 + banks * (calls["do_ref"] + calls["service_alert"]
-                            + geometry.subchannels))
-        assert 0 < calls["wants_alert"] <= bound, (backend, calls)
+    result = simulate("tc", naive_mirza_setup(8, queue_entries=1),
+                      scale, seed=0)
+    assert sum(result.alerts) > 40
+    bound = (result.total_activations + calls["rfm"]
+             + banks * (calls["do_ref"] + calls["service_alert"]
+                        + geometry.subchannels))
+    assert 0 < calls["wants_alert"] <= bound, calls

@@ -1,9 +1,15 @@
 """Tests for the assembled DRAM device."""
 
+import functools
+import random
+
+import pytest
+
 from repro.dram.device import DramDevice
 from repro.mitigations.base import BankTracker, MitigationSlotSource
 from repro.mitigations.none import NoMitigation
-from repro.params import MitigationCosts
+from repro.params import MitigationCosts, SimScale, SystemConfig
+from repro.sim.registry import setup_by_name
 
 
 class AlwaysAlertTracker(BankTracker):
@@ -122,6 +128,60 @@ class TestDramDevice:
         # The first REF refreshes rows 0..15 (sequential sweep).
         device.do_ref(0)
         assert device.banks[0].oracle.count(0) == 0
+
+
+class TestApplyActivations:
+    """``apply_activations`` lands a run of ACTs on one bank; the report
+    benchmark wraps it by name.  It must leave the device exactly as
+    stepping ``activate`` over the same run does, ALERT line included."""
+
+    @staticmethod
+    def _device(setup, config, scale):
+        factory = (None if setup.tracker_factory is None
+                   else functools.partial(setup.tracker_factory, 0, 0))
+        return DramDevice(
+            config, factory, mapping=setup.make_mapping(config),
+            refs_per_window=scale.scaled_refs_per_window(config.timings))
+
+    @staticmethod
+    def _state(device):
+        return ([(b.open_row, b.total_activations, b.oracle._counts,
+                  b.oracle.max_unmitigated) for b in device.banks],
+                device.stats, sorted(device.alerting_banks))
+
+    @pytest.mark.parametrize("setup_name", ["baseline", "prac-1000",
+                                            "mint-rfm-1000", "mirza-1000"])
+    def test_equals_stepping_activate(self, setup_name):
+        scale = SimScale(2048)
+        config = SystemConfig()
+        setup = setup_by_name(setup_name, scale)
+        applied = self._device(setup, config, scale)
+        stepped = self._device(setup, config, scale)
+        rng = random.Random(5)
+        rows_per_bank = config.geometry.rows_per_bank
+        hot = [rng.randrange(rows_per_bank) for _ in range(6)]
+        now = 0
+        for i in range(60):
+            bank = rng.randrange(4)
+            rows = [rng.choice(hot) if rng.random() < 0.7
+                    else rng.randrange(rows_per_bank)
+                    for _ in range(rng.randrange(1, 120))]
+            times = list(range(now, now + len(rows)))
+            now += len(rows)
+            applied.apply_activations(bank, rows, times)
+            for row, now_ps in zip(rows, times):
+                stepped.activate(bank, row, now_ps)
+            assert self._state(applied) == self._state(stepped)
+            if stepped.alert_pending():
+                assert applied.service_alert(now) \
+                    == stepped.service_alert(now)
+            if i % 5 == 0:
+                assert applied.do_ref(now) == stepped.do_ref(now)
+            if i % 7 == 0:
+                assert applied.rfm(bank, now) == stepped.rfm(bank, now)
+            assert self._state(applied) == self._state(stepped)
+        if setup_name == "mirza-1000":
+            assert stepped.stats.alerts_serviced > 0
 
 
 class TestDeviceStats:

@@ -84,7 +84,7 @@ class Component:
         if self.kind == "oracle":
             extra = (obj.max_unmitigated, obj.max_row)
         elif self.kind in ("prac", "qprac"):
-            extra = (list(obj._over_threshold), obj._max_count)
+            extra = (list(obj._over_threshold),)
             if self.kind == "qprac":
                 extra += (sorted(obj._queued), sorted(obj._service_heap),
                           obj.proactive_mitigations)
@@ -240,12 +240,10 @@ def test_rct_reset_handles_an_empty_slice():
 # ----------------------------------------------------------------------
 # End to end: whole-bank slices never list their rows
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["event", "array"])
 @pytest.mark.parametrize("setup", ["baseline", "prac-1000",
                                    "mint-rfm-1000", "mirza-1000",
                                    "naive-mirza-1000"])
-def test_scale_8192_refresh_never_lists_slice_rows(setup, backend,
-                                                   monkeypatch):
+def test_scale_8192_refresh_never_lists_slice_rows(setup, monkeypatch):
     """At scale 8192 each REF sweeps the whole bank; every reset must
     go by the live rows, never by the slice's 131072 logical rows."""
     def refuse(self, start, end):
@@ -254,6 +252,5 @@ def test_scale_8192_refresh_never_lists_slice_rows(setup, backend,
     for cls in (RowToSubarrayMapping, SequentialR2SA, StridedR2SA):
         monkeypatch.setattr(cls, "logical_rows", refuse)
     scale = SimScale(8192)
-    result = simulate("tc", setup_by_name(setup, scale), scale,
-                      backend=backend)
+    result = simulate("tc", setup_by_name(setup, scale), scale)
     assert result.total_activations > 0

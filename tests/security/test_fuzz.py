@@ -181,40 +181,3 @@ class TestDefaultActs:
     def test_scales_with_time_and_floors(self):
         assert default_acts(1) > 600_000
         assert default_acts(2048) == 12_000
-
-
-# ----------------------------------------------------------------------
-# Backend bit-identity on one fuzzed cell (full-system compilation)
-# ----------------------------------------------------------------------
-def _fuzzed_cell_pattern():
-    rng = random.Random(11)
-    return sample_pattern(rng, "evasion", acts=3000,
-                          config=SystemConfig())
-
-
-def _observed(result):
-    return {
-        "total_requests": result.total_requests,
-        "total_activations": result.total_activations,
-        "row_hit_rate": round(result.row_hit_rate, 9),
-        "alerts": result.alerts,
-        "mitigations": result.mitigations,
-        "victim_rows_refreshed": result.victim_rows_refreshed,
-    }
-
-
-@pytest.mark.parametrize("backend", ["array"])
-def test_fuzzed_cell_is_bit_identical_across_backends(backend):
-    from repro.sim.runner import baseline_setup, simulate_source
-    from repro.workloads.patterns import CompileContext
-
-    pattern = _fuzzed_cell_pattern()
-    scale = SimScale(4096)
-
-    def run(backend_name):
-        ctx = CompileContext.make()
-        source = pattern.workload(ctx, cores=(0,), mlp=1)
-        return simulate_source(source, baseline_setup(), scale,
-                               seed=3, backend=backend_name)
-
-    assert _observed(run(backend)) == _observed(run("event"))

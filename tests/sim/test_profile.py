@@ -5,13 +5,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro import _profile as profile_impl
-from repro.core.mirza import MirzaTracker
-from repro.cpu import core as core_mod
-from repro.cpu import system as system_mod
-from repro.dram import device as device_mod
-from repro.mc import controller as controller_mod
 from repro.params import SimScale
-from repro.sim import backend as backend_mod
 from repro.sim import runner
 from repro.sim.profile import (
     KernelProfile,
@@ -114,45 +108,6 @@ def test_calibration_probes_are_not_kernel_runs(monkeypatch):
             results = session.run_many(jobs)
         assert prof.runs == len(jobs), workers
         assert prof.requests == sum(r.total_requests for r in results)
-
-
-def test_array_tracker_time_is_charged_to_one_phase(monkeypatch):
-    """Under ``array``, deferred ACTs also land inside REFs.  That tracker
-    time belongs to ``trackers`` alone, not to ``refresh`` as well."""
-    now = [0.0]
-    for module in (core_mod, system_mod, device_mod, controller_mod,
-                   backend_mod):
-        monkeypatch.setattr(module, "perf_counter", lambda: now[0])
-    landings = {"total": 0, "in_ref": 0}
-    in_ref = [False]
-    on_activates = MirzaTracker.on_activates
-    do_ref = backend_mod._BatchingDevice.do_ref
-
-    def slow_on_activates(self, rows, times):
-        # The fake clock moves only here: one second per landed run.
-        now[0] += 1.0
-        landings["total"] += 1
-        landings["in_ref"] += in_ref[0]
-        on_activates(self, rows, times)
-
-    def marked_do_ref(self, now_ps):
-        in_ref[0] = True
-        try:
-            return do_ref(self, now_ps)
-        finally:
-            in_ref[0] = False
-
-    monkeypatch.setattr(MirzaTracker, "on_activates", slow_on_activates)
-    monkeypatch.setattr(backend_mod._BatchingDevice, "do_ref",
-                        marked_do_ref)
-    scale = SimScale(8192)
-    calibrated_workload("mcf", scale, seed=0)
-    with profiling() as prof:
-        simulate("mcf", setup_by_name("mirza-1000"), scale, seed=0,
-                 backend="array")
-    assert landings["in_ref"] > 0
-    assert prof.trackers_s == landings["total"]
-    assert prof.refresh_s == 0.0
 
 
 def test_profiling_does_not_change_results():

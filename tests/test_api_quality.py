@@ -85,19 +85,24 @@ class TestDocstrings:
 
 
 class TestCuratedSurface:
-    def test_backend_api_exported_at_top_level(self):
-        for name in ("simulate", "SimSession", "KernelBackend",
-                     "available_backends", "WorkloadSource",
+    def test_sim_api_exported_at_top_level(self):
+        for name in ("simulate", "SimSession", "WorkloadSource",
                      "workload_by_name", "ALL_WORKLOADS"):
             assert name in repro.__all__, name
             assert getattr(repro, name) is not None
 
-    def test_sim_surface_exports_backends(self):
+    def test_sim_surface_has_one_kernel(self):
+        """No simulate entry point takes a backend choice, and no
+        backend name is exported."""
         sim = importlib.import_module("repro.sim")
-        for name in ("KernelBackend", "EventBackend", "ArrayBackend",
-                     "available_backends", "register_backend",
-                     "resolve_backend", "simulate", "SimSession"):
+        runner = importlib.import_module("repro.sim.runner")
+        for name in ("simulate", "SimSession"):
             assert name in sim.__all__, name
+        exported = sim.__all__ + repro.__all__
+        assert [n for n in exported if "backend" in n.lower()] == []
+        for entry in (runner.simulate, runner.simulate_source,
+                      runner.simulate_trace, runner.simulate_tenants):
+            assert "backend" not in inspect.signature(entry).parameters
 
     def test_workload_sources_satisfy_the_seam(self):
         from repro.params import SimScale, SystemConfig
@@ -127,7 +132,7 @@ class TestCuratedSurface:
 
 class TestDependencies:
     def test_numpy_is_never_imported(self):
-        """The package, the report and the array kernel are pure Python:
+        """The package, the report and the kernel are pure Python:
         importing them and running a simulation must not load numpy."""
         script = (
             "import sys\n"
@@ -135,8 +140,7 @@ class TestDependencies:
             "from repro.params import SimScale\n"
             "from repro.sim.runner import mirza_setup, simulate\n"
             "scale = SimScale(8192)\n"
-            "simulate('tc', mirza_setup(1000, scale), scale,"
-            " backend='array')\n"
+            "simulate('tc', mirza_setup(1000, scale), scale)\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src)

@@ -98,6 +98,21 @@ class TestCliFlags:
             assert os.environ["REPRO_SEED"] == "9"  # no flag: env wins
         assert os.environ["REPRO_TIME_SCALE"] == "64"  # restored
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "tc", "--setup", "mirza-1000", "--time-scale", "0"],
+        ["run", "tc", "--setup", "mirza-1000", "--time-scale", "-4"],
+        ["report", "--only", "table6", "--cgf-scale", "0"],
+    ], ids=["time-scale-0", "time-scale-negative", "cgf-scale-0"])
+    def test_non_positive_scales_exit_2(self, argv, capsys):
+        assert cli_main(argv) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_backend_flag_is_gone(self, capsys):
+        assert cli_main(["run", "tc", "--setup", "mirza-1000",
+                         "--backend", "event"]) == 2
+        assert "unrecognized arguments: --backend" \
+            in capsys.readouterr().err
+
     def test_session_honours_cache_flags(self, tmp_path):
         from repro.__main__ import _build_parser, _session_for
         args = _build_parser().parse_args(

@@ -14,8 +14,6 @@ from repro.workloads.tenants import (
 
 SCALE = SimScale(4096)
 
-backends = pytest.mark.parametrize("backend", ["event", "array"])
-
 
 class TestScenarioShape:
     def test_intervm_layout_and_labels(self):
@@ -108,21 +106,3 @@ class TestTenantAccounting:
                       result.unmitigated_by_bank)
         assert 0 <= exposure["attacker"] <= overall
         assert 0 <= exposure["victim"] <= overall
-
-
-class TestBackendIdentity:
-    @backends
-    def test_intervm_cell_is_bit_identical(self, backend):
-        from repro.sim.runner import mirza_setup
-        result = simulate_tenants(
-            intervm_scenario(attack_rows=8, victim="mcf"),
-            mirza_setup(1000, SCALE), SCALE, backend=backend)
-        reference = simulate_tenants(
-            intervm_scenario(attack_rows=8, victim="mcf"),
-            mirza_setup(1000, SCALE), SCALE, backend="event")
-        assert result.total_requests == reference.total_requests
-        assert result.total_activations == reference.total_activations
-        assert result.ipc == reference.ipc
-        assert result.alerts == reference.alerts
-        assert result.unmitigated_by_bank \
-            == reference.unmitigated_by_bank
