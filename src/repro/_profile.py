@@ -19,6 +19,9 @@ coarse-grained event and accumulate wall time into named phases:
     Per-activation mitigation-tracker bookkeeping (a subset of
     ``serve``).
 
+Counting passes (``CgfJob.execute``, the activation-level tier) run no
+kernel; each records its ACTs and wall seconds once, when it returns.
+
 Activation is explicit (:func:`profiling`) or environmental
 (``REPRO_PROFILE=1`` plus :func:`maybe_profile_from_env`); the CLI's
 ``--profile`` flag routes through the former and prints
@@ -52,7 +55,8 @@ class KernelProfile:
 
     __slots__ = ("trace_s", "serve_s", "refresh_s", "trackers_s",
                  "wall_s", "requests", "activations", "refs",
-                 "window_ps", "runs")
+                 "window_ps", "runs", "counting_passes", "counting_acts",
+                 "counting_s")
 
     def __init__(self) -> None:
         self.trace_s = 0.0
@@ -65,6 +69,9 @@ class KernelProfile:
         self.refs = 0
         self.window_ps = 0
         self.runs = 0
+        self.counting_passes = 0
+        self.counting_acts = 0
+        self.counting_s = 0.0
 
     # ------------------------------------------------------------------
     # Accumulation (called from the hot paths, profile-active only)
@@ -77,6 +84,12 @@ class KernelProfile:
         self.requests += requests
         self.activations += activations
         self.runs += 1
+
+    def add_counting_pass(self, acts: int, wall_s: float) -> None:
+        """Record one activation-counting pass over a row stream."""
+        self.counting_passes += 1
+        self.counting_acts += acts
+        self.counting_s += wall_s
 
     # ------------------------------------------------------------------
     # Cross-process merging
@@ -140,6 +153,13 @@ class KernelProfile:
         if self.window_ps:
             ratio = self.window_ps / 1e12 / wall
             lines.append(f"  {'sim/wall time ratio':<22} {ratio:9.2e}")
+        if self.counting_passes:
+            rate = (self.counting_acts / self.counting_s
+                    if self.counting_s > 0 else 0.0)
+            lines.append(f"  {'counting passes':<22} "
+                         f"{self.counting_passes:>9}  "
+                         f"{self.counting_acts:,} ACTs in "
+                         f"{self.counting_s:.3f}s ({rate:,.0f}/s)")
         return "\n".join(lines)
 
 

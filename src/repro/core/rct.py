@@ -25,6 +25,12 @@ Edge rule (Section VI-B footnote): when the region size is smaller than
 a subarray, an activation to a row at a region boundary also increments
 the neighbouring region's counter, so a victim row at the edge cannot
 have its two aggressors tracked by two different half-full counters.
+
+``MirzaTracker`` drives a table one ACT and one REF slice at a time
+(:meth:`RegionCountTable.on_activate`,
+:meth:`RegionCountTable.on_ref_slice`); the counting tier lands a
+bank's ACTs a block of REF intervals at a time
+(:meth:`RegionCountTable.on_block`) with the same outcome.
 """
 
 from __future__ import annotations
@@ -149,43 +155,112 @@ class RegionCountTable:
             counter.value += 1
         return escaped
 
-    def on_activates(self, physical_rows: Sequence[int]) -> List[bool]:
-        """Record a run of ACTs; return each one's escape decision.
+    def on_block(self, physical_rows: Sequence[int], acts_per_ref: int,
+                 slices: Sequence[RefreshSlice]) -> None:
+        """Land a bank's ACTs for whole REF intervals at once.
 
-        REF slices bound every deferred run, so the reset state machine
-        cannot advance mid-run; when no edge bumping applies and no SAFE
-        sweep is in flight, the filtering decision reduces to plain
-        per-region counters and the whole run is processed in one tight
-        loop.  Otherwise each ACT takes the full :meth:`on_activate`
-        path, preserving bit-identity in the exotic configurations.
+        ``physical_rows`` holds one interval of ``acts_per_ref`` ACTs
+        per entry of ``slices``, each followed by that REF slice, then
+        at most one trailing partial interval (fewer than
+        ``acts_per_ref`` ACTs, no slice).  The table ends exactly as
+        stepping :meth:`on_activate` per ACT and :meth:`on_ref_slice`
+        per slice leaves it: every ACT is decided inline -- on the RRC
+        when its region's SAFE sweep is in flight, bumping an edge
+        neighbour before the next ACT -- and the counts and metric
+        counters are added once per block.
         """
-        if self._edge_possible or (self.reset_policy is ResetPolicy.SAFE
-                                   and self._refreshing_region is not None):
-            on_activate = self.on_activate
-            return [on_activate(p) for p in physical_rows]
+        intervals = len(slices)
+        total = len(physical_rows)
+        if not (acts_per_ref >= 1 and intervals * acts_per_ref <= total
+                < (intervals + 1) * acts_per_ref):
+            raise ValueError(
+                f"a block is whole intervals of {acts_per_ref} ACTs, one "
+                f"per slice, plus a partial one; got {total} ACTs and "
+                f"{intervals} slices")
         counters = self._counters
         fth = self.fth
         size = self.region_size
-        out: List[bool] = []
-        append = out.append
-        escaped_n = 0
-        for physical_row in physical_rows:
-            region = physical_row // size
-            count = counters[region]
-            if count > fth:
-                append(True)
-                escaped_n += 1
+        last = size - 1
+        num_regions = self.num_regions
+        rows_per_sa = self.geometry.rows_per_subarray
+        edge = self._edge_possible
+        safe = self.reset_policy is ResetPolicy.SAFE
+        lazy = self.reset_policy is ResetPolicy.LAZY
+        rrc = self._rrc
+        inflight = self._refreshing_region
+        escaped = resets = 0
+        for k, first in enumerate(range(0, total, acts_per_ref)):
+            run = physical_rows[first:first + acts_per_ref]
+            if inflight is None and not edge:
+                for p in run:
+                    region = p // size
+                    count = counters[region]
+                    if count > fth:
+                        escaped += 1
+                    else:
+                        counters[region] = count + 1
             else:
-                counters[region] = count + 1
-                append(False)
-        filtered_n = len(out) - escaped_n
-        self.escaped_acts += escaped_n
-        self.filtered_acts += filtered_n
-        counter = self._m_escaped
-        if counter is not None:
-            counter.value += escaped_n
-            self._m_filtered.value += filtered_n
-        return out
+                for p in run:
+                    region = p // size
+                    if region == inflight:
+                        if rrc > fth:
+                            escaped += 1
+                        else:
+                            rrc += 1
+                        count = counters[region]
+                        if count <= fth:
+                            counters[region] = count + 1
+                    else:
+                        count = counters[region]
+                        if count > fth:
+                            escaped += 1
+                        else:
+                            counters[region] = count + 1
+                    if not edge:
+                        continue
+                    offset = p % size
+                    if offset == 0 and p % rows_per_sa:
+                        neighbor = region - 1
+                    elif (offset == last
+                          and p % rows_per_sa != rows_per_sa - 1):
+                        neighbor = region + 1
+                    else:
+                        continue
+                    if 0 <= neighbor < num_regions:
+                        count = counters[neighbor]
+                        if count <= fth:
+                            counters[neighbor] = count + 1
+                        if neighbor == inflight and rrc <= fth:
+                            rrc += 1
+            if k == intervals:
+                break
+            # The closed form of on_ref_slice, on the local state.
+            slice_ = slices[k]
+            start, end = slice_.physical_start, slice_.physical_end
+            first_ended, past_ended = start // size, end // size
+            if lazy:
+                lo, hi = first_ended, past_ended
+            else:
+                lo, hi = -(-start // size), -(-end // size)
+            if safe:
+                if lo < hi:
+                    rrc = counters[hi - 1]
+                    inflight = None if hi - 1 < past_ended else hi - 1
+                elif (inflight is not None
+                      and first_ended <= inflight < past_ended):
+                    inflight = None
+            if lo < hi:
+                counters[lo:hi] = [0] * (hi - lo)
+                resets += hi - lo
+        self._rrc = rrc
+        self._refreshing_region = inflight
+        filtered = total - escaped
+        self.escaped_acts += escaped
+        self.filtered_acts += filtered
+        if self._m_escaped is not None:
+            self._m_escaped.value += escaped
+            self._m_filtered.value += filtered
+            self._m_resets.value += resets
 
     # ------------------------------------------------------------------
     # Refresh-synchronised reset

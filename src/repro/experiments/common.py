@@ -20,6 +20,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
+from time import perf_counter
 from typing import (
     ClassVar,
     Iterable,
@@ -30,6 +31,7 @@ from typing import (
     Union,
 )
 
+from repro import _profile
 from repro.core.rct import RegionCountTable
 from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.dram.refresh import RefreshScheduler
@@ -122,6 +124,12 @@ class CgfStats:
 
 
 _MAPPINGS = {"sequential": SequentialR2SA, "strided": StridedR2SA}
+
+BLOCK_ACTS = 256
+"""ACTs a counting pass buffers per bank before landing them (rounded
+down to whole REF intervals).  A few hundred amortise each filter's
+call over many short intervals -- a bank sees 1-22 ACTs between REFs
+at every scale -- while a pass's memory stays one block per bank."""
 
 
 @dataclass(frozen=True, order=True)
@@ -234,18 +242,25 @@ class CgfJob:
     def execute(self) -> StreamCounts:
         """Count the stream in one pass (uncached; the worker path).
 
-        Each bank's rows are buffered between its REF boundaries (one
-        REF every ``acts_per_ref`` ACTs to that bank).  A full run lands
-        on every filter's RCT through the bulk
-        :meth:`~repro.core.rct.RegionCountTable.on_activates`, then the
-        bank's next REF slice advances each RCT's reset state machine.
+        Each bank meets one REF every ``acts_per_ref`` of its ACTs.  Its
+        rows are buffered up to :data:`BLOCK_ACTS`, rounded down to
+        whole REF intervals; a full block is mapped once per mapping
+        kind, counted into the subarray histogram, and landed on every
+        filter's RCT with one
+        :meth:`~repro.core.rct.RegionCountTable.on_block` call, which
+        applies the bank's REF slices at the interval boundaries.  The
+        window's cut lands each bank's remainder the same way, a
+        trailing partial interval included.  So a pass holds at most
+        one block per bank, however long the window.
         """
+        started = perf_counter()
         spec, scale, config = self.spec, self.scale, self.config
         geometry = config.geometry
         acts_per_bank = scale.scale_count(spec.acts_per_bank_per_window)
         total_acts = int(acts_per_bank * geometry.total_banks)
         refs = scale.scaled_refs_per_window(config.timings)
         acts_per_ref = max(1, int(acts_per_bank / refs))
+        block = max(1, BLOCK_ACTS // acts_per_ref) * acts_per_ref
         # The RCT reads only a slice's physical bounds, which do not
         # depend on the mapping: one window of slices serves every bank
         # and filter, each bank cycling through it at its own pace.
@@ -259,12 +274,17 @@ class CgfJob:
                  for f in self.filters] for _ in range(banks)]
         histograms = [Counter() for _ in range(banks)]
         rows_per_sa = geometry.rows_per_subarray
+        refs_done = [0] * banks
 
         def land(bank: int, rows: List[int]) -> None:
+            done = refs_done[bank]
+            crossed = len(rows) // acts_per_ref
+            refs_done[bank] = done + crossed
+            window = [slices[(done + i) % refs] for i in range(crossed)]
             physical = {kind: mapping.physical_indices(rows)
                         for kind, mapping in mappings.items()}
             for rct, kind in zip(rcts[bank], kinds):
-                rct.on_activates(physical[kind])
+                rct.on_block(physical[kind], acts_per_ref, window)
             if self.subarrays:
                 histograms[bank].update(
                     p // rows_per_sa for p in physical["strided"])
@@ -274,19 +294,14 @@ class CgfJob:
                  for core in range(config.num_cores)]
         per_subchannel = geometry.banks_per_subchannel
         pending: List[List[int]] = [[] for _ in range(banks)]
-        refs_done = [0] * banks
         for _, _, subchannel, bank, row in islice(
                 chain.from_iterable(zip(*cores)), total_acts):
             index = subchannel * per_subchannel + bank
             rows = pending[index]
             rows.append(row)
-            if len(rows) == acts_per_ref:
+            if len(rows) == block:
                 land(index, rows)
                 rows.clear()
-                slice_ = slices[refs_done[index] % refs]
-                refs_done[index] += 1
-                for rct in rcts[index]:
-                    rct.on_ref_slice(slice_)
         for index, rows in enumerate(pending):
             if rows:
                 land(index, rows)
@@ -303,6 +318,10 @@ class CgfJob:
             mean = sum(values) / len(values)
             var = sum((v - mean) ** 2 for v in values) / len(values)
             subarrays = (mean, var ** 0.5)
+        profile = _profile._ACTIVE
+        if profile is not None:
+            profile.add_counting_pass(total_acts,
+                                      perf_counter() - started)
         return StreamCounts(cgf, subarrays)
 
 

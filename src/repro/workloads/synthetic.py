@@ -132,13 +132,18 @@ class SyntheticWorkload:
         The RNG call sequence is identical to the historical
         entry-at-a-time generator -- chunking only groups the output --
         so traces are reproducible across both consumption styles.
+        Each ``randrange(n)`` is drawn inline the way
+        ``random.Random`` draws it -- ``getrandbits(n.bit_length())``,
+        redrawn while ``>= n`` -- and ``uniform(0.7, 1.3)`` as
+        ``0.7 + (1.3 - 0.7) * random()``, which skips two Python-level
+        calls per draw and yields the same stream
+        (``tests/workloads/reference_synthetic.py`` is the stdlib form).
         """
         spec = self.spec
         geometry = self.config.geometry
         rng = random.Random(_derived_seed(self.seed, 3, core_id, 0))
         rnd = rng.random
-        randrange = rng.randrange
-        uniform = rng.uniform
+        getrandbits = rng.getrandbits
         hot_fraction = spec.hot_traffic_fraction
         stickiness = self.bank_stickiness
         burst = spec.miss_burst
@@ -149,6 +154,15 @@ class SyntheticWorkload:
         compute = self.compute_per_miss_ps
         ws_rows = self.ws_rows
         compute_burst = compute * burst
+        hot_count = min(self.hot_rows, ws_rows)  # every bank's len(hot)
+        if not ws_rows or (hot_fraction > 0 and not hot_count):
+            # What randrange(0) raises; the inline loop would spin.
+            raise ValueError("empty range for randrange()")
+        subch_bits = num_subch.bit_length()
+        bank_bits = num_banks.bit_length()
+        hot_bits = hot_count.bit_length()
+        ws_bits = ws_rows.bit_length()
+        jitter_span = 1.3 - 0.7
         prev_key = None
         while True:
             chunk: List[EntryTuple] = []
@@ -164,18 +178,27 @@ class SyntheticWorkload:
                 if prev_key is not None and rnd() < stickiness:
                     subchannel, bank = prev_key
                 else:
-                    subchannel = randrange(num_subch)
-                    bank = randrange(num_banks)
+                    subchannel = getrandbits(subch_bits)
+                    while subchannel >= num_subch:
+                        subchannel = getrandbits(subch_bits)
+                    bank = getrandbits(bank_bits)
+                    while bank >= num_banks:
+                        bank = getrandbits(bank_bits)
                 prev_key = (subchannel, bank)
                 base, hot = placements[subchannel * num_banks + bank]
                 if rnd() < hot_fraction:
-                    offset = hot[randrange(len(hot))]
+                    offset = getrandbits(hot_bits)
+                    while offset >= hot_count:
+                        offset = getrandbits(hot_bits)
+                    offset = hot[offset]
                 else:
-                    offset = randrange(ws_rows)
+                    offset = getrandbits(ws_bits)
+                    while offset >= ws_rows:
+                        offset = getrandbits(ws_bits)
                 row = base + offset
                 # The visit's whole compute budget precedes its first
                 # line; the budget is per-miss, so scale by the burst.
-                jitter = uniform(0.7, 1.3)
+                jitter = 0.7 + jitter_span * rnd()
                 gap = int(compute_burst * jitter)
                 if gap < _MIN_COMPUTE_PS:
                     gap = _MIN_COMPUTE_PS

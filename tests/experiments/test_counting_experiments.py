@@ -142,6 +142,29 @@ class TestSinglePassMatchesReference:
             reference_subarrays(spec, seed=3)
 
 
+REPORT_TC_FILTERS = tuple(
+    [RctFilter("sequential", fth) for fth in (87, 93, 100, 106)]
+    + [RctFilter("strided", 41, 256)]
+    + [RctFilter("strided", fth) for fth in (87, 93, 100, 106)]
+    + [RctFilter("strided", 208, 64)])
+"""The filters the default report merges into tc's counting pass."""
+
+
+def test_report_tc_pass_is_pinned_at_the_default_counting_scale():
+    # At counting scale 16 a REF slice (256 rows) is smaller than every
+    # region here, so a SAFE sweep is in flight for most ACTs of every
+    # filter, and the 256-region filter bumps edge neighbours.
+    job = CgfJob(workload_by_name("tc"), REPORT_TC_FILTERS,
+                 subarrays=True, scale=SimScale(16))
+    sequential = [(51892, 233804), (55206, 230490), (59045, 226651),
+                  (62294, 223402)]
+    expected = StreamCounts(
+        tuple(CgfStats(285696, filtered, escaped) for filtered, escaped
+              in sequential + [(282454, 3242)] + [(285696, 0)] * 5),
+        (34.875, 11.18549213825659))
+    assert job.execute() == expected
+
+
 class TestCgfJob:
     def test_merge_is_order_independent(self):
         spec = workload_by_name("tc")

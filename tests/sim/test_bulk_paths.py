@@ -1,91 +1,166 @@
-"""Seeded randomized equivalence of the counting pass's bulk paths.
+"""Seeded randomized equivalence of the counting pass's block paths.
 
-``CgfJob`` lands each bank's buffered rows (one run per REF interval)
-on every filter's :meth:`RegionCountTable.on_activates`, after mapping
-them with ``physical_indices``.  The RCT tests drive identical random
-ACT runs through that bulk method and through per-ACT stepping of the
-same table and demand exact state equality; the mapping and slice
-tests pin the bulk views against their scalar forms.
+``CgfJob`` maps each bank's buffered rows once per mapping kind with
+``physical_indices`` and lands them, a block of whole REF intervals at
+a time, on every filter's :meth:`RegionCountTable.on_block`.  The RCT
+tests drive seeded random ACT streams through that block method and
+through per-ACT :meth:`~RegionCountTable.on_activate` stepping with an
+:meth:`~RegionCountTable.on_ref_slice` after every interval, and demand
+exact state and metric equality at every block boundary; the mapping
+and slice tests pin the bulk views against their scalar forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from repro.core.rct import RegionCountTable
+from repro.core.rct import RegionCountTable, ResetPolicy
 from repro.dram.mapping import SequentialR2SA, StridedR2SA
-from repro.dram.refresh import RefreshSlice
+from repro.dram.refresh import RefreshScheduler, RefreshSlice
+from repro.obs import metrics
 from repro.params import DramGeometry
 
+GEOMETRY = DramGeometry()
+ROWS = GEOMETRY.rows_per_bank
 
-def _random_runs(seed: int, runs: int, run_len, row_space: int,
-                 hot_rows: int = 8, hot_fraction: float = 0.6):
-    """Random ACT runs mixing a hot set (attack-like) with cold rows."""
-    rng = random.Random(seed)
-    hot = [rng.randrange(row_space) for _ in range(hot_rows)]
+
+# ----------------------------------------------------------------------
+# RCT block landing
+# ----------------------------------------------------------------------
+def _stream(rng: random.Random, acts: int, span: int, num_regions: int):
+    """ACTs within the first ``span`` rows: a hot set (attack-like),
+    rows at and next to region boundaries (edge bumps), cold rows."""
+    size = ROWS // num_regions
+    hot = [rng.randrange(span) for _ in range(6)]
+    edges = [b + d for b in range(size, span, size) for d in (-1, 0)]
     out = []
-    for _ in range(runs):
-        n = run_len if isinstance(run_len, int) \
-            else rng.randrange(*run_len)
-        run = [hot[rng.randrange(hot_rows)]
-               if rng.random() < hot_fraction
-               else rng.randrange(row_space)
-               for _ in range(n)]
-        out.append(run)
+    for _ in range(acts):
+        draw = rng.random()
+        if draw < 0.5:
+            out.append(hot[rng.randrange(len(hot))])
+        elif draw < 0.7 and edges:
+            out.append(edges[rng.randrange(len(edges))])
+        else:
+            out.append(rng.randrange(span))
     return out
 
 
-# ----------------------------------------------------------------------
-# RCT escape decisions
-# ----------------------------------------------------------------------
-def _rct_state(t: RegionCountTable):
-    return (t._counters, t._rrc, t._refreshing_region,
-            t.filtered_acts, t.escaped_acts)
+def _table(num_regions: int, fth: int, policy: ResetPolicy):
+    """An RCT counting into its own metrics registry."""
+    registry = metrics.MetricsRegistry()
+    previous = metrics.install(registry)
+    try:
+        return RegionCountTable(num_regions, fth, GEOMETRY, policy), \
+            registry
+    finally:
+        metrics.install(previous)
 
 
-def _rct_equivalence(num_regions: int, runs, slices=()) -> None:
-    """Step and bulk-land ``runs``; apply ``slices[i]`` after run i."""
-    geometry = DramGeometry()
-    stepped = RegionCountTable(num_regions, 32, geometry)
-    bulk = RegionCountTable(num_regions, 32, geometry)
-    for i, run in enumerate(runs):
-        expected = [stepped.on_activate(p) for p in run]
-        assert bulk.on_activates(run) == expected
-        assert _rct_state(stepped) == _rct_state(bulk)
-        if i < len(slices) and slices[i] is not None:
-            stepped.on_ref_slice(slices[i])
-            bulk.on_ref_slice(slices[i])
+def _state(table: RegionCountTable, registry: metrics.MetricsRegistry):
+    return (list(table._counters), table._rrc, table._refreshing_region,
+            table.filtered_acts, table.escaped_acts,
+            [registry.counter(name).value
+             for name in ("rct.filtered", "rct.escaped", "rct.resets")])
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_rct_bulk_path_matches_per_act(seed):
-    rows_per_bank = DramGeometry().rows_per_bank
-    _rct_equivalence(
-        128, _random_runs(seed, 12, (1, 500), rows_per_bank))
+def _check_blocks(num_regions: int, fth: int, policy: ResetPolicy,
+                  acts_per_ref: int, refs: int, block: int,
+                  seed: int) -> int:
+    """Land a seeded stream ``block`` intervals at a time and step it
+    per ACT and slice; return how many block boundaries fell while a
+    SAFE sweep was in flight."""
+    sweep = RefreshScheduler(GEOMETRY, refs_per_window=refs)
+    intervals = 60
+    slices = [sweep.peek_slice(i) for i in range(intervals)]
+    span = min(ROWS, intervals * sweep.rows_per_ref + 1024)
+    rng = random.Random(seed)
+    # A trailing partial interval after the last whole one.
+    partial = rng.randrange(1, acts_per_ref) if acts_per_ref > 1 else 0
+    rows = _stream(rng, intervals * acts_per_ref + partial, span,
+                   num_regions)
+    stepped, stepped_metrics = _table(num_regions, fth, policy)
+    landed, landed_metrics = _table(num_regions, fth, policy)
+    in_flight = 0
+    for first in range(0, intervals + 1, block):
+        block_slices = slices[first:first + block]
+        block_rows = rows[first * acts_per_ref:
+                          (first + len(block_slices)) * acts_per_ref]
+        if len(block_slices) < block:
+            block_rows = rows[first * acts_per_ref:]
+        for k, slice_ in enumerate(block_slices):
+            for p in block_rows[k * acts_per_ref:(k + 1) * acts_per_ref]:
+                stepped.on_activate(p)
+            stepped.on_ref_slice(slice_)
+        for p in block_rows[len(block_slices) * acts_per_ref:]:
+            stepped.on_activate(p)
+        landed.on_block(block_rows, acts_per_ref, block_slices)
+        assert _state(landed, landed_metrics) \
+            == _state(stepped, stepped_metrics), (first, block)
+        in_flight += landed._refreshing_region is not None
+    assert landed.filtered_acts + landed.escaped_acts == len(rows)
+    return in_flight
 
 
-def test_rct_bulk_path_matches_per_act_in_edge_configs():
-    """Sub-subarray regions need edge bumping on every ACT."""
-    geometry = DramGeometry()
-    assert geometry.rows_per_bank // 256 < geometry.rows_per_subarray
-    region = geometry.rows_per_bank // 256
-    # Rows at and next to region boundaries, plus interior rows.
-    rows = [region * k + d for k in range(1, 16) for d in (-1, 0, 1)]
-    _rct_equivalence(256, [rows * 20, rows[::-1] * 20])
+@pytest.mark.parametrize("num_regions", [16, 128, 256, 1024])
+@pytest.mark.parametrize("policy", list(ResetPolicy),
+                         ids=lambda p: p.value)
+def test_block_landing_matches_stepping(policy, num_regions):
+    """FTH 0 and above, acts_per_ref 1 (blender's interval) and above,
+    slices smaller and larger than a region, blocks of 1-7 intervals."""
+    in_flight = 0
+    cases = itertools.product((0, 1, 4), (1, 3, 22), (8192, 512, 437, 64))
+    for seed, (fth, acts_per_ref, refs) in enumerate(cases):
+        block = 1 + seed % 7
+        in_flight += _check_blocks(num_regions, fth, policy, acts_per_ref,
+                                   refs, block, seed)
+    # Under SAFE some block ends inside a region's sweep: the next block
+    # starts deciding on the RRC.
+    assert (in_flight > 0) == (policy is ResetPolicy.SAFE)
 
 
-def test_rct_bulk_path_matches_per_act_with_safe_sweep_in_flight():
+@pytest.mark.parametrize("seed", range(12))
+def test_block_landing_matches_stepping_randomized(seed):
+    rng = random.Random(1000 + seed)
+    _check_blocks(rng.choice([16, 64, 128, 256, 512, 1024]),
+                  rng.choice([0, 1, 2, 5, 30]),
+                  rng.choice(list(ResetPolicy)),
+                  rng.choice([1, 2, 7, 22]),
+                  rng.choice([8192, 2048, 512, 437, 64, 4]),
+                  rng.randrange(1, 12), seed)
+
+
+def test_block_with_safe_sweep_in_flight_decides_on_the_rrc():
     # A slice that begins (but does not finish) region 0's sweep, then
-    # one that finishes it: the second run lands mid-sweep.
+    # one that finishes it.  The first interval fills region 0 to FTH+1;
+    # the second lands mid-sweep, so the RRC (full) decides, not the
+    # reset entry, and it escapes while refilling the entry; once the
+    # sweep ends the trailing ACTs read the refilled entry.
     begin = RefreshSlice(ref_index=0, physical_start=0, physical_end=10,
                          mapping=SequentialR2SA())
-    region = DramGeometry().rows_per_bank // 128
+    region = ROWS // 128
     finish = RefreshSlice(ref_index=1, physical_start=10,
                           physical_end=region, mapping=SequentialR2SA())
-    runs = [[1, 2, 3] * 20, [1, 2, region + 3] * 20, [4, 5] * 30]
-    _rct_equivalence(128, runs, slices=(begin, finish))
+    landed, _ = _table(128, 2, ResetPolicy.SAFE)
+    landed.on_block([1] * 3 + [2] * 3 + [4] * 2, 3, [begin, finish])
+    assert (landed._rrc, landed._refreshing_region) == (3, None)
+    assert landed._counters[0] == 3
+    assert (landed.filtered_acts, landed.escaped_acts) == (3, 5)
+
+
+@pytest.mark.parametrize("rows, acts_per_ref, slices", [
+    ([1] * 4, 2, 1),   # a whole interval without its slice
+    ([1] * 2, 2, 2),   # a slice without its interval
+    ([1] * 3, 0, 0),   # no interval length
+])
+def test_block_shape_is_checked(rows, acts_per_ref, slices):
+    slice_ = RefreshSlice(ref_index=0, physical_start=0, physical_end=16,
+                          mapping=SequentialR2SA())
+    table, _ = _table(128, 2, ResetPolicy.SAFE)
+    with pytest.raises(ValueError, match="whole intervals"):
+        table.on_block(rows, acts_per_ref, [slice_] * slices)
 
 
 # ----------------------------------------------------------------------

@@ -31,11 +31,27 @@ from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.prac import PracTracker
 from repro.params import DramGeometry
 from tests.dram.reference_resets import LoopRegionCountTable
-from tests.sim.test_bulk_paths import _random_runs
 
 ALERT = MitigationSlotSource.ALERT
 REF = MitigationSlotSource.REF
 RFM = MitigationSlotSource.RFM
+
+
+def _random_runs(seed: int, runs: int, run_len, row_space: int,
+                 hot_rows: int = 8, hot_fraction: float = 0.6):
+    """Random ACT runs mixing a hot set (attack-like) with cold rows."""
+    rng = random.Random(seed)
+    hot = [rng.randrange(row_space) for _ in range(hot_rows)]
+    out = []
+    for _ in range(runs):
+        n = run_len if isinstance(run_len, int) \
+            else rng.randrange(*run_len)
+        run = [hot[rng.randrange(hot_rows)]
+               if rng.random() < hot_fraction
+               else rng.randrange(row_space)
+               for _ in range(n)]
+        out.append(run)
+    return out
 
 
 def _sequential_slice(ref_index: int, start: int, end: int) -> RefreshSlice:

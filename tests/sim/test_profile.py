@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro import _profile as profile_impl
+from repro.experiments import framework
+from repro.experiments.common import CgfJob
 from repro.params import SimScale
 from repro.sim import runner
 from repro.sim.profile import (
@@ -110,6 +112,25 @@ def test_calibration_probes_are_not_kernel_runs(monkeypatch):
         assert prof.requests == sum(r.total_requests for r in results)
 
 
+def test_counting_passes_are_profiled_alike_serial_and_pooled():
+    # table6 over two workloads is two merged counting passes; each
+    # records its ACTs once, in whichever process executes it.
+    ctx = framework.Context.make(workloads=("tc", "mcf"),
+                                 cgf=SimScale(2048))
+    counted = []
+    for workers in (1, 2):
+        plan = framework.plan(["table6"], ctx, SimSession(
+            disk_cache=False, max_workers=workers))
+        with profiling() as prof:
+            plan.execute()
+        counted.append((prof.counting_passes, prof.counting_acts))
+        assert prof.counting_s > 0 and prof.runs == 0
+        assert "counting passes" in prof.report()
+    jobs = [job for job in plan._jobs if isinstance(job, CgfJob)]
+    acts = sum(job.execute().cgf[0].total_acts for job in jobs)
+    assert counted == [(2, acts), (2, acts)]
+
+
 def test_profiling_does_not_change_results():
     scale = SimScale(8192)
     setup = setup_by_name("mirza-1000")
@@ -136,3 +157,7 @@ def test_report_renders_phases():
     assert "mitigation trackers" in text
     assert "500/s" in text  # 1000 requests / 2.0s wall
     assert "42" in text
+    assert "counting passes" not in text
+    prof.add_counting_pass(3000, 0.5)
+    assert "counting passes" in prof.report()
+    assert "3,000 ACTs in 0.500s (6,000/s)" in prof.report()

@@ -1,15 +1,17 @@
 """Tests for the calibrated synthetic workload generator."""
 
+from itertools import islice
 
 import pytest
 
 from repro.cpu.trace import take
 from repro.params import SimScale, SystemConfig
-from repro.workloads.specs import workload_by_name
+from repro.workloads.specs import ALL_WORKLOADS, workload_by_name
 from repro.workloads.synthetic import (
     SyntheticWorkload,
     _bank_placements,
 )
+from tests.workloads.reference_synthetic import reference_trace_chunks
 
 
 @pytest.fixture
@@ -94,6 +96,28 @@ class TestTraceShape:
                        and a.row != b.row)
             return same / len(entries)
         assert same_bank_rate(sticky) > same_bank_rate(loose) + 0.3
+
+
+class TestDrawsMatchStdlib:
+    """The inline draws give the stream ``randrange``/``uniform`` give."""
+
+    @pytest.mark.parametrize("spec", ALL_WORKLOADS, ids=lambda s: s.name)
+    def test_trace_chunks_equal_the_stdlib_loop(self, spec):
+        for seed in (0, 1, 7):
+            syn = SyntheticWorkload(spec, SystemConfig(), SimScale(16),
+                                    seed=seed)
+            for core in (0, 3):
+                assert list(islice(syn.trace_chunks(core), 12)) == \
+                    list(islice(reference_trace_chunks(syn, core), 12)), \
+                    (seed, core)
+
+
+    @pytest.mark.parametrize("sizes", [dict(ws_rows=0), dict(hot_rows=0)])
+    def test_an_empty_draw_range_raises(self, sizes):
+        # randrange(0) raises; the inline rejection loop would spin.
+        syn = SyntheticWorkload(workload_by_name("cc"), seed=1, **sizes)
+        with pytest.raises(ValueError, match="empty range"):
+            next(syn.trace_chunks(0))
 
 
 class TestSpatialLocality:
