@@ -2,11 +2,9 @@
 
 Usage::
 
-    python -m repro list                   # available exhibits
-    python -m repro list --experiments     # registered declarations
-    python -m repro run table7             # print one exhibit
-    python -m repro run fig11 table8       # several exhibits
-    python -m repro run --experiment fig11 # planner path, with checks
+    python -m repro list                   # every exhibit, paper order
+    python -m repro run table7             # one exhibit + its checks
+    python -m repro run fig11 table8       # several, as one batch
     python -m repro report [path]          # run everything -> markdown
     python -m repro report --only fig11,table6   # a subset
     python -m repro report --jobs 8        # ... on 8 worker processes
@@ -58,7 +56,7 @@ import os
 import sys
 from typing import Iterator, List, Optional
 
-from repro.report import exhibit_names, run_exhibit, write_report
+from repro.report import EXHIBITS, write_report
 from repro.sim.session import FailurePolicy, SimSession
 
 _SUBCOMMANDS = ("list", "run", "report", "stats", "trace", "fuzz")
@@ -172,16 +170,14 @@ def _build_parser() -> argparse.ArgumentParser:
                  "hit-rate, retries, ETA) to stderr while the batch "
                  "runs")
 
-    p_list = sub.add_parser("list", help="print the exhibit names")
-    p_list.add_argument(
-        "--experiments", action="store_true",
-        help="list the registered experiment declarations (registry "
-             "name and description) instead of the display titles")
+    p_list = sub.add_parser(
+        "list", help="print every exhibit's name, title and description")
     add_shared(p_list)
 
     p_run = sub.add_parser(
-        "run", help="run the named exhibits and print their tables, or "
-                    "(with --setup) simulate the named workloads")
+        "run", help="run the named exhibits as one batch and print their "
+                    "tables with their paper checks, or (with --setup) "
+                    "simulate the named workloads")
     p_run.add_argument("exhibits", nargs="*", metavar="exhibit",
                        help="exhibit names, e.g. table7 fig11; with "
                             "--setup: workload names, e.g. tc mcf")
@@ -190,11 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulate the positional names as *workloads* under this "
              "mitigation setup (e.g. mirza, prac-1000, baseline) "
              "instead of treating them as exhibits")
-    p_run.add_argument(
-        "--experiment", action="append", default=None, metavar="NAME",
-        help="run the named experiment declaration through the "
-             "framework planner and print its table plus the declared "
-             "paper-reference checks (repeatable)")
     add_shared(p_run)
 
     p_report = sub.add_parser(
@@ -336,12 +327,12 @@ def _run_simulations(args: argparse.Namespace,
     carries a ``# workload:`` claim, the measured-vs-Table-IV
     calibration rows are printed after the summary line.
     """
-    from repro.params import SimScale
+    from repro.experiments.common import default_scale, default_seed
     from repro.sim.registry import setup_by_name
     from repro.sim.session import SimJob, TraceReplayJob, is_failure
 
-    scale = SimScale(int(os.environ.get("REPRO_TIME_SCALE") or 512))
-    seed = int(os.environ.get("REPRO_SEED") or 0)
+    scale = default_scale()
+    seed = default_seed()
     try:
         setup = setup_by_name(args.setup, scale)
     except KeyError as error:
@@ -515,13 +506,12 @@ def _run_fuzz(args: argparse.Namespace, session: SimSession) -> int:
     bit-identical ranking, with every cell served from the cache.
     Batch statistics go to stderr so they never perturb that contract.
     """
+    from repro.experiments.common import default_scale, default_seed
     from repro.security.fuzz import FuzzSpec, default_acts, run_fuzz
 
-    time_scale = int(os.environ.get("REPRO_TIME_SCALE") or 512)
-    seed = int(os.environ.get("REPRO_SEED") or 0)
-    kwargs = dict(seed=seed,
+    kwargs = dict(seed=default_seed(),
                   acts=(args.acts if args.acts is not None
-                        else default_acts(time_scale)))
+                        else default_acts(default_scale().time_scale)))
     if args.mitigations:
         kwargs["mitigations"] = tuple(
             name for name in args.mitigations.split(",") if name)
@@ -606,13 +596,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 and hasattr(session.progress, "close"):
             stack.callback(session.progress.close)
         if args.command == "list":
-            if getattr(args, "experiments", False):
-                from repro.experiments import framework
-                for exp in framework.available_experiments():
-                    print(f"{exp.name}: {exp.description}")
-            else:
-                for name in exhibit_names():
-                    print(name)
+            for title, description, name in EXHIBITS:
+                print(f"{name}: {title} — {description}")
             return 0
         from repro.sim.profile import maybe_profile_from_env
         from repro.sim.session import JobFailed
@@ -634,26 +619,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         args.command == "run" and args.setup):
                     status = _run_simulations(args, session)
                 else:
-                    names = list(args.exhibits)
-                    names.extend(getattr(args, "experiment", None)
-                                 or [])
-                    if not names:
-                        print("run: name at least one exhibit (or "
-                              "pass --experiment NAME)",
+                    if not args.exhibits:
+                        print("run: name at least one exhibit",
                               file=sys.stderr)
                         return 2
                     with _trace_capture(
                             getattr(args, "trace_out", None)):
-                        if getattr(args, "experiment", None):
-                            status = _run_experiments(names, session)
-                        else:
-                            for name in names:
-                                try:
-                                    print(run_exhibit(
-                                        name, session=session))
-                                except KeyError as error:
-                                    print(error, file=sys.stderr)
-                                    return 2
+                        status = _run_experiments(args.exhibits, session)
             except JobFailed as error:
                 # fail_fast: completed siblings are already cached, so
                 # a rerun resumes from where this batch died.

@@ -1,22 +1,35 @@
 """One module per table/figure of the paper's evaluation.
 
-Every module is a declarative :class:`~repro.experiments.framework.
-Experiment` registration plus a thin ``run(...)`` compatibility wrapper
-returning the structured results and a ``main()`` that prints the
-paper-style table with the published numbers alongside the reproduced
-ones.  The report generator plans every registered declaration as
-one deduplicated session batch and flags each exhibit's point checks
-and shape claims; the tests call the ``run`` functions;
+Every module registers one declarative :class:`~repro.experiments.
+framework.Experiment`: its cell grid, a pure reducer to the module's
+structured Result, a renderer that prints the paper-style table with
+the published numbers alongside the reproduced ones, and the paper's
+point checks and shape claims.  The framework planner is the one way
+to run them:
+
+- ``python -m repro run fig11 table6`` plans the named exhibits as one
+  deduplicated session batch and prints each table followed by its
+  check and claim flags;
+- ``python -m repro report`` does the same for every exhibit and
+  writes markdown;
+- library code and the tests call
+  ``framework.run_experiment(name, Context.make(...))``, passing
+  ``scale=`` for the timed window divisor and ``cgf=`` for the
+  counting one.
+
 EXPERIMENTS.md records the paper-vs-measured comparison.
 
-Experiment scope knobs (environment variables, also accepted as
-arguments):
+Experiment scope knobs (environment variables; a ``Context`` field or
+the matching CLI flag overrides each):
 
 - ``REPRO_TIME_SCALE``: the :class:`repro.params.SimScale` divisor
   (default 512 for quick runs; 1 reproduces the paper's full 32 ms
   windows).
+- ``REPRO_CGF_SCALE``: the divisor for activation-counting cells
+  (default 16).
 - ``REPRO_WORKLOADS``: comma-separated workload names or ``all``
   (default: a 6-workload representative subset).
+- ``REPRO_SEED``: the base RNG seed (default 0).
 """
 
 from repro.experiments import (  # noqa: F401

@@ -32,17 +32,12 @@ from typing import (
 )
 
 from repro import _profile
+from repro._env import env_int
 from repro.core.rct import RegionCountTable
 from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.dram.refresh import RefreshScheduler
 from repro.params import SimScale, SystemConfig
-from repro.sim.runner import MitigationSetup
-from repro.sim.session import (
-    SimJob,
-    SimSession,
-    get_default_session,
-    register_job_type,
-)
+from repro.sim.session import register_job_type
 from repro.workloads.specs import ALL_WORKLOADS, WorkloadSpec, \
     workload_by_name
 from repro.workloads.synthetic import SyntheticWorkload
@@ -54,7 +49,7 @@ ones, spanning the full range of ACT intensity and spread."""
 
 def default_scale() -> SimScale:
     """Simulation window divisor (REPRO_TIME_SCALE, default 512)."""
-    return SimScale(int(os.environ.get("REPRO_TIME_SCALE", "512")))
+    return SimScale(env_int("REPRO_TIME_SCALE", 512))
 
 
 def cgf_scale() -> SimScale:
@@ -66,12 +61,12 @@ def cgf_scale() -> SimScale:
     (REPRO_CGF_SCALE, default 16: per-region counts of ~50-100 against
     an FTH of ~94 at TRHD=1K).
     """
-    return SimScale(int(os.environ.get("REPRO_CGF_SCALE", "16")))
+    return SimScale(env_int("REPRO_CGF_SCALE", 16))
 
 
 def default_seed() -> int:
     """Base RNG seed for simulation sweeps (REPRO_SEED, default 0)."""
-    return int(os.environ.get("REPRO_SEED", "0"))
+    return env_int("REPRO_SEED", 0)
 
 
 def selected_workloads(names: Optional[Iterable[str]] = None
@@ -83,25 +78,6 @@ def selected_workloads(names: Optional[Iterable[str]] = None
             return list(ALL_WORKLOADS)
         names = [n for n in raw.split(",") if n.strip()] or DEFAULT_SUBSET
     return [workload_by_name(n.strip()) for n in names]
-
-
-def sweep_slowdowns(pairs: Sequence[Tuple[WorkloadSpec,
-                                          MitigationSetup]],
-                    scale: SimScale,
-                    seed: Optional[int] = None,
-                    session: Optional[SimSession] = None
-                    ) -> List[Tuple[float, "object"]]:
-    """(slowdown %, protected result) for each (workload, setup) pair.
-
-    The whole sweep -- protected runs plus their deduplicated
-    unprotected baselines -- is submitted to the session as one batch,
-    so it fans out over worker processes when the session (or the CLI's
-    ``--jobs`` flag) allows, with output identical to a serial sweep.
-    """
-    session = session or get_default_session()
-    seed = default_seed() if seed is None else seed
-    jobs = [SimJob(spec, setup, scale, seed) for spec, setup in pairs]
-    return session.slowdowns(jobs)
 
 
 @dataclass

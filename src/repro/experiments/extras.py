@@ -1,19 +1,22 @@
 """Extension exhibits beyond the paper's own tables and figures.
 
-- :func:`lifetime_table` -- what the calibrated failure exponent means
-  at machine and fleet scale (the context behind Table II's security
+One exhibit, ``extras``, whose Result maps each key to a rendered
+table:
+
+- ``lifetime`` -- what the calibrated failure exponent means at
+  machine and fleet scale (the context behind Table II's security
   column).
-- :func:`energy_table` -- absolute mitigation-energy per activation
-  for MINT vs MIRZA (Figure 13 recast in picojoules) plus the SRAM
-  power fraction of Section VIII-B.
-- :func:`storage_comparison` -- every implemented tracker's SRAM bill
-  at TRHD=1000 side by side.
+- ``energy`` -- absolute mitigation-energy per activation for MINT vs
+  MIRZA (Figure 13 recast in picojoules) plus the SRAM power fraction
+  of Section VIII-B.
+- ``storage`` -- every implemented tracker's SRAM bill at TRHD=1000
+  (the ``storage_trhd`` option) side by side.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.config import MirzaConfig
 from repro.core.mirza import MirzaTracker
@@ -23,7 +26,6 @@ from repro.energy import (
     mitigation_energy_per_act,
 )
 from repro.experiments import framework
-from repro.experiments.framework import Context
 from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.mithril import MithrilTracker
@@ -34,7 +36,6 @@ from repro.params import DramGeometry
 from repro.security.lifetime import lifetime_report
 from repro.security.mint_model import MINT_FAILURE_EXPONENT
 from repro.sim.runner import MINT_RFM_WINDOWS
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 
@@ -64,13 +65,6 @@ def _lifetime_table() -> str:
         rows, title="Lifetime arithmetic behind the 2^-k budgets")
 
 
-def lifetime_table() -> str:
-    """Print the lifetime table; returns the rendered text."""
-    table = _lifetime_table()
-    print(table)
-    return table
-
-
 def _energy_table() -> str:
     """Mitigation energy per activation, MINT vs MIRZA (pJ)."""
     escapes = {500: 1 / 30, 1000: 1 / 114, 2000: 1 / 751}
@@ -89,13 +83,6 @@ def _energy_table() -> str:
         ["TRHD", "MINT", "MIRZA", "reduction"],
         rows, title="Mitigation energy per activation "
                     "(paper escape probabilities)")
-
-
-def energy_table() -> str:
-    """Print the energy table; returns the rendered text."""
-    table = _energy_table()
-    print(table)
-    return table
 
 
 def _storage_comparison(trhd: int = 1000) -> str:
@@ -117,13 +104,6 @@ def _storage_comparison(trhd: int = 1000) -> str:
     return format_table(
         ["Tracker", "SRAM/bank"], rows,
         title=f"Tracker storage at TRHD={trhd}")
-
-
-def storage_comparison(trhd: int = 1000) -> str:
-    """Print the storage comparison; returns the rendered text."""
-    table = _storage_comparison(trhd)
-    print(table)
-    return table
 
 
 def _reduce(cells: framework.Cells) -> Dict[str, str]:
@@ -148,20 +128,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
     reduce=_reduce,
     render=_render,
 ))
-
-
-def run(session: Optional[SimSession] = None) -> Dict[str, str]:
-    """Execute the experiment; returns the three rendered tables."""
-    return framework.run_experiment(EXPERIMENT, Context.make(),
-                                    session=session)
-
-
-def main() -> str:
-    """Print the extension tables; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

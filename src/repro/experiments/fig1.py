@@ -8,13 +8,10 @@ SRAM per bank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
-from repro.experiments.framework import Check, Claim, Context, near
-from repro.params import SimScale
-from repro.sim.session import SimSession
+from repro.experiments.framework import Check, Claim, near
 from repro.sim.stats import format_table
 
 PAPER = {"mitigation_reduction": 28.5, "area_reduction": 45.0,
@@ -81,22 +78,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r.sram_bytes_per_bank == PAPER["sram_bytes"]),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        session: Optional[SimSession] = None) -> Fig1Summary:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, cgf=scale)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

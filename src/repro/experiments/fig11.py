@@ -9,7 +9,7 @@ almost none (its slowdown is purely the inflated timings).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments import framework
 from repro.experiments.framework import (
@@ -19,9 +19,8 @@ from repro.experiments.framework import (
     Context,
     TableSpec,
 )
-from repro.params import SimScale
 from repro.sim.runner import mirza_setup, prac_setup
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import SimJob
 from repro.sim.stats import mean
 
 PAPER = {
@@ -142,24 +141,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r.mirza_alert_rate[1000] < 25.0),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        thresholds: Sequence[int] = _THRESHOLDS,
-        session: Optional[SimSession] = None) -> Fig11Result:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, scale=scale,
-                       thresholds=tuple(thresholds))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -19,15 +19,14 @@ at TRHD 500 / 1K / 2K -- a 10x-125x reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
 from repro.experiments.framework import Cell, Check, Claim, Context
-from repro.params import MitigationCosts, SimScale, SystemConfig
+from repro.params import MitigationCosts, SystemConfig
 from repro.sim.runner import MINT_RFM_WINDOWS
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table, mean
 
 PAPER = {
@@ -130,25 +129,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r.mirza_overhead[1000] < 1.5),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        thresholds=_THRESHOLDS,
-        config: SystemConfig = SystemConfig(),
-        session: Optional[SimSession] = None) -> Fig13Result:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, cgf=scale,
-                       thresholds=tuple(thresholds), config=config)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,7 @@ The paper reports, averaged over the 24 workloads:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.experiments import framework
 from repro.experiments.framework import (
@@ -21,9 +21,8 @@ from repro.experiments.framework import (
     Context,
     TableSpec,
 )
-from repro.params import SimScale
 from repro.sim.runner import mint_rfm_setup, prac_setup
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import SimJob
 from repro.sim.stats import mean
 
 PAPER = {
@@ -138,24 +137,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r.prac_slowdown > 1.0),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        thresholds: Sequence[int] = _THRESHOLDS,
-        session: Optional[SimSession] = None) -> Fig3Result:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, scale=scale,
-                       thresholds=tuple(thresholds))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

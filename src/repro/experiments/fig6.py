@@ -9,13 +9,12 @@ coarse-grained filtering exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments import framework
 from repro.experiments.common import SubarrayStatsJob
 from repro.experiments.framework import Cell, Check, Claim, Context, near
-from repro.params import SimScale, max_acts_per_bank_per_trefw
-from repro.sim.session import SimSession
+from repro.params import max_acts_per_bank_per_trefw
 from repro.sim.stats import format_table, mean
 from repro.workloads.specs import workload_by_name
 
@@ -93,22 +92,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _matches_table4),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        session: Optional[SimSession] = None) -> Fig6Result:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, cgf=scale)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -664,8 +664,12 @@ def run_experiment(experiment: Union[str, Experiment],
                    session: Optional[SimSession] = None) -> Any:
     """Plan and execute one experiment; returns its Result.
 
-    This is what the legacy per-module ``run()`` wrappers call: one
-    declaration, its dependencies batched alongside, one fan-out.
+    The library call for one exhibit: the declaration and its
+    dependencies go out as one batch.  Knobs ride on ``ctx``, e.g.
+    ``run_experiment("table6", Context.make(workloads=["tc"],
+    cgf=SimScale(512)))``; ``scale=`` sets the timed window divisor,
+    ``cgf=`` the counting one, and keyword extras the exhibit's
+    options.
     """
     if not isinstance(experiment, Experiment):
         experiment = experiment_by_name(experiment)

@@ -16,19 +16,16 @@ at smoke scales).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Context
-from repro.params import SimScale
 from repro.security.fuzz import (
     FuzzReport,
     FuzzSpec,
     default_acts,
     fuzz_jobs,
-    run_fuzz,
 )
-from repro.sim.session import SimSession
 
 MITIGATIONS = ("trr", "prac-1000", "mirza-1000")
 """Default mitigation axis: the broken DDR4 reference next to the
@@ -103,26 +100,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
             abs_tol=0.0),
     ),
 ))
-
-
-def run(scale: Optional[SimScale] = None,
-        session: Optional[SimSession] = None,
-        **options) -> FuzzReport:
-    """Execute the sweep; returns the reduced report."""
-    ctx = Context.make(scale=scale, **options)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the sweep table; returns the rendered text."""
-    report = run()
-    table = framework.render_experiment(EXPERIMENT, report)
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()
-
-
-__all__ = ["EXPERIMENT", "run", "main", "run_fuzz"]

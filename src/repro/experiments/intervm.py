@@ -18,13 +18,12 @@ machinery as the paper exhibits: one deduplicated grid of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Context
-from repro.params import SimScale
 from repro.sim.registry import setup_by_name
-from repro.sim.session import SimSession, TenantJob
+from repro.sim.session import TenantJob
 from repro.workloads.tenants import intervm_scenario, \
     scenario_footprints
 
@@ -136,23 +135,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
             abs_tol=0.5),
     ),
 ))
-
-
-def run(scale: Optional[SimScale] = None,
-        victim: Optional[str] = None,
-        session: Optional[SimSession] = None
-        ) -> Dict[Tuple[str, int], InterVmPoint]:
-    """Execute the sweep; returns the structured results."""
-    ctx = Context.make(scale=scale, victim=victim)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the sweep table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

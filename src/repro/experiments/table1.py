@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments import framework
-from repro.experiments.framework import Check, Context
+from repro.experiments.framework import Check
 from repro.params import DramTimings, ns
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 PAPER_ROWS = {
@@ -66,21 +65,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r["tRC"]["ddr5_ns"], rel_tol=0.0),
     ),
 ))
-
-
-def run(session: Optional[SimSession] = None
-        ) -> Dict[str, Dict[str, int]]:
-    """Return the modelled timing values in nanoseconds."""
-    return framework.run_experiment(EXPERIMENT, Context.make(),
-                                    session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

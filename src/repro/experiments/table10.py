@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
-from repro.experiments.framework import Check, Context
+from repro.experiments.framework import Check
 from repro.security.area import AreaModel
 from repro.security.mirza_model import solve_fth
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 PAPER = {
@@ -99,21 +98,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               PAPER[500]["ratio"], _ratio_of(500), rel_tol=0.5),
     ),
 ))
-
-
-def run(thresholds=_THRESHOLDS,
-        session: Optional[SimSession] = None) -> List[Table10Row]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(thresholds=tuple(thresholds))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -17,12 +17,11 @@ The paper reports relative throughput 63.4% / 55.9% / 44.5% (slowdown
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.experiments import framework
-from repro.experiments.framework import Check, Claim, Context, near
+from repro.experiments.framework import Check, Claim, near
 from repro.params import AboTimings, DramTimings
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 PAPER = {16: (63.4, 1.6), 12: (55.9, 1.8), 8: (44.5, 2.25)}
@@ -113,21 +112,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
                                for row in rows)),
     ),
 ))
-
-
-def run(windows: Sequence[int] = _WINDOWS,
-        session: Optional[SimSession] = None) -> List[Table11Row]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(windows=tuple(windows))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -8,17 +8,16 @@ mitigations; MIRZA performs no victim refresh under REF at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.experiments import framework
-from repro.experiments.framework import Check, Claim, Context, near
+from repro.experiments.framework import Check, Claim, near
 from repro.security.area import (
     mint_storage_bytes_per_bank,
     mirza_storage_bytes_per_bank,
     trr_storage_bytes_per_bank,
 )
 from repro.security.analysis import refresh_cannibalization
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 PAPER = {
@@ -120,20 +119,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
                                for row in rows if row.tracker == "MIRZA")),
     ),
 ))
-
-
-def run(session: Optional[SimSession] = None) -> List[Table12Row]:
-    """Execute the experiment; returns the structured results."""
-    return framework.run_experiment(EXPERIMENT, Context.make(),
-                                    session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -10,14 +10,12 @@ bandwidth question, not a tracker question).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
-from repro.experiments.framework import Check, Claim, Context
+from repro.experiments.framework import Check, Claim
 from repro.experiments.table11 import attack_relative_throughput
-from repro.params import SimScale
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 PAPER = {
@@ -127,22 +125,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
                                for row in rows if row.tracker == "MIRZA")),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        session: Optional[SimSession] = None) -> List[Table13Row]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, scale=scale)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ so the measurement would report the budget rather than the tracker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Check, Claim, Context, near
@@ -28,7 +28,7 @@ from repro.security.analysis import (
     refresh_cannibalization,
 )
 from repro.security.attacks import SingleBankHarness
-from repro.sim.session import SimSession, register_job_type
+from repro.sim.session import register_job_type
 from repro.sim.stats import format_table
 from repro.workloads.attacks import feinting_attack_stream
 
@@ -169,23 +169,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               "the mitigation period", _mithril_grows),
     ),
 ))
-
-
-def run(mithril_entries: int = 128,
-        feinting_acts: int = 150_000,
-        session: Optional[SimSession] = None) -> List[Table2Row]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(mithril_entries=mithril_entries,
-                       feinting_acts=feinting_acts)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -10,14 +10,13 @@ row-to-subarray mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments import framework
 from repro.experiments.common import SubarrayStatsJob
 from repro.experiments.framework import Cell, Claim, Context, near
-from repro.params import SimScale
 from repro.sim.runner import baseline_setup
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import SimJob
 from repro.sim.stats import format_table
 from repro.workloads.specs import workload_by_name
 
@@ -117,23 +116,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _ranking_matches),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        session: Optional[SimSession] = None
-        ) -> Dict[str, WorkloadMeasurement]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, scale=scale)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

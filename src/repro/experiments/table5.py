@@ -10,13 +10,12 @@ RFM territory, which motivates filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Check, Claim, Context
-from repro.params import SimScale
 from repro.sim.runner import naive_mirza_setup
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import SimJob
 from repro.sim.stats import format_table, mean
 
 PAPER = {
@@ -106,26 +105,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda r: r.slowdown[(24, 4)] > 0.5),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        windows: Sequence[int] = _WINDOWS,
-        queue_sizes: Sequence[int] = _QUEUE_SIZES,
-        session: Optional[SimSession] = None) -> Table5Result:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, scale=scale,
-                       windows=tuple(windows),
-                       queue_sizes=tuple(queue_sizes))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

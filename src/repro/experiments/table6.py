@@ -10,13 +10,11 @@ spreads over all 128 subarrays and >98% of ACTs are filtered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
 from repro.experiments.framework import Cell, Check, Claim, Context
-from repro.params import SimScale
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 PAPER = {
@@ -128,25 +126,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               >= r.filtered_pct[(1400, "strided")]),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        fths: Sequence[int] = _FTHS,
-        num_regions: int = _NUM_REGIONS,
-        session: Optional[SimSession] = None) -> Table6Result:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, cgf=scale,
-                       fths=tuple(fths), num_regions=num_regions)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

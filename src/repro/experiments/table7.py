@@ -8,12 +8,11 @@ published FTH and reproduces the SRAM/bank column exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
-from repro.experiments.framework import Check, Context
-from repro.sim.session import SimSession
+from repro.experiments.framework import Check
 from repro.sim.stats import format_table
 
 PAPER = {
@@ -84,20 +83,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               _solved_fth_of(500), rel_tol=0.01),
     ),
 ))
-
-
-def run(session: Optional[SimSession] = None) -> List[Table7Row]:
-    """Execute the experiment; returns the structured results."""
-    return framework.run_experiment(EXPERIMENT, Context.make(),
-                                    session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -9,15 +9,13 @@ activation-level CGF path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
 from repro.experiments.framework import Cell, Check, Claim, Context
-from repro.params import SimScale
 from repro.sim.runner import MINT_RFM_WINDOWS
-from repro.sim.session import SimSession
 from repro.sim.stats import format_table
 
 PAPER = {
@@ -139,24 +137,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
                                for row in rows if row.trhd == 1000)),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        thresholds=_THRESHOLDS,
-        session: Optional[SimSession] = None) -> List[Table8Row]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, cgf=scale,
-                       thresholds=tuple(thresholds))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

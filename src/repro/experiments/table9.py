@@ -10,15 +10,14 @@ because the unfiltered-ACT growth dominates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import MirzaConfig
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
 from repro.experiments.framework import Cell, Check, Claim, Context
-from repro.params import SimScale
 from repro.sim.runner import mirza_setup
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import SimJob
 from repro.sim.stats import format_table, mean
 
 PAPER_POINTS = [(4, 1820), (8, 1660), (12, 1500), (16, 1350)]
@@ -146,24 +145,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
               lambda rows: all(row.slowdown_pct < 4.0 for row in rows)),
     ),
 ))
-
-
-def run(workloads: Optional[List[str]] = None,
-        scale: Optional[SimScale] = None,
-        points: Sequence[Tuple[int, int]] = tuple(PAPER_POINTS),
-        session: Optional[SimSession] = None) -> List[Table9Row]:
-    """Execute the experiment; returns the structured results."""
-    ctx = Context.make(workloads=workloads, scale=scale,
-                       points=tuple(points))
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the paper-style table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

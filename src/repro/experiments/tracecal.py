@@ -30,9 +30,8 @@ from typing import Dict, List, Optional
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Context
-from repro.params import SimScale
 from repro.sim.runner import baseline_setup
-from repro.sim.session import SimSession, TraceReplayJob
+from repro.sim.session import TraceReplayJob
 from repro.workloads.specs import workload_by_name
 from repro.workloads.tracefile import calibration_report
 
@@ -138,26 +137,3 @@ EXPERIMENT = framework.register_experiment(framework.Experiment(
             measured=_measured("act_pki", _TC.act_pki)),
     ),
 ))
-
-
-def run(scale: Optional[SimScale] = None,
-        trace_path: Optional[str] = None,
-        workloads: Optional[List[str]] = None,
-        session: Optional[SimSession] = None
-        ) -> Dict[str, TraceCalibration]:
-    """Execute the calibration replay; returns the structured
-    results."""
-    ctx = Context.make(workloads=workloads, scale=scale,
-                       trace_path=trace_path)
-    return framework.run_experiment(EXPERIMENT, ctx, session=session)
-
-
-def main() -> str:
-    """Print the calibration table; returns the rendered text."""
-    table = framework.render_experiment(EXPERIMENT, run())
-    print(table)
-    return table
-
-
-if __name__ == "__main__":
-    main()

@@ -26,9 +26,7 @@ and persist results across runs.
 
 from __future__ import annotations
 
-import io
 import time
-from contextlib import redirect_stdout
 from typing import List, Optional, Tuple
 
 import repro.experiments  # noqa: F401  (registers every declaration)
@@ -64,20 +62,6 @@ order.  Tests (and callers) may monkeypatch this to subset the report.
 def _canonical(name: str) -> str:
     """Normalise an exhibit name: 'Table X' == 'table10' == 'tableX'."""
     return framework.canonical_name(name)
-
-
-def exhibit_names() -> List[str]:
-    """Names of every runnable exhibit, in paper order."""
-    return [title for title, _, _ in EXHIBITS]
-
-
-def run_exhibit(name: str,
-                session: Optional[SimSession] = None) -> str:
-    """Run one exhibit and return its rendered table."""
-    experiment = framework.experiment_by_name(name)
-    with redirect_stdout(io.StringIO()):
-        result = framework.run_experiment(experiment, session=session)
-    return framework.render_experiment(experiment, result)
 
 
 def _selected(only: Optional[List[str]]) -> List[Tuple[str, str, str]]:
@@ -154,8 +138,8 @@ def generate_markdown(only: Optional[List[str]] = None,
     Every selected exhibit (plus its declared dependencies) is planned
     into one deduplicated session batch, so shared cells simulate once
     and ``SimSession(max_workers=N)`` parallelises the whole report.
-    The rendered tables are byte-identical to the per-module ``main()``
-    output either way.
+    The rendered tables are byte-identical either way, and to the ones
+    ``python -m repro run`` prints for the same exhibits and knobs.
 
     The report runs under
     :obj:`~repro.sim.session.FailurePolicy.KEEP_GOING` (when no
@@ -184,8 +168,7 @@ def generate_markdown(only: Optional[List[str]] = None,
               f"({plan.stats.unique_jobs} unique jobs, "
               f"{plan.stats.deduplicated} deduplicated); running...",
               flush=True)
-    with redirect_stdout(io.StringIO()):
-        plan.execute()
+    plan.execute()
     lines.extend(_summary_table(selected, plan))
     for title, description, name in selected:
         experiment = framework.experiment_by_name(name)

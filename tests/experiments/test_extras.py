@@ -1,35 +1,33 @@
 """Tests for the extension exhibits."""
 
-from repro.experiments.extras import (
-    energy_table,
-    lifetime_table,
-    main,
-    storage_comparison,
-)
+import pytest
+
+from repro.experiments import framework
+from repro.experiments.framework import Context
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return framework.run_experiment("extras", Context.make())
 
 
 class TestExtras:
-    def test_lifetime_table_mentions_calibrated_k(self, capsys):
-        out = lifetime_table()
-        assert "28.5" in out
-        capsys.readouterr()
+    def test_lifetime_table_mentions_calibrated_k(self, tables):
+        assert "28.5" in tables["lifetime"]
 
-    def test_energy_table_reproduces_reduction_ratios(self, capsys):
-        out = energy_table()
+    def test_energy_table_reproduces_reduction_ratios(self, tables):
+        out = tables["energy"]
         # The paper's Table VIII ratios carried into energy.
         assert "10x" in out
         assert "28x" in out
         assert "125x" in out
-        capsys.readouterr()
 
-    def test_storage_comparison_orders_trackers(self, capsys):
-        out = storage_comparison()
+    def test_storage_comparison_orders_trackers(self, tables):
+        out = tables["storage"]
         # MIRZA sits far below the CAM trackers.
         assert "7,168" in out
         assert "MIRZA" in out
-        capsys.readouterr()
 
-    def test_main_concatenates(self, capsys):
-        out = main()
+    def test_render_concatenates(self, tables):
+        out = framework.render_experiment("extras", tables)
         assert out.count("Tracker storage") == 1
-        capsys.readouterr()

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.experiments import framework, table11
+from repro.experiments import framework
 from repro.experiments.framework import (
     Cell,
     Check,
@@ -16,7 +16,7 @@ from repro.experiments.framework import (
 )
 from repro.experiments.common import CgfJob, SubarrayStatsJob
 from repro.params import SimScale
-from repro.report import generate_markdown
+from repro.report import EXHIBITS, generate_markdown
 from repro.sim.runner import prac_setup
 from repro.sim.session import SimJob, SimSession, fault_roll
 from repro.workloads.specs import workload_by_name
@@ -175,7 +175,7 @@ class TestClaims:
         return {v.label: v.flag for v in verdicts}[self.ORDERING]
 
     def test_swapped_ordering_reads_dev(self):
-        rows = table11.run()
+        rows = framework.run_experiment("table11", Context.make())
         assert self._flag(rows) == "ok"
         by_window = {row.mint_window: row for row in rows}
         w8, w16 = by_window[8], by_window[16]
@@ -206,26 +206,28 @@ class TestClaims:
 
 class TestCliExperiments:
     def test_list_experiments(self, capsys):
-        assert cli_main(["list", "--experiments"]) == 0
-        out = capsys.readouterr().out
-        assert "fig11" in out
-        assert "table13" in out
+        assert cli_main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "table6: Table VI — CGF effectiveness by mapping" in lines
+        # One line per exhibit, in the report's paper order.
+        assert lines == [f"{name}: {title} — {description}"
+                         for title, description, name in EXHIBITS]
 
-    def test_run_experiment_flag(self, capsys):
-        assert cli_main(["run", "--experiment", "table12"]) == 0
+    def test_run_prints_checks_and_claims(self, capsys):
+        assert cli_main(["run", "table12"]) == 0
         out = capsys.readouterr().out
         assert "Table XII" in out
-        assert "MIRZA storage bytes/bank" in out
+        assert "  ok: MIRZA storage bytes/bank — measured " in out
+        assert "  ok: MIRZA cannibalizes no REF time — holds" in out
 
     def test_run_experiment_unknown(self, capsys):
-        assert cli_main(["run", "--experiment", "tableZZ"]) == 2
+        assert cli_main(["run", "tableZZ"]) == 2
         assert "unknown exhibit" in capsys.readouterr().err
 
     def test_run_experiment_plans_one_batch(self, monkeypatch,
                                             capsys):
         monkeypatch.setenv("REPRO_WORKLOADS", "tc")
-        assert cli_main(["run", "--experiment", "fig11",
-                         "--experiment", "table7",
+        assert cli_main(["run", "fig11", "table7",
                          "--time-scale", "4096", "--no-cache"]) == 0
         captured = capsys.readouterr()
         assert "Figure 11" in captured.out

@@ -7,24 +7,29 @@ report's checks and claims do that at meaningful scales).
 
 import pytest
 
-from repro.experiments import fig1, fig3, fig6, fig11, fig13, table5, \
-    table8, table9, table13
+from repro.experiments import framework
+from repro.experiments.framework import Context
 from repro.params import SimScale
 
 SCALE = SimScale(4096)
 WORKLOADS = ["tc"]
 
 
+def _run(name, **knobs):
+    """``name`` over ``WORKLOADS``; ``scale=`` sets the timed window
+    divisor, ``cgf=`` the counting one."""
+    return framework.run_experiment(
+        name, Context.make(workloads=WORKLOADS, **knobs))
+
+
 @pytest.fixture(scope="module")
 def fig3_result():
-    return fig3.run(workloads=WORKLOADS, scale=SCALE,
-                    thresholds=(1000,))
+    return _run("fig3", scale=SCALE, thresholds=(1000,))
 
 
 @pytest.fixture(scope="module")
 def fig11_result():
-    return fig11.run(workloads=WORKLOADS, scale=SCALE,
-                     thresholds=(1000,))
+    return _run("fig11", scale=SCALE, thresholds=(1000,))
 
 
 class TestFig3:
@@ -47,15 +52,14 @@ class TestFig11:
 
 class TestTable5:
     def test_grid_keys(self):
-        result = table5.run(workloads=WORKLOADS, scale=SCALE,
-                            windows=(24,), queue_sizes=(1, 4))
+        result = _run("table5", scale=SCALE, windows=(24,),
+                      queue_sizes=(1, 4))
         assert set(result.slowdown) == {(24, 1), (24, 4)}
 
 
 class TestTable8:
     def test_rows_and_reduction(self):
-        rows = table8.run(workloads=WORKLOADS, scale=SimScale(256),
-                          thresholds=(1000,))
+        rows = _run("table8", cgf=SimScale(256), thresholds=(1000,))
         assert len(rows) == 1
         row = rows[0]
         assert 0.0 <= row.escape_probability <= 1.0
@@ -67,8 +71,7 @@ class TestTable8:
 
 class TestTable9:
     def test_points_respected(self):
-        rows = table9.run(workloads=WORKLOADS, scale=SCALE,
-                          points=((12, 1500),))
+        rows = _run("table9", scale=SCALE, points=((12, 1500),))
         assert len(rows) == 1
         assert rows[0].mint_window == 12
         assert rows[0].sram_bytes == 196
@@ -76,29 +79,28 @@ class TestTable9:
 
 class TestFig6:
     def test_divergence_positive(self):
-        result = fig6.run(workloads=WORKLOADS, scale=SimScale(256))
+        result = _run("fig6", cgf=SimScale(256))
         assert result.worst_case > 600_000
         assert result.divergence > 1.0
 
 
 class TestFig13:
     def test_overheads_ordered(self):
-        result = fig13.run(workloads=WORKLOADS, scale=SimScale(256),
-                           thresholds=(1000,))
+        result = _run("fig13", cgf=SimScale(256), thresholds=(1000,))
         assert result.mirza_overhead[1000] <= \
             result.mint_overhead[1000]
 
 
 class TestTable13:
     def test_all_trackers_at_all_thresholds(self):
-        rows = table13.run(workloads=WORKLOADS, scale=SCALE)
+        rows = _run("table13", scale=SCALE)
         keys = {(r.trhd, r.tracker) for r in rows}
         assert len(keys) == 9  # 3 thresholds x 3 trackers
 
 
 class TestFig1:
     def test_summary_fields(self):
-        summary = fig1.run(workloads=WORKLOADS, scale=SimScale(256))
+        summary = _run("fig1", cgf=SimScale(256))
         assert summary.sram_bytes_per_bank == 196
         assert summary.area_reduction == pytest.approx(46.5, abs=1)
         assert summary.mitigation_reduction > 0

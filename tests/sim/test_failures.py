@@ -17,6 +17,7 @@ import time
 import pytest
 
 import repro._env as _env
+from repro.experiments import common
 from repro.params import SimScale
 from repro.sim.runner import baseline_setup, mirza_setup, prac_setup
 from repro.sim.session import (
@@ -346,6 +347,15 @@ class TestDiskWriteHardening:
         assert not os.path.exists(session._entry_path(token))
 
 
+scale_and_seed_knobs = pytest.mark.parametrize(
+    "var,read,default", [
+        ("REPRO_TIME_SCALE", lambda: common.default_scale().time_scale,
+         512),
+        ("REPRO_CGF_SCALE", lambda: common.cgf_scale().time_scale, 16),
+        ("REPRO_SEED", common.default_seed, 0),
+    ], ids=["REPRO_TIME_SCALE", "REPRO_CGF_SCALE", "REPRO_SEED"])
+
+
 class TestEnvKnobs:
     def test_repro_jobs_auto_means_cpu_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "auto")
@@ -380,6 +390,29 @@ class TestEnvKnobs:
             warnings_module.simplefilter("error")
             # silent second parse
             assert session._effective_workers(None, 128) == 1
+
+    @scale_and_seed_knobs
+    def test_empty_scale_or_seed_means_default(self, monkeypatch, var,
+                                               read, default):
+        import warnings as warnings_module
+        monkeypatch.setenv(var, "")
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error")
+            assert read() == default
+
+    @scale_and_seed_knobs
+    def test_malformed_scale_or_seed_warns_and_defaults(
+            self, monkeypatch, var, read, default):
+        monkeypatch.setenv(var, "2k")
+        _env._WARNED.clear()
+        with pytest.warns(UserWarning, match=var) as record:
+            assert read() == default
+        assert len(record) == 1
+
+    def test_zero_time_scale_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TIME_SCALE", "0")
+        with pytest.raises(ValueError, match="time_scale must be >= 1"):
+            common.default_scale()
 
 
 class TestObservabilityCounters:

@@ -104,6 +104,33 @@ class TestCuratedSurface:
                       runner.simulate_trace, runner.simulate_tenants):
             assert "backend" not in inspect.signature(entry).parameters
 
+    def test_one_way_to_run_an_exhibit(self, capsys):
+        """The planner is the only way to run an exhibit: no experiment
+        module has a ``run``/``main`` or a ``__main__`` guard, the
+        report exposes no single-exhibit runner, and the CLI's
+        ``run``/``list`` take no experiment flags."""
+        from repro.__main__ import main as cli_main
+        package = importlib.import_module("repro.experiments")
+        for info in pkgutil.iter_modules(package.__path__):
+            module = importlib.import_module(
+                f"repro.experiments.{info.name}")
+            for name in ("run", "main"):
+                assert not hasattr(module, name), \
+                    f"{module.__name__}.{name}"
+            assert '__name__ == "__main__"' \
+                not in inspect.getsource(module), module.__name__
+        report = importlib.import_module("repro.report")
+        assert {name for name, obj in vars(report).items()
+                if inspect.isfunction(obj) and not name.startswith("_")
+                and obj.__module__ == report.__name__} == {
+            "generate_markdown", "write_report"}
+        old = "experiment"  # the deleted planner flag's spelling
+        for argv in (["run", "tc", f"--{old}", "table6"],
+                     ["list", f"--{old}s"]):
+            assert cli_main(argv) == 2
+            assert f"unrecognized arguments: --{old}" \
+                in capsys.readouterr().err
+
     def test_workload_sources_satisfy_the_seam(self):
         from repro.params import SimScale, SystemConfig
         from repro.workloads import (

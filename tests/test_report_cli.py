@@ -1,14 +1,13 @@
 """Tests for the report generator and CLI entry point."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.report import (
-    _canonical,
-    exhibit_names,
-    generate_markdown,
-    run_exhibit,
-)
+from repro.experiments import framework
+from repro.report import EXHIBITS, _canonical, generate_markdown
+from repro.sim.session import SimSession
 
 
 class TestCanonicalNames:
@@ -18,22 +17,48 @@ class TestCanonicalNames:
         assert _canonical("Figure 11") == _canonical("fig11")
 
     def test_distinct_exhibits_stay_distinct(self):
-        names = [_canonical(n) for n in exhibit_names()]
+        names = [_canonical(title) for title, _, _ in EXHIBITS]
         assert len(set(names)) == len(names)
 
 
-class TestRunExhibit:
-    def test_runs_analytic_exhibit(self):
-        out = run_exhibit("table7")
-        assert "196" in out
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            run_exhibit("table99")
-
-    def test_output_is_silent(self, capsys):
-        run_exhibit("table1")
+class TestPlanIsSilent:
+    def test_execute_writes_nothing_to_stdout(self, capsys):
+        # The report and `repro run` print around Plan.execute, never
+        # through it: nothing on that path writes to stdout.
+        plan = framework.plan(
+            ["table1", "table7", "table10", "table11", "table12",
+             "extras"], session=SimSession(disk_cache=False))
+        plan.execute()
+        assert not plan.degraded()
         assert capsys.readouterr().out == ""
+
+
+class TestRunMatchesReport:
+    """`repro run` prints the report's tables and flag lines."""
+
+    def test_tables_and_flags_match_the_report(self, monkeypatch,
+                                               capsys):
+        assert cli_main(["run", "fig11", "table6", "--workloads", "tc",
+                         "--time-scale", "8192", "--cgf-scale", "2048",
+                         "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_WORKLOADS", "tc")
+        monkeypatch.setenv("REPRO_TIME_SCALE", "8192")
+        monkeypatch.setenv("REPRO_CGF_SCALE", "2048")
+        report = generate_markdown(only=["fig11", "table6"],
+                                   progress=False,
+                                   session=SimSession(disk_cache=False))
+        tables = [block.strip("\n")
+                  for block in report.split("```")[1::2]]
+        assert len(tables) == 2
+        for table in tables:
+            assert table in out
+        # Check and claim lines differ only in their prefix.
+        flag = r"(ok|DEV|DEGRADED): .*"
+        in_report = re.findall(rf"^- ({flag})$", report, re.M)
+        in_run = re.findall(rf"^  ({flag})$", out, re.M)
+        assert in_report
+        assert sorted(in_run) == sorted(in_report)
 
 
 class TestGenerateMarkdown:
