@@ -21,6 +21,9 @@ coarse-grained event and accumulate wall time into named phases:
 
 Counting passes (``CgfJob.execute``, the activation-level tier) run no
 kernel; each records its ACTs and wall seconds once, when it returns.
+Calibration probes (``repro.sim.runner.calibrated_workload``) are not
+kernel runs either: each key whose probes run records one calibration
+and its wall seconds, in whichever process runs them.
 
 Activation is explicit (:func:`profiling`) or environmental
 (``REPRO_PROFILE=1`` plus :func:`maybe_profile_from_env`); the CLI's
@@ -56,7 +59,7 @@ class KernelProfile:
     __slots__ = ("trace_s", "serve_s", "refresh_s", "trackers_s",
                  "wall_s", "requests", "activations", "refs",
                  "window_ps", "runs", "counting_passes", "counting_acts",
-                 "counting_s")
+                 "counting_s", "calibrations", "calibration_s")
 
     def __init__(self) -> None:
         self.trace_s = 0.0
@@ -72,6 +75,8 @@ class KernelProfile:
         self.counting_passes = 0
         self.counting_acts = 0
         self.counting_s = 0.0
+        self.calibrations = 0
+        self.calibration_s = 0.0
 
     # ------------------------------------------------------------------
     # Accumulation (called from the hot paths, profile-active only)
@@ -90,6 +95,11 @@ class KernelProfile:
         self.counting_passes += 1
         self.counting_acts += acts
         self.counting_s += wall_s
+
+    def add_calibration(self, wall_s: float) -> None:
+        """Record the probe windows of one calibrated workload key."""
+        self.calibrations += 1
+        self.calibration_s += wall_s
 
     # ------------------------------------------------------------------
     # Cross-process merging
@@ -160,6 +170,10 @@ class KernelProfile:
                          f"{self.counting_passes:>9}  "
                          f"{self.counting_acts:,} ACTs in "
                          f"{self.counting_s:.3f}s ({rate:,.0f}/s)")
+        if self.calibrations:
+            lines.append(f"  {'calibration':<22} "
+                         f"{self.calibrations:>9}  keys probed in "
+                         f"{self.calibration_s:.3f}s")
         return "\n".join(lines)
 
 

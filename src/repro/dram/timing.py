@@ -11,9 +11,8 @@ fraction of the cost of a cycle-accurate model.
 
 from __future__ import annotations
 
-import bisect
-from collections import deque
-from typing import Deque, List
+from bisect import bisect_left, bisect_right, insort
+from typing import Callable, List, Tuple
 
 from repro.params import DramTimings
 
@@ -92,34 +91,27 @@ class FawTracker:
         self._tFAW = timings.tFAW
         self._times: List[int] = []
 
-    def release_before(self, t: int) -> None:
-        """Forget ACTs that predate every possible future window.
-
-        Safe with any lower bound on future query times (the controller
-        passes the monotone request-arrival clock).
-        """
-        times = self._times
-        if times and times[0] < t - self._tFAW:
-            idx = bisect.bisect_left(times, t - self._tFAW)
-            if idx:
-                del times[:idx]
-
     def earliest_activate(self, now: int) -> int:
         """Earliest time >= ``now`` the subchannel can accept an ACT.
 
-        Bookings are out of call order, so inserting at ``t`` must not
-        create five ACTs inside *any* tFAW window -- including windows
-        anchored on bookings later than ``t``.  The check scans every
-        five-element window of the sorted neighbourhood around the
-        insertion point and slides ``t`` past the first violation.
+        A window of five ACTs that violates tFAW and holds ``now`` spans
+        less than tFAW, so its other four bookings lie strictly inside
+        ``(now - tFAW, now + tFAW)``: with fewer than four there, two
+        bisects prove ``now`` legal.  Otherwise -- bookings are out of
+        call order, so inserting at ``t`` must not create five ACTs
+        inside *any* tFAW window, including windows anchored on bookings
+        later than ``t`` -- the check scans every five-element window of
+        the sorted neighbourhood around the insertion point and slides
+        ``t`` past the first violation.
         """
         faw = self._tFAW
         times = self._times
-        if not times:
+        if bisect_left(times, now + faw) - bisect_right(times, now - faw) \
+                < 4:
             return now
         t = now
         while True:
-            i = bisect.bisect_right(times, t)
+            i = bisect_right(times, t)
             lo = max(0, i - 4)
             neighborhood = times[lo:i] + [t] + times[i:i + 4]
             t_index = i - lo
@@ -136,9 +128,20 @@ class FawTracker:
             if not moved:
                 return t
 
-    def activate(self, at: int) -> None:
-        """Book an ACT at time ``at`` (kept in sorted order)."""
-        bisect.insort(self._times, at)
+    def activate(self, at: int, arrival: int) -> None:
+        """Book an ACT at ``at`` for a request that arrived at ``arrival``.
+
+        Bookings at or before ``arrival - tFAW`` are forgotten first.
+        Later queries ask at or after their own request's arrival, which
+        the controller's arrival clock keeps at or after ``arrival``, and
+        a booking tFAW or more before the asked time cannot share a
+        window with it.
+        """
+        times = self._times
+        horizon = arrival - self._tFAW
+        if times and times[0] <= horizon:
+            del times[:bisect_right(times, horizon)]
+        insort(times, at)
 
 
 class BusTracker:
@@ -147,8 +150,9 @@ class BusTracker:
     The data bus serves bursts in CAS-time order, not request-arrival
     order: a request whose CAS is delayed (bank conflict, REF) must not
     reserve the bus ahead of time and starve requests whose data is
-    ready sooner.  Slots are therefore booked into the earliest *gap*
-    at or after the desired time, with old gaps pruned as time advances.
+    ready sooner.  Each burst is therefore booked into the earliest
+    *gap* at or after its CAS.  Every slot is tBURST long, so the
+    tracker keeps only the sorted slot starts.
     """
 
     __slots__ = ("timings", "_tBURST", "_slots", "busy_time")
@@ -156,51 +160,50 @@ class BusTracker:
     def __init__(self, timings: DramTimings) -> None:
         self.timings = timings
         self._tBURST = timings.tBURST
-        self._slots: Deque[tuple] = deque()
+        self._slots: List[int] = []
         self.busy_time = 0
 
-    def release_before(self, t: int) -> None:
-        """Forget slots that end before ``t``.
+    def reserve(self, arrival: int, lower: int,
+                adjust: Callable[[int], int]) -> Tuple[int, int]:
+        """Issue one request's CAS and book its burst: ``(cas, start)``.
 
-        Safe to call with any lower bound on all *future* desired
-        transfer times (the controller uses the monotone request-arrival
-        clock); keeps the slot list short at high utilisation.
+        ``lower`` is the earliest CAS the bank allows, and ``adjust``
+        slides a time out of the channel's stall windows.  Slots that
+        end at or before ``arrival`` are forgotten first (the controller
+        passes its monotone request-arrival clock).  One scan from
+        ``arrival`` finds the first free gap; the CAS issues at
+        ``adjust(max(gap, lower))``.  When that lands past the gap, the
+        same scan resumes from the slot it stopped at: every slot before
+        it ends at or before the gap, so a scan from the CAS would skip
+        them.  The burst is booked at the first gap at or after the CAS.
         """
-        slots = self._slots
-        while slots and slots[0][1] <= t:
-            slots.popleft()
-
-    def earliest_transfer(self, now: int) -> int:
-        """Earliest start >= ``now`` with a free tBURST-sized gap."""
         burst = self._tBURST
-        t = now
-        for start, end in self._slots:
+        slots = self._slots
+        if slots and slots[0] <= arrival - burst:
+            del slots[:bisect_right(slots, arrival - burst)]
+        n = len(slots)
+        i = 0
+        t = arrival
+        while i < n:
+            start = slots[i]
             if t + burst <= start:
-                return t
-            if t < end:
-                t = end
-        return t
-
-    def transfer(self, at: int) -> int:
-        """Book the first free slot at/after ``at``; return its end."""
-        return self.book(self.earliest_transfer(at))
-
-    def book(self, start: int) -> int:
-        """Book the slot at ``start``, a free gap's start; return its end.
-
-        ``start`` must be an :meth:`earliest_transfer` result with no
-        booking since, which lets a caller that already searched skip
-        the second scan :meth:`transfer` would make.
-        """
-        burst = self._tBURST
-        end = start + burst
-        slots = self._slots
-        if slots and slots[-1][0] > start:
-            bisect.insort(slots, (start, end))
-        else:
-            slots.append((start, end))
+                break
+            if t < start + burst:
+                t = start + burst
+            i += 1
+        cas = adjust(t if t > lower else lower)
+        if cas != t:
+            t = cas
+            while i < n:
+                start = slots[i]
+                if t + burst <= start:
+                    break
+                if t < start + burst:
+                    t = start + burst
+                i += 1
+        slots.insert(i, t)
         self.busy_time += burst
-        return end
+        return cas, t
 
     def utilization(self, elapsed: int) -> float:
         """Fraction of ``elapsed`` picoseconds the bus carried data."""

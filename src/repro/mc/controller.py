@@ -67,7 +67,8 @@ class MemoryController:
                  "device", "banks", "faw", "bus", "abo", "rfm",
                  "_open_row", "_row_close_at", "_next_ref",
                  "total_requests", "total_activations", "row_hits",
-                 "_tRCD", "_tRAS", "_tRP", "_tCAS", "_tREFI", "_tRFC",
+                 "_tRCD", "_tRAS", "_tRP", "_tCAS", "_tBURST", "_tREFI",
+                 "_tRFC",
                  "_stalls", "_rfm_enabled", "_alert_possible",
                  "subch", "_m_requests", "_m_row_hits",
                  "_m_row_conflicts", "_m_latency", "_tr")
@@ -104,6 +105,7 @@ class MemoryController:
         self._tRAS = self.timings.tRAS
         self._tRP = self.timings.tRP
         self._tCAS = self.timings.tCAS
+        self._tBURST = self.timings.tBURST
         self._tREFI = self.timings.tREFI
         self._tRFC = self.timings.tRFC
         self._stalls = self.abo.stalls
@@ -170,9 +172,6 @@ class MemoryController:
         """
         if self._next_ref <= arrival:
             self.process_refreshes(arrival)
-        bus = self.bus
-        bus.release_before(arrival)
-        self.faw.release_before(arrival)
         self.total_requests += 1
         bank = self.banks[bank_id]
         # Soft close-page policy: the row auto-closed tRAS after its last
@@ -200,19 +199,14 @@ class MemoryController:
             if conflict and self._m_row_conflicts is not None:
                 self._m_row_conflicts.value += 1
 
-        transfer = bus.earliest_transfer(arrival)
-        cas = adjust(transfer if transfer > lower else lower)
-        # A CAS that lands in the gap just found books it unscanned.
-        start = transfer if cas == transfer else bus.earliest_transfer(cas)
-        data_done = bus.book(start) + self._tCAS
+        cas, start = self.bus.reserve(arrival, lower, adjust)
+        data_done = start + self._tBURST + self._tCAS
         counter = self._m_requests
         if counter is not None:
             counter.value += 1
             self._m_latency.observe(data_done - arrival)
         if self.log is not None:
-            burst_end = data_done - self._tCAS
-            self.log.record_burst(burst_end - self.timings.tBURST,
-                                  burst_end)
+            self.log.record_burst(start, start + self._tBURST)
         # A served request keeps its row open for another tRAS.
         close_at = cas + self._tRAS
         if close_at > self._row_close_at[bank_id]:
@@ -256,7 +250,8 @@ class MemoryController:
         faw_earliest = self.faw.earliest_activate
         act = ready
         while True:
-            self.process_refreshes(act)
+            if act >= self._next_ref:
+                self.process_refreshes(act)
             b = bank_earliest(act)
             f = faw_earliest(act)
             candidate = adjust(b if b > f else f)
@@ -264,7 +259,7 @@ class MemoryController:
                 break
             act = candidate
         bank.activate(act)
-        self.faw.activate(act)
+        self.faw.activate(act, arrival)
         if self.log is not None:
             self.log.record_act(act, bank_id)
         trace = self._tr

@@ -36,8 +36,10 @@ import os
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from time import perf_counter
+from typing import Any, Callable, Iterable, Optional, Tuple, Union
 
+from repro import _profile
 from repro import obs as _obs
 from repro.core.config import MirzaConfig
 from repro.obs import spans as _spans
@@ -234,10 +236,12 @@ def mirza_setup(trhd: int, scale: SimScale = SimScale(),
 # Running
 # ----------------------------------------------------------------------
 _WORKLOAD_CACHE: "OrderedDict[Tuple, int]" = OrderedDict()
-"""LRU map of (workload, scale, seed, config) -> calibrated
-``compute_per_miss_ps``.  Only the calibrated *value* is cached, never
-the :class:`SyntheticWorkload` object itself: every call gets a fresh
-workload, so a caller mutating its copy can't corrupt later hits."""
+"""LRU map of (workload spec, time scale, seed, config) -> calibrated
+``compute_per_miss_ps``.  The key holds the whole spec, not its name:
+two specs that share a name calibrate apart.  Only the calibrated
+*value* is cached, never the :class:`SyntheticWorkload` object itself:
+every call gets a fresh workload, so a caller mutating its copy can't
+corrupt later hits."""
 
 _WORKLOAD_CACHE_LIMIT = 64
 """Entry bound of :data:`_WORKLOAD_CACHE`: far more keys than any report
@@ -248,6 +252,29 @@ def _resolve(workload: Union[str, WorkloadSpec]) -> WorkloadSpec:
     if isinstance(workload, str):
         return workload_by_name(workload)
     return workload
+
+
+def _remember(key: Tuple, value: int) -> None:
+    """Store one calibrated value as the newest LRU entry."""
+    _WORKLOAD_CACHE[key] = value
+    _WORKLOAD_CACHE.move_to_end(key)
+    while len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_LIMIT:
+        _WORKLOAD_CACHE.popitem(last=False)
+
+
+def prime_calibrations(calibrated: Iterable[Tuple[Any, int]]) -> None:
+    """Seed the calibration cache with values computed elsewhere.
+
+    ``calibrated`` holds ``(job, compute_per_miss_ps)`` pairs, each job
+    naming a key by its ``workload``, ``scale``, ``seed`` and ``config``
+    (a :class:`~repro.sim.session.CalibrationJob`).  A session primes
+    its own process and every pool worker this way with the values it
+    calibrated once per batch, so no process re-runs probes another one
+    already ran.
+    """
+    for job, value in calibrated:
+        _remember((_resolve(job.workload), job.scale.time_scale,
+                   job.seed, job.config), value)
 
 
 def calibrated_workload(workload: Union[str, WorkloadSpec],
@@ -262,42 +289,53 @@ def calibrated_workload(workload: Union[str, WorkloadSpec],
     ~2x.  This helper closes the loop: it runs short unprotected probe
     windows and adjusts the per-miss compute budget until the measured
     activations per bank per window are within 8% of the workload's
-    published mean (cached per (workload, scale, seed, config)).  The
-    whole procedure is deterministic, so worker processes converge on
-    exactly the calibration the parent would have computed."""
+    published mean (cached per (workload spec, scale, seed, config)).
+    The whole procedure is deterministic, so worker processes converge
+    on exactly the calibration the parent would have computed.
+
+    The probes run with every observability sink uninstalled: they
+    would otherwise count into the caller's registry or profile as
+    kernel work, and only in whichever process happens to calibrate.
+    An active profile instead records one calibration and its seconds
+    for each key whose probes run here."""
     spec = _resolve(workload)
-    key = (spec.name, scale.time_scale, seed, config)
+    key = (spec, scale.time_scale, seed, config)
     synthetic = SyntheticWorkload(spec, config, scale, seed=seed)
     cached = _WORKLOAD_CACHE.get(key)
     if cached is not None:
         _WORKLOAD_CACHE.move_to_end(key)
         synthetic.compute_per_miss_ps = cached
         return synthetic
+    prof = _profile._ACTIVE
+    t0 = perf_counter()
     window = scale.scaled_trefw(config.timings)
     probe = max(config.timings.tREFI * 4, window // 8)
     target_acts = (scale.scale_count(spec.acts_per_bank_per_window)
                    * config.geometry.total_banks) * (probe / window)
-    for _ in range(4):
-        system = MultiCoreSystem(
-            config, synthetic.trace_factory(), mlp=synthetic.mlp,
-            refs_per_window=scale.scaled_refs_per_window(config.timings))
-        result = system.run(probe)
-        if result.total_requests == 0:
-            break
-        ratio = result.total_activations / max(1.0, target_acts)
-        if 0.92 < ratio < 1.08:
-            break
-        # The realised inter-miss time is the compute budget plus the
-        # (unknown) exposed memory time; shift the budget by the error.
-        measured_inter = (probe * config.num_cores
-                          / result.total_requests)
-        wanted_inter = measured_inter * ratio
-        synthetic.compute_per_miss_ps = max(
-            250, int(synthetic.compute_per_miss_ps
-                     + (wanted_inter - measured_inter)))
-    _WORKLOAD_CACHE[key] = synthetic.compute_per_miss_ps
-    while len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_LIMIT:
-        _WORKLOAD_CACHE.popitem(last=False)
+    with _obs.suppressed():
+        for _ in range(4):
+            system = MultiCoreSystem(
+                config, synthetic.trace_factory(), mlp=synthetic.mlp,
+                refs_per_window=scale.scaled_refs_per_window(
+                    config.timings))
+            result = system.run(probe)
+            if result.total_requests == 0:
+                break
+            ratio = result.total_activations / max(1.0, target_acts)
+            if 0.92 < ratio < 1.08:
+                break
+            # The realised inter-miss time is the compute budget plus
+            # the (unknown) exposed memory time; shift the budget by
+            # the error.
+            measured_inter = (probe * config.num_cores
+                              / result.total_requests)
+            wanted_inter = measured_inter * ratio
+            synthetic.compute_per_miss_ps = max(
+                250, int(synthetic.compute_per_miss_ps
+                         + (wanted_inter - measured_inter)))
+    _remember(key, synthetic.compute_per_miss_ps)
+    if prof is not None:
+        prof.add_calibration(perf_counter() - t0)
     return synthetic
 
 
@@ -320,17 +358,12 @@ def simulate(workload: Union[str, WorkloadSpec],
     probes are excluded -- and the snapshot/events are attached to the
     returned :class:`SimResult`.  Scoping after calibration is what
     keeps snapshots identical between serial and process-pool execution:
-    a worker always calibrates fresh while a warm parent reuses the
-    cached workload, so probe traffic must never be counted.
+    whether a process calibrates or reuses a cached value depends on
+    what it ran before, so probe traffic must never be counted
+    (:func:`calibrated_workload` runs its probes with every sink
+    uninstalled).
     """
-    spec = _resolve(workload)
-    # Calibration must run with the sinks *uninstalled*, not merely
-    # outside the collecting scope in _run_kernel: probe systems would
-    # otherwise prefetch the caller's registry and count their traffic
-    # into it (only in-process -- pool workers calibrate with no
-    # sink), which would break the serial/parallel snapshot identity.
-    with _obs.suppressed():
-        synthetic = calibrated_workload(spec, scale, seed, config)
+    synthetic = calibrated_workload(workload, scale, seed, config)
     return simulate_source(synthetic, setup, scale, seed=seed,
                            config=config)
 
@@ -426,8 +459,7 @@ def synthesize_trace(workload: Union[str, WorkloadSpec],
     """
     from repro.cpu.trace import take
     spec = _resolve(workload)
-    with _obs.suppressed():
-        synthetic = calibrated_workload(spec, scale, seed, config)
+    synthetic = calibrated_workload(spec, scale, seed, config)
     if entries is None:
         # Expected in-window misses across the machine: the per-bank
         # activation budget times banks, deflated by ACTs-per-miss.
@@ -481,11 +513,10 @@ def simulate_tenants(scenario, setup: MitigationSetup,
     slowdown, and escape exposure read straight off it.
     """
     from repro.workloads.tenants import TenantWorkload
-    with _obs.suppressed():
-        sources = {
-            tenant.name: calibrated_workload(tenant.workload, scale,
-                                             seed, config)
-            for tenant in scenario.tenants if tenant.workload}
+    sources = {
+        tenant.name: calibrated_workload(tenant.workload, scale, seed,
+                                         config)
+        for tenant in scenario.tenants if tenant.workload}
     workload = TenantWorkload(scenario, config, scale, seed=seed,
                               sources=sources)
     return simulate_source(

@@ -102,7 +102,8 @@ Format 4: :class:`SimResult` grew optional ``tenants`` and
 :class:`TraceReplayJob` joined the cacheable job types.
 :class:`repro.security.fuzz.FuzzJob` later joined the cacheable job
 types under the same format -- a new job class mints new tokens, so
-no bump was needed.
+no bump was needed -- and so did :class:`CalibrationJob` (one int per
+key).
 Format 5: :class:`SimResult` lost its ``backend`` field (one kernel).
 """
 
@@ -366,6 +367,46 @@ def job_token(job: Any) -> Optional[str]:
 # Jobs and result codecs
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
+class CalibrationJob:
+    """The calibrated pacing of one (workload, scale, seed, config) key.
+
+    Its result is the ``compute_per_miss_ps`` that
+    :func:`repro.sim.runner.calibrated_workload` settles on.  Job types
+    that calibrate list theirs in ``calibrations()``, and
+    :meth:`SimSession.run_many` runs one per distinct key before the
+    jobs that need it (see :meth:`SimSession._calibrate`).
+    """
+
+    workload: Union[str, WorkloadSpec]
+    scale: SimScale = SimScale(64)
+    seed: int = 0
+    config: SystemConfig = SystemConfig()
+
+    def resolved(self) -> "CalibrationJob":
+        """The same job with a workload *name* resolved to its spec."""
+        if isinstance(self.workload, str):
+            return dataclasses.replace(
+                self, workload=workload_by_name(self.workload))
+        return self
+
+    def label(self) -> str:
+        """``calibrate:<workload>/x<scale>/seed<seed>`` (spans,
+        progress)."""
+        name = self.workload if isinstance(self.workload, str) \
+            else self.workload.name
+        return (f"calibrate:{name}/x{self.scale.time_scale}"
+                f"/seed{self.seed}")
+
+    def execute(self) -> int:
+        """Run the probe windows, uncached by the session."""
+        # Through the module: the benchmark's tracer wraps this name.
+        from repro.sim import runner
+        return runner.calibrated_workload(
+            self.workload, self.scale, self.seed,
+            self.config).compute_per_miss_ps
+
+
+@dataclasses.dataclass(frozen=True)
 class SimJob:
     """One independent (workload, mitigation, scale, seed, config) run."""
 
@@ -381,6 +422,11 @@ class SimJob:
             return dataclasses.replace(
                 self, workload=workload_by_name(self.workload))
         return self
+
+    def calibrations(self) -> List[CalibrationJob]:
+        """The calibration keys :meth:`execute` reads."""
+        return [CalibrationJob(self.workload, self.scale, self.seed,
+                               self.config)]
 
     def execute(self) -> SimResult:
         """Run the simulation, uncached (the worker-process path)."""
@@ -450,6 +496,12 @@ class TenantJob:
         ``scenario/setup``."""
         return self.scenario.label()
 
+    def calibrations(self) -> List[CalibrationJob]:
+        """One calibration per tenant that runs a Table IV workload."""
+        return [CalibrationJob(tenant.workload, self.scale, self.seed,
+                               self.config)
+                for tenant in self.scenario.tenants if tenant.workload]
+
     def execute(self) -> SimResult:
         """Run the scenario, uncached (the worker-process path)."""
         from repro.sim.runner import simulate_tenants
@@ -501,6 +553,13 @@ class TraceReplayJob:
                    setup=setup, scale=scale, seed=seed, config=config,
                    mlp=mlp, content_digest=digest.hexdigest())
 
+    def calibrations(self) -> List[CalibrationJob]:
+        """The synthesized trace's calibration; none for a trace file."""
+        if self.trace_path is not None or self.workload is None:
+            return []
+        return [CalibrationJob(self.workload, self.scale, self.seed,
+                               self.config)]
+
     def execute(self) -> SimResult:
         """Replay the trace, uncached (the worker-process path)."""
         from repro.sim.runner import simulate_trace, synthesize_trace
@@ -517,6 +576,7 @@ class TraceReplayJob:
                               self.seed, self.config, mlp=self.mlp)
 
 
+register_job_type(CalibrationJob, int, int)
 register_job_type(SimJob, encode_sim_result, decode_sim_result)
 register_job_type(TenantJob, encode_sim_result, decode_sim_result)
 register_job_type(TraceReplayJob, encode_sim_result, decode_sim_result)
@@ -559,23 +619,30 @@ def _pool_env_overrides() -> Dict[str, str]:
     return env
 
 
-def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int]
+def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int, tuple]
                  ) -> Tuple[Any, Optional[dict], float]:
     """Pool entry point carrying observability/profiling context.
 
-    ``payload`` is ``(job, env overrides, want_profile, attempt)``;
-    the attempt number feeds the deterministic fault-injection hook.
-    Returns ``(result, profile_dict, exec_seconds)`` where
-    ``profile_dict`` is the worker-side
+    ``payload`` is ``(job, env overrides, want_profile, attempt,
+    calibrated)``; the attempt number feeds the deterministic
+    fault-injection hook, and ``calibrated`` holds the ``(calibration
+    job, value)`` pairs the session calibrated for this job (see
+    :meth:`SimSession._calibrate`), primed into this worker's
+    calibration cache before the job runs.  Returns ``(result,
+    profile_dict, exec_seconds)`` where ``profile_dict`` is the
+    worker-side
     :class:`~repro._profile.KernelProfile` in dict form (``None``
     unless the parent asked for profiling) and ``exec_seconds`` is the
     job's wall-clock execution time in this worker (it feeds the
     parent's pool-utilization gauge -- the parent only observes
     queue + execution time together).
     """
-    job, env, want_profile, attempt = payload
+    job, env, want_profile, attempt, calibrated = payload
     for key, value in env.items():
         os.environ[key] = value
+    if calibrated:
+        from repro.sim import runner
+        runner.prime_calibrations(calibrated)
     _maybe_inject_fault(job, attempt)
     t0 = perf_counter()
     if not want_profile:
@@ -690,6 +757,27 @@ class _BatchMonitor:
             self.recorder.add(_obs_spans.TRACK_SESSION,
                               f"cell:{job_label(job)}",
                               start_us, dur_us, meta)
+        self._tick(job)
+
+    def calibrated(self, job: Any, disposition: str,
+                   started: Tuple[float, float]) -> None:
+        """Record one calibration of the batch, which ends now: a
+        ``calibrate:`` span, and a progress tick that names it but
+        counts no cell (it runs ahead of a pending cell, so the tick
+        never reads as the batch's last).  ``started`` is
+        ``(now_us(), perf_counter())`` at its start."""
+        exec_s = perf_counter() - started[1]
+        self.busy_s += exec_s
+        if self.recorder is not None:
+            self.recorder.add(
+                _obs_spans.TRACK_SESSION, job_label(job), started[0],
+                exec_s * 1e6, {"disposition": disposition,
+                               "exec_ms": round(exec_s * 1e3, 3)})
+        self._tick(job)
+
+    def _tick(self, job: Any) -> None:
+        """Send the batch's cell counts, naming ``job``, to the
+        progress callback."""
         if self.progress is not None:
             self.progress(ProgressUpdate(
                 done=self.done, total=self.total,
@@ -822,7 +910,9 @@ class SimSession:
         identical content are computed once.  With more than one worker
         the cache misses fan out over per-job ``ProcessPoolExecutor``
         futures; the merged output is identical to a serial run because
-        every job is a pure function of its content.
+        every job is a pure function of its content.  Each workload
+        calibration the misses read runs once, in this process, when the
+        first miss that reads it comes up (see :meth:`_calibrate`).
 
         The batch is fault-tolerant: each job gets bounded retries
         (``max_retries``) and, in the pool path, a per-job timeout
@@ -852,8 +942,9 @@ class SimSession:
                 untokened.append(index)
                 continue
             seen_tokens.add(token)
-            hit = self._lookup(token, type(job))
+            hit, tier = self._lookup(token, type(job))
             if hit is not _MISS:
+                self.stats[tier] += 1
                 results[index] = hit
                 hits += 1
                 if token not in hit_jobs:
@@ -872,13 +963,14 @@ class SimSession:
             total=len(hit_jobs) + len(unique) + len(untokened))
         for token, job in hit_jobs.items():
             monitor.cell_done(token, job, "cache-hit", attempts=0)
+        calibrated: Dict[str, Any] = {}
         with monitor.phase("workers", workers=workers):
             if workers > 1 and len(unique) > 1:
                 self._run_pool(unique, workers, retries, timeout,
-                               tally, monitor)
+                               tally, monitor, calibrated)
             else:
-                self._run_serial(unique, retries, tally,
-                                 monitor=monitor)
+                self._run_serial(unique, retries, tally, monitor,
+                                 calibrated)
             for index in untokened:
                 results[index] = self._run_untokened(
                     jobs[index], retries, tally, monitor)
@@ -1031,11 +1123,69 @@ class SimSession:
                           "retried" if attempts > 1 else "computed",
                           attempts, exec_s=exec_s)
 
+    def _calibrate(self, job: Any, values: Dict[str, Any],
+                   monitor: _BatchMonitor) -> tuple:
+        """The ``(CalibrationJob, value)`` pairs ``job`` reads, each
+        computed at most once per batch.
+
+        Called as each cache miss is about to run or be submitted, so a
+        key is calibrated when the first job that reads it comes up and
+        a pool's workers run the jobs already submitted meanwhile.
+        ``values`` maps the batch's keys so far to their value
+        (``_MISS`` for one that failed).  A new key is looked up in this
+        session's cache and otherwise executed here, in this process:
+        one attempt and no timeout (at most four bounded probe
+        windows).  Values are stored like any result and primed into
+        this process's calibration cache; the returned pairs are what
+        the job's pool payload carries.  A calibration that fails ships
+        nothing, so its dependents calibrate themselves as they would
+        without it.  Calibrations stay out of the :class:`BatchStats`
+        counts (their execution time still counts as busy time): they
+        show as ``calibrate:`` spans and as progress ticks that name
+        them without moving the cell count.
+        """
+        calibrations = getattr(job, "calibrations", None)
+        if calibrations is None:
+            return ()
+        try:
+            listed = [calibration.resolved()
+                      for calibration in calibrations()]
+        except Exception:  # noqa: BLE001
+            return ()  # e.g. an unknown workload: the job raises it
+        pairs = []
+        for calibration in listed:
+            key = job_token(calibration)
+            if key not in values:
+                value, _ = self._lookup(key, CalibrationJob)
+                if value is _MISS:
+                    started = (_obs_spans.now_us(), perf_counter())
+                    try:
+                        _maybe_inject_fault(calibration, 0)
+                        value = calibration.execute()
+                    except Exception:  # noqa: BLE001
+                        value = _MISS  # dependents calibrate themselves
+                    monitor.calibrated(
+                        calibration,
+                        "failed" if value is _MISS else "computed",
+                        started)
+                    if value is not _MISS:
+                        self._store(key, CalibrationJob, value)
+                values[key] = value
+            if values[key] is not _MISS:
+                pairs.append((calibration, values[key]))
+        from repro.sim import runner
+        runner.prime_calibrations(pairs)
+        return tuple(pairs)
+
     def _run_serial(self, items: List[Tuple[str, Any]], retries: int,
                     tally: _Tally, monitor: _BatchMonitor,
+                    calibrated: Dict[str, Any],
                     attempts: Optional[Dict[str, int]] = None) -> None:
-        """In-process execution with retries (also the pool fallback)."""
+        """In-process execution with retries (also the pool fallback);
+        ``calibrated`` is the batch's calibrations so far (see
+        :meth:`_calibrate`)."""
         for token, job in items:
+            self._calibrate(job, calibrated, monitor)
             attempt = attempts.get(token, 0) if attempts else 0
             monitor.job_started(token)
             exec_s = 0.0
@@ -1095,7 +1245,8 @@ class SimSession:
 
     def _run_pool(self, unique: List[Tuple[str, Any]], workers: int,
                   retries: int, timeout: Optional[float],
-                  tally: _Tally, monitor: _BatchMonitor) -> None:
+                  tally: _Tally, monitor: _BatchMonitor,
+                  calibrated: Dict[str, Any]) -> None:
         """Per-job-future fan-out with retries, timeout, and recovery.
 
         Each pending job is an individual ``submit()`` future harvested
@@ -1105,7 +1256,8 @@ class SimSession:
         -- after draining every already-finished future into the cache
         -- and rebuilds it for the remaining jobs.  A pool that keeps
         breaking (``_MAX_POOL_REBUILDS``) degrades to serial in-process
-        execution of whatever is left.
+        execution of whatever is left.  Each payload carries the
+        calibration values its job reads (see :meth:`_calibrate`).
         """
         env = _pool_env_overrides()
         want_profile = _profile._ACTIVE is not None
@@ -1119,10 +1271,11 @@ class SimSession:
 
             def submit(token: str):
                 job = pending[token]
+                pairs = self._calibrate(job, calibrated, monitor)
                 monitor.job_started(token)
                 return pool.submit(
                     _execute_job,
-                    (job, env, want_profile, attempts[token]))
+                    (job, env, want_profile, attempts[token], pairs))
 
             try:
                 queue = deque(
@@ -1219,7 +1372,7 @@ class SimSession:
                     items = list(pending.items())
                     pending.clear()
                     self._run_serial(items, retries, tally, monitor,
-                                     attempts=attempts)
+                                     calibrated, attempts=attempts)
                     return
 
     def _publish_failure_metrics(self, batch: BatchStats) -> None:
@@ -1295,27 +1448,27 @@ class SimSession:
         return float(timeout) if timeout and timeout > 0 else None
 
     # -- cache internals -----------------------------------------------
-    def _lookup(self, token: str, job_type: type) -> Any:
-        """Memory then disk lookup; returns ``_MISS`` when absent."""
+    def _lookup(self, token: str, job_type: type
+                ) -> Tuple[Any, Optional[str]]:
+        """Memory then disk lookup: ``(result, stats key of the tier)``,
+        or ``(_MISS, None)`` when absent."""
         if token in self._memory:
             result = self._memory[token]
             if not _observability_satisfied(result):
-                return _MISS  # cached without the requested metrics
-            self.stats["memory_hits"] += 1
-            return result
+                return _MISS, None  # cached without requested metrics
+            return result, "memory_hits"
         if self.disk_cache and job_type in _CODECS:
             payload = self._disk_read(token)
             if payload is not None:
                 try:
                     result = _CODECS[job_type][1](payload)
                 except (TypeError, ValueError, KeyError):
-                    return _MISS  # stale/corrupt entry: recompute
+                    return _MISS, None  # stale/corrupt entry: recompute
                 if not _observability_satisfied(result):
-                    return _MISS
-                self.stats["disk_hits"] += 1
+                    return _MISS, None
                 self._memory[token] = result
-                return result
-        return _MISS
+                return result, "disk_hits"
+        return _MISS, None
 
     @staticmethod
     def _absorb_observability(result: Any) -> None:

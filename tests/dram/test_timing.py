@@ -62,23 +62,23 @@ class TestFawTracker:
         f = FawTracker(DramTimings())
         for i in range(4):
             assert f.earliest_activate(i) == i
-            f.activate(i)
+            f.activate(i, 0)
 
     def test_fifth_act_waits_tfaw(self):
         f = FawTracker(DramTimings())
         for i in range(4):
-            f.activate(i * 100)
+            f.activate(i * 100, 0)
         assert f.earliest_activate(400) == ns(13.333)
 
     def test_out_of_order_booking_does_not_convoy(self):
         # A far-future ACT (blocked bank) must not delay ACTs that can
         # issue now: the window at `now` holds only near-term ACTs.
         f = FawTracker(DramTimings())
-        f.activate(ns(1000))  # delayed ACT booked in the future
+        f.activate(ns(1000), 0)  # delayed ACT booked in the future
         assert f.earliest_activate(0) == 0
-        f.activate(0)
-        f.activate(1)
-        f.activate(2)
+        f.activate(0, 0)
+        f.activate(1, 0)
+        f.activate(2, 0)
         # Window around t=3 contains acts at 0,1,2 and the future one is
         # outside; a fourth near-term ACT fits only after sliding.
         t = f.earliest_activate(3)
@@ -87,15 +87,20 @@ class TestFawTracker:
     def test_window_slides_past_oldest(self):
         f = FawTracker(DramTimings())
         for t in (0, 1, 2, 3):
-            f.activate(t)
+            f.activate(t, 0)
         assert f.earliest_activate(4) == ns(13.333)
 
-    def test_release_before_prunes(self):
-        f = FawTracker(DramTimings())
+    def test_booking_forgets_acts_a_tfaw_before_its_arrival(self):
+        timings = DramTimings()
+        f = FawTracker(timings)
         for t in (0, 1, 2, 3):
-            f.activate(t)
-        f.release_before(ns(100))
-        assert f._times == []
+            f.activate(t, 0)
+        # Arrival tFAW + 1 ps forgets the ACT at 0 and 1 (at or before
+        # arrival - tFAW) and keeps 2 and 3.
+        f.activate(timings.tFAW + 1, timings.tFAW + 1)
+        assert f._times == [2, 3, timings.tFAW + 1]
+        f.activate(ns(100), ns(100))
+        assert f._times == [ns(100)]
         assert f.earliest_activate(ns(100)) == ns(100)
 
     @given(st.lists(st.integers(0, 200_000), min_size=1, max_size=60))
@@ -106,7 +111,7 @@ class TestFawTracker:
         placed = []
         for ask in sorted(asks):
             t = f.earliest_activate(ask)
-            f.activate(t)
+            f.activate(t, ask)
             placed.append(t)
         placed.sort()
         for i, t in enumerate(placed):
@@ -115,52 +120,66 @@ class TestFawTracker:
             assert len(in_window) <= 4
 
 
+def _no_stall(t: int) -> int:
+    return t
+
+
 class TestBusTracker:
     def test_transfer_occupies_tburst(self):
         bus = BusTracker(DramTimings())
-        end = bus.transfer(0)
-        assert end == ns(3)
-        assert bus.earliest_transfer(0) == ns(3)
+        assert bus.reserve(0, 0, _no_stall) == (0, 0)
+        # The CAS waits for the bus: it issues at the first free gap.
+        assert bus.reserve(0, 0, _no_stall) == (ns(3), ns(3))
 
     def test_future_booking_leaves_gap_usable(self):
         bus = BusTracker(DramTimings())
-        bus.transfer(ns(100))
+        assert bus.reserve(0, ns(100), _no_stall) == (ns(100), ns(100))
         # The bus is idle before the future slot: a near-term transfer
         # must not wait for it.
-        assert bus.earliest_transfer(0) == 0
-        end = bus.transfer(0)
-        assert end == ns(3)
+        assert bus.reserve(0, 0, _no_stall) == (0, 0)
 
     def test_back_to_back_transfers_serialize(self):
         bus = BusTracker(DramTimings())
-        a = bus.transfer(0)
-        b = bus.transfer(0)
+        _, a = bus.reserve(0, 0, _no_stall)
+        _, b = bus.reserve(0, 0, _no_stall)
         assert b == a + ns(3)
 
     def test_transfer_fits_in_gap(self):
         bus = BusTracker(DramTimings())
-        bus.transfer(0)          # [0, 3ns)
-        bus.transfer(ns(10))     # [10, 13ns)
-        end = bus.transfer(ns(3))
-        assert end == ns(6)      # fits in [3, 10) gap
+        bus.reserve(0, 0, _no_stall)          # [0, 3ns)
+        bus.reserve(0, ns(10), _no_stall)     # [10, 13ns)
+        assert bus.reserve(0, ns(3), _no_stall) == (ns(3), ns(3))
 
-    def test_book_at_found_gap_matches_transfer(self):
-        searched, scanned = BusTracker(DramTimings()), BusTracker(
-            DramTimings())
-        for at in (0, ns(10), ns(3), 0, ns(4), ns(11)):
-            assert searched.book(searched.earliest_transfer(at)) == \
-                scanned.transfer(at)
-        assert searched._slots == scanned._slots
+    def test_cas_past_the_first_gap_resumes_the_scan(self):
+        bus = BusTracker(DramTimings())
+        for lower in (0, ns(10), ns(13)):     # [0,3) [10,13) [13,16)
+            bus.reserve(0, lower, _no_stall)
+        # The first gap is at 3 ns; the CAS at 8 ns lands past it, and
+        # the burst goes after the two back-to-back slots.
+        assert bus.reserve(0, ns(8), _no_stall) == (ns(8), ns(16))
+        assert bus._slots == [0, ns(10), ns(13), ns(16)]
+
+    def test_stall_window_moves_the_cas(self):
+        from repro.mc.abo import StallWindows
+        stalls = StallWindows()
+        stalls.add(ns(1), ns(20))
+        bus = BusTracker(DramTimings())
+        bus.reserve(0, ns(20), _no_stall)     # [20, 23ns)
+        # The CAS would issue at 2 ns; the stall moves it to 20 ns,
+        # past the first gap, and the burst books after [20, 23ns).
+        assert bus.reserve(0, ns(2), stalls.adjust) == (ns(20), ns(23))
 
     def test_utilization(self):
         bus = BusTracker(DramTimings())
         for _ in range(10):
-            bus.transfer(0)
+            bus.reserve(0, 0, _no_stall)
         assert bus.utilization(ns(60)) == 0.5
 
-    def test_release_before_keeps_math_right(self):
+    def test_slots_ending_by_the_arrival_are_forgotten(self):
         bus = BusTracker(DramTimings())
         for i in range(20):
-            bus.transfer(i * ns(3))
-        bus.release_before(ns(30))
-        assert bus.earliest_transfer(ns(30)) == ns(60)
+            bus.reserve(0, i * ns(3), _no_stall)
+        # Arriving at 30 ns forgets the ten slots that end by then; the
+        # ten that follow still push the burst to 60 ns.
+        assert bus.reserve(ns(30), ns(30), _no_stall) == (ns(60), ns(60))
+        assert bus._slots == [i * ns(3) for i in range(10, 21)]

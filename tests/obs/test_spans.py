@@ -205,6 +205,32 @@ class TestSessionSpans:
         hits = [s for s in rec.as_list() if s[1].startswith("cell:")]
         assert all(s[4]["attempts"] == 0 for s in hits)
 
+    def test_batch_spans_each_calibration_once(self):
+        for workers in (1, 2):
+            session = SimSession(disk_cache=False, max_workers=workers)
+            rec, _ = self._run(workers, session=session)
+            calibrations = [(s[1], s[4]["disposition"])
+                            for s in rec.as_list()
+                            if s[1].startswith("calibrate:")]
+            assert sorted(calibrations) == [
+                ("calibrate:lbm/x2048/seed0", "computed"),
+                ("calibrate:tc/x2048/seed0", "computed")], workers
+            assert len(_cells(rec)) == 2
+            # lbm calibrates once tc's cell is under way, not before:
+            # serially after it ran, pooled after it was submitted.
+            starts = {s[1]: s[2] for s in rec.as_list()}
+            assert starts["cell:tc/mirza-1000"] \
+                < starts["calibrate:lbm/x2048/seed0"], workers
+            # New cells on the same keys read the calibrations from the
+            # session's cache: no calibrate spans.
+            setup = setup_by_name("prac-1000", SCALE)
+            with recording() as again:
+                session.run_many([SimJob(w, setup, SCALE, seed=0)
+                                  for w in ("tc", "lbm")])
+            assert len(_cells(again)) == 2
+            assert not any(s[1].startswith("calibrate:")
+                           for s in again.as_list())
+
     def test_worker_spans_carry_pid_and_kernel_counts(self):
         rec, results = self._run(2)
         kernels = [s for s in rec.as_list()
@@ -332,6 +358,41 @@ class TestProgressLine:
         session = SimSession(disk_cache=False, max_workers=1,
                              progress=seen.append)
         session.run_many(_jobs())
-        assert len(seen) == 2
         assert all(isinstance(u, ProgressUpdate) for u in seen)
-        assert seen[-1].done == seen[-1].total == 2
+        # Each workload key ticks once, as the first job reading it
+        # comes up, naming it without counting a cell; then its cell.
+        assert [(u.done, u.total, u.last) for u in seen] == [
+            (0, 2, "calibrate:tc/x2048/seed0"),
+            (1, 2, "tc/mirza-1000"),
+            (1, 2, "calibrate:lbm/x2048/seed0"),
+            (2, 2, "lbm/mirza-1000")]
+
+    def test_calibration_ticks_keep_the_line_monotone(self):
+        # A batch mixing cache hits and misses: the hits tick first,
+        # then each calibration ahead of its cell.  The count never
+        # moves back, and only the batch's last cell reads as final.
+        import io
+        from repro.obs.progress import ProgressLine
+        setup = setup_by_name("mirza", SCALE)
+        seen = []
+        session = SimSession(disk_cache=False, max_workers=1,
+                             progress=seen.append)
+        session.run_many([SimJob("tc", setup, SCALE)])
+        seen.clear()
+        session.run_many([SimJob(w, setup, SCALE)
+                          for w in ("tc", "lbm", "mcf")])
+        assert [(u.done, u.total, u.last) for u in seen] == [
+            (1, 3, "tc/mirza-1000"),
+            (1, 3, "calibrate:lbm/x2048/seed0"),
+            (2, 3, "lbm/mirza-1000"),
+            (2, 3, "calibrate:mcf/x2048/seed0"),
+            (3, 3, "mcf/mirza-1000")]
+        sink = io.StringIO()
+        line = ProgressLine(stream=sink, interactive=True,
+                            min_interval_s=0.0)
+        for update in seen:
+            line(update)
+        frames = sink.getvalue().split("\r\x1b[K")[1:]
+        assert [frame.split(" | ")[0] for frame in frames] == [
+            "[1/3]  33%", "[1/3]  33%", "[2/3]  67%", "[2/3]  67%",
+            "[3/3] 100%"]

@@ -95,14 +95,18 @@ def test_simulate_populates_profile():
     assert prof.acts_per_sec() > 0
 
 
-def test_calibration_probes_are_not_kernel_runs(monkeypatch):
-    # Cold calibration keys: every job's first calibration runs probe
-    # windows, in this process when serial and in the workers when
-    # pooled.  Neither may show up as profiled kernel work.
+def _six_jobs():
     scale = SimScale(8192)
-    jobs = [SimJob(name, setup_by_name(setup, scale), scale)
+    return [SimJob(name, setup_by_name(setup, scale), scale)
             for name in ("tc", "mcf")
             for setup in ("mirza-1000", "prac-1000", "mint-rfm-1000")]
+
+
+def test_calibration_probes_are_not_kernel_runs(monkeypatch):
+    # Cold calibration keys: each runs probe windows once, in this
+    # process when serial and in a worker when pooled.  Neither may
+    # show up as profiled kernel work.
+    jobs = _six_jobs()
     for workers in (1, 2):
         monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
         session = SimSession(disk_cache=False, max_workers=workers)
@@ -110,6 +114,22 @@ def test_calibration_probes_are_not_kernel_runs(monkeypatch):
             results = session.run_many(jobs)
         assert prof.runs == len(jobs), workers
         assert prof.requests == sum(r.total_requests for r in results)
+
+
+def test_pooled_batch_calibrates_each_key_once(monkeypatch):
+    # Two workload keys, six jobs: the session probes each key once,
+    # and the jobs (here or in the workers) read the shipped values
+    # instead of probing again.
+    jobs = _six_jobs()
+    for workers in (1, 2):
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        session = SimSession(disk_cache=False, max_workers=workers)
+        with profiling() as prof:
+            session.run_many(jobs)
+        assert (prof.calibrations, prof.runs) == (2, 6), workers
+        assert prof.calibration_s > 0
+        assert "calibration                    2  keys probed" \
+            in prof.report()
 
 
 def test_counting_passes_are_profiled_alike_serial_and_pooled():
@@ -158,6 +178,10 @@ def test_report_renders_phases():
     assert "500/s" in text  # 1000 requests / 2.0s wall
     assert "42" in text
     assert "counting passes" not in text
+    assert "calibration" not in text
+    prof.add_calibration(0.25)
+    assert "calibration                    1  keys probed in 0.250s" \
+        in prof.report()
     prof.add_counting_pass(3000, 0.5)
     assert "counting passes" in prof.report()
     assert "3,000 ACTs in 0.500s (6,000/s)" in prof.report()

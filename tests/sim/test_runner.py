@@ -95,8 +95,26 @@ class TestCalibration:
             calibrated_workload(name, SCALE, seed=3)
         assert len(runner._WORKLOAD_CACHE) == 2
         # Oldest entry (tc) was evicted; the newest two remain.
-        names = [key[0] for key in runner._WORKLOAD_CACHE]
+        names = [key[0].name for key in runner._WORKLOAD_CACHE]
         assert names == ["cc", "bc"]
+
+    def test_cache_keyed_by_spec_not_name(self, monkeypatch):
+        # A spec that shares mcf's name but asks a quarter of its ACT
+        # rate calibrates to its own pacing, whatever this process
+        # calibrated before (keyed by name, it read mcf's value).
+        import dataclasses
+        from collections import OrderedDict
+        from repro.sim import runner
+        from repro.workloads.specs import workload_by_name
+        mcf = workload_by_name("mcf")
+        quarter = dataclasses.replace(
+            mcf, acts_per_subarray_mean=mcf.acts_per_subarray_mean / 4)
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        alone = calibrated_workload(quarter, SCALE).compute_per_miss_ps
+        runner._WORKLOAD_CACHE.clear()
+        paced = calibrated_workload("mcf", SCALE).compute_per_miss_ps
+        after = calibrated_workload(quarter, SCALE).compute_per_miss_ps
+        assert after == alone != paced
 
     def test_calibration_cache_keyed_by_config(self):
         # Distinct SystemConfigs calibrate differently (pacing depends

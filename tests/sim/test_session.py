@@ -1,10 +1,13 @@
 """Tests for the simulation session: hashing, caching, fan-out."""
 
 import dataclasses
+from collections import OrderedDict
 
 import pytest
 
 from repro.params import SimScale, SystemConfig
+from repro.sim import runner
+from repro.sim.profile import profiling
 from repro.sim.runner import (
     baseline_setup,
     mirza_setup,
@@ -12,14 +15,28 @@ from repro.sim.runner import (
     run_baseline,
 )
 from repro.sim.session import (
+    CalibrationJob,
     SimJob,
     SimSession,
+    TenantJob,
     describe,
+    is_failure,
     job_token,
     using_session,
 )
+from repro.workloads.tenants import Tenant, TenantScenario
 
 SCALE = SimScale(2048)  # ~16 us windows: smoke-test speed
+
+
+@dataclasses.dataclass(frozen=True)
+class DoubleJob:
+    """A content-hashable job that reads no calibration."""
+
+    key: int
+
+    def execute(self):
+        return 2 * self.key
 
 
 class TestJobToken:
@@ -207,3 +224,80 @@ class TestDefaultSessionWrappers:
         with using_session(scoped):
             assert get_default_session() is scoped
         assert get_default_session() is outer
+
+
+class TestBatchCalibration:
+    @staticmethod
+    def _count_pools(session, monkeypatch):
+        built = []
+        make = session._make_pool
+
+        def counted(workers):
+            built.append(workers)
+            return make(workers)
+        monkeypatch.setattr(session, "_make_pool", counted)
+        return built
+
+    def test_batch_without_calibrations_builds_one_pool(self,
+                                                        monkeypatch):
+        session = SimSession(disk_cache=False, max_workers=2)
+        built = self._count_pools(session, monkeypatch)
+        assert session.run_many([DoubleJob(1), DoubleJob(2)]) == [2, 4]
+        assert built == [2]
+
+    def test_one_calibration_per_key_outside_batch_stats(self,
+                                                         monkeypatch):
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        session = SimSession(disk_cache=False, max_workers=2)
+        built = self._count_pools(session, monkeypatch)
+        jobs = [SimJob(name, setup, SCALE) for name in ("tc", "cc")
+                for setup in (baseline_setup(), prac_setup(1000))]
+        with profiling() as prof:
+            results = session.run_many(jobs)
+        assert results == SimSession(disk_cache=False).run_many(jobs)
+        assert built == [2]  # calibrations run here; only the batch pools
+        assert prof.calibrations == 2
+        batch = session.last_batch
+        assert (batch.submitted, batch.unique, batch.computed,
+                batch.cache_hits) == (4, 4, 4, 0)
+        for name in ("tc", "cc"):
+            key = job_token(CalibrationJob(name, SCALE).resolved())
+            assert isinstance(session._memory[key], int)
+
+    def test_failed_calibration_ships_nothing(self, monkeypatch):
+        # Every first attempt faults: the key's one-attempt
+        # calibration fails once per batch and stores nothing, and each
+        # job calibrates itself on its retry, to the clean results.
+        jobs = [SimJob("tc", setup, SCALE)
+                for setup in (baseline_setup(), prac_setup(1000))]
+        clean = SimSession(disk_cache=False).run_many(jobs)
+        monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
+        seen = []
+        session = SimSession(disk_cache=False, progress=seen.append)
+        assert session.run_many(jobs, max_retries=1) == clean
+        assert [u.last for u in seen if u.last.startswith("calibrate:")] \
+            == ["calibrate:tc/x2048/seed0"]
+        assert job_token(CalibrationJob("tc", SCALE).resolved()) \
+            not in session._memory
+        assert session.last_batch.retried == 2
+
+    def test_disk_cache_keeps_calibrations(self, tmp_path, monkeypatch):
+        SimSession(cache_dir=str(tmp_path)).run(
+            SimJob("tc", baseline_setup(), SCALE))
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        second = SimSession(cache_dir=str(tmp_path))
+        with profiling() as prof:
+            second.run(SimJob("tc", prac_setup(1000), SCALE))
+        assert prof.calibrations == 0  # read back, no probes
+        assert second.stats["disk_hits"] == 0  # calibration is no cell
+
+    def test_unknown_tenant_workload_fails_only_its_job(self):
+        scenario = TenantScenario((Tenant("vm", tuple(range(8)),
+                                          workload="no-such-workload"),))
+        jobs = [TenantJob(scenario, baseline_setup(), SCALE),
+                SimJob("tc", baseline_setup(), SCALE)]
+        session = SimSession(disk_cache=False)
+        bad, good = session.run_many(jobs, policy="keep_going",
+                                     max_retries=0)
+        assert is_failure(bad) and bad.error_type == "KeyError"
+        assert not is_failure(good)
