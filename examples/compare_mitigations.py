@@ -14,13 +14,13 @@ import sys
 
 from repro.params import SimScale
 from repro.sim.runner import (
+    baseline_setup,
     mint_rfm_setup,
     mirza_setup,
     naive_mirza_setup,
     prac_setup,
-    run_baseline,
-    slowdown_for,
 )
+from repro.sim.session import SimJob, SimSession
 from repro.sim.stats import format_table
 
 
@@ -31,20 +31,23 @@ def main() -> None:
 
     print(f"Simulating workload {workload!r} over a "
           f"tREFW/{scale.time_scale} window (TRHD={trhd})...\n")
-    baseline = run_baseline(workload, scale)
-    print(f"Baseline: {baseline.total_activations:,} activations, "
-          f"bus utilisation {100 * baseline.bus_utilization:.0f}%, "
-          f"row-hit rate {100 * baseline.row_hit_rate:.0f}%\n")
-
     setups = [
         prac_setup(trhd),
         mint_rfm_setup(trhd),
         naive_mirza_setup(48),
         mirza_setup(trhd, scale),
     ]
+    # One batch: every protected run plus the baseline they share.
+    session = SimSession()
+    pairs = session.slowdowns(
+        [SimJob(workload, setup, scale) for setup in setups])
+    baseline = session.run(SimJob(workload, baseline_setup(), scale))
+    print(f"Baseline: {baseline.total_activations:,} activations, "
+          f"bus utilisation {100 * baseline.bus_utilization:.0f}%, "
+          f"row-hit rate {100 * baseline.row_hit_rate:.0f}%\n")
+
     rows = []
-    for setup in setups:
-        slowdown, result = slowdown_for(workload, setup, scale)
+    for setup, (slowdown, result) in zip(setups, pairs):
         rows.append([
             setup.name,
             f"{slowdown:.2f}%",

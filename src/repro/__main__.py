@@ -615,14 +615,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                                      session=session)
                 elif args.command == "fuzz":
                     status = _run_fuzz(args, session)
+                elif args.command == "run" and not args.exhibits:
+                    noun = "workload" if args.setup else "exhibit"
+                    print(f"run: name at least one {noun}",
+                          file=sys.stderr)
+                    return 2
                 elif args.command in ("stats", "trace") or (
                         args.command == "run" and args.setup):
                     status = _run_simulations(args, session)
                 else:
-                    if not args.exhibits:
-                        print("run: name at least one exhibit",
-                              file=sys.stderr)
-                        return 2
                     with _trace_capture(
                             getattr(args, "trace_out", None)):
                         status = _run_experiments(args.exhibits, session)

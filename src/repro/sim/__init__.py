@@ -1,10 +1,14 @@
 """Experiment runner: (workload x mitigation) -> measurements.
 
 :mod:`repro.sim.runner` builds fully-wired systems for each mitigation
-configuration the paper evaluates; :mod:`repro.sim.session` is the
-execution substrate -- a :class:`SimSession` owning a content-addressed
-result cache and process-pool fan-out, so sweeps parallelise across
-cores and repeated runs are served from disk.
+configuration the paper evaluates and runs one simulation;
+:mod:`repro.sim.session` is the execution substrate -- a
+:class:`SimSession` owning a content-addressed result cache and
+process-pool fan-out, so sweeps parallelise across cores and repeated
+runs are served from disk.  A session is the one way to run jobs:
+``SimSession().run(SimJob(...))`` for one, ``run_many`` for a batch,
+and ``slowdowns`` for protected jobs against their unprotected
+baselines.
 :mod:`repro.sim.registry` names the paper's setups ("mirza-1000", ...)
 for CLIs and sweep scripts, and :mod:`repro.sim.stats` holds the small
 numeric/table helpers the experiment modules share.
@@ -19,10 +23,7 @@ from repro.sim.runner import (
     mist_setup,
     naive_mirza_setup,
     prac_setup,
-    run_baseline,
-    run_workload,
     simulate,
-    slowdown_for,
 )
 from repro.sim.registry import (
     available_setups,
@@ -64,11 +65,8 @@ __all__ = [
     "prac_setup",
     "register_job_type",
     "register_setup",
-    "run_baseline",
-    "run_workload",
     "set_default_session",
     "setup_by_name",
     "simulate",
-    "slowdown_for",
     "using_session",
 ]

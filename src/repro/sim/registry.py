@@ -79,17 +79,6 @@ def setup_by_name(name: str,
     return factory(scale if scale is not None else SimScale())
 
 
-def setups_from_names(names, scale: Optional[SimScale] = None
-                      ) -> List[MitigationSetup]:
-    """Instantiate several registered setups at one scale.
-
-    The sweep-shaped twin of :func:`setup_by_name`: mitigation-axis
-    exhibits (the inter-VM sweep, ad-hoc CLI lists) resolve their
-    whole setup list in one call, with the same bare-name shorthand.
-    """
-    return [setup_by_name(name, scale) for name in names]
-
-
 register_setup("baseline", lambda scale: baseline_setup())
 for _trhd in (500, 1000, 2000):
     register_setup(f"prac-{_trhd}",

@@ -3,12 +3,12 @@
 Every experiment module ultimately goes through :func:`simulate`: it
 wires a :class:`repro.cpu.system.MultiCoreSystem` for the requested
 mitigation setup, drives one scaled refresh window, and returns the
-:class:`repro.cpu.system.SimResult`.  The public entry points
-(:func:`run_workload`, :func:`run_baseline`, :func:`slowdown_for`) are
-thin wrappers that route through the default
-:class:`repro.sim.session.SimSession`, which memoises results by a
-content hash of (workload, setup, scale, seed, config) and can fan
-independent runs out over worker processes.
+:class:`repro.cpu.system.SimResult`, uncached.  Callers wrap a run in
+a :class:`repro.sim.session.SimJob` and submit it to a
+:class:`repro.sim.session.SimSession` (``run``, ``run_many`` or
+``slowdowns``), which memoises results by a content hash of (workload,
+setup, scale, seed, config) and can fan independent runs out over
+worker processes.
 
 Mitigation setups mirror the paper's configurations:
 
@@ -522,48 +522,3 @@ def simulate_tenants(scenario, setup: MitigationSetup,
     return simulate_source(
         workload, setup, scale, seed=seed, config=config,
         tenants=workload.tenant_labels(config.num_cores))
-
-
-def run_workload(workload: Union[str, WorkloadSpec],
-                 setup: MitigationSetup,
-                 scale: SimScale = SimScale(64),
-                 seed: int = 0,
-                 config: SystemConfig = SystemConfig()) -> SimResult:
-    """Simulate one scaled refresh window of ``workload`` under ``setup``.
-
-    Routes through the default :class:`~repro.sim.session.SimSession`,
-    so identical runs are served from the content-addressed result
-    cache.  Setups built from the library factories cache and fan out;
-    ad-hoc closure setups silently fall back to fresh in-process runs.
-    """
-    from repro.sim.session import SimJob, get_default_session
-    return get_default_session().run(
-        SimJob(workload, setup, scale, seed, config))
-
-
-def run_baseline(workload: Union[str, WorkloadSpec],
-                 scale: SimScale = SimScale(64),
-                 seed: int = 0,
-                 config: SystemConfig = SystemConfig()) -> SimResult:
-    """Cached unprotected baseline for slowdown comparisons.
-
-    The cache key is the session's content hash over (workload, scale,
-    seed, *and every field of* ``config``) -- two different
-    ``SystemConfig`` values never collide, unlike the historical
-    ``id(type(config))`` key.
-    """
-    from repro.sim.session import SimJob, get_default_session
-    return get_default_session().run(
-        SimJob(workload, baseline_setup(), scale, seed, config))
-
-
-def slowdown_for(workload: Union[str, WorkloadSpec],
-                 setup: MitigationSetup,
-                 scale: SimScale = SimScale(64),
-                 seed: int = 0,
-                 config: SystemConfig = SystemConfig()
-                 ) -> Tuple[float, SimResult]:
-    """(percent slowdown vs baseline, protected-run result)."""
-    from repro.sim.session import SimJob, get_default_session
-    return get_default_session().slowdown(
-        SimJob(workload, setup, scale, seed, config))

@@ -29,10 +29,12 @@ repository runs on.  It owns two things:
    report`` uses so one poisoned cell degrades a report instead of
    destroying it).
 
-The legacy entry points (:func:`repro.sim.runner.run_workload`,
-``run_baseline``, ``slowdown_for``) are thin wrappers over a default
-session; :func:`using_session` scopes a differently-configured session
-(e.g. the CLI's ``--jobs``/``--cache-dir`` one) over a region of code.
+:meth:`SimSession.run_many` is the one batch entry point (``run`` runs
+one job, ``slowdowns`` pairs protected jobs with their baselines), and
+workers, retries, the per-job timeout and the failure policy are
+session settings.  :func:`using_session` scopes a differently-configured
+session (e.g. the CLI's ``--jobs``/``--cache-dir`` one) over a region
+of code.
 
 Example::
 
@@ -129,16 +131,6 @@ class FailurePolicy(enum.Enum):
     FAIL_FAST = "fail_fast"
     KEEP_GOING = "keep_going"
 
-    @classmethod
-    def coerce(cls, value: Union["FailurePolicy", str, None],
-               default: "FailurePolicy") -> "FailurePolicy":
-        """Accept a policy, its string value, or ``None`` (default)."""
-        if value is None:
-            return default
-        if isinstance(value, cls):
-            return value
-        return cls(str(value).strip().lower().replace("-", "_"))
-
 
 @dataclasses.dataclass(frozen=True)
 class JobFailure:
@@ -222,10 +214,10 @@ class BatchStats:
     ``submitted`` counts the jobs handed to the batch, ``unique`` the
     distinct content tokens among them (plus any untokened jobs, which
     can never deduplicate), ``cache_hits`` the submitted jobs served
-    from a pre-batch cache, and ``computed`` the jobs that executed to
-    completion.  ``deduplicated`` is the work the batch *planned
-    away*: jobs whose content another job in the same batch already
-    covers.  The failure triple: ``failed`` counts jobs that ended as
+    from a pre-batch cache, and ``computed`` the tokened jobs that
+    executed to completion.  ``deduplicated`` is the work the batch
+    *planned away*: jobs whose content another job in the same batch
+    already covers.  The failure triple: ``failed`` counts jobs that ended as
     :class:`JobFailure` records, ``retried`` the extra executions
     spent on retries, and ``timed_out`` the per-job timeout expiries
     (each of which also consumed an attempt).
@@ -582,11 +574,6 @@ register_job_type(TenantJob, encode_sim_result, decode_sim_result)
 register_job_type(TraceReplayJob, encode_sim_result, decode_sim_result)
 
 
-def _execute(job: Any) -> Any:
-    """Process-pool entry point: run one job, return its result."""
-    return job.execute()
-
-
 _FAULT_ENV_VARS = ("REPRO_FAULT_RATE", "REPRO_FAULT_SEED")
 
 
@@ -664,50 +651,44 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-class _Tally:
-    """Mutable per-batch failure bookkeeping shared by the exec paths."""
-
-    __slots__ = ("computed", "retried", "timed_out", "failures")
-
-    def __init__(self) -> None:
-        self.computed = 0
-        self.retried = 0
-        self.timed_out = 0
-        self.failures: Dict[str, JobFailure] = {}  # token -> failure
-
-
 QUEUE_DEPTH_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 """Buckets of the ``session.queue_depth`` histogram (cells still
 outstanding, observed at each completion)."""
 
 
 class _BatchMonitor:
-    """Per-batch span recording and progress bookkeeping.
+    """Per-batch counts, span recording and progress bookkeeping.
 
-    One instance per :meth:`SimSession.run_many`.  It owns the
-    wall-clock view of the batch: per-cell session spans (disposition
-    in the meta), the ``workers`` execution-phase span, the live
-    progress callback, the queue-depth histogram, and the busy-seconds
-    total behind the pool-utilization gauge.  Span recording is skipped
-    entirely when no recorder is installed; the histogram lands in the
-    session-local registry, which is always present and cheap.
+    One instance per :meth:`SimSession.run_many`.  It holds the batch's
+    tally -- jobs ``computed`` (tokened ones only), ``retried``
+    executions, ``timed_out`` expiries, and ``failures`` by token --
+    and owns the wall-clock view of the batch: per-cell session spans
+    (disposition in the meta), the ``workers`` execution-phase span,
+    the live progress callback, the queue-depth histogram, and the
+    busy-seconds total behind the pool-utilization gauge.  Span
+    recording is skipped entirely when no recorder is installed; the
+    histogram lands in the session-local registry, which is always
+    present and cheap.
     """
 
-    __slots__ = ("recorder", "progress", "tally", "total", "done",
-                 "cache_hits", "failed", "busy_s", "pool_rebuilds",
-                 "start_us", "_t0", "_starts", "_queue_hist")
+    __slots__ = ("recorder", "progress", "total", "done", "cache_hits",
+                 "computed", "retried", "timed_out", "failed",
+                 "failures", "busy_s", "pool_rebuilds", "start_us",
+                 "_t0", "_starts", "_queue_hist")
 
     def __init__(self, recorder: Optional[_obs_spans.SpanRecorder],
                  progress: Optional[Callable[[ProgressUpdate], None]],
-                 registry: MetricsRegistry, tally: _Tally,
-                 total: int) -> None:
+                 registry: MetricsRegistry, total: int) -> None:
         self.recorder = recorder
         self.progress = progress
-        self.tally = tally
         self.total = total
         self.done = 0
         self.cache_hits = 0
+        self.computed = 0
+        self.retried = 0
+        self.timed_out = 0
         self.failed = 0
+        self.failures: Dict[str, JobFailure] = {}
         self.busy_s = 0.0
         self.pool_rebuilds = 0
         self.start_us = _obs_spans.now_us()
@@ -782,7 +763,7 @@ class _BatchMonitor:
             self.progress(ProgressUpdate(
                 done=self.done, total=self.total,
                 cache_hits=self.cache_hits,
-                retried=self.tally.retried, failed=self.failed,
+                retried=self.retried, failed=self.failed,
                 elapsed_s=self.elapsed_s, last=job_label(job)))
 
     @contextmanager
@@ -824,17 +805,17 @@ class SimSession:
         given explicitly or ``REPRO_CACHE_DIR`` is set, so plain
         library use stays memory-only.
     max_workers:
-        Default process fan-out for :meth:`run_many`.  ``None`` falls
-        back to the ``REPRO_JOBS`` environment variable (``auto`` means
+        Process fan-out for :meth:`run_many`.  ``None`` falls back to
+        the ``REPRO_JOBS`` environment variable (``auto`` means
         ``os.cpu_count()``), then to 1 (serial).  Parallel runs produce
         byte-identical results to serial ones; the knob only trades
         wall-clock for cores.
     failure_policy:
-        Batch-wide default for what a permanently-failed job does:
+        What a permanently-failed job does, as a :class:`FailurePolicy`
+        (anything else raises ``TypeError``):
         :obj:`FailurePolicy.FAIL_FAST` raises :class:`JobFailed` after
         storing every completed sibling, :obj:`FailurePolicy.KEEP_GOING`
         yields a :class:`JobFailure` record in the result slot.
-        Strings (``"keep_going"``/``"keep-going"``) are accepted.
     max_retries:
         Bounded re-executions per failed job (retried jobs re-run the
         same pure content, so results stay bit-identical).  ``None``
@@ -863,7 +844,7 @@ class SimSession:
     def __init__(self, cache_dir: Optional[str] = None,
                  disk_cache: Optional[bool] = None,
                  max_workers: Optional[int] = None,
-                 failure_policy: Union[FailurePolicy, str, None] = None,
+                 failure_policy: FailurePolicy = FailurePolicy.FAIL_FAST,
                  max_retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
                  progress: Optional[Callable[[ProgressUpdate], None]]
@@ -874,18 +855,16 @@ class SimSession:
         self.cache_dir = str(cache_dir) if cache_dir \
             else default_cache_dir()
         self.disk_cache = bool(disk_cache)
+        if not isinstance(failure_policy, FailurePolicy):
+            raise TypeError(f"failure_policy must be a FailurePolicy, "
+                            f"not {failure_policy!r}")
         self.max_workers = max_workers
-        self.failure_policy = FailurePolicy.coerce(
-            failure_policy, FailurePolicy.FAIL_FAST)
+        self.failure_policy = failure_policy
         self.max_retries = max_retries
         self.job_timeout = job_timeout
         self.progress = progress
         self._memory: Dict[str, Any] = {}
         self._disk_disabled: set = set()  # job types degraded to memory
-        self.stats: Dict[str, int] = {
-            "memory_hits": 0, "disk_hits": 0, "misses": 0,
-            "planned": 0, "unique": 0, "baseline_dedup": 0,
-            "failed": 0, "retried": 0, "timed_out": 0}
         self.last_batch: Optional[BatchStats] = None
         self.obs = MetricsRegistry()
         """Session-local batch metrics (cache/pool gauges, queue-depth
@@ -899,11 +878,7 @@ class SimSession:
         """Run (or fetch from cache) a single job."""
         return self.run_many([job])[0]
 
-    def run_many(self, jobs: Iterable[Any],
-                 max_workers: Optional[int] = None,
-                 policy: Union[FailurePolicy, str, None] = None,
-                 max_retries: Optional[int] = None,
-                 job_timeout: Optional[float] = None) -> List[Any]:
+    def run_many(self, jobs: Iterable[Any]) -> List[Any]:
         """Run a batch of independent jobs; results in submission order.
 
         Cache hits are served without computing; distinct jobs with
@@ -913,6 +888,8 @@ class SimSession:
         every job is a pure function of its content.  Each workload
         calibration the misses read runs once, in this process, when the
         first miss that reads it comes up (see :meth:`_calibrate`).
+        Untokened jobs (no content hash, so never cached) run in this
+        process after the rest.
 
         The batch is fault-tolerant: each job gets bounded retries
         (``max_retries``) and, in the pool path, a per-job timeout
@@ -922,29 +899,24 @@ class SimSession:
         (``BrokenProcessPool`` -- e.g. an OOM-killed worker) is rebuilt
         up to ``_MAX_POOL_REBUILDS`` times and then the remainder runs
         serially in-process.  What a *permanent* failure does depends
-        on ``policy`` (argument > session default > ``FAIL_FAST``): see
-        :class:`FailurePolicy`.
+        on the session's ``failure_policy``: see :class:`FailurePolicy`.
         """
         jobs = [job.resolved() if hasattr(job, "resolved") else job
                 for job in jobs]
         tokens = [job_token(job) for job in jobs]
-        policy = FailurePolicy.coerce(policy, self.failure_policy)
-        retries = self._effective_retries(max_retries)
-        timeout = self._effective_timeout(job_timeout)
+        retries = self._effective_retries()
+        timeout = self._effective_timeout()
         results: List[Any] = [_MISS] * len(jobs)
         pending: "OrderedDict[str, Any]" = OrderedDict()
         hit_jobs: "OrderedDict[str, Any]" = OrderedDict()
         untokened: List[int] = []
-        seen_tokens = set()
         hits = 0
         for index, (job, token) in enumerate(zip(jobs, tokens)):
             if token is None:
                 untokened.append(index)
                 continue
-            seen_tokens.add(token)
-            hit, tier = self._lookup(token, type(job))
+            hit = self._lookup(token, type(job))
             if hit is not _MISS:
-                self.stats[tier] += 1
                 results[index] = hit
                 hits += 1
                 if token not in hit_jobs:
@@ -952,14 +924,13 @@ class SimSession:
             elif token not in pending:
                 pending[token] = job
         unique = list(pending.items())
-        workers = self._effective_workers(max_workers, len(unique))
-        tally = _Tally()
+        workers = self._effective_workers(len(unique))
         # The monitor counts *cells* (distinct work items), not raw
         # submissions: distinct cache-hit tokens + unique pending
         # tokens + untokened jobs.
         monitor = _BatchMonitor(
             recorder=_obs_spans.active(), progress=self.progress,
-            registry=self.obs, tally=tally,
+            registry=self.obs,
             total=len(hit_jobs) + len(unique) + len(untokened))
         for token, job in hit_jobs.items():
             monitor.cell_done(token, job, "cache-hit", attempts=0)
@@ -967,92 +938,60 @@ class SimSession:
         with monitor.phase("workers", workers=workers):
             if workers > 1 and len(unique) > 1:
                 self._run_pool(unique, workers, retries, timeout,
-                               tally, monitor, calibrated)
+                               monitor, calibrated)
             else:
-                self._run_serial(unique, retries, tally, monitor,
-                                 calibrated)
-            for index in untokened:
-                results[index] = self._run_untokened(
-                    jobs[index], retries, tally, monitor)
-        self.stats["misses"] += len(unique) + len(untokened)
-        untokened_failed = sum(
-            1 for index in untokened if is_failure(results[index]))
+                self._run_serial(unique, retries, monitor, calibrated)
+            loose = self._run_serial(
+                [(None, jobs[index]) for index in untokened], retries,
+                monitor, calibrated)
+        for index, outcome in zip(untokened, loose):
+            results[index] = outcome
         self.last_batch = BatchStats(
             submitted=len(jobs),
-            unique=len(seen_tokens) + len(untokened),
+            unique=len(hit_jobs.keys() | pending.keys())
+            + len(untokened),
             cache_hits=hits,
-            computed=tally.computed,
-            failed=len(tally.failures) + untokened_failed,
-            retried=tally.retried,
-            timed_out=tally.timed_out,
+            computed=monitor.computed,
+            failed=monitor.failed,
+            retried=monitor.retried,
+            timed_out=monitor.timed_out,
             workers=workers,
             wall_seconds=monitor.elapsed_s,
             busy_seconds=monitor.busy_s)
-        self.stats["planned"] += self.last_batch.submitted
-        self.stats["unique"] += self.last_batch.unique
-        self.stats["failed"] += self.last_batch.failed
-        self.stats["retried"] += self.last_batch.retried
-        self.stats["timed_out"] += self.last_batch.timed_out
         self._publish_failure_metrics(self.last_batch)
         self._publish_batch_metrics(self.last_batch)
         monitor.finish(self.last_batch)
         for index, token in enumerate(tokens):
-            if results[index] is not _MISS or token is None:
-                continue
-            if token in self._memory:
-                results[index] = self._memory[token]
-            else:
-                results[index] = tally.failures[token]
-        if policy is FailurePolicy.FAIL_FAST:
+            if results[index] is _MISS:
+                results[index] = self._memory[token] \
+                    if token in self._memory else monitor.failures[token]
+        if self.failure_policy is FailurePolicy.FAIL_FAST:
             for result in results:
                 if is_failure(result):
                     raise JobFailed(result)
         return results
 
-    def slowdown(self, job: SimJob) -> Tuple[float, SimResult]:
-        """(percent slowdown vs unprotected baseline, protected run)."""
-        return self.slowdowns([job])[0]
-
-    def slowdowns(self, jobs: Iterable[SimJob],
-                  max_workers: Optional[int] = None,
-                  policy: Union[FailurePolicy, str, None] = None
+    def slowdowns(self, jobs: Iterable[SimJob]
                   ) -> List[Tuple[float, SimResult]]:
-        """Batched :meth:`slowdown`: one fan-out for the whole sweep.
+        """``(percent slowdown vs unprotected baseline, protected run)``
+        for each job, from one :meth:`run_many` batch.
 
-        The matching unprotected baseline jobs are derived, deduplicated
-        *before submission* (each distinct (workload, scale, seed,
-        config) baseline is planned once per batch no matter how many
-        protected jobs reference it -- the removed duplicates are
-        tallied in ``stats["baseline_dedup"]``), and executed in the
-        same process-pool batch as the protected runs.
-
-        Under ``KEEP_GOING`` a pair whose protected run *or* baseline
-        failed yields its :class:`JobFailure` record in place of the
-        ``(slowdown, result)`` tuple.
+        Each job's baseline is the same job under
+        :func:`~repro.sim.runner.baseline_setup`; the batch holds every
+        baseline followed by every protected job, and :meth:`run_many`
+        computes each distinct baseline once however many jobs share
+        it.  Under ``KEEP_GOING`` a pair whose protected run *or*
+        baseline failed yields its :class:`JobFailure` record in place
+        of the ``(slowdown, result)`` tuple.
         """
         from repro.sim.runner import baseline_setup
-        jobs = [job.resolved() for job in jobs]
+        jobs = list(jobs)
         setup = baseline_setup()
-        baselines: List[SimJob] = []
-        baseline_of: List[int] = []
-        seen: Dict[str, int] = {}
-        for job in jobs:
-            baseline = dataclasses.replace(job, setup=setup)
-            token = job_token(baseline)
-            index = seen.get(token) if token is not None else None
-            if index is None:
-                index = len(baselines)
-                baselines.append(baseline)
-                if token is not None:
-                    seen[token] = index
-            baseline_of.append(index)
-        self.stats["baseline_dedup"] += len(jobs) - len(baselines)
-        results = self.run_many(baselines + jobs,
-                                max_workers=max_workers, policy=policy)
-        count = len(baselines)
+        results = self.run_many(
+            [dataclasses.replace(job, setup=setup) for job in jobs]
+            + jobs)
         pairs: List[Tuple[float, SimResult]] = []
-        for i, protected in enumerate(results[count:]):
-            baseline = results[baseline_of[i]]
+        for baseline, protected in zip(results, results[len(jobs):]):
             if is_failure(protected):
                 pairs.append(protected)
             elif is_failure(baseline):
@@ -1101,9 +1040,8 @@ class SimSession:
                           timed_out=timed_out)
 
     def _complete(self, token: str, job: Any, result: Any,
-                  prof_dict: Optional[dict], tally: _Tally,
-                  monitor: _BatchMonitor, exec_s: float,
-                  attempts: int) -> None:
+                  prof_dict: Optional[dict], monitor: _BatchMonitor,
+                  exec_s: float, attempts: int) -> None:
         """Fold one finished pool job into the parent, cache included.
 
         Results are stored *as they finish* -- not after the batch --
@@ -1118,7 +1056,7 @@ class SimSession:
         # pooled runs aggregate exactly like serial in-process ones.
         self._absorb_observability(result)
         self._store(token, type(job), result)
-        tally.computed += 1
+        monitor.computed += 1
         monitor.cell_done(token, job,
                           "retried" if attempts > 1 else "computed",
                           attempts, exec_s=exec_s)
@@ -1156,7 +1094,7 @@ class SimSession:
         for calibration in listed:
             key = job_token(calibration)
             if key not in values:
-                value, _ = self._lookup(key, CalibrationJob)
+                value = self._lookup(key, CalibrationJob)
                 if value is _MISS:
                     started = (_obs_spans.now_us(), perf_counter())
                     try:
@@ -1177,13 +1115,21 @@ class SimSession:
         runner.prime_calibrations(pairs)
         return tuple(pairs)
 
-    def _run_serial(self, items: List[Tuple[str, Any]], retries: int,
-                    tally: _Tally, monitor: _BatchMonitor,
+    def _run_serial(self, items: List[Tuple[Optional[str], Any]],
+                    retries: int, monitor: _BatchMonitor,
                     calibrated: Dict[str, Any],
-                    attempts: Optional[Dict[str, int]] = None) -> None:
-        """In-process execution with retries (also the pool fallback);
+                    attempts: Optional[Dict[str, int]] = None
+                    ) -> List[Any]:
+        """In-process execution with retries: the serial path, the pool
+        fallback, and the path of every untokened job.
+
+        ``items`` are ``(token or None, job)`` pairs; returns each
+        item's result or :class:`JobFailure`.  A tokened result is
+        stored and counted as computed; an untokened one is neither.
         ``calibrated`` is the batch's calibrations so far (see
-        :meth:`_calibrate`)."""
+        :meth:`_calibrate`).
+        """
+        outcomes: List[Any] = []
         for token, job in items:
             self._calibrate(job, calibrated, monitor)
             attempt = attempts.get(token, 0) if attempts else 0
@@ -1200,52 +1146,30 @@ class SimSession:
                     exec_s += perf_counter() - t0
                     attempt += 1
                     if attempt > retries:
-                        tally.failures[token] = self._failure_for(
-                            job, token, error, attempt)
+                        result = self._failure_for(job, token, error,
+                                                   attempt)
+                        if token is not None:
+                            monitor.failures[token] = result
                         monitor.cell_done(token, job, "failed",
                                           attempt, exec_s=exec_s)
                         break
-                    tally.retried += 1
+                    monitor.retried += 1
                     continue
                 exec_s += perf_counter() - t0
-                self._store(token, type(job), result)
-                tally.computed += 1
+                if token is not None:
+                    self._store(token, type(job), result)
+                    monitor.computed += 1
                 monitor.cell_done(
                     token, job,
                     "retried" if attempt else "computed",
                     attempt + 1, exec_s=exec_s)
                 break
-
-    def _run_untokened(self, job: Any, retries: int, tally: _Tally,
-                       monitor: _BatchMonitor) -> Any:
-        """Run one uncacheable job in-process; failures become records."""
-        attempt = 0
-        exec_s = 0.0
-        while True:
-            t0 = perf_counter()
-            try:
-                _maybe_inject_fault(job, attempt)
-                result = job.execute()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as error:  # noqa: BLE001
-                exec_s += perf_counter() - t0
-                attempt += 1
-                if attempt > retries:
-                    monitor.cell_done(None, job, "failed", attempt,
-                                      exec_s=exec_s)
-                    return self._failure_for(job, None, error, attempt)
-                tally.retried += 1
-                continue
-            exec_s += perf_counter() - t0
-            monitor.cell_done(
-                None, job, "retried" if attempt else "computed",
-                attempt + 1, exec_s=exec_s)
-            return result
+            outcomes.append(result)
+        return outcomes
 
     def _run_pool(self, unique: List[Tuple[str, Any]], workers: int,
                   retries: int, timeout: Optional[float],
-                  tally: _Tally, monitor: _BatchMonitor,
+                  monitor: _BatchMonitor,
                   calibrated: Dict[str, Any]) -> None:
         """Per-job-future fan-out with retries, timeout, and recovery.
 
@@ -1301,16 +1225,16 @@ class SimSession:
                                 queue.append((token, submit(token)))
                                 continue
                         attempts[token] += 1
-                        tally.timed_out += 1
+                        monitor.timed_out += 1
                         if attempts[token] > retries:
-                            tally.failures[token] = self._failure_for(
+                            monitor.failures[token] = self._failure_for(
                                 job, token, None, attempts[token],
                                 timed_out=True)
                             del pending[token]
                             monitor.cell_done(token, job, "timed-out",
                                               attempts[token])
                         else:
-                            tally.retried += 1
+                            monitor.retried += 1
                         # The worker behind this future may be wedged;
                         # abandon the pool so it cannot hold the batch.
                         abandon_pool = True
@@ -1323,13 +1247,13 @@ class SimSession:
                     except BaseException as error:  # noqa: BLE001
                         attempts[token] += 1
                         if attempts[token] > retries:
-                            tally.failures[token] = self._failure_for(
+                            monitor.failures[token] = self._failure_for(
                                 job, token, error, attempts[token])
                             del pending[token]
                             monitor.cell_done(token, job, "failed",
                                               attempts[token])
                         else:
-                            tally.retried += 1
+                            monitor.retried += 1
                             try:
                                 queue.append((token, submit(token)))
                             except BrokenProcessPool:
@@ -1337,8 +1261,7 @@ class SimSession:
                                 break
                         continue
                     self._complete(token, job, result, prof_dict,
-                                   tally, monitor, exec_s,
-                                   attempts[token] + 1)
+                                   monitor, exec_s, attempts[token] + 1)
                     del pending[token]
                 if abandon_pool:
                     # Keep every sibling that did finish: drain any
@@ -1354,8 +1277,8 @@ class SimSession:
                         except BaseException:  # noqa: BLE001
                             continue  # handled on the next pool
                         self._complete(token, pending[token], result,
-                                       prof_dict, tally, monitor,
-                                       exec_s, attempts[token] + 1)
+                                       prof_dict, monitor, exec_s,
+                                       attempts[token] + 1)
                         del pending[token]
             finally:
                 pool.shutdown(wait=not abandon_pool,
@@ -1371,7 +1294,7 @@ class SimSession:
                     # exception is at least catchable.
                     items = list(pending.items())
                     pending.clear()
-                    self._run_serial(items, retries, tally, monitor,
+                    self._run_serial(items, retries, monitor,
                                      calibrated, attempts=attempts)
                     return
 
@@ -1418,57 +1341,54 @@ class SimSession:
         return self.obs.snapshot()
 
     # -- knob resolution -----------------------------------------------
-    def _effective_workers(self, override: Optional[int],
-                           pending_count: int) -> int:
-        """Resolve the worker count: arg > session > REPRO_JOBS > 1.
+    def _effective_workers(self, pending_count: int) -> int:
+        """Resolve the worker count: session > REPRO_JOBS > 1, capped
+        at ``pending_count``.
 
         ``REPRO_JOBS=auto`` means ``os.cpu_count()``; a malformed value
         warns once and falls back to 1 instead of crashing mid-sweep.
         """
-        workers = override if override is not None else self.max_workers
+        workers = self.max_workers
         if workers is None:
             workers = env_int("REPRO_JOBS", 1, minimum=1,
                               aliases={"auto": os.cpu_count() or 1})
         return max(1, min(int(workers), max(1, pending_count)))
 
-    def _effective_retries(self, override: Optional[int]) -> int:
-        """Resolve max retries: arg > session > REPRO_MAX_RETRIES > 1."""
-        retries = override if override is not None else self.max_retries
+    def _effective_retries(self) -> int:
+        """Resolve max retries: session > REPRO_MAX_RETRIES > 1."""
+        retries = self.max_retries
         if retries is None:
             retries = env_int("REPRO_MAX_RETRIES", 1, minimum=0)
         return max(0, int(retries))
 
-    def _effective_timeout(self, override: Optional[float]
-                           ) -> Optional[float]:
-        """Resolve the per-job timeout: arg > session >
-        REPRO_JOB_TIMEOUT > none."""
-        timeout = override if override is not None else self.job_timeout
+    def _effective_timeout(self) -> Optional[float]:
+        """Resolve the per-job timeout: session > REPRO_JOB_TIMEOUT >
+        none."""
+        timeout = self.job_timeout
         if timeout is None:
             timeout = env_float("REPRO_JOB_TIMEOUT", 0.0, minimum=0.0)
         return float(timeout) if timeout and timeout > 0 else None
 
     # -- cache internals -----------------------------------------------
-    def _lookup(self, token: str, job_type: type
-                ) -> Tuple[Any, Optional[str]]:
-        """Memory then disk lookup: ``(result, stats key of the tier)``,
-        or ``(_MISS, None)`` when absent."""
+    def _lookup(self, token: str, job_type: type) -> Any:
+        """Memory then disk lookup: the cached result, or ``_MISS``."""
         if token in self._memory:
             result = self._memory[token]
             if not _observability_satisfied(result):
-                return _MISS, None  # cached without requested metrics
-            return result, "memory_hits"
+                return _MISS  # cached without requested metrics
+            return result
         if self.disk_cache and job_type in _CODECS:
             payload = self._disk_read(token)
             if payload is not None:
                 try:
                     result = _CODECS[job_type][1](payload)
                 except (TypeError, ValueError, KeyError):
-                    return _MISS, None  # stale/corrupt entry: recompute
+                    return _MISS  # stale/corrupt entry: recompute
                 if not _observability_satisfied(result):
-                    return _MISS, None
+                    return _MISS
                 self._memory[token] = result
-                return result, "disk_hits"
-        return _MISS, None
+                return result
+        return _MISS
 
     @staticmethod
     def _absorb_observability(result: Any) -> None:
@@ -1549,7 +1469,8 @@ _DEFAULT_SESSION: Optional[SimSession] = None
 
 
 def get_default_session() -> SimSession:
-    """The process-wide session behind the legacy ``run_*`` wrappers."""
+    """The process-wide session the experiment planner submits to when
+    it is handed none."""
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:
         _DEFAULT_SESSION = SimSession()

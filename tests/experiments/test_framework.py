@@ -18,7 +18,12 @@ from repro.experiments.common import CgfJob, SubarrayStatsJob
 from repro.params import SimScale
 from repro.report import EXHIBITS, generate_markdown
 from repro.sim.runner import prac_setup
-from repro.sim.session import SimJob, SimSession, fault_roll
+from repro.sim.session import (
+    FailurePolicy,
+    SimJob,
+    SimSession,
+    fault_roll,
+)
 from repro.workloads.specs import workload_by_name
 
 FAST = Context.make(workloads=["tc"], scale=SimScale(4096),
@@ -299,7 +304,8 @@ class TestCountingMerge:
 class TestCountingFailures:
     def _keep_going(self):
         return SimSession(disk_cache=False,
-                          failure_policy="keep_going", max_retries=0)
+                          failure_policy=FailurePolicy.KEEP_GOING,
+                          max_retries=0)
 
     def test_failed_stream_degrades_every_exhibit_reading_it(
             self, monkeypatch):
@@ -358,7 +364,8 @@ class _BoomJob:
 class TestDegraded:
     def _keep_going(self):
         return SimSession(disk_cache=False,
-                          failure_policy="keep_going", max_retries=0)
+                          failure_policy=FailurePolicy.KEEP_GOING,
+                          max_retries=0)
 
     def _poisoned(self, name="degraded-demo", **kwargs):
         ok = SimJob("tc", prac_setup(1000), SimScale(4096))

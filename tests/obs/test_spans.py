@@ -22,7 +22,7 @@ from repro.obs.export import (
 from repro.obs.spans import TRACK_WORKER, SpanRecorder, recording
 from repro.params import SimScale
 from repro.sim.registry import setup_by_name
-from repro.sim.session import SimJob, SimSession
+from repro.sim.session import FailurePolicy, SimJob, SimSession
 
 SCALE = SimScale(2048)  # ~16 us windows: smoke-test speed
 
@@ -171,8 +171,7 @@ class TestSessionSpans:
         if session is None:
             session = SimSession(disk_cache=False, max_workers=workers)
         with recording() as rec:
-            results = session.run_many(_jobs(),
-                                       max_workers=workers)
+            results = session.run_many(_jobs())
         return rec, results
 
     def test_every_cell_exactly_once_with_disposition(self):
@@ -256,7 +255,8 @@ class TestSessionSpans:
     def test_failed_disposition_under_keep_going(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
         session = SimSession(disk_cache=False, max_workers=1,
-                             max_retries=0, failure_policy="keep_going")
+                             max_retries=0,
+                             failure_policy=FailurePolicy.KEEP_GOING)
         with recording() as rec:
             session.run_many([_jobs()[0]])
         (_, disposition), = _cells(rec)

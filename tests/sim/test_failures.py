@@ -33,6 +33,7 @@ from repro.sim.session import (
 )
 
 SCALE = SimScale(4096)  # ~8 us windows: failure-path smoke speed
+KEEP_GOING = FailurePolicy.KEEP_GOING
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,10 +104,9 @@ for _job_type in (OkJob, FlakyJob, CrashOnceJob, SleepJob):
 
 class TestKeepGoing:
     def test_siblings_survive_a_poisoned_job(self):
-        session = SimSession(disk_cache=False)
-        results = session.run_many(
-            [OkJob(1), BoomJob(2), OkJob(3)],
-            policy="keep_going", max_retries=0)
+        session = SimSession(disk_cache=False, max_retries=0,
+                             failure_policy=KEEP_GOING)
+        results = session.run_many([OkJob(1), BoomJob(2), OkJob(3)])
         assert results[0] == 2 and results[2] == 6
         failure = results[1]
         assert is_failure(failure)
@@ -116,10 +116,10 @@ class TestKeepGoing:
         assert not failure.timed_out
 
     def test_pool_siblings_survive_and_are_cached(self, tmp_path):
-        session = SimSession(cache_dir=str(tmp_path))
+        session = SimSession(cache_dir=str(tmp_path), max_workers=4,
+                             max_retries=0, failure_policy=KEEP_GOING)
         results = session.run_many(
-            [OkJob(1), BoomJob(2), OkJob(3), OkJob(4)],
-            max_workers=4, policy="keep_going", max_retries=0)
+            [OkJob(1), BoomJob(2), OkJob(3), OkJob(4)])
         assert [r for r in results if not is_failure(r)] == [2, 6, 8]
         assert sum(1 for r in results if is_failure(r)) == 1
         # Completed siblings were persisted as they finished.
@@ -127,32 +127,22 @@ class TestKeepGoing:
             assert os.path.exists(
                 session._entry_path(job_token(job)))
 
-    def test_policy_strings_and_enum_are_equivalent(self):
-        for policy in ("keep_going", "keep-going",
-                       FailurePolicy.KEEP_GOING):
-            session = SimSession(disk_cache=False,
-                                 failure_policy=policy)
-            assert session.failure_policy is FailurePolicy.KEEP_GOING
-
     def test_batch_stats_count_failures(self):
-        session = SimSession(disk_cache=False)
-        session.run_many([OkJob(1), BoomJob(2)],
-                         policy="keep_going", max_retries=2)
+        session = SimSession(disk_cache=False, max_retries=2,
+                             failure_policy=KEEP_GOING)
+        session.run_many([OkJob(1), BoomJob(2)])
         batch = session.last_batch
         assert batch.computed == 1
         assert batch.failed == 1
         assert batch.retried == 2  # both retries burned on the boom
         assert batch.timed_out == 0
-        assert session.stats["failed"] == 1
-        assert session.stats["retried"] == 2
 
 
 class TestFailFast:
     def test_raises_after_storing_completed_siblings(self, tmp_path):
-        session = SimSession(cache_dir=str(tmp_path))
+        session = SimSession(cache_dir=str(tmp_path), max_retries=0)
         with pytest.raises(JobFailed) as excinfo:
-            session.run_many([OkJob(1), BoomJob(2), OkJob(3)],
-                             max_retries=0)
+            session.run_many([OkJob(1), BoomJob(2), OkJob(3)])
         assert isinstance(excinfo.value.failure, JobFailure)
         assert excinfo.value.failure.error_type == "RuntimeError"
         # The batch finished harvesting before raising: both siblings
@@ -163,10 +153,10 @@ class TestFailFast:
             assert os.path.exists(session._entry_path(token))
 
     def test_fail_fast_is_the_library_default(self):
-        session = SimSession(disk_cache=False)
+        session = SimSession(disk_cache=False, max_retries=0)
         assert session.failure_policy is FailurePolicy.FAIL_FAST
         with pytest.raises(JobFailed):
-            session.run_many([BoomJob(1)], max_retries=0)
+            session.run_many([BoomJob(1)])
 
     def test_untokened_failure_respects_policy(self):
         setup = dataclasses.replace(
@@ -174,30 +164,31 @@ class TestFailFast:
             tracker_factory=lambda seed, subch, bank: 1 / 0)
         job = SimJob("tc", setup, SCALE)
         assert job_token(job) is None
-        session = SimSession(disk_cache=False)
         with pytest.raises(JobFailed):
-            session.run_many([job], max_retries=0)
-        results = session.run_many([job], policy="keep_going",
-                                   max_retries=0)
+            SimSession(disk_cache=False, max_retries=0).run_many([job])
+        session = SimSession(disk_cache=False, max_retries=0,
+                             failure_policy=KEEP_GOING)
+        results = session.run_many([job])
         assert is_failure(results[0])
         assert results[0].token is None
+        assert (session.last_batch.failed,
+                session.last_batch.computed) == (1, 0)
 
 
 class TestRetries:
     def test_transient_failure_heals_on_retry(self, tmp_path):
         marker = str(tmp_path / "marker")
-        session = SimSession(disk_cache=False)
-        result = session.run_many([FlakyJob(1, marker)],
-                                  max_retries=1)[0]
+        session = SimSession(disk_cache=False, max_retries=1)
+        result = session.run_many([FlakyJob(1, marker)])[0]
         assert result == "healed 1"
         assert session.last_batch.retried == 1
         assert session.last_batch.failed == 0
 
     def test_zero_retries_fails_transients(self, tmp_path):
         marker = str(tmp_path / "marker")
-        session = SimSession(disk_cache=False)
-        results = session.run_many([FlakyJob(1, marker)],
-                                   policy="keep_going", max_retries=0)
+        session = SimSession(disk_cache=False, max_retries=0,
+                             failure_policy=KEEP_GOING)
+        results = session.run_many([FlakyJob(1, marker)])
         assert is_failure(results[0])
 
     def test_injected_faults_heal_and_results_are_bit_identical(
@@ -207,8 +198,9 @@ class TestRetries:
                               mirza_setup(1000, SCALE))]
         clean = SimSession(disk_cache=False).run_many(jobs)
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
-        session = SimSession(disk_cache=False)
-        faulted = session.run_many(jobs, max_workers=2, max_retries=1)
+        session = SimSession(disk_cache=False, max_workers=2,
+                             max_retries=1)
+        faulted = session.run_many(jobs)
         # Every job faulted once (rate 1.0) and retried to completion;
         # a retried job re-executes the same pure content, so the
         # batch is bit-identical to the clean serial run.
@@ -227,10 +219,10 @@ class TestRetries:
 class TestBrokenPoolRecovery:
     def test_crashed_worker_pool_is_rebuilt(self, tmp_path):
         marker = str(tmp_path / "crashed")
-        session = SimSession(disk_cache=False)
+        session = SimSession(disk_cache=False, max_workers=2,
+                             max_retries=1, failure_policy=KEEP_GOING)
         results = session.run_many(
-            [OkJob(1), CrashOnceJob(marker), OkJob(2)],
-            max_workers=2, policy="keep_going", max_retries=1)
+            [OkJob(1), CrashOnceJob(marker), OkJob(2)])
         assert results == [2, "recovered", 4]
 
     def test_persistently_broken_pool_falls_back_to_serial(
@@ -247,21 +239,19 @@ class TestBrokenPoolRecovery:
             def shutdown(self, *args, **kwargs):
                 pass
 
-        session = SimSession(disk_cache=False)
+        session = SimSession(disk_cache=False, max_workers=2)
         monkeypatch.setattr(session, "_make_pool",
                             lambda workers: AlwaysBrokenPool())
-        results = session.run_many([OkJob(1), OkJob(2), OkJob(3)],
-                                   max_workers=2)
+        results = session.run_many([OkJob(1), OkJob(2), OkJob(3)])
         assert results == [2, 4, 6]  # computed in-process
 
 
 class TestTimeout:
     def test_stuck_job_times_out_and_siblings_complete(self):
-        session = SimSession(disk_cache=False)
-        results = session.run_many(
-            [SleepJob(1, 3.0), OkJob(2)],
-            max_workers=2, policy="keep_going",
-            max_retries=0, job_timeout=0.3)
+        session = SimSession(disk_cache=False, max_workers=2,
+                             max_retries=0, job_timeout=0.3,
+                             failure_policy=KEEP_GOING)
+        results = session.run_many([SleepJob(1, 3.0), OkJob(2)])
         assert is_failure(results[0])
         assert results[0].timed_out
         assert results[0].error_type == "TimeoutError"
@@ -269,22 +259,22 @@ class TestTimeout:
         assert session.last_batch.timed_out == 1
 
     def test_serial_execution_ignores_the_timeout(self):
-        session = SimSession(disk_cache=False)
-        results = session.run_many([SleepJob(1, 0.05)],
-                                   job_timeout=0.001)
+        session = SimSession(disk_cache=False, job_timeout=0.001)
+        results = session.run_many([SleepJob(1, 0.05)])
         assert results == ["slept"]
 
 
 class TestCacheResume:
     def test_rerun_after_failures_serves_siblings_from_disk(
             self, tmp_path):
-        crashed = SimSession(cache_dir=str(tmp_path))
-        crashed.run_many([OkJob(1), BoomJob(2), OkJob(3)],
-                         policy="keep_going", max_retries=0)
+        crashed = SimSession(cache_dir=str(tmp_path), max_retries=0,
+                             failure_policy=KEEP_GOING)
+        crashed.run_many([OkJob(1), BoomJob(2), OkJob(3)])
         resumed = SimSession(cache_dir=str(tmp_path))
         results = resumed.run_many([OkJob(1), OkJob(3)])
         assert results == [2, 6]
-        assert resumed.stats["disk_hits"] == 2
+        # A fresh session's memory is empty: both hits came from disk.
+        assert resumed.last_batch.cache_hits == 2
         assert resumed.last_batch.computed == 0
 
     def test_slowdowns_surface_failures_per_pair(self, monkeypatch):
@@ -292,16 +282,15 @@ class TestCacheResume:
         # slot degrades to its JobFailure, and with the default budget
         # the identical sweep heals (failures are never cached).
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
-        session = SimSession(disk_cache=False)
+        session = SimSession(disk_cache=False,
+                             failure_policy=KEEP_GOING)
         with monkeypatch.context() as patch:
             patch.setenv("REPRO_MAX_RETRIES", "0")
             pairs = session.slowdowns(
-                [SimJob("tc", mirza_setup(1000, SCALE), SCALE)],
-                policy="keep_going")
+                [SimJob("tc", mirza_setup(1000, SCALE), SCALE)])
             assert is_failure(pairs[0])
         pairs = session.slowdowns(
-            [SimJob("tc", mirza_setup(1000, SCALE), SCALE)],
-            policy="keep_going")
+            [SimJob("tc", mirza_setup(1000, SCALE), SCALE)])
         slowdown, result = pairs[0]
         assert isinstance(slowdown, float)
 
@@ -360,7 +349,7 @@ class TestEnvKnobs:
     def test_repro_jobs_auto_means_cpu_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "auto")
         session = SimSession(disk_cache=False)
-        assert session._effective_workers(None, 128) \
+        assert session._effective_workers(128) \
             == (os.cpu_count() or 1)
 
     def test_malformed_repro_jobs_warns_and_defaults(
@@ -369,7 +358,7 @@ class TestEnvKnobs:
         _env._WARNED.clear()
         session = SimSession(disk_cache=False)
         with pytest.warns(UserWarning, match="REPRO_JOBS"):
-            assert session._effective_workers(None, 128) == 1
+            assert session._effective_workers(128) == 1
 
     def test_malformed_fault_rate_warns_and_stays_off(
             self, monkeypatch):
@@ -385,11 +374,11 @@ class TestEnvKnobs:
         _env._WARNED.clear()
         session = SimSession(disk_cache=False)
         with pytest.warns(UserWarning):
-            session._effective_workers(None, 128)
+            session._effective_workers(128)
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             # silent second parse
-            assert session._effective_workers(None, 128) == 1
+            assert session._effective_workers(128) == 1
 
     @scale_and_seed_knobs
     def test_empty_scale_or_seed_means_default(self, monkeypatch, var,
@@ -421,9 +410,9 @@ class TestObservabilityCounters:
         registry = obs_metrics.MetricsRegistry()
         previous = obs_metrics.install(registry)
         try:
-            session = SimSession(disk_cache=False)
-            session.run_many([OkJob(1), BoomJob(2)],
-                             policy="keep_going", max_retries=1)
+            session = SimSession(disk_cache=False, max_retries=1,
+                                 failure_policy=KEEP_GOING)
+            session.run_many([OkJob(1), BoomJob(2)])
         finally:
             obs_metrics.install(previous)
         snapshot = registry.snapshot()

@@ -12,13 +12,12 @@ from repro.sim.runner import (
     mist_setup,
     naive_mirza_setup,
     prac_setup,
-    run_baseline,
-    run_workload,
     simulate,
-    slowdown_for,
 )
+from repro.sim.session import SimJob, SimSession
 
 SCALE = SimScale(2048)  # ~16 us windows: smoke-test speed
+SESSION = SimSession(disk_cache=False)  # shared: tests reuse results
 
 
 class TestSetups:
@@ -131,7 +130,8 @@ class TestCalibration:
         assert again.config.num_cores == default.config.num_cores
 
     def test_calibration_hits_target_rate(self):
-        result = run_baseline("tc", SCALE, seed=1)
+        result = SESSION.run(SimJob("tc", baseline_setup(), SCALE,
+                                    seed=1))
         from repro.workloads.specs import workload_by_name
         spec = workload_by_name("tc")
         target = spec.acts_per_subarray_mean / SCALE.time_scale
@@ -141,28 +141,31 @@ class TestCalibration:
 
 class TestRunning:
     def test_baseline_cached(self):
-        a = run_baseline("tc", SCALE, seed=0)
-        b = run_baseline("tc", SCALE, seed=0)
+        a = SESSION.run(SimJob("tc", baseline_setup(), SCALE))
+        b = SESSION.run(SimJob("tc", baseline_setup(), SCALE))
         assert a is b
 
     def test_protected_run_returns_stats(self):
-        result = run_workload("tc", mirza_setup(1000, SCALE), SCALE)
+        result = SESSION.run(SimJob("tc", mirza_setup(1000, SCALE),
+                                    SCALE))
         assert result.total_activations > 0
         assert len(result.alerts) == 2
 
     def test_slowdown_for_returns_pair(self):
-        sd, result = slowdown_for("tc", prac_setup(1000), SCALE)
+        (sd, result), = SESSION.slowdowns(
+            [SimJob("tc", prac_setup(1000), SCALE)])
         assert isinstance(sd, float)
         assert result.total_requests > 0
 
     def test_prac_slows_down_memory_bound_workload(self):
-        sd, _ = slowdown_for("tc", prac_setup(1000), SCALE)
+        (sd, _), = SESSION.slowdowns(
+            [SimJob("tc", prac_setup(1000), SCALE)])
         assert sd > 0.0
 
     def test_mirza_cheaper_than_mint_rfm(self):
-        mirza_sd, _ = slowdown_for("tc", mirza_setup(1000, SCALE),
-                                   SCALE)
-        rfm_sd, _ = slowdown_for("tc", mint_rfm_setup(1000), SCALE)
+        (mirza_sd, _), (rfm_sd, _) = SESSION.slowdowns(
+            [SimJob("tc", mirza_setup(1000, SCALE), SCALE),
+             SimJob("tc", mint_rfm_setup(1000), SCALE)])
         assert mirza_sd <= rfm_sd
 
     def test_mc_side_drfm_mitigates_more_than_mirza(self):

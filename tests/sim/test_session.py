@@ -8,14 +8,10 @@ import pytest
 from repro.params import SimScale, SystemConfig
 from repro.sim import runner
 from repro.sim.profile import profiling
-from repro.sim.runner import (
-    baseline_setup,
-    mirza_setup,
-    prac_setup,
-    run_baseline,
-)
+from repro.sim.runner import baseline_setup, mirza_setup, prac_setup
 from repro.sim.session import (
     CalibrationJob,
+    FailurePolicy,
     SimJob,
     SimSession,
     TenantJob,
@@ -63,8 +59,9 @@ class TestJobToken:
         assert len(set(tokens)) == len(tokens)
 
     def test_distinct_configs_never_collide(self):
-        # Regression: the old run_baseline key hashed id(type(config)),
-        # so *every* SystemConfig value shared one cache slot.
+        # Regression: an old baseline cache key hashed
+        # id(type(config)), so *every* SystemConfig value shared one
+        # cache slot.
         a = SimJob("tc", baseline_setup(), SCALE,
                    config=SystemConfig())
         b = SimJob("tc", baseline_setup(), SCALE,
@@ -88,19 +85,20 @@ class TestMemoryCache:
         session = SimSession(disk_cache=False)
         job = SimJob("tc", baseline_setup(), SCALE)
         a = session.run(job)
+        assert session.last_batch.computed == 1
         b = session.run(SimJob("tc", baseline_setup(), SCALE))
         assert a is b
-        assert session.stats["misses"] == 1
-        assert session.stats["memory_hits"] == 1
+        assert (session.last_batch.cache_hits,
+                session.last_batch.computed) == (1, 0)
 
     def test_run_many_dedupes_within_batch(self):
         session = SimSession(disk_cache=False)
         job = SimJob("tc", baseline_setup(), SCALE)
         results = session.run_many([job, job, job])
         assert results[0] is results[1] is results[2]
-        assert session.stats["misses"] == 1
+        assert session.last_batch.computed == 1
 
-    def test_closure_jobs_run_uncached(self):
+    def test_closure_jobs_run_uncached(self, monkeypatch):
         from repro.sim.runner import simulate
         session = SimSession(disk_cache=False)
         setup = prac_setup(1000)
@@ -109,9 +107,20 @@ class TestMemoryCache:
             setup,
             tracker_factory=lambda seed, subch, bank: factory(
                 seed, subch, bank))
-        result = session.run(SimJob("tc", opaque, SCALE))
+        job = SimJob("tc", opaque, SCALE)
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        result = session.run(job)
+        # The session calibrates its key like any in-process job's, to
+        # the value simulate() settles on by itself.
+        key = job_token(CalibrationJob("tc", SCALE).resolved())
+        assert isinstance(session._memory[key], int)
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
         assert result == simulate("tc", setup, SCALE)
-        assert session.stats["memory_hits"] == 0
+        assert session.run(job) == result
+        # Untokened: executed every time, never a hit or "computed".
+        batch = session.last_batch
+        assert (batch.submitted, batch.unique, batch.cache_hits,
+                batch.computed) == (1, 1, 0, 0)
 
 
 class TestDiskCache:
@@ -121,8 +130,9 @@ class TestDiskCache:
         computed = first.run(job)
         second = SimSession(cache_dir=str(tmp_path))
         restored = second.run(SimJob("tc", prac_setup(1000), SCALE))
-        assert second.stats["disk_hits"] == 1
-        assert second.stats["misses"] == 0
+        # A fresh session's memory is empty, so its hit came from disk.
+        assert second.last_batch.cache_hits == 1
+        assert second.last_batch.computed == 0
         assert restored == computed
 
     def test_corrupt_entry_recomputes(self, tmp_path):
@@ -134,7 +144,8 @@ class TestDiskCache:
             handle.write("{not json")
         fresh = SimSession(cache_dir=str(tmp_path))
         result = fresh.run(job)
-        assert fresh.stats["misses"] == 1
+        assert fresh.last_batch.cache_hits == 0
+        assert fresh.last_batch.computed == 1
         assert result == session.run(job)
 
     def test_disk_cache_off_writes_nothing(self, tmp_path):
@@ -150,8 +161,8 @@ class TestParallel:
                 for setup in (baseline_setup(),
                               mirza_setup(1000, SCALE))]
         serial = SimSession(disk_cache=False).run_many(jobs)
-        parallel = SimSession(disk_cache=False).run_many(
-            jobs, max_workers=2)
+        parallel = SimSession(disk_cache=False,
+                              max_workers=2).run_many(jobs)
         assert serial == parallel
 
     def test_slowdowns_pair_jobs_with_their_baselines(self):
@@ -161,7 +172,7 @@ class TestParallel:
         baseline = session.run(SimJob("tc", baseline_setup(), SCALE))
         assert slowdown == protected.slowdown_pct(baseline)
         # The baseline was computed inside the slowdowns() batch.
-        assert session.stats["memory_hits"] >= 1
+        assert session.last_batch.cache_hits == 1
 
 
 class TestBatchStats:
@@ -194,26 +205,34 @@ class TestBatchStats:
                 SimJob("tc", mirza_setup(1000, SCALE), SCALE)]
         pairs = session.slowdowns(jobs)
         assert len(pairs) == 2
-        assert session.last_batch.submitted == 3  # 1 baseline + 2 jobs
-        assert session.stats["baseline_dedup"] == 1
+        batch = session.last_batch
+        assert batch.submitted == 4  # a baseline per job + 2 jobs
+        assert batch.unique == 3  # the shared baseline runs once
+        assert batch.deduplicated == 1
+        assert batch.computed == 3
 
     def test_distinct_workloads_keep_distinct_baselines(self):
         session = SimSession(disk_cache=False)
         jobs = [SimJob("tc", prac_setup(1000), SCALE),
                 SimJob("cc", prac_setup(1000), SCALE)]
         session.slowdowns(jobs)
-        assert session.last_batch.submitted == 4  # 2 baselines + 2 jobs
-        assert session.stats["baseline_dedup"] == 0
+        batch = session.last_batch
+        assert batch.submitted == 4  # 2 baselines + 2 jobs
+        assert batch.unique == 4
+        assert batch.deduplicated == 0
 
 
 class TestDefaultSessionWrappers:
     def test_distinct_configs_get_distinct_baselines(self):
         # Regression for the id(type(config)) cache-key bug: baselines
         # for different SystemConfig values must not be conflated.
-        with using_session(SimSession(disk_cache=False)):
-            wide = run_baseline("tc", SCALE)
-            narrow = run_baseline("tc", SCALE,
-                                  config=SystemConfig(num_cores=2))
+        from repro.sim.session import get_default_session
+        with using_session(SimSession(disk_cache=False)) as session:
+            wide, narrow = get_default_session().run_many(
+                [SimJob("tc", baseline_setup(), SCALE),
+                 SimJob("tc", baseline_setup(), SCALE,
+                        config=SystemConfig(num_cores=2))])
+        assert session.last_batch.unique == 2
         assert len(wide.ipc) == 8
         assert len(narrow.ipc) == 2
 
@@ -273,8 +292,9 @@ class TestBatchCalibration:
         clean = SimSession(disk_cache=False).run_many(jobs)
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
         seen = []
-        session = SimSession(disk_cache=False, progress=seen.append)
-        assert session.run_many(jobs, max_retries=1) == clean
+        session = SimSession(disk_cache=False, max_retries=1,
+                             progress=seen.append)
+        assert session.run_many(jobs) == clean
         assert [u.last for u in seen if u.last.startswith("calibrate:")] \
             == ["calibrate:tc/x2048/seed0"]
         assert job_token(CalibrationJob("tc", SCALE).resolved()) \
@@ -289,15 +309,15 @@ class TestBatchCalibration:
         with profiling() as prof:
             second.run(SimJob("tc", prac_setup(1000), SCALE))
         assert prof.calibrations == 0  # read back, no probes
-        assert second.stats["disk_hits"] == 0  # calibration is no cell
+        assert second.last_batch.cache_hits == 0  # calibration is no cell
 
     def test_unknown_tenant_workload_fails_only_its_job(self):
         scenario = TenantScenario((Tenant("vm", tuple(range(8)),
                                           workload="no-such-workload"),))
         jobs = [TenantJob(scenario, baseline_setup(), SCALE),
                 SimJob("tc", baseline_setup(), SCALE)]
-        session = SimSession(disk_cache=False)
-        bad, good = session.run_many(jobs, policy="keep_going",
-                                     max_retries=0)
+        session = SimSession(disk_cache=False, max_retries=0,
+                             failure_policy=FailurePolicy.KEEP_GOING)
+        bad, good = session.run_many(jobs)
         assert is_failure(bad) and bad.error_type == "KeyError"
         assert not is_failure(good)

@@ -7,6 +7,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 PACKAGES = [
@@ -130,6 +132,28 @@ class TestCuratedSurface:
             assert cli_main(argv) == 2
             assert f"unrecognized arguments: --{old}" \
                 in capsys.readouterr().err
+
+    def test_one_way_through_the_session(self):
+        """Batch settings live on the session, as the one policy
+        spelling; the session keeps one ledger (``last_batch``), one
+        in-process loop and one dedup; and no wrapper runs jobs beside
+        it."""
+        from repro.sim import registry, runner, session
+        from repro.sim.session import FailurePolicy, SimSession
+        for method in (SimSession.run_many, SimSession.slowdowns):
+            assert list(inspect.signature(method).parameters) \
+                == ["self", "jobs"], method.__name__
+        assert not hasattr(SimSession(disk_cache=False), "stats")
+        with pytest.raises(TypeError):
+            SimSession(failure_policy="keep_going")
+        assert not hasattr(FailurePolicy, "coerce")
+        for name in ("run_workload", "run_baseline", "slowdown_for"):
+            assert not hasattr(runner, name), name
+        for name in ("_execute", "_run_untokened", "_Tally"):
+            assert not hasattr(session, name), name
+        for name in ("_run_untokened", "slowdown"):
+            assert not hasattr(SimSession, name), name
+        assert not hasattr(registry, "setups_from_names")
 
     def test_workload_sources_satisfy_the_seam(self):
         from repro.params import SimScale, SystemConfig

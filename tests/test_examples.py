@@ -1,11 +1,14 @@
 """Smoke tests: the shipped examples stay runnable.
 
-Only the fast examples execute end to end here; the heavier ones
-(`quickstart`, `compare_mitigations`, `custom_trace`,
-`security_audit`) are compile-checked so a refactor that breaks their
-imports or syntax fails the suite immediately.
+Every example is compile-checked, and every ``from repro... import
+name`` in it must resolve (``py_compile`` never resolves an import), so
+a refactor that breaks an example's syntax or imports fails the suite
+immediately.  The fast examples, and `compare_mitigations` at a deep
+scale, also execute end to end.
 """
 
+import ast
+import importlib
 import pathlib
 import py_compile
 import runpy
@@ -19,6 +22,30 @@ ALL_EXAMPLES = sorted(p.name for p in EXAMPLES.glob("*.py"))
 FAST_EXAMPLES = ["provisioning_sweep.py", "rowhammer_playground.py"]
 
 
+def repro_imports(path):
+    """``(module, name)`` for each ``from repro... import name`` in a
+    source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "repro"
+            for alias in node.names]
+
+
+def unresolved(imports):
+    """The ``module.name`` of each import that is neither an attribute
+    nor a submodule of its module."""
+    missing = []
+    for module_name, name in imports:
+        if hasattr(importlib.import_module(module_name), name):
+            continue
+        try:
+            importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            missing.append(f"{module_name}.{name}")
+    return missing
+
+
 class TestExamplesExist:
     def test_at_least_three_examples(self):
         assert len(ALL_EXAMPLES) >= 3
@@ -27,6 +54,19 @@ class TestExamplesExist:
     @pytest.mark.parametrize("name", ALL_EXAMPLES)
     def test_example_compiles(self, name):
         py_compile.compile(str(EXAMPLES / name), doraise=True)
+
+    @pytest.mark.parametrize("name", ALL_EXAMPLES)
+    def test_example_imports_resolve(self, name):
+        imports = repro_imports(EXAMPLES / name)
+        assert imports, name  # every example uses the library
+        assert unresolved(imports) == []
+
+    def test_import_check_catches_a_missing_name(self):
+        # ``repro`` does not import its ``energy`` submodule itself.
+        assert unresolved([("repro.sim.runner", "simulate"),
+                           ("repro", "energy"),
+                           ("repro.sim.runner", "no_such_name")]) \
+            == ["repro.sim.runner.no_such_name"]
 
     @pytest.mark.parametrize("name", ALL_EXAMPLES)
     def test_example_has_module_docstring(self, name):
@@ -41,3 +81,13 @@ class TestFastExamplesRun:
         runpy.run_path(str(EXAMPLES / name), run_name="__main__")
         out = capsys.readouterr().out
         assert len(out) > 100  # produced a real report
+
+    def test_compare_mitigations_at_a_deep_scale(self, capsys,
+                                                 monkeypatch):
+        name = "compare_mitigations.py"
+        monkeypatch.setattr(sys, "argv", [name, "tc", "8192"])
+        runpy.run_path(str(EXAMPLES / name), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "Baseline: " in out
+        for setup in ("prac-1000", "mint-rfm-1000", "mirza-1000"):
+            assert f"\n{setup} " in out, setup

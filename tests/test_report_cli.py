@@ -111,6 +111,16 @@ class TestCliFlags:
         assert cli_main(["run", "tableZZ"]) == 2
         assert "unknown exhibit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,noun", [
+        (["run", "--setup", "mirza", "--no-cache"], "workload"),
+        (["run", "--no-cache"], "exhibit"),
+    ], ids=["setup", "exhibits"])
+    def test_run_without_names_exits_2(self, argv, noun, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"run: name at least one {noun}\n"
+
     def test_flags_beat_environment(self, monkeypatch):
         from repro.__main__ import _build_parser, _environment
         import os
