@@ -19,6 +19,10 @@ coarse-grained event and accumulate wall time into named phases:
     Per-activation mitigation-tracker bookkeeping (a subset of
     ``serve``).
 
+A shared pass (:func:`repro.sim.runner.simulate_shared`) is one kernel
+run; it also counts the cells it served and the riders that diverged,
+and its riders' per-ACT tracker time lands in ``trackers``.
+
 Counting passes (``CgfJob.execute``, the activation-level tier) run no
 kernel; each records its ACTs and wall seconds once, when it returns.
 Calibration probes (``repro.sim.runner.calibrated_workload``) are not
@@ -59,7 +63,8 @@ class KernelProfile:
     __slots__ = ("trace_s", "serve_s", "refresh_s", "trackers_s",
                  "wall_s", "requests", "activations", "refs",
                  "window_ps", "runs", "counting_passes", "counting_acts",
-                 "counting_s", "calibrations", "calibration_s")
+                 "counting_s", "calibrations", "calibration_s",
+                 "shared_passes", "riders", "riders_diverged")
 
     def __init__(self) -> None:
         self.trace_s = 0.0
@@ -77,6 +82,9 @@ class KernelProfile:
         self.counting_s = 0.0
         self.calibrations = 0
         self.calibration_s = 0.0
+        self.shared_passes = 0
+        self.riders = 0
+        self.riders_diverged = 0
 
     # ------------------------------------------------------------------
     # Accumulation (called from the hot paths, profile-active only)
@@ -95,6 +103,13 @@ class KernelProfile:
         self.counting_passes += 1
         self.counting_acts += acts
         self.counting_s += wall_s
+
+    def add_shared_pass(self, served: int, diverged: int) -> None:
+        """Record one shared baseline pass: ``served`` cells read off it,
+        ``diverged`` riders left to run on their own."""
+        self.shared_passes += 1
+        self.riders += served
+        self.riders_diverged += diverged
 
     def add_calibration(self, wall_s: float) -> None:
         """Record the probe windows of one calibrated workload key."""
@@ -170,6 +185,11 @@ class KernelProfile:
                          f"{self.counting_passes:>9}  "
                          f"{self.counting_acts:,} ACTs in "
                          f"{self.counting_s:.3f}s ({rate:,.0f}/s)")
+        if self.shared_passes:
+            lines.append(f"  {'shared passes':<22} "
+                         f"{self.shared_passes:>9}  {self.riders} "
+                         f"riders served, {self.riders_diverged} "
+                         f"diverged")
         if self.calibrations:
             lines.append(f"  {'calibration':<22} "
                          f"{self.calibrations:>9}  keys probed in "

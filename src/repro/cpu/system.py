@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, Optional
 from repro import _profile
 from repro.cpu.core import Core
 from repro.cpu.trace import TraceEntry
-from repro.dram.device import DramDevice
+from repro.dram.device import DramDevice, RiderDevice, Riders
 from repro.dram.mapping import RowToSubarrayMapping
 from repro.mc.controller import MemoryController
 from repro.mitigations.base import BankTracker
@@ -160,7 +160,11 @@ MappingFactory = Callable[[], RowToSubarrayMapping]
 
 
 class MultiCoreSystem:
-    """Cores + two subchannel controllers + devices, run over a window."""
+    """Cores + two subchannel controllers + devices, run over a window.
+
+    With ``riders``, every subchannel is a
+    :class:`~repro.dram.device.RiderDevice` carrying them.
+    """
 
     def __init__(self, config: SystemConfig,
                  trace_factory: TraceFactory,
@@ -172,7 +176,8 @@ class MultiCoreSystem:
                  blast_radius: int = 2,
                  record_commands: bool = False,
                  drfm_factory=None,
-                 tenants: Optional[List[Optional[str]]] = None) -> None:
+                 tenants: Optional[List[Optional[str]]] = None,
+                 riders: Optional[Riders] = None) -> None:
         self.config = config
         self.devices: List[DramDevice] = []
         self.mcs: List[MemoryController] = []
@@ -183,9 +188,14 @@ class MultiCoreSystem:
             if tracker_factory is not None:
                 per_bank = (lambda s: lambda bank_id: tracker_factory(
                     s, bank_id))(subch)
-            device = DramDevice(config, per_bank, mapping,
-                                refs_per_window, blast_radius,
-                                subch=subch)
+            if riders is None:
+                device = DramDevice(config, per_bank, mapping,
+                                    refs_per_window, blast_radius,
+                                    subch=subch)
+            else:
+                device = RiderDevice(config, per_bank, mapping,
+                                     refs_per_window, blast_radius,
+                                     subch=subch, riders=riders)
             self.devices.append(device)
             log = None
             if record_commands:

@@ -21,16 +21,29 @@ changes only when the tracker itself is driven (see
 re-polls the touched bank after ``activate``, ``note_row_press`` and
 ``rfm``, and every alertable bank after ``do_ref`` and
 ``service_alert``; ``alert_pending`` is then a set read.
+
+A :class:`RiderDevice` is an unprotected subchannel that also carries
+*riders*: the trackers of setups that reach the controller only through
+ALERT, following its ACTs and REFs passively until one would act
+(:class:`Riders`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set
+from typing import (
+    Callable,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import _profile
-from repro.dram.bank import Bank
+from repro.dram.bank import Bank, RowActivationOracle
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.dram.refresh import RefreshScheduler, RefreshSlice
 from repro.mitigations.base import BankTracker, MitigationSlotSource
@@ -309,3 +322,122 @@ class DramDevice:
     def attack_succeeded(self, threshold: int) -> bool:
         """Ground truth: did any row ever exceed ``threshold``?"""
         return any(b.oracle.attack_succeeded(threshold) for b in self.banks)
+
+
+class Riders:
+    """The passive riders of one shared baseline pass, across subchannels.
+
+    Rider ``i`` is one setup's trackers: ``factories[i](subch, bank)``
+    builds them, and ``mappings[i]`` is its row mapping, or ``None``
+    when it is the host devices' own.  A rider *diverges* the first time
+    one of its trackers wants an ALERT or returns rows for a REF slot:
+    from then on its own run would differ from the host's in timing or
+    mitigations, so it stops riding and ``diverged`` holds its index.
+    Until then its run is the host's, except for the ground-truth
+    oracles, whose REF resets follow its mapping.
+    """
+
+    __slots__ = ("factories", "mappings", "diverged", "devices")
+
+    def __init__(self, factories: Sequence[Callable[[int, int],
+                                                    BankTracker]],
+                 mappings: Sequence[Optional[RowToSubarrayMapping]]
+                 ) -> None:
+        self.factories = list(factories)
+        self.mappings = list(mappings)
+        self.diverged: Set[int] = set()
+        self.devices: List["RiderDevice"] = []
+
+    def diverge(self, rider: int) -> None:
+        """Drop ``rider`` from every device it rides."""
+        self.diverged.add(rider)
+        for device in self.devices:
+            device.bind_riders()
+
+    def unmitigated_by_bank(self, rider: int) -> List[List[int]]:
+        """Per-subchannel, per-bank worst unmitigated-ACT counts under
+        ``rider``'s mapping (its ``SimResult.unmitigated_by_bank``)."""
+        return [[oracle.max_unmitigated
+                 for oracle in device.rider_oracles[rider]]
+                for device in self.devices]
+
+
+class RiderDevice(DramDevice):
+    """A subchannel that also drives :class:`Riders` on every ACT and REF.
+
+    Each rider gets its own per-bank trackers here, and riders sharing a
+    mapping other than the device's share one oracle set (riders on the
+    device's mapping read its banks' oracles).  A subclass, so the plain
+    :class:`DramDevice` ACT path gains no rider check.
+    """
+
+    def __init__(self, *args, riders: Riders, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.riders = riders
+        banks = range(self.num_banks)
+        geometry = self.config.geometry
+        own = [bank.oracle for bank in self.banks]
+        sets: dict = {}
+        self.rider_oracles: List[List[RowActivationOracle]] = []
+        """Per rider, the per-bank oracles its REF resets follow."""
+        for mapping in riders.mappings:
+            if mapping is None:
+                self.rider_oracles.append(own)
+                continue
+            if id(mapping) not in sets:
+                sets[id(mapping)] = (mapping, [
+                    RowActivationOracle(geometry, mapping) for _ in banks])
+            self.rider_oracles.append(sets[id(mapping)][1])
+        self._oracle_sets: List[Tuple[RowToSubarrayMapping,
+                                      List[RowActivationOracle]]] = \
+            list(sets.values())
+        self._act_oracles = [[oracles[b] for _, oracles in
+                              self._oracle_sets] for b in banks]
+        self.rider_trackers: List[List[BankTracker]] = [
+            [factory(self.subch, b) for b in banks]
+            for factory in riders.factories]
+        riders.devices.append(self)
+        self.bind_riders()
+
+    def bind_riders(self) -> None:
+        """Rebuild the per-bank hooks of the riders still riding."""
+        self._live = [r for r in range(len(self.rider_trackers))
+                      if r not in self.riders.diverged]
+        self._act_hooks = [
+            [(r, self.rider_trackers[r][b].on_activate,
+              self.rider_trackers[r][b].wants_alert) for r in self._live]
+            for b in range(self.num_banks)]
+
+    def activate(self, bank_id: int, row: int, now_ps: int) -> None:
+        DramDevice.activate(self, bank_id, row, now_ps)
+        prof = _profile._ACTIVE
+        t0 = perf_counter() if prof is not None else 0.0
+        for oracle in self._act_oracles[bank_id]:
+            oracle.on_activate(row)
+        for rider, on_activate, wants_alert in self._act_hooks[bank_id]:
+            on_activate(row, now_ps)
+            if wants_alert():
+                self.riders.diverge(rider)
+        if prof is not None:
+            prof.trackers_s += perf_counter() - t0
+
+    def do_ref(self, now_ps: int) -> RefreshSlice:
+        slice_ = DramDevice.do_ref(self, now_ps)
+        # The same physical slice under each rider mapping: its oracle
+        # and RCT resets see exactly what the rider's own run would.
+        slices = {}
+        for mapping, oracles in self._oracle_sets:
+            slices[id(mapping)] = mapped = replace(slice_, mapping=mapping)
+            for oracle in oracles:
+                oracle.on_refresh(mapped)
+        ref = MitigationSlotSource.REF
+        for rider in self._live:
+            mapping = self.riders.mappings[rider]
+            mapped = slice_ if mapping is None else slices[id(mapping)]
+            for tracker in self.rider_trackers[rider]:
+                tracker.on_ref_slice(mapped, now_ps)
+                if tracker.on_mitigation_slot(now_ps, ref) \
+                        or tracker.wants_alert():
+                    self.riders.diverge(rider)
+                    break
+        return slice_

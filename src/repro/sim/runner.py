@@ -3,7 +3,9 @@
 Every experiment module ultimately goes through :func:`simulate`: it
 wires a :class:`repro.cpu.system.MultiCoreSystem` for the requested
 mitigation setup, drives one scaled refresh window, and returns the
-:class:`repro.cpu.system.SimResult`, uncached.  Callers wrap a run in
+:class:`repro.cpu.system.SimResult`, uncached.
+:func:`simulate_shared` runs the baseline's window once for many
+ALERT-only setups at a time.  Callers wrap a run in
 a :class:`repro.sim.session.SimJob` and submit it to a
 :class:`repro.sim.session.SimSession` (``run``, ``run_many`` or
 ``slowdowns``), which memoises results by a content hash of (workload,
@@ -32,12 +34,22 @@ closure still works -- it just runs in-process and uncached.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable, Iterable, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro import _profile
 from repro import obs as _obs
@@ -46,6 +58,7 @@ from repro.obs import spans as _spans
 from repro.sim.backend import KERNEL
 from repro.core.mirza import MirzaTracker
 from repro.cpu.system import MultiCoreSystem, SimResult
+from repro.dram.device import Riders
 from repro.dram.mapping import (
     RowToSubarrayMapping,
     SequentialR2SA,
@@ -78,6 +91,20 @@ class MitigationSetup:
     """(seed, subchannel) -> DrfmEngine; None = no MC-side DRFM."""
 
     extra: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def alert_only(self) -> bool:
+        """True when a tracker is the only thing setting this system apart
+        from the baseline: no PRAC timings, no RFM, no DRFM.
+
+        Such a tracker reaches the controller only through ALERT (or by
+        mitigating at a REF), so until it first does, its run is the
+        baseline run with the tracker watching: it can ride a shared
+        baseline pass (:func:`simulate_shared`).
+        """
+        return (self.tracker_factory is not None
+                and not self.use_prac_timings and self.rfm_bat is None
+                and self.drfm_factory is None)
 
     def make_mapping(self, config: SystemConfig) -> RowToSubarrayMapping:
         """Instantiate this setup's row-to-subarray mapping."""
@@ -348,8 +375,9 @@ def simulate(workload: Union[str, WorkloadSpec],
 
     This is the pure compute kernel underneath the session: a
     deterministic function of its arguments that both the in-process
-    path and the process-pool workers call.  Use :func:`run_workload`
-    (or a :class:`~repro.sim.session.SimSession`) unless you
+    path and the process-pool workers call.  Submit a
+    :class:`~repro.sim.session.SimJob` to a
+    :class:`~repro.sim.session.SimSession` instead unless you
     specifically need to bypass result caching.
 
     When observability is requested (an installed registry/trace buffer
@@ -368,11 +396,72 @@ def simulate(workload: Union[str, WorkloadSpec],
                            config=config)
 
 
+def simulate_shared(workload: Union[str, WorkloadSpec],
+                    setups: Sequence[MitigationSetup],
+                    scale: SimScale = SimScale(64),
+                    seed: int = 0,
+                    config: SystemConfig = SystemConfig()
+                    ) -> Tuple[SimResult, List[Optional[SimResult]]]:
+    """One baseline window that also serves ALERT-only ``setups``.
+
+    Runs :func:`simulate` under :func:`baseline_setup` once, with each
+    setup's per-bank trackers riding along passively on every ACT and
+    REF (:class:`~repro.dram.device.Riders`).  Returns the baseline's
+    result and, per setup, the result :func:`simulate` would return for
+    it -- the baseline's, with the two oracle fields read under its own
+    row mapping -- or ``None`` if the setup *diverged*: its tracker
+    wanted an ALERT or mitigated at a REF, so its own run differs and
+    must be simulated on its own.  Observability data is the
+    baseline's alone: a rider's result carries no metrics, trace
+    events or spans.
+    """
+    base = baseline_setup()
+    mappings = {}
+    for setup in setups:
+        if not setup.alert_only:
+            raise ValueError(f"setup {setup.name!r} is not ALERT-only")
+        if setup.mapping != base.mapping \
+                and setup.mapping not in mappings:
+            mappings[setup.mapping] = setup.make_mapping(config)
+    riders = Riders(
+        [functools.partial(setup.tracker_factory, seed)
+         for setup in setups],
+        [mappings.get(setup.mapping) for setup in setups])
+    synthetic = calibrated_workload(workload, scale, seed, config)
+    served: List[Optional[SimResult]] = []
+    try:
+        result = simulate_source(synthetic, base, scale, seed=seed,
+                                 config=config, riders=riders)
+        for rider in range(len(setups)):
+            if rider in riders.diverged:
+                served.append(None)
+                continue
+            table = riders.unmitigated_by_bank(rider)
+            served.append(replace(
+                result, ipc=list(result.ipc),
+                instructions=list(result.instructions),
+                alerts=list(result.alerts), rfms=list(result.rfms),
+                max_unmitigated_acts=max(map(max, table)),
+                unmitigated_by_bank=table, metrics=None,
+                trace_events=None, spans=None))
+    finally:
+        # The devices and their riders refer to each other: break the
+        # cycle, or every pass's trackers outlive it until a full
+        # garbage collection.
+        riders.devices.clear()
+    prof = _profile._ACTIVE
+    if prof is not None:
+        prof.add_shared_pass(len(setups) - len(riders.diverged),
+                             len(riders.diverged))
+    return result, served
+
+
 def simulate_source(source, setup: MitigationSetup,
                     scale: SimScale = SimScale(64),
                     seed: int = 0,
                     config: SystemConfig = SystemConfig(),
-                    tenants=None) -> SimResult:
+                    tenants=None,
+                    riders: Optional[Riders] = None) -> SimResult:
     """Simulate one window of an arbitrary ``WorkloadSource``.
 
     The source-agnostic half of :func:`simulate`: wires the system for
@@ -381,7 +470,8 @@ def simulate_source(source, setup: MitigationSetup,
     synthetics, trace files, tenant compositions) and hands it to the
     kernel under the same observability scoping.  ``tenants``
     is the optional per-core tenant label list threaded into the
-    system and back out on the result.
+    system and back out on the result; ``riders`` are the passive
+    trackers of a shared pass (see :func:`simulate_shared`).
     """
     sys_config = (config.with_prac_timings() if setup.use_prac_timings
                   else config)
@@ -405,6 +495,7 @@ def simulate_source(source, setup: MitigationSetup,
             mlp=source.mlp,
             drfm_factory=drfm_factory,
             tenants=tenants,
+            riders=riders,
         )
 
     window = scale.scaled_trefw(config.timings)

@@ -427,6 +427,40 @@ class SimJob:
                         self.seed, self.config)
 
 
+@dataclasses.dataclass(frozen=True)
+class SharedPass:
+    """One baseline kernel pass that also serves ALERT-only ``SimJob``\\ s.
+
+    :meth:`SimSession.run_many` forms one per (workload, scale, seed,
+    config) key from the batch's pending baseline ``base`` and the
+    pending ``riders`` of that key whose setup is
+    :attr:`~repro.sim.runner.MitigationSetup.alert_only`; ``tokens``
+    are the members' tokens, base first.  It is never cached itself:
+    each member's result is stored under its own token.
+    """
+
+    base: SimJob
+    riders: Tuple[SimJob, ...]
+    tokens: Tuple[str, ...]
+
+    def members(self) -> List[Tuple[str, SimJob]]:
+        """``(token, job)`` of every member, base first."""
+        return list(zip(self.tokens, (self.base,) + self.riders))
+
+    def calibrations(self) -> List[CalibrationJob]:
+        """The one key every member reads: the base's."""
+        return self.base.calibrations()
+
+    def execute(self) -> Tuple[SimResult, List[Optional[SimResult]]]:
+        """The base's result and each rider's (``None`` if it diverged:
+        see :func:`~repro.sim.runner.simulate_shared`)."""
+        from repro.sim.runner import simulate_shared
+        base = self.base
+        return simulate_shared(base.workload,
+                               [rider.setup for rider in self.riders],
+                               base.scale, base.seed, base.config)
+
+
 _CODECS: Dict[type, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] \
     = {}
 
@@ -630,7 +664,8 @@ def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int, tuple]
     if calibrated:
         from repro.sim import runner
         runner.prime_calibrations(calibrated)
-    _maybe_inject_fault(job, attempt)
+    if not isinstance(job, SharedPass):  # no pass member draws a fault
+        _maybe_inject_fault(job, attempt)
     t0 = perf_counter()
     if not want_profile:
         result = job.execute()
@@ -889,7 +924,10 @@ class SimSession:
         calibration the misses read runs once, in this process, when the
         first miss that reads it comes up (see :meth:`_calibrate`).
         Untokened jobs (no content hash, so never cached) run in this
-        process after the rest.
+        process after the rest.  A key's pending baseline and its
+        pending ALERT-only ``SimJob``\\ s run as one
+        :class:`SharedPass` (see :meth:`_shared_passes`); that changes
+        no result and no count.
 
         The batch is fault-tolerant: each job gets bounded retries
         (``max_retries``) and, in the pool path, a per-job timeout
@@ -935,12 +973,13 @@ class SimSession:
         for token, job in hit_jobs.items():
             monitor.cell_done(token, job, "cache-hit", attempts=0)
         calibrated: Dict[str, Any] = {}
+        work = self._shared_passes(unique)
         with monitor.phase("workers", workers=workers):
             if workers > 1 and len(unique) > 1:
-                self._run_pool(unique, workers, retries, timeout,
+                self._run_pool(work, workers, retries, timeout,
                                monitor, calibrated)
             else:
-                self._run_serial(unique, retries, monitor, calibrated)
+                self._run_serial(work, retries, monitor, calibrated)
             loose = self._run_serial(
                 [(None, jobs[index]) for index in untokened], retries,
                 monitor, calibrated)
@@ -963,8 +1002,11 @@ class SimSession:
         monitor.finish(self.last_batch)
         for index, token in enumerate(tokens):
             if results[index] is _MISS:
-                results[index] = self._memory[token] \
-                    if token in self._memory else monitor.failures[token]
+                # A token that failed here may still hold an older
+                # result in memory (one cached without the metrics now
+                # requested); the failure is this batch's answer.
+                results[index] = monitor.failures[token] \
+                    if token in monitor.failures else self._memory[token]
         if self.failure_policy is FailurePolicy.FAIL_FAST:
             for result in results:
                 if is_failure(result):
@@ -1115,6 +1157,90 @@ class SimSession:
         runner.prime_calibrations(pairs)
         return tuple(pairs)
 
+    @staticmethod
+    def _shared_passes(unique: List[Tuple[str, Any]]
+                       ) -> List[Tuple[str, Any]]:
+        """``unique`` with each key's members folded into a
+        :class:`SharedPass`, passes first.
+
+        A pass forms for each (workload, scale, seed, config) key whose
+        baseline ``SimJob`` is pending along with at least one
+        ALERT-only ``SimJob``, and is keyed ``pass:<baseline token>``.
+        Its riders' results are the baseline's until one diverges,
+        which then runs plain in the same batch, resubmitted the way a
+        retry is.  None forms when the batch collects metrics, trace
+        events or spans (a pass would attach the baseline's to every
+        rider), and a member that ``REPRO_FAULT_RATE`` selects stays
+        out, so it faults and retries as on its own.
+        """
+        if (_obs_metrics.requested() or _obs_trace.requested()
+                or _obs_spans.requested()):
+            return unique
+        from repro.sim.runner import baseline_setup
+        baseline = baseline_setup()
+        rate = env_float("REPRO_FAULT_RATE", 0.0)
+        groups: Dict[tuple, List[Tuple[str, SimJob]]] = {}
+        for token, job in unique:
+            if type(job) is not SimJob \
+                    or (rate > 0.0 and fault_roll(job) < rate):
+                continue
+            key = (job.workload, job.scale, job.seed, job.config)
+            if job.setup == baseline:
+                groups.setdefault(key, []).insert(0, (token, job))
+            elif getattr(job.setup, "alert_only", False):
+                groups.setdefault(key, []).append((token, job))
+        passes = []
+        for members in groups.values():
+            if len(members) > 1 and members[0][1].setup == baseline:
+                tokens, jobs = zip(*members)
+                passes.append(SharedPass(jobs[0], jobs[1:], tokens))
+        grouped = {token for shared in passes for token in shared.tokens}
+        return ([(f"pass:{shared.tokens[0]}", shared)
+                 for shared in passes]
+                + [(token, job) for token, job in unique
+                   if token not in grouped])
+
+    def _run_pass(self, shared: SharedPass, monitor: _BatchMonitor,
+                  calibrated: Dict[str, Any]) -> List[Tuple[str, Any]]:
+        """Run one :class:`SharedPass` in this process; returns the
+        members left to run plain: its diverged riders, or every
+        member if the pass raised (each then runs with its own
+        attempts)."""
+        self._calibrate(shared, calibrated, monitor)
+        for token in shared.tokens:
+            monitor.job_started(token)
+        t0 = perf_counter()
+        try:
+            outcome = shared.execute()
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException:  # noqa: BLE001
+            monitor.busy_s += perf_counter() - t0
+            return shared.members()
+        return self._complete_pass(shared, outcome, None, monitor,
+                                   perf_counter() - t0)
+
+    def _complete_pass(self, shared: SharedPass, outcome: tuple,
+                       prof_dict: Optional[dict], monitor: _BatchMonitor,
+                       exec_s: float) -> List[Tuple[str, Any]]:
+        """Store the result of every member a finished pass served, each
+        under its own token and counted as computed; returns the
+        diverged riders.  The pass's time counts once, on its base."""
+        if prof_dict is not None and _profile._ACTIVE is not None:
+            _profile._ACTIVE.merge(prof_dict)
+        base, riders = outcome
+        diverged = []
+        for (token, job), result in zip(shared.members(),
+                                        [base] + list(riders)):
+            if result is None:
+                diverged.append((token, job))
+                continue
+            self._store(token, SimJob, result)
+            monitor.computed += 1
+            monitor.cell_done(token, job, "computed", 1, exec_s=exec_s)
+            exec_s = 0.0
+        return diverged
+
     def _run_serial(self, items: List[Tuple[Optional[str], Any]],
                     retries: int, monitor: _BatchMonitor,
                     calibrated: Dict[str, Any],
@@ -1123,14 +1249,21 @@ class SimSession:
         """In-process execution with retries: the serial path, the pool
         fallback, and the path of every untokened job.
 
-        ``items`` are ``(token or None, job)`` pairs; returns each
+        ``items`` are ``(token or None, job)`` pairs; returns each plain
         item's result or :class:`JobFailure`.  A tokened result is
         stored and counted as computed; an untokened one is neither.
+        A :class:`SharedPass` item yields no outcome of its own: the
+        members it hands back run after the other items.
         ``calibrated`` is the batch's calibrations so far (see
         :meth:`_calibrate`).
         """
         outcomes: List[Any] = []
-        for token, job in items:
+        work = deque(items)
+        while work:
+            token, job = work.popleft()
+            if isinstance(job, SharedPass):
+                work.extend(self._run_pass(job, monitor, calibrated))
+                continue
             self._calibrate(job, calibrated, monitor)
             attempt = attempts.get(token, 0) if attempts else 0
             monitor.job_started(token)
@@ -1182,6 +1315,12 @@ class SimSession:
         breaking (``_MAX_POOL_REBUILDS``) degrades to serial in-process
         execution of whatever is left.  Each payload carries the
         calibration values its job reads (see :meth:`_calibrate`).
+
+        A :class:`SharedPass` hands its diverged riders back, and they
+        are submitted like a retry.  A pass that raises, times out or
+        loses its pool consumes no attempt and counts nowhere: it
+        dissolves into its members, each then a plain job with its own
+        attempts.
         """
         env = _pool_env_overrides()
         want_profile = _profile._ACTIVE is not None
@@ -1189,6 +1328,13 @@ class SimSession:
         attempts: Dict[str, int] = {token: 0 for token, _ in unique}
         stalls: Dict[str, int] = {}
         breaks = 0
+
+        def hand_back(items: List[Tuple[str, Any]]) -> None:
+            """Make a pass's diverged riders or members plain jobs."""
+            for token, job in items:
+                pending[token] = job
+                attempts.setdefault(token, 0)
+
         while pending:
             pool = self._make_pool(workers)
             abandon_pool = False
@@ -1196,10 +1342,23 @@ class SimSession:
             def submit(token: str):
                 job = pending[token]
                 pairs = self._calibrate(job, calibrated, monitor)
-                monitor.job_started(token)
+                for member in (job.tokens if isinstance(job, SharedPass)
+                               else (token,)):
+                    monitor.job_started(member)
                 return pool.submit(
                     _execute_job,
                     (job, env, want_profile, attempts[token], pairs))
+
+            def resubmit(items: List[Tuple[str, Any]]) -> bool:
+                """Queue plain jobs on this pool (a retry, or what a
+                pass hands back); False if the pool broke."""
+                hand_back(items)
+                try:
+                    for token, _ in items:
+                        queue.append((token, submit(token)))
+                except BrokenProcessPool:
+                    return False
+                return True
 
             try:
                 queue = deque(
@@ -1211,6 +1370,7 @@ class SimSession:
                 while queue:
                     token, future = queue.popleft()
                     job = pending[token]
+                    shared = isinstance(job, SharedPass)
                     try:
                         result, prof_dict, exec_s = future.result(
                             timeout=timeout)
@@ -1224,6 +1384,12 @@ class SimSession:
                             if stalls[token] <= self._MAX_QUEUE_STALLS:
                                 queue.append((token, submit(token)))
                                 continue
+                        # The worker behind this future may be wedged;
+                        # abandon the pool so it cannot hold the batch
+                        # (a pass dissolves with it, below).
+                        abandon_pool = True
+                        if shared:
+                            break
                         attempts[token] += 1
                         monitor.timed_out += 1
                         if attempts[token] > retries:
@@ -1235,9 +1401,6 @@ class SimSession:
                                               attempts[token])
                         else:
                             monitor.retried += 1
-                        # The worker behind this future may be wedged;
-                        # abandon the pool so it cannot hold the batch.
-                        abandon_pool = True
                         break
                     except BrokenProcessPool:
                         abandon_pool = True
@@ -1245,20 +1408,32 @@ class SimSession:
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BaseException as error:  # noqa: BLE001
-                        attempts[token] += 1
-                        if attempts[token] > retries:
-                            monitor.failures[token] = self._failure_for(
-                                job, token, error, attempts[token])
+                        if shared:
                             del pending[token]
-                            monitor.cell_done(token, job, "failed",
-                                              attempts[token])
+                            handed = job.members()
                         else:
+                            attempts[token] += 1
+                            if attempts[token] > retries:
+                                monitor.failures[token] = \
+                                    self._failure_for(job, token, error,
+                                                      attempts[token])
+                                del pending[token]
+                                monitor.cell_done(token, job, "failed",
+                                                  attempts[token])
+                                continue
                             monitor.retried += 1
-                            try:
-                                queue.append((token, submit(token)))
-                            except BrokenProcessPool:
-                                abandon_pool = True
-                                break
+                            handed = [(token, job)]
+                        if not resubmit(handed):
+                            abandon_pool = True
+                            break
+                        continue
+                    if shared:
+                        del pending[token]
+                        if not resubmit(self._complete_pass(
+                                job, result, prof_dict, monitor,
+                                exec_s)):
+                            abandon_pool = True
+                            break
                         continue
                     self._complete(token, job, result, prof_dict,
                                    monitor, exec_s, attempts[token] + 1)
@@ -1276,16 +1451,24 @@ class SimSession:
                             raise
                         except BaseException:  # noqa: BLE001
                             continue  # handled on the next pool
-                        self._complete(token, pending[token], result,
-                                       prof_dict, monitor, exec_s,
-                                       attempts[token] + 1)
-                        del pending[token]
+                        job = pending.pop(token)
+                        if isinstance(job, SharedPass):
+                            hand_back(self._complete_pass(
+                                job, result, prof_dict, monitor, exec_s))
+                        else:
+                            self._complete(token, job, result, prof_dict,
+                                           monitor, exec_s,
+                                           attempts[token] + 1)
             finally:
                 pool.shutdown(wait=not abandon_pool,
                               cancel_futures=True)
             if not pending:
                 return
             if abandon_pool:
+                for token, job in list(pending.items()):
+                    if isinstance(job, SharedPass):
+                        del pending[token]
+                        hand_back(job.members())
                 breaks += 1
                 monitor.pool_rebuilds += 1
                 if breaks > self._MAX_POOL_REBUILDS:

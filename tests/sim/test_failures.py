@@ -3,8 +3,9 @@
 Covers the failure paths of :meth:`SimSession.run_many`: poisoned
 jobs under both failure policies, ``BrokenProcessPool`` recovery and
 the serial fallback, per-job timeouts, retry determinism, resuming a
-crashed batch from the disk cache, and the defensive environment-knob
-parsing.
+crashed batch from the disk cache, the defensive environment-knob
+parsing, the result a failed token gets, and shared baseline passes
+keeping all of it (a failing pass dissolves into plain jobs).
 
 The job classes are module-level dataclasses so worker processes can
 unpickle them by reference.
@@ -13,19 +14,32 @@ unpickle them by reference.
 import dataclasses
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import repro._env as _env
 from repro.experiments import common
+from repro.obs import metrics as obs_metrics
 from repro.params import SimScale
-from repro.sim.runner import baseline_setup, mirza_setup, prac_setup
+from repro.sim.profile import profiling
+from repro.sim.registry import setup_by_name
+from repro.sim.runner import (
+    MitigationSetup,
+    baseline_setup,
+    mirza_setup,
+    naive_mirza_setup,
+    prac_setup,
+)
 from repro.sim.session import (
     FailurePolicy,
     JobFailed,
     JobFailure,
+    SharedPass,
     SimJob,
     SimSession,
+    _execute_job,
     fault_roll,
     is_failure,
     job_token,
@@ -95,6 +109,15 @@ class SleepJob:
     def execute(self):
         time.sleep(self.seconds)
         return "slept"
+
+
+@dataclasses.dataclass(frozen=True)
+class RaisingTrackerFactory:
+    """An ALERT-only setup's tracker factory that always raises: the
+    shared pass carrying it raises too."""
+
+    def __call__(self, seed, subch, bank):
+        raise RuntimeError("no tracker")
 
 
 # JSON-trivial results: identity codecs make the toy jobs disk-cacheable.
@@ -419,3 +442,161 @@ class TestObservabilityCounters:
         assert snapshot["session.jobs_failed"]["value"] == 1
         assert snapshot["session.jobs_retried"]["value"] == 1
         assert "session.jobs_timed_out" not in snapshot
+
+
+class TestResultFill:
+    """A token that failed in this batch gets its failure, even when an
+    older result of it sits in memory."""
+
+    def _rerun_with_metrics(self, policy, monkeypatch):
+        job = SimJob("tc", baseline_setup(), SCALE)
+        session = SimSession(disk_cache=False, max_retries=0,
+                             failure_policy=policy)
+        assert session.run(job).metrics is None
+        monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
+        previous = obs_metrics.install(obs_metrics.MetricsRegistry())
+        try:
+            return session, session.run_many([job])
+        finally:
+            obs_metrics.install(previous)
+
+    def test_fail_fast_raises(self, monkeypatch):
+        with pytest.raises(JobFailed):
+            self._rerun_with_metrics(FailurePolicy.FAIL_FAST, monkeypatch)
+
+    def test_keep_going_returns_the_failure(self, monkeypatch):
+        session, results = self._rerun_with_metrics(KEEP_GOING,
+                                                    monkeypatch)
+        assert is_failure(results[0])
+        assert results[0].error_type == "InjectedFault"
+        assert session.last_batch.failed == 1
+
+
+def _pass_jobs():
+    """Two keys' baselines, ALERT-only riders (naive MIRZA at Q=1
+    always diverges) and a plain PRAC job."""
+    return [SimJob(name, setup, SCALE) for name in ("tc", "mcf")
+            for setup in (baseline_setup(),
+                          setup_by_name("mirza-1000", SCALE),
+                          setup_by_name("naive-mirza-1000", SCALE),
+                          naive_mirza_setup(8, queue_entries=1),
+                          prac_setup(1000))]
+
+
+def _counts(batch):
+    return (batch.submitted, batch.unique, batch.cache_hits,
+            batch.computed, batch.failed, batch.retried, batch.timed_out)
+
+
+class _InProcessPool:
+    """A pool that runs each payload at submit time; with ``breaks``,
+    every shared pass's future raises ``BrokenProcessPool``."""
+
+    built = 0
+
+    def __init__(self, breaks):
+        type(self).built += 1
+        self.breaks = breaks
+
+    def submit(self, fn, payload):
+        future = Future()
+        if self.breaks and isinstance(payload[0], SharedPass):
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(fn(payload))
+        return future
+
+    def shutdown(self, *args, **kwargs):
+        pass
+
+
+class TestSharedPasses:
+    def test_serial_and_pooled_agree(self):
+        jobs = _pass_jobs()
+        clean = [job.execute() for job in jobs]
+        seen = []
+        for workers in (1, 2):
+            session = SimSession(disk_cache=False, max_workers=workers)
+            with profiling() as prof:
+                assert session.run_many(jobs) == clean, workers
+            seen.append((_counts(session.last_batch),
+                         prof.shared_passes, prof.riders,
+                         prof.riders_diverged))
+        assert seen[0] == seen[1]
+        assert seen[0] == ((10, 10, 0, 10, 0, 0, 0), 2, 4, 2)
+
+    def test_fault_selected_member_stays_out_of_the_pass(
+            self, monkeypatch):
+        # Resolved, as the session rolls them.
+        jobs = [job.resolved() for job in _pass_jobs()]
+        clean = [job.execute() for job in jobs]
+        riders = [job for job in jobs if job.setup.alert_only]
+        bases = [job for job in jobs if job.setup == baseline_setup()]
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
+        # A seed that faults some riders and leaves the baselines alone.
+        for seed in range(100):
+            monkeypatch.setenv("REPRO_FAULT_SEED", str(seed))
+            picked = [job for job in riders if fault_roll(job) < 0.5]
+            if 0 < len(picked) < len(riders) and all(
+                    fault_roll(job) >= 0.5 for job in bases):
+                break
+        else:
+            pytest.fail("no fault seed splits the riders")
+        faulted = sum(1 for job in jobs if fault_roll(job) < 0.5)
+        for workers in (1, 2):
+            session = SimSession(disk_cache=False, max_workers=workers,
+                                 max_retries=1)
+            with profiling() as prof:
+                assert session.run_many(jobs) == clean, workers
+            # The same counts as if no pass had formed.
+            assert _counts(session.last_batch) \
+                == (10, 10, 0, 10, 0, faulted, 0), workers
+            assert prof.riders + prof.riders_diverged \
+                == len(riders) - len(picked), workers
+        session = SimSession(disk_cache=False, max_retries=0,
+                             failure_policy=KEEP_GOING)
+        results = session.run_many(jobs)
+        assert [is_failure(r) for r in results] \
+            == [fault_roll(job) < 0.5 for job in jobs]
+        assert session.last_batch.failed == faulted
+
+    def test_pass_that_loses_its_pool_dissolves(self, monkeypatch):
+        jobs = _pass_jobs()
+        clean = [job.execute() for job in jobs]
+        session = SimSession(disk_cache=False, max_workers=2)
+        _InProcessPool.built = 0
+        monkeypatch.setattr(
+            session, "_make_pool",
+            lambda workers: _InProcessPool(
+                breaks=_InProcessPool.built == 0))
+        with profiling() as prof:
+            assert session.run_many(jobs) == clean
+        assert _InProcessPool.built == 2  # broken once, rebuilt once
+        assert prof.shared_passes == 0  # every member ran plain
+        assert _counts(session.last_batch) == (10, 10, 0, 10, 0, 0, 0)
+
+    def test_pass_that_raises_dissolves_into_plain_attempts(self):
+        raising = MitigationSetup(name="raising",
+                                  tracker_factory=RaisingTrackerFactory())
+        jobs = [SimJob("tc", setup, SCALE)
+                for setup in (baseline_setup(), raising,
+                              mirza_setup(1000, SCALE))]
+        for workers in (1, 2):
+            session = SimSession(disk_cache=False, max_workers=workers,
+                                 max_retries=1,
+                                 failure_policy=KEEP_GOING)
+            results = session.run_many(jobs)
+            assert results[0] == jobs[0].execute()
+            assert results[2] == jobs[2].execute()
+            # Only the raising member failed, with its own attempts.
+            assert is_failure(results[1]) and results[1].attempts == 2
+            assert _counts(session.last_batch) == (3, 3, 0, 2, 1, 1, 0)
+
+    def test_a_pass_draws_no_fault(self, monkeypatch):
+        jobs = _pass_jobs()[:2]
+        shared = SharedPass(jobs[0].resolved(), (jobs[1].resolved(),),
+                            ("base", "rider"))
+        monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
+        (base, riders), _, _ = _execute_job((shared, {}, False, 0, ()))
+        assert base == jobs[0].execute()
+        assert riders == [jobs[1].execute()]

@@ -151,6 +151,36 @@ def test_counting_passes_are_profiled_alike_serial_and_pooled():
     assert counted == [(2, acts), (2, acts)]
 
 
+def test_shared_passes_are_profiled_alike_serial_and_pooled():
+    # One pass for tc: MIRZA-1000 rides to the end, naive MIRZA at
+    # Q=1 diverges and reruns plain.
+    scale = SimScale(8192)
+    jobs = [SimJob("tc", setup, scale)
+            for setup in (setup_by_name("baseline"),
+                          setup_by_name("mirza-1000", scale),
+                          runner.naive_mirza_setup(8, queue_entries=1))]
+    calibrated_workload("tc", scale, seed=0)
+    for workers in (1, 2):
+        with profiling() as prof:
+            SimSession(disk_cache=False,
+                       max_workers=workers).run_many(jobs)
+        assert (prof.shared_passes, prof.riders, prof.riders_diverged,
+                prof.runs) == (1, 1, 1, 2), workers
+        assert "shared passes                  1  1 riders served, " \
+            "1 diverged" in prof.report()
+    # The riders' per-ACT tracker time lands in ``trackers``.
+    with profiling() as plain:
+        simulate("tc", setup_by_name("baseline"), scale)
+    with profiling() as shared:
+        runner.simulate_shared("tc", [jobs[1].setup] * 3, scale)
+    assert shared.trackers_s > 2 * plain.trackers_s
+    merged = KernelProfile()
+    merged.merge(prof.to_dict())
+    merged.merge(prof)
+    assert (merged.shared_passes, merged.riders,
+            merged.riders_diverged) == (2, 2, 2)
+
+
 def test_profiling_does_not_change_results():
     scale = SimScale(8192)
     setup = setup_by_name("mirza-1000")
@@ -179,6 +209,10 @@ def test_report_renders_phases():
     assert "42" in text
     assert "counting passes" not in text
     assert "calibration" not in text
+    assert "shared passes" not in text
+    prof.add_shared_pass(14, 3)
+    assert "shared passes                  1  14 riders served, " \
+        "3 diverged" in prof.report()
     prof.add_calibration(0.25)
     assert "calibration                    1  keys probed in 0.250s" \
         in prof.report()
