@@ -38,7 +38,7 @@ class MirzaTracker(BankTracker):
     name = "mirza"
 
     __slots__ = ("config", "geometry", "mapping", "rct", "mint", "queue",
-                 "acts_observed")
+                 "acts_observed", "_queued")
 
     def __init__(self, config: MirzaConfig,
                  geometry: DramGeometry = DramGeometry(),
@@ -54,13 +54,17 @@ class MirzaTracker(BankTracker):
         self.mint = MintSampler(config.mint_window,
                                 rng if rng is not None else random.Random(0))
         self.queue = MirzaQueue(config.queue_entries, config.qth)
+        # MIRZA-Q's row -> tardiness dict: the per-ACT path bumps a
+        # queued row's count in place (what MirzaQueue.on_activate does).
+        self._queued = self.queue._entries
         self.acts_observed = 0
 
     def on_activate(self, row: int, now_ps: int) -> None:
         self.acts_observed += 1
-        physical = self.mapping.physical_index(row)
-        escaped = self.rct.on_activate(physical)
-        if self.queue.on_activate(row):
+        escaped = self.rct.on_activate(self.mapping.physical_index(row))
+        queued = self._queued
+        if row in queued:
+            queued[row] += 1
             return
         if escaped:
             selected = self.mint.observe(row)

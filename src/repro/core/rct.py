@@ -139,8 +139,19 @@ class RegionCountTable:
         one needs no mitigation at all.
         """
         region = physical_row // self.region_size
-        escaped = self.count(region) > self.fth
-        self._bump(region)
+        fth = self.fth
+        counters = self._counters
+        count = counters[region]
+        if count <= fth:
+            counters[region] = count + 1
+        if region == self._refreshing_region:
+            # Only SAFE sets a region in flight: its RRC decides.
+            rrc = self._rrc
+            escaped = rrc > fth
+            if not escaped:
+                self._rrc = rrc + 1
+        else:
+            escaped = count > fth
         if self._edge_possible:
             neighbor = self._edge_neighbor_region(physical_row)
             if neighbor is not None and 0 <= neighbor < self.num_regions:

@@ -46,7 +46,11 @@ from repro import _profile
 from repro.dram.bank import Bank, RowActivationOracle
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.dram.refresh import RefreshScheduler, RefreshSlice
-from repro.mitigations.base import BankTracker, MitigationSlotSource
+from repro.mitigations.base import (
+    BankTracker,
+    MitigationSlotSource,
+    can_alert,
+)
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.params import MitigationCosts, SystemConfig
@@ -128,8 +132,7 @@ class DramDevice:
         self.trackers: List[BankTracker] = [
             tracker_factory(i) for i in range(self.num_banks)]
         self.alertable_banks: FrozenSet[int] = frozenset(
-            i for i, t in enumerate(self.trackers)
-            if type(t).wants_alert is not BankTracker.wants_alert)
+            i for i, t in enumerate(self.trackers) if can_alert(t))
         """Banks whose tracker can ever request an ALERT (trackers that
         inherit the base ``wants_alert`` never do)."""
         self.alerting_banks: Set[int] = set()

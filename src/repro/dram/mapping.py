@@ -200,34 +200,37 @@ class StridedR2SA(RowToSubarrayMapping):
     ``r // num_subarrays``: every ``num_subarrays``-th row shares a
     subarray.  Locality over consecutive pages is spread across all
     subarrays, which is what makes CGF effective (Table VI).
+
+    The subarray count and size are bound once per mapping:
+    :meth:`physical_index` runs on every ACT of a strided tracker.
     """
 
+    def __init__(self, geometry: DramGeometry = DramGeometry()) -> None:
+        super().__init__(geometry)
+        self._num_sa = geometry.subarrays_per_bank
+        self._rows_per_sa = geometry.rows_per_subarray
+
     def physical_index(self, row: int) -> int:
-        g = self.geometry
-        subarray = row % g.subarrays_per_bank
-        position = row // g.subarrays_per_bank
-        return subarray * g.rows_per_subarray + position
+        num_sa = self._num_sa
+        return (row % num_sa) * self._rows_per_sa + row // num_sa
 
     def physical_indices(self, rows: Sequence[int]) -> List[int]:
-        g = self.geometry
-        num_sa = g.subarrays_per_bank
-        rows_per_sa = g.rows_per_subarray
+        num_sa = self._num_sa
+        rows_per_sa = self._rows_per_sa
         return [(r % num_sa) * rows_per_sa + r // num_sa for r in rows]
 
     def logical_row(self, physical: int) -> int:
-        g = self.geometry
-        subarray = physical // g.rows_per_subarray
-        position = physical % g.rows_per_subarray
-        return position * g.subarrays_per_bank + subarray
+        rows_per_sa = self._rows_per_sa
+        return (physical % rows_per_sa) * self._num_sa \
+            + physical // rows_per_sa
 
     def logical_rows(self, start: int, end: int) -> List[int]:
         # Within one subarray the physical range is contiguous in
         # `position`, so the logical rows form an arithmetic sequence
         # with stride `subarrays_per_bank` -- build each segment with a
         # C-speed range() instead of per-row divmod arithmetic.
-        g = self.geometry
-        rows_per_sa = g.rows_per_subarray
-        num_sa = g.subarrays_per_bank
+        rows_per_sa = self._rows_per_sa
+        num_sa = self._num_sa
         out: List[int] = []
         p = start
         while p < end:
@@ -321,11 +324,30 @@ def _permutation_tables(rows_per_bank: int, banks_per_subchannel: int,
     # of small integer seeds; int seeding is hash-stable across
     # processes (str/tuple seeding is not).
     rng = random.Random(0x5EED_AD0 ^ (seed * 0x9E37_79B1))
-    row_table = list(range(rows_per_bank))
-    rng.shuffle(row_table)
-    bank_table = list(range(banks_per_subchannel))
-    rng.shuffle(bank_table)
+    row_table = _shuffled_range(rows_per_bank, rng)
+    bank_table = _shuffled_range(banks_per_subchannel, rng)
     return tuple(row_table), tuple(bank_table)
+
+
+def _shuffled_range(n: int, rng: random.Random) -> List[int]:
+    """``list(range(n))`` after ``rng.shuffle``: the same Fisher-Yates
+    swaps and the same ``getrandbits`` draws (``_randbelow``'s
+    rejection sampling), consuming ``rng`` identically, but with the
+    draws inline -- ``shuffle`` pays two Python calls per element.
+    The bit width of the bound ``i + 1`` is constant over each
+    power-of-two band of ``i``, so it is computed once per band."""
+    table = list(range(n))
+    getrandbits = rng.getrandbits
+    top = n - 1
+    for bits in range(n.bit_length(), 1, -1):
+        low = (1 << (bits - 1)) - 1  # the smallest i with i+1 of this width
+        for i in range(top, low - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            table[i], table[j] = table[j], table[i]
+        top = low - 1
+    return table
 
 
 class PermutedAddressSpace(AddressSpace):

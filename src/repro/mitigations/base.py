@@ -81,3 +81,10 @@ class BankTracker(abc.ABC):
     def storage_bytes(self) -> float:
         """SRAM bytes per bank."""
         return self.storage_bits() / 8.0
+
+
+def can_alert(tracker: BankTracker) -> bool:
+    """True if ``tracker`` can ever request ALERT: its class overrides
+    :meth:`BankTracker.wants_alert`, whose base answer is always
+    ``False``.  Callers poll only such trackers."""
+    return type(tracker).wants_alert is not BankTracker.wants_alert

@@ -30,7 +30,7 @@ broken by the lower row exactly as ``min(table, key=(count, row))``.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ORPHAN_SLACK = 64
 """Heap items allowed beyond twice the table size before a rebuild;
@@ -83,10 +83,13 @@ class MinCountHeap:
             keyed[row] = actual
             heapreplace(heap, (actual, row))
 
-    def evict_minimum(self, row: int, count: int) -> int:
+    def evict_minimum(self, row: int, count: Optional[int] = None) -> int:
         """Replace the minimum entry by the untracked ``row`` at
-        ``count``; returns the evicted row."""
-        _, victim = self.minimum()
+        ``count``, by default the evicted count + 1 (Misra-Gries'
+        replacement); returns the evicted row."""
+        floor, victim = self.minimum()
+        if count is None:
+            count = floor + 1
         table, keyed = self.table, self._keyed
         del table[victim]
         del keyed[victim]

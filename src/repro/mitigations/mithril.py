@@ -60,8 +60,7 @@ class MithrilTracker(BankTracker):
         # way and the newcomer adopts its count + 1.  This keeps every
         # counter an upper bound on the true count while the undercount
         # stays bounded by the number of replacements.
-        floor, _ = self._index.minimum()
-        self._index.evict_minimum(row, floor + 1)
+        self._index.evict_minimum(row)
         self.spills += 1
 
     def on_mitigation_slot(self, now_ps: int,
@@ -70,14 +69,16 @@ class MithrilTracker(BankTracker):
             self._refs_seen += 1
             if self._refs_seen % self.refs_per_mitigation:
                 return []
-        if not self._table:
+        table = self._table
+        if not table:
             return []
         # Highest count wins; ties go to the least-recently-mitigated
         # entry so the post-mitigation reset-to-floor cannot pin the
         # selection on one row while others keep accruing.
-        row = max(self._table,
-                  key=lambda r: (self._table[r],
-                                 -self._last_mitigated.get(r, -1), -r))
+        top = max(table.values())
+        last = self._last_mitigated
+        row = max([r for r, count in table.items() if count == top],
+                  key=lambda r: (-last.get(r, -1), -r))
         # Reset to the running minimum rather than zero: the entry may
         # still be undercounting by up to the Misra-Gries error floor.
         floor, _ = self._index.minimum()

@@ -25,7 +25,11 @@ from typing import Iterable, Optional
 from repro.dram.bank import Bank
 from repro.dram.mapping import RowToSubarrayMapping
 from repro.dram.refresh import RefreshScheduler
-from repro.mitigations.base import BankTracker, MitigationSlotSource
+from repro.mitigations.base import (
+    BankTracker,
+    MitigationSlotSource,
+    can_alert,
+)
 from repro.params import SystemConfig
 from repro.security.analysis import acts_per_ref_interval
 
@@ -67,37 +71,88 @@ class SingleBankHarness:
 
     def activate(self, row: int) -> None:
         """One attacker-controlled activation."""
-        now = self._now()
-        self.bank.activate(row)
-        self.tracker.on_activate(row, now)
-        self.acts += 1
-        self._acts_since_alert += 1
-        self._acts_since_ref += 1
-        if self._acts_since_ref >= self.acts_per_ref:
-            self._do_ref(now)
-        if self._alert_countdown is not None:
-            self._alert_countdown -= 1
-            if self._alert_countdown <= 0:
-                self._service_alert(now)
-        elif (self.tracker.wants_alert()
-              and self._acts_since_alert > self.abo.epilogue_acts):
-            # ALERT asserts now; the attacker still lands the prologue
-            # activations before the stall begins.
-            self._alert_countdown = self.abo.acts_during_prologue
+        self.run((row,))
 
     def run(self, stream: Iterable[int]) -> None:
-        """Feed a whole activation stream through the harness."""
-        for row in stream:
-            self.activate(row)
+        """Feed a whole activation stream through the harness.
+
+        The harness's one per-ACT loop.  The bank and oracle
+        bookkeeping, the REF cadence and the ALERT countdown live in
+        locals for the run and are written back in ``finally``, so a
+        stream that raises part-way (a row outside the bank) leaves the
+        harness as its last ACT left it.  ALERT is polled only for a
+        tracker that can raise it (:func:`can_alert`, the rule the
+        device's ``alertable_banks`` uses), and only once the epilogue
+        ACT has landed.
+        """
+        bank = self.bank
+        oracle = bank.oracle
+        counts = oracle._counts
+        count_of = counts.get
+        rows_per_bank = bank._rows_per_bank
+        tracker = self.tracker
+        on_activate = tracker.on_activate
+        wants_alert = tracker.wants_alert if can_alert(tracker) else None
+        t_rc = self.config.timings.tRC
+        acts_per_ref = self.acts_per_ref
+        epilogue = self.abo.epilogue_acts
+        prologue = self.abo.acts_during_prologue
+        acts = self.acts
+        # REF fires once `acts` reaches `ref_due`; ALERT may assert
+        # once `acts` passes `poll_after`.
+        ref_due = acts - self._acts_since_ref + acts_per_ref
+        poll_after = acts - self._acts_since_alert + epilogue
+        countdown = self._alert_countdown
+        max_seen, max_row = oracle._max_seen, oracle._max_row
+        open_row = bank.open_row
+        banked = 0
+        try:
+            for row in stream:
+                if not 0 <= row < rows_per_bank:
+                    bank.activate(row)  # raises: the row is not in the bank
+                open_row = row
+                banked += 1
+                count = count_of(row, 0) + 1
+                counts[row] = count
+                if count > max_seen:
+                    max_seen, max_row = count, row
+                now = acts * t_rc
+                on_activate(row, now)
+                acts += 1
+                if acts >= ref_due:
+                    ref_due = acts + acts_per_ref
+                    self._do_ref(now)
+                if countdown is not None:
+                    countdown -= 1
+                    if countdown <= 0:
+                        countdown = None
+                        poll_after = acts + epilogue
+                        self._service_alert(now)
+                elif (wants_alert is not None and acts > poll_after
+                      and wants_alert()):
+                    # ALERT asserts now; the attacker still lands the
+                    # prologue activations before the stall begins.
+                    countdown = prologue
+        finally:
+            self.acts = acts
+            self._acts_since_ref = acts - (ref_due - acts_per_ref)
+            self._acts_since_alert = acts - (poll_after - epilogue)
+            self._alert_countdown = countdown
+            oracle._max_seen, oracle._max_row = max_seen, max_row
+            bank.open_row = open_row
+            bank.total_activations += banked
+            if bank._m_acts is not None:
+                bank._m_acts.value += banked
 
     def flush_alert(self) -> None:
         """Service a pending ALERT without further attacker ACTs."""
         if self._alert_countdown is not None or self.tracker.wants_alert():
+            self._alert_countdown = None
+            self._acts_since_alert = 0
             self._service_alert(self._now())
 
     # ------------------------------------------------------------------
     def _do_ref(self, now: int) -> None:
-        self._acts_since_ref = 0
         slice_ = self.refresh.advance()
         self.bank.refresh(slice_)
         self.tracker.on_ref_slice(slice_, now)
@@ -107,8 +162,6 @@ class SingleBankHarness:
             self.mitigations += 1
 
     def _service_alert(self, now: int) -> None:
-        self._alert_countdown = None
-        self._acts_since_alert = 0
         self.alerts += 1
         for _ in range(self.abo.rfms_per_alert):
             for row in self.tracker.on_mitigation_slot(

@@ -357,9 +357,13 @@ def calibrated_workload(workload: Union[str, WorkloadSpec],
             measured_inter = (probe * config.num_cores
                               / result.total_requests)
             wanted_inter = measured_inter * ratio
-            synthetic.compute_per_miss_ps = max(
-                250, int(synthetic.compute_per_miss_ps
-                         + (wanted_inter - measured_inter)))
+            adjusted = max(250, int(synthetic.compute_per_miss_ps
+                                    + (wanted_inter - measured_inter)))
+            if adjusted == synthetic.compute_per_miss_ps:
+                # A fixed point (the 250 ps floor, say): the next
+                # probe would replay this one exactly.
+                break
+            synthetic.compute_per_miss_ps = adjusted
     _remember(key, synthetic.compute_per_miss_ps)
     if prof is not None:
         prof.add_calibration(perf_counter() - t0)

@@ -240,10 +240,9 @@ class Feint(AttackPattern):
                 "feinting needs decoys >= 1: with decoys=0 the rotation "
                 "fits the tracker and no longer starves it")
         count = self.tracker_entries + self.decoys
-        cycle = itertools.cycle(
-            self.base_row + i for i in range(count))
-        for _ in range(self.acts):
-            yield next(cycle)
+        yield from itertools.islice(
+            itertools.cycle(range(self.base_row, self.base_row + count)),
+            self.acts)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from repro.dram.mapping import (
     IdentityAddressSpace,
     PermutedAddressSpace,
     StridedAddressSpace,
+    _permutation_tables,
     make_address_space,
 )
 from repro.params import DramGeometry
@@ -82,6 +83,23 @@ class TestTranslateContracts:
         assert [space.translate(1, bank, 0)[1]
                 for bank in range(GEOMETRY.banks_per_subchannel)] == banks
         assert [space.translate(*c) for c in sample_coords()[:3]] == pinned
+
+    @pytest.mark.parametrize("rows, banks", [(1000, 6), (4099, 3),
+                                             (2, 1), (1, 5)])
+    @pytest.mark.parametrize("seed", (0, 5, 11, 2 ** 31 + 1))
+    def test_inline_shuffle_matches_random_shuffle(self, rows, banks,
+                                                   seed):
+        # The tables draw their Fisher-Yates swaps inline.  Sizes off a
+        # power of two cross every bit-width band part-way, and the
+        # bank table only matches if the row shuffle consumed the rng
+        # exactly as random.shuffle does.
+        rng = random.Random(0x5EED_AD0 ^ (seed * 0x9E37_79B1))
+        row_table = list(range(rows))
+        rng.shuffle(row_table)
+        bank_table = list(range(banks))
+        rng.shuffle(bank_table)
+        assert _permutation_tables(rows, banks, seed) \
+            == (tuple(row_table), tuple(bank_table))
 
     def test_same_seed_shares_one_table(self):
         one = PermutedAddressSpace(GEOMETRY, seed=1)

@@ -129,6 +129,34 @@ class TestCalibration:
         assert again.compute_per_miss_ps == default.compute_per_miss_ps
         assert again.config.num_cores == default.config.num_cores
 
+    def test_calibration_stops_at_its_fixed_point(self, monkeypatch):
+        # Probing the value just probed replays the same window, so
+        # calibration stops there: mcf sits at the 250 ps floor after
+        # one probe, and fotonik3d reaches the floor on its second.
+        # Every calibrated value is the one the four-probe loop gave.
+        from collections import OrderedDict
+        from repro.experiments.common import DEFAULT_SUBSET
+        from repro.sim import runner
+        monkeypatch.setattr(runner, "_WORKLOAD_CACHE", OrderedDict())
+        probes = []
+        run = runner.MultiCoreSystem.run
+
+        def counted(system, *args, **kwargs):
+            probes.append(1)
+            return run(system, *args, **kwargs)
+
+        monkeypatch.setattr(runner.MultiCoreSystem, "run", counted)
+        calibrated, probed = {}, {}
+        for name in DEFAULT_SUBSET:
+            before = len(probes)
+            calibrated[name] = calibrated_workload(
+                name, SCALE, seed=0).compute_per_miss_ps
+            probed[name] = len(probes) - before
+        assert calibrated == {"cc": 3469, "fotonik3d": 250, "tc": 22860,
+                              "blender": 168222, "mcf": 250, "bc": 20868}
+        assert probed == {"cc": 1, "fotonik3d": 2, "tc": 4, "blender": 2,
+                          "mcf": 1, "bc": 4}
+
     def test_calibration_hits_target_rate(self):
         result = SESSION.run(SimJob("tc", baseline_setup(), SCALE,
                                     seed=1))
