@@ -24,7 +24,8 @@ run; it also counts the cells it served and the riders that diverged,
 and its riders' per-ACT tracker time lands in ``trackers``.
 
 Counting passes (``CgfJob.execute``, the activation-level tier) run no
-kernel; each records its ACTs and wall seconds once, when it returns.
+kernel; each records its ACTs, its filters, the RCT scans that
+answered them and its wall seconds once, when it returns.
 Calibration probes (``repro.sim.runner.calibrated_workload``) are not
 kernel runs either: each key whose probes run records one calibration
 and its wall seconds, in whichever process runs them.
@@ -63,7 +64,8 @@ class KernelProfile:
     __slots__ = ("trace_s", "serve_s", "refresh_s", "trackers_s",
                  "wall_s", "requests", "activations", "refs",
                  "window_ps", "runs", "counting_passes", "counting_acts",
-                 "counting_s", "calibrations", "calibration_s",
+                 "counting_filters", "counting_scans", "counting_s",
+                 "calibrations", "calibration_s",
                  "shared_passes", "riders", "riders_diverged")
 
     def __init__(self) -> None:
@@ -79,6 +81,8 @@ class KernelProfile:
         self.runs = 0
         self.counting_passes = 0
         self.counting_acts = 0
+        self.counting_filters = 0
+        self.counting_scans = 0
         self.counting_s = 0.0
         self.calibrations = 0
         self.calibration_s = 0.0
@@ -98,10 +102,15 @@ class KernelProfile:
         self.activations += activations
         self.runs += 1
 
-    def add_counting_pass(self, acts: int, wall_s: float) -> None:
-        """Record one activation-counting pass over a row stream."""
+    def add_counting_pass(self, acts: int, filters: int, scans: int,
+                          wall_s: float) -> None:
+        """Record one activation-counting pass over a row stream: its
+        ``filters`` answered by ``scans`` RCT scans (one per mapping
+        and region count)."""
         self.counting_passes += 1
         self.counting_acts += acts
+        self.counting_filters += filters
+        self.counting_scans += scans
         self.counting_s += wall_s
 
     def add_shared_pass(self, served: int, diverged: int) -> None:
@@ -183,7 +192,9 @@ class KernelProfile:
                     if self.counting_s > 0 else 0.0)
             lines.append(f"  {'counting passes':<22} "
                          f"{self.counting_passes:>9}  "
-                         f"{self.counting_acts:,} ACTs in "
+                         f"{self.counting_acts:,} ACTs, "
+                         f"{self.counting_filters} filters in "
+                         f"{self.counting_scans} scans, in "
                          f"{self.counting_s:.3f}s ({rate:,.0f}/s)")
         if self.shared_passes:
             lines.append(f"  {'shared passes':<22} "

@@ -30,7 +30,9 @@ have its two aggressors tracked by two different half-full counters.
 (:meth:`RegionCountTable.on_activate`,
 :meth:`RegionCountTable.on_ref_slice`); the counting tier lands a
 bank's ACTs a block of REF intervals at a time
-(:meth:`RegionCountTable.on_block`) with the same outcome.
+(:meth:`RegionCountTable.on_block`) with the same outcome, and tallies
+the count each ACT was decided on, so one table at the largest FTH of
+a sweep answers every smaller FTH.
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ class RegionCountTable:
         return escaped
 
     def on_block(self, physical_rows: Sequence[int], acts_per_ref: int,
-                 slices: Sequence[RefreshSlice]) -> None:
+                 slices: Sequence[RefreshSlice],
+                 tally: Optional[List[int]] = None) -> None:
         """Land a bank's ACTs for whole REF intervals at once.
 
         ``physical_rows`` holds one interval of ``acts_per_ref`` ACTs
@@ -179,6 +182,17 @@ class RegionCountTable:
         when its region's SAFE sweep is in flight, bumping an edge
         neighbour before the next ACT -- and the counts and metric
         counters are added once per block.
+
+        Each ACT is also tallied under the count it was decided on:
+        ``tally[c]`` gains one per ACT that read ``c``, so
+        ``tally[fth + 1]`` counts the escapes.  Resets and sweeps never
+        depend on FTH, and a count saturating at ``fth + 1`` exceeds a
+        smaller threshold ``f`` exactly when the unsaturated count
+        would, so the tally answers every ``f <= fth`` at once:
+        ``sum(tally[f + 1:])`` ACTs escape a table at FTH ``f``.  Pass
+        one list of ``fth + 2`` zeros to every call whose tallies
+        should add up (every bank of a counting pass); without one the
+        block is tallied into a fresh list.
         """
         intervals = len(slices)
         total = len(physical_rows)
@@ -190,6 +204,11 @@ class RegionCountTable:
                 f"{intervals} slices")
         counters = self._counters
         fth = self.fth
+        if tally is None:
+            tally = [0] * (fth + 2)
+        elif len(tally) < fth + 2:
+            raise ValueError(f"a tally for FTH {fth} needs {fth + 2} "
+                             f"entries; got {len(tally)}")
         size = self.region_size
         last = size - 1
         num_regions = self.num_regions
@@ -210,6 +229,7 @@ class RegionCountTable:
                         escaped += 1
                     else:
                         counters[region] = count + 1
+                        tally[count] += 1
             else:
                 for p in run:
                     region = p // size
@@ -217,6 +237,7 @@ class RegionCountTable:
                         if rrc > fth:
                             escaped += 1
                         else:
+                            tally[rrc] += 1
                             rrc += 1
                         count = counters[region]
                         if count <= fth:
@@ -227,6 +248,7 @@ class RegionCountTable:
                             escaped += 1
                         else:
                             counters[region] = count + 1
+                            tally[count] += 1
                     if not edge:
                         continue
                     offset = p % size
@@ -265,6 +287,7 @@ class RegionCountTable:
                 resets += hi - lo
         self._rrc = rrc
         self._refreshing_region = inflight
+        tally[fth + 1] += escaped
         filtered = total - escaped
         self.escaped_acts += escaped
         self.filtered_acts += filtered

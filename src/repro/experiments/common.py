@@ -4,7 +4,8 @@ Besides the environment knobs (scales, workload subsets, seed), this
 module holds the activation-level counting tier.  :class:`CgfJob`
 counts one benign row stream -- keyed by (workload, scale, config,
 seed) -- in a single pass through any number of Region Count Table
-filters plus, when asked, the per-subarray ACT histogram.  It is a
+filters, one table scan per (mapping, region count) answering every
+FTH, plus, when asked, the per-subarray ACT histogram.  It is a
 session job, so counting results are cacheable and process-pool
 dispatchable exactly like the timed ``SimJob`` runs.  The experiment
 planner folds every counting cell that reads one stream into one
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from time import perf_counter
 from typing import (
     ClassVar,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -103,7 +104,7 @@ _MAPPINGS = {"sequential": SequentialR2SA, "strided": StridedR2SA}
 
 BLOCK_ACTS = 256
 """ACTs a counting pass buffers per bank before landing them (rounded
-down to whole REF intervals).  A few hundred amortise each filter's
+down to whole REF intervals).  A few hundred amortise each scan's
 call over many short intervals -- a bank sees 1-22 ACTs between REFs
 at every scale -- while a pass's memory stays one block per bank."""
 
@@ -148,10 +149,10 @@ class CgfJob:
     entry per core so bank interleaving matches the timed simulation's,
     cut at one scaled window of activations.  There is no command
     timing; the refresh sweep advances at the equivalent per-bank ACT
-    cadence.  The pass feeds the stream through a per-bank RCT for every
-    entry of ``filters`` (Table VI, the escape probability of Table
-    VIII and Figure 13) and, when ``subarrays`` is set, counts ACTs per
-    subarray under strided mapping (Figure 6, Table IV).
+    cadence.  The pass counts every entry of ``filters`` (Table VI, the
+    escape probability of Table VIII and Figure 13) with one per-bank
+    RCT per (mapping, region count) and, when ``subarrays`` is set,
+    counts ACTs per subarray under strided mapping (Figure 6, Table IV).
     """
 
     spec: WorkloadSpec
@@ -218,16 +219,20 @@ class CgfJob:
     def execute(self) -> StreamCounts:
         """Count the stream in one pass (uncached; the worker path).
 
-        Each bank meets one REF every ``acts_per_ref`` of its ACTs.  Its
-        rows are buffered up to :data:`BLOCK_ACTS`, rounded down to
-        whole REF intervals; a full block is mapped once per mapping
-        kind, counted into the subarray histogram, and landed on every
-        filter's RCT with one
-        :meth:`~repro.core.rct.RegionCountTable.on_block` call, which
-        applies the bank's REF slices at the interval boundaries.  The
-        window's cut lands each bank's remainder the same way, a
-        trailing partial interval included.  So a pass holds at most
-        one block per bank, however long the window.
+        Filters that share a mapping and a region count differ only in
+        FTH, so each such group is one *scan*: one RCT per bank at the
+        group's largest FTH, whose decision-count tally (see
+        :meth:`~repro.core.rct.RegionCountTable.on_block`) gives every
+        member its escaped and filtered counts.  Each bank meets one
+        REF every ``acts_per_ref`` of its ACTs.  Its rows are buffered
+        up to :data:`BLOCK_ACTS`, rounded down to whole REF intervals;
+        a full block is mapped once per mapping kind, counted into the
+        subarray histogram, and landed on every scan's RCT with one
+        ``on_block`` call, which applies the bank's REF slices at the
+        interval boundaries.  The window's cut lands each bank's
+        remainder the same way, a trailing partial interval included.
+        So a pass holds at most one block per bank, however long the
+        window.
         """
         started = perf_counter()
         spec, scale, config = self.spec, self.scale, self.config
@@ -239,16 +244,25 @@ class CgfJob:
         block = max(1, BLOCK_ACTS // acts_per_ref) * acts_per_ref
         # The RCT reads only a slice's physical bounds, which do not
         # depend on the mapping: one window of slices serves every bank
-        # and filter, each bank cycling through it at its own pace.
+        # and scan, each bank cycling through it at its own pace.
         sweep = RefreshScheduler(geometry, refs_per_window=refs)
         slices = [sweep.peek_slice(i) for i in range(refs)]
-        kinds = [f.mapping_kind for f in self.filters]
+        # Each scan, keyed (mapping kind, regions), runs at the largest
+        # FTH of its filters and keeps one tally for all its banks.
+        scans: Dict[Tuple[str, int], int] = {}
+        for f in self.filters:
+            key = (f.mapping_kind, f.num_regions)
+            scans[key] = max(f.fth, scans.get(key, 0))
+        tallies = {key: [0] * (fth + 2) for key, fth in scans.items()}
         mappings = {kind: _MAPPINGS[kind](geometry) for kind in
-                    set(kinds) | ({"strided"} if self.subarrays else set())}
+                    {kind for kind, _ in scans}
+                    | ({"strided"} if self.subarrays else set())}
         banks = geometry.subchannels * geometry.banks_per_subchannel
-        rcts = [[RegionCountTable(f.num_regions, f.fth, geometry)
-                 for f in self.filters] for _ in range(banks)]
-        histograms = [Counter() for _ in range(banks)]
+        rcts = [[RegionCountTable(regions, fth, geometry)
+                 for (_, regions), fth in scans.items()]
+                for _ in range(banks)]
+        histograms = [[0] * geometry.subarrays_per_bank
+                      for _ in range(banks)]
         rows_per_sa = geometry.rows_per_subarray
         refs_done = [0] * banks
 
@@ -259,11 +273,13 @@ class CgfJob:
             window = [slices[(done + i) % refs] for i in range(crossed)]
             physical = {kind: mapping.physical_indices(rows)
                         for kind, mapping in mappings.items()}
-            for rct, kind in zip(rcts[bank], kinds):
-                rct.on_block(physical[kind], acts_per_ref, window)
+            for rct, ((kind, _), tally) in zip(rcts[bank],
+                                               tallies.items()):
+                rct.on_block(physical[kind], acts_per_ref, window, tally)
             if self.subarrays:
-                histograms[bank].update(
-                    p // rows_per_sa for p in physical["strided"])
+                histogram = histograms[bank]
+                for p in physical["strided"]:
+                    histogram[p // rows_per_sa] += 1
 
         synthetic = SyntheticWorkload(spec, config, scale, seed=self.seed)
         cores = [chain.from_iterable(synthetic.trace_chunks(core))
@@ -282,23 +298,25 @@ class CgfJob:
             if rows:
                 land(index, rows)
 
-        cgf = tuple(
-            CgfStats(total_acts=total_acts,
-                     filtered=sum(bank[i].filtered_acts for bank in rcts),
-                     escaped=sum(bank[i].escaped_acts for bank in rcts))
-            for i in range(len(self.filters)))
+        cgf = []
+        for f in self.filters:
+            tally = tallies[(f.mapping_kind, f.num_regions)]
+            cgf.append(CgfStats(total_acts=total_acts,
+                                filtered=sum(tally[:f.fth + 1]),
+                                escaped=sum(tally[f.fth + 1:])))
         subarrays = None
         if self.subarrays:
-            values = [histogram[sa] for histogram in histograms
-                      for sa in range(geometry.subarrays_per_bank)]
+            values = [count for histogram in histograms
+                      for count in histogram]
             mean = sum(values) / len(values)
             var = sum((v - mean) ** 2 for v in values) / len(values)
             subarrays = (mean, var ** 0.5)
         profile = _profile._ACTIVE
         if profile is not None:
-            profile.add_counting_pass(total_acts,
+            profile.add_counting_pass(total_acts, len(self.filters),
+                                      len(scans),
                                       perf_counter() - started)
-        return StreamCounts(cgf, subarrays)
+        return StreamCounts(tuple(cgf), subarrays)
 
 
 @dataclass(frozen=True)

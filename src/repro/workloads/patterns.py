@@ -263,17 +263,27 @@ class DecoyEvasion(AttackPattern):
     """Decoy row range above the target; 0 means ``10 * entries``."""
 
     def rows(self, ctx: CompileContext) -> Iterator[int]:
+        # Each decoy is ``randrange(span)`` drawn inline, the way
+        # ``random.Random`` draws it (see ``_randbelow``).
         rng = random.Random(self.seed)
+        getrandbits = rng.getrandbits
         burst = self.burst if self.burst else self.table_entries + 4
         span = self.decoy_span if self.decoy_span \
             else 10 * self.table_entries
+        bits = span.bit_length()
         decoy_base = self.target_row + 1000
         emitted = 0
         while emitted < self.acts:
             yield self.target_row
             emitted += 1
-            for _ in range(min(burst, self.acts - emitted)):
-                yield decoy_base + rng.randrange(span)
+            decoys = min(burst, self.acts - emitted)
+            if decoys > 0 and span < 1:
+                rng.randrange(span)  # randrange's own empty-range error
+            for _ in range(decoys):
+                offset = getrandbits(bits)
+                while offset >= span:
+                    offset = getrandbits(bits)
+                yield decoy_base + offset
                 emitted += 1
 
 
@@ -298,7 +308,9 @@ class RefreshSyncBurst(AttackPattern):
             raise ValueError("need at least one aggressor row")
         if self.reads_per_trefi < 1:
             raise ValueError("reads_per_trefi must be >= 1")
-        rng = random.Random(self.seed)
+        # Each filler is ``randrange(4096)`` drawn inline, the way
+        # ``random.Random`` draws it: 13 bits, redrawn while >= 4096.
+        getrandbits = random.Random(self.seed).getrandbits
         filler = self.sync_acts if self.sync_acts \
             else max(0, ctx.acts_per_trefi - self.reads_per_trefi)
         decoy_base = max(self.aggressors) + 1000
@@ -310,7 +322,10 @@ class RefreshSyncBurst(AttackPattern):
                 yield next(cycle)
                 emitted += 1
             for _ in range(min(filler, self.acts - emitted)):
-                yield decoy_base + rng.randrange(4096)
+                offset = getrandbits(13)
+                while offset >= 4096:
+                    offset = getrandbits(13)
+                yield decoy_base + offset
                 emitted += 1
 
 

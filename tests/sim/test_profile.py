@@ -133,22 +133,31 @@ def test_pooled_batch_calibrates_each_key_once(monkeypatch):
 
 
 def test_counting_passes_are_profiled_alike_serial_and_pooled():
-    # table6 over two workloads is two merged counting passes; each
-    # records its ACTs once, in whichever process executes it.
+    # table6, table8 and fig13 over two workloads are two merged
+    # counting passes; each records its ACTs, filters and scans (one
+    # per mapping and region count) once, in whichever process
+    # executes it.
     ctx = framework.Context.make(workloads=("tc", "mcf"),
-                                 cgf=SimScale(2048))
+                                 cgf=SimScale(512))
     counted = []
     for workers in (1, 2):
-        plan = framework.plan(["table6"], ctx, SimSession(
-            disk_cache=False, max_workers=workers))
+        plan = framework.plan(["table6", "table8", "fig13"], ctx,
+                              SimSession(disk_cache=False,
+                                         max_workers=workers))
         with profiling() as prof:
             plan.execute()
-        counted.append((prof.counting_passes, prof.counting_acts))
+        counted.append((prof.counting_passes, prof.counting_acts,
+                        prof.counting_filters, prof.counting_scans))
         assert prof.counting_s > 0 and prof.runs == 0
-        assert "counting passes" in prof.report()
+        assert (f"{prof.counting_filters} filters in "
+                f"{prof.counting_scans} scans, in ") in prof.report()
     jobs = [job for job in plan._jobs if isinstance(job, CgfJob)]
     acts = sum(job.execute().cgf[0].total_acts for job in jobs)
-    assert counted == [(2, acts), (2, acts)]
+    filters = sum(len(job.filters) for job in jobs)
+    scans = sum(len({(f.mapping_kind, f.num_regions) for f in job.filters})
+                for job in jobs)
+    assert scans < filters
+    assert counted == [(2, acts, filters, scans)] * 2
 
 
 def test_shared_passes_are_profiled_alike_serial_and_pooled():
@@ -216,6 +225,13 @@ def test_report_renders_phases():
     prof.add_calibration(0.25)
     assert "calibration                    1  keys probed in 0.250s" \
         in prof.report()
-    prof.add_counting_pass(3000, 0.5)
-    assert "counting passes" in prof.report()
-    assert "3,000 ACTs in 0.500s (6,000/s)" in prof.report()
+    prof.add_counting_pass(3000, 10, 4, 0.5)
+    assert "counting passes                1  3,000 ACTs, 10 filters " \
+        "in 4 scans, in 0.500s (6,000/s)" in prof.report()
+    merged = KernelProfile.from_dict(prof.to_dict())
+    merged.merge(prof)
+    assert (merged.counting_passes, merged.counting_acts,
+            merged.counting_filters, merged.counting_scans) \
+        == (2, 6000, 20, 8)
+    assert "2  6,000 ACTs, 20 filters in 8 scans, in 1.000s" \
+        in merged.report()

@@ -17,6 +17,11 @@ from repro.workloads.patterns import (
     Sequence,
     paper_attack_set,
 )
+from repro.workloads.attacks import trr_evasion_pattern
+from tests.workloads.reference_patterns import (
+    reference_decoy_rows,
+    reference_sync_burst_rows,
+)
 
 
 @pytest.fixture
@@ -116,6 +121,42 @@ class TestDecoyEvasion:
         sparse_hits = list(sparse.rows(ctx)).count(50)
         assert dense_hits > sparse_hits
 
+    @pytest.mark.parametrize("span", [1, 2, 3, 80, 1000, 4096, 4097])
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_inline_draws_match_randrange(self, ctx, seed, span):
+        pattern = DecoyEvasion(table_entries=8, target_row=50, acts=2000,
+                               seed=seed, burst=(seed % 5) + 3,
+                               decoy_span=span)
+        rows = list(pattern.rows(ctx))
+        assert rows == list(reference_decoy_rows(pattern))
+        assert set(rows) <= {50} | set(range(1050, 1050 + span))
+
+    @pytest.mark.parametrize("entries", [1, 8, 28])
+    def test_default_span_matches_randrange(self, entries):
+        # ``trr_evasion_pattern`` builds the default shape: a burst of
+        # entries + 4 decoys over a span of 10 * entries rows.
+        pattern = DecoyEvasion(table_entries=entries, target_row=900,
+                               acts=3000, seed=entries)
+        assert list(trr_evasion_pattern(entries, 900, 3000,
+                                        entries)) \
+            == list(reference_decoy_rows(pattern))
+
+    @pytest.mark.parametrize("span", [-3, -1])
+    def test_empty_span_raises_like_randrange(self, ctx, span):
+        pattern = DecoyEvasion(table_entries=8, target_row=50, acts=5,
+                               seed=0, decoy_span=span)
+        with pytest.raises(ValueError) as raised:
+            list(pattern.rows(ctx))
+        with pytest.raises(ValueError) as expected:
+            list(reference_decoy_rows(pattern))
+        assert str(raised.value) == str(expected.value)
+        # The target row comes first; a pattern without decoys never
+        # draws, so it never raises.
+        assert next(pattern.rows(ctx)) == 50
+        assert list(DecoyEvasion(table_entries=8, target_row=50, acts=1,
+                                 seed=0, decoy_span=span).rows(ctx)) \
+            == [50]
+
 
 class TestRefreshSyncBurst:
     def test_bursts_align_with_trefi_budget(self):
@@ -137,6 +178,15 @@ class TestRefreshSyncBurst:
                                    acts=12, seed=1, sync_acts=1)
         rows = list(pattern.rows(ctx))
         assert rows.count(5) == 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 99, 2024])
+    def test_inline_draws_match_randrange(self, seed):
+        ctx = CompileContext.make(acts_per_trefi=1 + seed % 37)
+        pattern = RefreshSyncBurst(aggressors=(5, 7, 9),
+                                   reads_per_trefi=1 + seed % 3,
+                                   acts=3000, seed=seed)
+        assert list(pattern.rows(ctx)) \
+            == list(reference_sync_burst_rows(pattern, ctx))
 
     def test_rejects_empty_aggressors(self, ctx):
         with pytest.raises(ValueError):
