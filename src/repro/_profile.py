@@ -20,8 +20,10 @@ coarse-grained event and accumulate wall time into named phases:
     ``serve``).
 
 A shared pass (:func:`repro.sim.runner.simulate_shared`) is one kernel
-run; it also counts the cells it served and the riders that diverged,
-and its riders' per-ACT tracker time lands in ``trackers``.
+run; it also counts the cells it served, the riders that diverged and
+the tracker sets that carried them (a naive-MIRZA family of riders
+shares one), and its riders' per-ACT tracker time lands in
+``trackers``.
 
 Counting passes (``CgfJob.execute``, the activation-level tier) run no
 kernel; each records its ACTs, its filters, the RCT scans that
@@ -66,7 +68,8 @@ class KernelProfile:
                  "window_ps", "runs", "counting_passes", "counting_acts",
                  "counting_filters", "counting_scans", "counting_s",
                  "calibrations", "calibration_s",
-                 "shared_passes", "riders", "riders_diverged")
+                 "shared_passes", "riders", "riders_diverged",
+                 "rider_sets")
 
     def __init__(self) -> None:
         self.trace_s = 0.0
@@ -89,6 +92,7 @@ class KernelProfile:
         self.shared_passes = 0
         self.riders = 0
         self.riders_diverged = 0
+        self.rider_sets = 0
 
     # ------------------------------------------------------------------
     # Accumulation (called from the hot paths, profile-active only)
@@ -113,12 +117,16 @@ class KernelProfile:
         self.counting_scans += scans
         self.counting_s += wall_s
 
-    def add_shared_pass(self, served: int, diverged: int) -> None:
+    def add_shared_pass(self, served: int, diverged: int,
+                        sets: int) -> None:
         """Record one shared baseline pass: ``served`` cells read off it,
-        ``diverged`` riders left to run on their own."""
+        ``diverged`` riders left to run on their own, and the ``sets``
+        of trackers that carried them (one per naive-MIRZA family, one
+        per other rider)."""
         self.shared_passes += 1
         self.riders += served
         self.riders_diverged += diverged
+        self.rider_sets += sets
 
     def add_calibration(self, wall_s: float) -> None:
         """Record the probe windows of one calibrated workload key."""
@@ -200,7 +208,9 @@ class KernelProfile:
             lines.append(f"  {'shared passes':<22} "
                          f"{self.shared_passes:>9}  {self.riders} "
                          f"riders served, {self.riders_diverged} "
-                         f"diverged")
+                         f"diverged, "
+                         f"{self.riders + self.riders_diverged} riders "
+                         f"on {self.rider_sets} trackers")
         if self.calibrations:
             lines.append(f"  {'calibration':<22} "
                          f"{self.calibrations:>9}  keys probed in "

@@ -38,11 +38,16 @@ a sweep answers every smaller FTH.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dram.refresh import RefreshSlice
 from repro.obs import metrics as _metrics
 from repro.params import DramGeometry
+
+
+SliceBounds = Tuple[int, int, int, int]
+"""``(first_ended, past_ended, lo, hi)`` of one REF slice on a table
+(:meth:`RegionCountTable.slice_bounds`)."""
 
 
 class ResetPolicy(enum.Enum):
@@ -169,19 +174,22 @@ class RegionCountTable:
         return escaped
 
     def on_block(self, physical_rows: Sequence[int], acts_per_ref: int,
-                 slices: Sequence[RefreshSlice],
+                 bounds: Sequence[SliceBounds],
                  tally: Optional[List[int]] = None) -> None:
         """Land a bank's ACTs for whole REF intervals at once.
 
         ``physical_rows`` holds one interval of ``acts_per_ref`` ACTs
-        per entry of ``slices``, each followed by that REF slice, then
-        at most one trailing partial interval (fewer than
-        ``acts_per_ref`` ACTs, no slice).  The table ends exactly as
-        stepping :meth:`on_activate` per ACT and :meth:`on_ref_slice`
-        per slice leaves it: every ACT is decided inline -- on the RRC
-        when its region's SAFE sweep is in flight, bumping an edge
-        neighbour before the next ACT -- and the counts and metric
-        counters are added once per block.
+        per entry of ``bounds``, each followed by the REF slice those
+        are the :meth:`slice_bounds` of, then at most one trailing
+        partial interval (fewer than ``acts_per_ref`` ACTs, no slice).
+        The bounds depend only on the slice, the region size and the
+        reset policy, so a caller landing many banks computes each
+        slice's once.  The table ends exactly as stepping
+        :meth:`on_activate` per ACT and :meth:`on_ref_slice` per slice
+        leaves it: every ACT is decided inline -- on the RRC when its
+        region's SAFE sweep is in flight, bumping an edge neighbour
+        before the next ACT -- and the counts and metric counters are
+        added once per block.
 
         Each ACT is also tallied under the count it was decided on:
         ``tally[c]`` gains one per ACT that read ``c``, so
@@ -194,7 +202,7 @@ class RegionCountTable:
         should add up (every bank of a counting pass); without one the
         block is tallied into a fresh list.
         """
-        intervals = len(slices)
+        intervals = len(bounds)
         total = len(physical_rows)
         if not (acts_per_ref >= 1 and intervals * acts_per_ref <= total
                 < (intervals + 1) * acts_per_ref):
@@ -215,7 +223,6 @@ class RegionCountTable:
         rows_per_sa = self.geometry.rows_per_subarray
         edge = self._edge_possible
         safe = self.reset_policy is ResetPolicy.SAFE
-        lazy = self.reset_policy is ResetPolicy.LAZY
         rrc = self._rrc
         inflight = self._refreshing_region
         escaped = resets = 0
@@ -268,13 +275,7 @@ class RegionCountTable:
             if k == intervals:
                 break
             # The closed form of on_ref_slice, on the local state.
-            slice_ = slices[k]
-            start, end = slice_.physical_start, slice_.physical_end
-            first_ended, past_ended = start // size, end // size
-            if lazy:
-                lo, hi = first_ended, past_ended
-            else:
-                lo, hi = -(-start // size), -(-end // size)
+            first_ended, past_ended, lo, hi = bounds[k]
             if safe:
                 if lo < hi:
                     rrc = counters[hi - 1]
@@ -299,24 +300,33 @@ class RegionCountTable:
     # ------------------------------------------------------------------
     # Refresh-synchronised reset
     # ------------------------------------------------------------------
-    def on_ref_slice(self, slice_: RefreshSlice) -> None:
-        """Advance the reset state machine with one REF's sweep slice.
+    def slice_bounds(self, slice_: RefreshSlice) -> SliceBounds:
+        """Where one REF slice lands on this table's regions.
 
         A slice *begins* the regions whose first row it refreshes and
         *ends* those whose last row it refreshes; each set is a
-        contiguous run of regions, so the resets are one slice
-        assignment however many regions the slice spans.  Under SAFE,
-        each region begun overwrites the RRC and becomes the one in
-        flight, so only the last one begun survives the slice (and not
-        even that one if the slice also ends it).
+        contiguous run of regions.  Returns ``(first_ended,
+        past_ended, lo, hi)``: the regions the slice ends are
+        ``[first_ended, past_ended)``, and those it resets are ``[lo,
+        hi)`` -- the ones it begins, or under LAZY the ones it ends.
         """
         size = self.region_size
         start, end = slice_.physical_start, slice_.physical_end
         first_ended, past_ended = start // size, end // size
         if self.reset_policy is ResetPolicy.LAZY:
-            lo, hi = first_ended, past_ended
-        else:
-            lo, hi = -(-start // size), -(-end // size)
+            return first_ended, past_ended, first_ended, past_ended
+        return first_ended, past_ended, -(-start // size), -(-end // size)
+
+    def on_ref_slice(self, slice_: RefreshSlice) -> None:
+        """Advance the reset state machine with one REF's sweep slice.
+
+        The resets of :meth:`slice_bounds` are one slice assignment
+        however many regions the slice spans.  Under SAFE, each region
+        begun overwrites the RRC and becomes the one in flight, so only
+        the last one begun survives the slice (and not even that one if
+        the slice also ends it).
+        """
+        first_ended, past_ended, lo, hi = self.slice_bounds(slice_)
         if self.reset_policy is ResetPolicy.SAFE:
             if lo < hi:
                 self._rrc = self._counters[hi - 1]

@@ -16,13 +16,19 @@ Traces arrive either entry-at-a-time (any ``Iterator[TraceEntry]``) or
 pre-chunked (:class:`repro.cpu.trace.ChunkSource`); the core buffers a
 chunk of plain tuples internally either way, so the hot path indexes a
 list instead of resuming a generator per miss.
+
+The core is state plus its chunk refill: the system's request loop
+(:meth:`repro.cpu.system.MultiCoreSystem.drive`) commits each miss,
+records its completion and computes the next issue time inline on
+these slots, and calls :meth:`Core.peek_issue_time` only to start a
+core and when its chunk runs out.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional
 
 from repro import _profile
 from repro.cpu.trace import EntryTuple, TraceEntry, chunk_entries
@@ -94,53 +100,6 @@ class Core:
         if len(outstanding) >= self.mlp and outstanding[0] > ready:
             ready = outstanding[0]
         return ready
-
-    def pop_tuple(self) -> Tuple[int, EntryTuple]:
-        """Commit to the next miss; returns ``(issue_time, entry_tuple)``.
-
-        The entry comes back as a plain
-        :data:`repro.cpu.trace.EntryTuple`.
-        """
-        issue = self.peek_issue_time()
-        if issue is None:
-            raise StopIteration("trace exhausted")
-        return issue, self.commit(issue)
-
-    def commit(self, issue: int) -> EntryTuple:
-        """Issue the next miss at ``issue``; return its entry tuple.
-
-        The run loop's hot path: ``issue`` must be what
-        :meth:`peek_issue_time` returned with no call to this core in
-        between, so the peek need not run again.
-        """
-        tup = self._buf[self._idx]
-        self._idx += 1
-        counter = self._m_stall_ps
-        if counter is not None:
-            # Time lost waiting on the MLP limit: issue beyond the point
-            # the compute delay alone would have allowed.
-            wait = issue - (self.clock + tup[0])
-            if wait > 0:
-                counter.value += wait
-        outstanding = self._outstanding
-        if len(outstanding) >= self.mlp:
-            outstanding.popleft()
-        self.clock = issue
-        self.retired_instructions += tup[1]
-        self.misses_issued += 1
-        return tup
-
-    def pop_request(self) -> Tuple[int, TraceEntry]:
-        """Commit to issuing the next miss; returns (issue_time, entry)."""
-        issue, tup = self.pop_tuple()
-        return issue, TraceEntry(*tup)
-
-    def complete(self, completion_time: int) -> None:
-        """Record the DRAM completion of the just-issued miss."""
-        self._outstanding.append(completion_time)
-        hist = self._m_outstanding
-        if hist is not None:
-            hist.observe(len(self._outstanding))
 
     def ipc(self, window_ps: int, cycle_ps: float) -> float:
         """Instructions per cycle over a window of ``window_ps``."""

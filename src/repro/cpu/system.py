@@ -235,43 +235,77 @@ class MultiCoreSystem:
 
         Kept apart from the ``finish``-and-:meth:`collect` tail so the
         request loop can be timed as its own layer
-        (``reportbench/instrument.py`` does).
+        (``reportbench/instrument.py`` does).  The loop keeps each
+        core's commit, completion and next issue time inline on the
+        core's slots; only a core whose trace chunk runs out goes
+        through :meth:`Core.peek_issue_time`, which refills it.
         """
         prof = _profile._ACTIVE
-        heappush = heapq.heappush
-        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         cores = self.cores
-        mcs = self.mcs
-        num_mcs = len(mcs)
+        serves = [mc.serve_timing for mc in self.mcs]
+        num_mcs = len(serves)
         serve_s = 0.0
         heap = []
         for core in cores:
             t = core.peek_issue_time()
             if t is not None:
-                heappush(heap, (t, core.core_id))
+                heap.append((t, core.core_id))
+        heapq.heapify(heap)
         while heap:
             # A queued core's state never changes while it waits, so its
-            # key is exact and is committed as popped.
-            issue, core_id = heappop(heap)
+            # key is exact and is committed as it reaches the top.  Each
+            # core holds one entry and keys carry the core id, so the
+            # order never depends on the heap's layout.
+            issue, core_id = heap[0]
             if issue >= window_ps:
                 # A core's issue times never decrease, so every request
                 # still queued is past the window too.
                 break
             core = cores[core_id]
-            # tup fields: (compute_ps, instructions, subchannel, bank,
-            # row) -- see repro.cpu.trace.EntryTuple.
-            tup = core.commit(issue)
-            mc = mcs[tup[2] % num_mcs]
+            # Commit: tup fields are (compute_ps, instructions,
+            # subchannel, bank, row) -- see repro.cpu.trace.EntryTuple.
+            buf = core._buf
+            idx = core._idx
+            tup = buf[idx]
+            idx += 1
+            core._idx = idx
+            counter = core._m_stall_ps
+            if counter is not None:
+                # Time lost waiting on the MLP limit: issue beyond the
+                # point the compute delay alone would have allowed.
+                wait = issue - (core.clock + tup[0])
+                if wait > 0:
+                    counter.value += wait
+            outstanding = core._outstanding
+            mlp = core.mlp
+            if len(outstanding) >= mlp:
+                outstanding.popleft()
+            core.clock = issue
+            core.retired_instructions += tup[1]
+            core.misses_issued += 1
+            serve = serves[tup[2] % num_mcs]
             if prof is None:
-                data_done = mc.serve_timing(tup[3], tup[4], issue)[1]
+                data_done = serve(tup[3], tup[4], issue)[1]
             else:
                 s0 = perf_counter()
-                data_done = mc.serve_timing(tup[3], tup[4], issue)[1]
+                data_done = serve(tup[3], tup[4], issue)[1]
                 serve_s += perf_counter() - s0
-            core.complete(data_done)
-            nxt = core.peek_issue_time()
-            if nxt is not None:
-                heappush(heap, (nxt, core_id))
+            # Complete, then peek the core's next issue time.
+            outstanding.append(data_done)
+            hist = core._m_outstanding
+            if hist is not None:
+                hist.observe(len(outstanding))
+            if idx < len(buf):
+                nxt = issue + buf[idx][0]
+                if len(outstanding) >= mlp and outstanding[0] > nxt:
+                    nxt = outstanding[0]
+            else:
+                nxt = core.peek_issue_time()
+                if nxt is None:
+                    heapq.heappop(heap)
+                    continue
+            heapreplace(heap, (nxt, core_id))
         if prof is not None:
             prof.serve_s += serve_s
 

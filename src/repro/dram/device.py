@@ -25,7 +25,8 @@ re-polls the touched bank after ``activate``, ``note_row_press`` and
 A :class:`RiderDevice` is an unprotected subchannel that also carries
 *riders*: the trackers of setups that reach the controller only through
 ALERT, following its ACTs and REFs passively until one would act
-(:class:`Riders`).
+(:class:`Riders`).  Riders whose MIRZA trackers differ only in queue
+size share one tracker set.
 """
 
 from __future__ import annotations
@@ -330,48 +331,83 @@ class DramDevice:
 class Riders:
     """The passive riders of one shared baseline pass, across subchannels.
 
-    Rider ``i`` is one setup's trackers: ``factories[i](subch, bank)``
-    builds them, and ``mappings[i]`` is its row mapping, or ``None``
-    when it is the host devices' own.  A rider *diverges* the first time
-    one of its trackers wants an ALERT or returns rows for a REF slot:
-    from then on its own run would differ from the host's in timing or
-    mitigations, so it stops riding and ``diverged`` holds its index.
-    Until then its run is the host's, except for the ground-truth
-    oracles, whose REF resets follow its mapping.
+    Riders follow the host in *tracker sets*.  Set ``s`` builds its
+    per-bank trackers with ``factories[s](subch, bank)``, follows row
+    mapping ``mappings[s]`` (``None`` when it is the host devices' own)
+    and serves ``members[s]``: ``(rider, queue)`` pairs, ascending in
+    ``queue``.  A rider *diverges* the first time its own tracker would
+    want an ALERT or return rows for a REF slot: from then on its own
+    run would differ from the host's in timing or mitigations, so it
+    stops riding and ``diverged`` holds its index.  Until then its run
+    is the host's, except for the ground-truth oracles, whose REF
+    resets follow its mapping.
+
+    A set of one rider has queue ``None``.  A *family* is a set of
+    MIRZA riders whose trackers differ only in MIRZA-Q size
+    (``queue``).  Its trackers are its smallest live member's own: a
+    rider is only ever polled, so its queue never pops, and the poll
+    that finds the queue full diverges the rider before any insert
+    could be dropped.  Every larger member's tracker therefore holds
+    the same state, and when the smallest member leaves, raising the
+    set's queue size to the next member's makes them that member's
+    own trackers.
     """
 
-    __slots__ = ("factories", "mappings", "diverged", "devices")
+    __slots__ = ("factories", "mappings", "members", "diverged",
+                 "devices", "_set_of")
 
     def __init__(self, factories: Sequence[Callable[[int, int],
                                                     BankTracker]],
-                 mappings: Sequence[Optional[RowToSubarrayMapping]]
+                 mappings: Sequence[Optional[RowToSubarrayMapping]],
+                 members: Sequence[Sequence[Tuple[int, Optional[int]]]]
                  ) -> None:
         self.factories = list(factories)
         self.mappings = list(mappings)
+        self.members = [list(pairs) for pairs in members]
+        self._set_of = {rider: s for s, pairs in enumerate(self.members)
+                        for rider, _ in pairs}
         self.diverged: Set[int] = set()
         self.devices: List["RiderDevice"] = []
 
-    def diverge(self, rider: int) -> None:
-        """Drop ``rider`` from every device it rides."""
-        self.diverged.add(rider)
+    def drop(self, s: int) -> None:
+        """Set ``s`` acted at a REF slot: every member diverges."""
+        self.diverged.update(rider for rider, _ in self.members[s])
+        self.members[s] = []
         for device in self.devices:
             device.bind_riders()
+
+    def alert(self, s: int, tracker: BankTracker) -> None:
+        """``tracker`` of set ``s`` wants an ALERT: every live member
+        whose own tracker would want one diverges."""
+        members = self.members[s]
+        while members and tracker.wants_alert():
+            self.diverged.add(members.pop(0)[0])
+            if members:
+                queue = members[0][1]
+                for device in self.devices:
+                    for each in device.rider_trackers[s]:
+                        each.queue.capacity = queue
+        if not members:
+            for device in self.devices:
+                device.bind_riders()
 
     def unmitigated_by_bank(self, rider: int) -> List[List[int]]:
         """Per-subchannel, per-bank worst unmitigated-ACT counts under
         ``rider``'s mapping (its ``SimResult.unmitigated_by_bank``)."""
+        s = self._set_of[rider]
         return [[oracle.max_unmitigated
-                 for oracle in device.rider_oracles[rider]]
+                 for oracle in device.rider_oracles[s]]
                 for device in self.devices]
 
 
 class RiderDevice(DramDevice):
     """A subchannel that also drives :class:`Riders` on every ACT and REF.
 
-    Each rider gets its own per-bank trackers here, and riders sharing a
-    mapping other than the device's share one oracle set (riders on the
-    device's mapping read its banks' oracles).  A subclass, so the plain
-    :class:`DramDevice` ACT path gains no rider check.
+    Each tracker set gets its own per-bank trackers here, and sets
+    sharing a mapping other than the device's share one oracle set
+    (sets on the device's mapping read its banks' oracles).  A
+    subclass, so the plain :class:`DramDevice` ACT path gains no rider
+    check.
     """
 
     def __init__(self, *args, riders: Riders, **kwargs) -> None:
@@ -382,7 +418,7 @@ class RiderDevice(DramDevice):
         own = [bank.oracle for bank in self.banks]
         sets: dict = {}
         self.rider_oracles: List[List[RowActivationOracle]] = []
-        """Per rider, the per-bank oracles its REF resets follow."""
+        """Per tracker set, the per-bank oracles its REF resets follow."""
         for mapping in riders.mappings:
             if mapping is None:
                 self.rider_oracles.append(own)
@@ -403,12 +439,13 @@ class RiderDevice(DramDevice):
         self.bind_riders()
 
     def bind_riders(self) -> None:
-        """Rebuild the per-bank hooks of the riders still riding."""
-        self._live = [r for r in range(len(self.rider_trackers))
-                      if r not in self.riders.diverged]
+        """Rebuild the per-bank hooks of the tracker sets still riding."""
+        members = self.riders.members
+        self._live = [s for s in range(len(self.rider_trackers))
+                      if members[s]]
         self._act_hooks = [
-            [(r, self.rider_trackers[r][b].on_activate,
-              self.rider_trackers[r][b].wants_alert) for r in self._live]
+            [(s, self.rider_trackers[s][b].on_activate,
+              self.rider_trackers[s][b].wants_alert) for s in self._live]
             for b in range(self.num_banks)]
 
     def activate(self, bank_id: int, row: int, now_ps: int) -> None:
@@ -417,10 +454,10 @@ class RiderDevice(DramDevice):
         t0 = perf_counter() if prof is not None else 0.0
         for oracle in self._act_oracles[bank_id]:
             oracle.on_activate(row)
-        for rider, on_activate, wants_alert in self._act_hooks[bank_id]:
+        for s, on_activate, wants_alert in self._act_hooks[bank_id]:
             on_activate(row, now_ps)
             if wants_alert():
-                self.riders.diverge(rider)
+                self.riders.alert(s, self.rider_trackers[s][bank_id])
         if prof is not None:
             prof.trackers_s += perf_counter() - t0
 
@@ -434,13 +471,17 @@ class RiderDevice(DramDevice):
             for oracle in oracles:
                 oracle.on_refresh(mapped)
         ref = MitigationSlotSource.REF
-        for rider in self._live:
-            mapping = self.riders.mappings[rider]
+        riders = self.riders
+        for s in self._live:
+            mapping = riders.mappings[s]
             mapped = slice_ if mapping is None else slices[id(mapping)]
-            for tracker in self.rider_trackers[rider]:
+            for tracker in self.rider_trackers[s]:
                 tracker.on_ref_slice(mapped, now_ps)
-                if tracker.on_mitigation_slot(now_ps, ref) \
-                        or tracker.wants_alert():
-                    self.riders.diverge(rider)
+                if tracker.on_mitigation_slot(now_ps, ref):
+                    riders.drop(s)
                     break
+                if tracker.wants_alert():
+                    riders.alert(s, tracker)
+                    if not riders.members[s]:
+                        break
         return slice_

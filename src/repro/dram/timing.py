@@ -11,58 +11,35 @@ fraction of the cost of a cycle-accurate model.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Callable, List, Tuple
+from bisect import bisect_left, bisect_right
+from typing import List
 
 from repro.params import DramTimings
 
 
 class BankTiming:
-    """Earliest-issue-time bookkeeping for one bank."""
+    """Earliest-issue-time bookkeeping for one bank.
 
-    __slots__ = ("timings", "_tRC", "_tRAS", "_tRP", "_last_act",
-                 "_precharge_done", "_blocked_until", "_row_open")
+    The memory controller's request path reads and writes these slots
+    inline (:meth:`repro.mc.controller.MemoryController.serve_timing`):
+    an ACT no sooner than tRC after the last ACT, tRP after the last
+    PRE and the end of any blackout; a PRE no sooner than tRAS after
+    the ACT.
+    """
+
+    __slots__ = ("timings", "_last_act", "_precharge_done",
+                 "_blocked_until")
 
     def __init__(self, timings: DramTimings) -> None:
         self.timings = timings
-        self._tRC = timings.tRC
-        self._tRAS = timings.tRAS
-        self._tRP = timings.tRP
         self._last_act: int = -(10 ** 18)
         self._precharge_done: int = 0
         self._blocked_until: int = 0
-        self._row_open: bool = False
-
-    @property
-    def row_open(self) -> bool:
-        return self._row_open
-
-    def earliest_activate(self, now: int) -> int:
-        """Earliest time an ACT may issue (assumes row already closed)."""
-        return max(now, self._last_act + self._tRC,
-                   self._precharge_done, self._blocked_until)
-
-    def earliest_precharge(self, now: int) -> int:
-        """Earliest time a PRE may issue (tRAS after the ACT)."""
-        return max(now, self._last_act + self._tRAS,
-                   self._blocked_until)
-
-    def activate(self, at: int) -> None:
-        """Record an ACT at time ``at``."""
-        self._last_act = at
-        self._row_open = True
-
-    def precharge(self, at: int) -> int:
-        """Record a PRE at time ``at``; return its completion time."""
-        self._row_open = False
-        self._precharge_done = at + self._tRP
-        return self._precharge_done
 
     def block_until(self, until: int) -> None:
         """Black out the bank (REF, RFM, ALERT stall) until ``until``."""
         if until > self._blocked_until:
             self._blocked_until = until
-        self._row_open = False
 
     @property
     def blocked_until(self) -> int:
@@ -81,7 +58,10 @@ class FawTracker:
     reserve the rolling window against ACTs to other banks that can
     legally issue sooner.  ``earliest_activate`` finds the first instant
     at or after the requested time whose trailing tFAW window holds
-    fewer than four ACTs.
+    fewer than four ACTs.  The controller's request path books each ACT
+    into ``_times`` and answers the common ask inline with the same two
+    bisects that open :meth:`earliest_activate`; it calls the method
+    only when they cannot prove the ask legal.
     """
 
     __slots__ = ("timings", "_tFAW", "_times")
@@ -128,21 +108,6 @@ class FawTracker:
             if not moved:
                 return t
 
-    def activate(self, at: int, arrival: int) -> None:
-        """Book an ACT at ``at`` for a request that arrived at ``arrival``.
-
-        Bookings at or before ``arrival - tFAW`` are forgotten first.
-        Later queries ask at or after their own request's arrival, which
-        the controller's arrival clock keeps at or after ``arrival``, and
-        a booking tFAW or more before the asked time cannot share a
-        window with it.
-        """
-        times = self._times
-        horizon = arrival - self._tFAW
-        if times and times[0] <= horizon:
-            del times[:bisect_right(times, horizon)]
-        insort(times, at)
-
 
 class BusTracker:
     """Shared data bus: one tBURST slot per request, out-of-order slots.
@@ -152,7 +117,8 @@ class BusTracker:
     reserve the bus ahead of time and starve requests whose data is
     ready sooner.  Each burst is therefore booked into the earliest
     *gap* at or after its CAS.  Every slot is tBURST long, so the
-    tracker keeps only the sorted slot starts.
+    tracker keeps only the sorted slot starts; the controller's request
+    path scans and books them inline.
     """
 
     __slots__ = ("timings", "_tBURST", "_slots", "busy_time")
@@ -162,48 +128,6 @@ class BusTracker:
         self._tBURST = timings.tBURST
         self._slots: List[int] = []
         self.busy_time = 0
-
-    def reserve(self, arrival: int, lower: int,
-                adjust: Callable[[int], int]) -> Tuple[int, int]:
-        """Issue one request's CAS and book its burst: ``(cas, start)``.
-
-        ``lower`` is the earliest CAS the bank allows, and ``adjust``
-        slides a time out of the channel's stall windows.  Slots that
-        end at or before ``arrival`` are forgotten first (the controller
-        passes its monotone request-arrival clock).  One scan from
-        ``arrival`` finds the first free gap; the CAS issues at
-        ``adjust(max(gap, lower))``.  When that lands past the gap, the
-        same scan resumes from the slot it stopped at: every slot before
-        it ends at or before the gap, so a scan from the CAS would skip
-        them.  The burst is booked at the first gap at or after the CAS.
-        """
-        burst = self._tBURST
-        slots = self._slots
-        if slots and slots[0] <= arrival - burst:
-            del slots[:bisect_right(slots, arrival - burst)]
-        n = len(slots)
-        i = 0
-        t = arrival
-        while i < n:
-            start = slots[i]
-            if t + burst <= start:
-                break
-            if t < start + burst:
-                t = start + burst
-            i += 1
-        cas = adjust(t if t > lower else lower)
-        if cas != t:
-            t = cas
-            while i < n:
-                start = slots[i]
-                if t + burst <= start:
-                    break
-                if t < start + burst:
-                    t = start + burst
-                i += 1
-        slots.insert(i, t)
-        self.busy_time += burst
-        return cas, t
 
     def utilization(self, elapsed: int) -> float:
         """Fraction of ``elapsed`` picoseconds the bus carried data."""

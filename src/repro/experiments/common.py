@@ -242,11 +242,6 @@ class CgfJob:
         refs = scale.scaled_refs_per_window(config.timings)
         acts_per_ref = max(1, int(acts_per_bank / refs))
         block = max(1, BLOCK_ACTS // acts_per_ref) * acts_per_ref
-        # The RCT reads only a slice's physical bounds, which do not
-        # depend on the mapping: one window of slices serves every bank
-        # and scan, each bank cycling through it at its own pace.
-        sweep = RefreshScheduler(geometry, refs_per_window=refs)
-        slices = [sweep.peek_slice(i) for i in range(refs)]
         # Each scan, keyed (mapping kind, regions), runs at the largest
         # FTH of its filters and keeps one tally for all its banks.
         scans: Dict[Tuple[str, int], int] = {}
@@ -261,6 +256,16 @@ class CgfJob:
         rcts = [[RegionCountTable(regions, fth, geometry)
                  for (_, regions), fth in scans.items()]
                 for _ in range(banks)]
+        # The RCT reads only a slice's physical bounds, which do not
+        # depend on the mapping: one window of slices serves every bank,
+        # each cycling through it at its own pace.  Each scan's region
+        # bounds of each slice are computed once, and repeated so that
+        # the REFs any one landing crosses are one run of the list.
+        sweep = RefreshScheduler(geometry, refs_per_window=refs)
+        slices = [sweep.peek_slice(i) for i in range(refs)]
+        repeats = 1 + -(-(block // acts_per_ref) // refs)
+        bounds = [[rct.slice_bounds(slice_) for slice_ in slices] * repeats
+                  for rct in rcts[0]]
         histograms = [[0] * geometry.subarrays_per_bank
                       for _ in range(banks)]
         rows_per_sa = geometry.rows_per_subarray
@@ -270,12 +275,13 @@ class CgfJob:
             done = refs_done[bank]
             crossed = len(rows) // acts_per_ref
             refs_done[bank] = done + crossed
-            window = [slices[(done + i) % refs] for i in range(crossed)]
+            start = done % refs
             physical = {kind: mapping.physical_indices(rows)
                         for kind, mapping in mappings.items()}
-            for rct, ((kind, _), tally) in zip(rcts[bank],
-                                               tallies.items()):
-                rct.on_block(physical[kind], acts_per_ref, window, tally)
+            for rct, scan_bounds, ((kind, _), tally) in zip(
+                    rcts[bank], bounds, tallies.items()):
+                rct.on_block(physical[kind], acts_per_ref,
+                             scan_bounds[start:start + crossed], tally)
             if self.subarrays:
                 histogram = histograms[bank]
                 for p in physical["strided"]:

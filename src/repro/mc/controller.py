@@ -23,6 +23,7 @@ through :class:`repro.dram.device.DramDevice`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Tuple
@@ -67,9 +68,9 @@ class MemoryController:
                  "device", "banks", "faw", "bus", "abo", "rfm",
                  "_open_row", "_row_close_at", "_next_ref",
                  "total_requests", "total_activations", "row_hits",
-                 "_tRCD", "_tRAS", "_tRP", "_tCAS", "_tBURST", "_tREFI",
-                 "_tRFC",
-                 "_stalls", "_rfm_enabled", "_alert_possible",
+                 "_tRCD", "_tRAS", "_tRP", "_tRC", "_tCAS", "_tBURST",
+                 "_tREFI", "_tRFC", "_tFAW", "_faw_times", "_bus_slots",
+                 "_stalls", "_rfm_enabled", "_alerting",
                  "subch", "_m_requests", "_m_row_hits",
                  "_m_row_conflicts", "_m_latency", "_tr")
 
@@ -98,19 +99,24 @@ class MemoryController:
         self.total_requests = 0
         self.total_activations = 0
         self.row_hits = 0
-        # Hot-path caches: the timing fields and stall adjuster are read
-        # on every request; resolving them once here keeps `serve_timing`
-        # free of attribute-chain lookups.
+        # Hot-path caches: the timing fields, the stall windows, the
+        # tFAW bookings and bus slots (lists edited in place) and the
+        # device's live ALERT set are read on every request; resolving
+        # them once here keeps `serve_timing` free of attribute chains.
         self._tRCD = self.timings.tRCD
         self._tRAS = self.timings.tRAS
         self._tRP = self.timings.tRP
+        self._tRC = self.timings.tRC
         self._tCAS = self.timings.tCAS
         self._tBURST = self.timings.tBURST
         self._tREFI = self.timings.tREFI
         self._tRFC = self.timings.tRFC
+        self._tFAW = self.timings.tFAW
+        self._faw_times = self.faw._times
+        self._bus_slots = self.bus._slots
         self._stalls = self.abo.stalls
         self._rfm_enabled = rfm_bat is not None
-        self._alert_possible = bool(device.alertable_banks)
+        self._alerting = device.alerting_banks
         # Observability: metric objects and the trace buffer are bound
         # once here; the off path in serve_timing is one None check.
         self.subch = subch
@@ -165,25 +171,35 @@ class MemoryController:
     # ------------------------------------------------------------------
     def serve_timing(self, bank_id: int, row: int, arrival: int
                      ) -> Tuple[int, int, bool]:
-        """Hot path of :meth:`serve`: ``(issue, data_done, activated)``.
+        """Schedule one read-sized request: ``(issue, data_done,
+        activated)``.
 
-        Identical scheduling to :meth:`serve` without constructing a
-        :class:`RequestResult`; the run loop calls this once per request.
+        The one request path, from the open-row check to the bus: the
+        run loop calls it once per request, and :meth:`serve` wraps it.
+        An ACT's only calls are the device's ACT hook and the ABO
+        epilogue count: the bank's timing slots, the two-bisect tFAW
+        check, the stall windows' no-stall fast path and the bus gap
+        scan are read inline.  Rare work keeps its method: refresh, the
+        tFAW neighbourhood loop, the stall-window walk, RowPress, RFM,
+        DRFM and ALERT.
         """
         if self._next_ref <= arrival:
             self.process_refreshes(arrival)
         self.total_requests += 1
         bank = self.banks[bank_id]
-        # Soft close-page policy: the row auto-closed tRAS after its last
-        # use (the precharge residue is paid in _activate).
-        open_row = self._open_row[bank_id]
-        if open_row is not None and arrival > self._row_close_at[bank_id]:
-            open_row = None
-
-        adjust = self._stalls.adjust
-        if open_row == row:
-            blocked = bank._blocked_until
-            issue = adjust(blocked if blocked > arrival else arrival)
+        stalls = self._stalls
+        open_rows = self._open_row
+        open_row = open_rows[bank_id]
+        close_at = self._row_close_at[bank_id]
+        if open_row == row and arrival <= close_at:
+            # Row hit.  Soft close-page policy: a row stays open tRAS
+            # past its last use.
+            issue = bank._blocked_until
+            if issue < arrival:
+                issue = arrival
+            windows = stalls._windows
+            if windows and issue < windows[-1][1]:
+                issue = stalls.adjust(issue)
             self.row_hits += 1
             lower = issue
             activated = False
@@ -191,22 +207,133 @@ class MemoryController:
             if counter is not None:
                 counter.value += 1
         else:
-            conflict = open_row is not None
-            issue = self._activate(bank_id, row, arrival,
-                                   conflict=conflict)
-            lower = issue + self._tRCD
+            # Row miss: (PRE +) ACT.
+            ready = arrival
+            if open_row is not None:
+                if arrival <= close_at:
+                    # Conflict: PRE no sooner than tRAS after the ACT.
+                    pre = bank._last_act + self._tRAS
+                    if pre < arrival:
+                        pre = arrival
+                    if pre < bank._blocked_until:
+                        pre = bank._blocked_until
+                    windows = stalls._windows
+                    if windows and pre < windows[-1][1]:
+                        pre = stalls.adjust(pre)
+                    ready = pre + self._tRP
+                else:
+                    # The row auto-closed at close_at; its PRE trails.
+                    pre = close_at
+                    if arrival < pre + self._tRP:
+                        ready = pre + self._tRP
+                if self.rowpress_to_acts:
+                    self._note_row_press(bank_id, open_row, pre)
+                bank._precharge_done = pre + self._tRP
+                if self.log is not None:
+                    self.log.record_precharge(pre, bank_id)
+            # Fixpoint over the constraints: pushing the ACT later (bank
+            # blackout, stall window) can land it inside an already-full
+            # tFAW window or a not-yet-processed REF slot, so every
+            # constraint -- including future refreshes up to the
+            # candidate time -- is re-evaluated until none moves it.
+            floor = bank._last_act + self._tRC
+            if floor < bank._precharge_done:
+                floor = bank._precharge_done
+            faw = self._tFAW
+            times = self._faw_times
+            act = ready
+            while True:
+                if act >= self._next_ref:
+                    self.process_refreshes(act)
+                candidate = act if act > floor else floor
+                if candidate < bank._blocked_until:
+                    candidate = bank._blocked_until
+                # Fewer than four bookings within tFAW either side: no
+                # five-ACT window can hold ``act``.
+                if bisect_left(times, act + faw) \
+                        - bisect_right(times, act - faw) >= 4:
+                    f = self.faw.earliest_activate(act)
+                    if f > candidate:
+                        candidate = f
+                windows = stalls._windows
+                if windows and candidate < windows[-1][1]:
+                    candidate = stalls.adjust(candidate)
+                if candidate == act:
+                    break
+                act = candidate
+            bank._last_act = act
+            # Bookings a tFAW or more before the arrival cannot share a
+            # window with any later ask (the arrival clock is monotone).
+            horizon = arrival - faw
+            if times and times[0] <= horizon:
+                del times[:bisect_right(times, horizon)]
+            insort(times, act)
+            if self.log is not None:
+                self.log.record_act(act, bank_id)
+            trace = self._tr
+            if trace is not None:
+                trace.instant(act, "ACT", self.subch, bank_id)
+            open_rows[bank_id] = row
+            self._row_close_at[bank_id] = act + self._tRAS
+            self.total_activations += 1
+            self.device.activate(bank_id, row, act)
+            self.abo.on_activate()
+            if self._rfm_enabled and self.rfm.on_activate(bank_id):
+                self._issue_rfm(bank_id, act)
+            if self.drfm is not None \
+                    and self.drfm.on_activate(bank_id, row):
+                self._issue_drfm(act)
+            if self._alerting:
+                self._check_alert(act)
+            counter = self._m_row_conflicts
+            if counter is not None and open_row is not None \
+                    and arrival <= close_at:
+                counter.value += 1
+            issue = act
+            lower = act + self._tRCD
             activated = True
-            if conflict and self._m_row_conflicts is not None:
-                self._m_row_conflicts.value += 1
 
-        cas, start = self.bus.reserve(arrival, lower, adjust)
-        data_done = start + self._tBURST + self._tCAS
+        # Book the burst into the first bus gap at or after the arrival
+        # (slots ending by then are forgotten first); the CAS issues at
+        # the later of that gap and ``lower``, out of any stall window.
+        # When it lands past the gap, the scan resumes from the slot it
+        # stopped at: every slot before it ends at or before the gap.
+        burst = self._tBURST
+        slots = self._bus_slots
+        if slots and slots[0] <= arrival - burst:
+            del slots[:bisect_right(slots, arrival - burst)]
+        n = len(slots)
+        i = 0
+        t = arrival
+        while i < n:
+            start = slots[i]
+            if t + burst <= start:
+                break
+            if t < start + burst:
+                t = start + burst
+            i += 1
+        cas = t if t > lower else lower
+        windows = stalls._windows
+        if windows and cas < windows[-1][1]:
+            cas = stalls.adjust(cas)
+        if cas != t:
+            t = cas
+            while i < n:
+                start = slots[i]
+                if t + burst <= start:
+                    break
+                if t < start + burst:
+                    t = start + burst
+                i += 1
+        slots.insert(i, t)
+        self.bus.busy_time += burst
+        data_done = t + burst + self._tCAS
         counter = self._m_requests
         if counter is not None:
             counter.value += 1
             self._m_latency.observe(data_done - arrival)
         if self.log is not None:
-            self.log.record_burst(start, start + self._tBURST)
+            self.log.record_burst(t, t + burst)
         # A served request keeps its row open for another tRAS.
         close_at = cas + self._tRAS
         if close_at > self._row_close_at[bank_id]:
@@ -221,77 +348,17 @@ class MemoryController:
                              activated=activated,
                              row_hit=(not activated))
 
-    def _activate(self, bank_id: int, row: int, arrival: int,
-                  conflict: bool) -> int:
-        """Issue (PRE +) ACT for ``row``; return the ACT issue time."""
-        bank = self.banks[bank_id]
-        adjust = self._stalls.adjust
-        ready = arrival
-        if conflict:
-            pre = adjust(bank.earliest_precharge(arrival))
-            self._note_row_press(bank_id, pre)
-            ready = bank.precharge(pre)
-            if self.log is not None:
-                self.log.record_precharge(pre, bank_id)
-        elif self._open_row[bank_id] is not None:
-            # Row auto-closed at row_close_at; precharge trails it.
-            auto_pre = self._row_close_at[bank_id]
-            self._note_row_press(bank_id, auto_pre)
-            ready = max(arrival, auto_pre + self._tRP)
-            bank.precharge(auto_pre)
-            if self.log is not None:
-                self.log.record_precharge(auto_pre, bank_id)
-        # Fixpoint over the constraints: pushing the ACT later (bank
-        # blackout, stall window) can land it inside an already-full
-        # tFAW window or a not-yet-processed REF slot, so every
-        # constraint -- including future refreshes up to the candidate
-        # time -- is re-evaluated until none moves it.
-        bank_earliest = bank.earliest_activate
-        faw_earliest = self.faw.earliest_activate
-        act = ready
-        while True:
-            if act >= self._next_ref:
-                self.process_refreshes(act)
-            b = bank_earliest(act)
-            f = faw_earliest(act)
-            candidate = adjust(b if b > f else f)
-            if candidate == act:
-                break
-            act = candidate
-        bank.activate(act)
-        self.faw.activate(act, arrival)
-        if self.log is not None:
-            self.log.record_act(act, bank_id)
-        trace = self._tr
-        if trace is not None:
-            trace.instant(act, "ACT", self.subch, bank_id)
-        self._open_row[bank_id] = row
-        self._row_close_at[bank_id] = act + self._tRAS
-        self.total_activations += 1
-        self.device.activate(bank_id, row, act)
-        self.abo.on_activate()
-        if self._rfm_enabled and self.rfm.on_activate(bank_id):
-            self._issue_rfm(bank_id, act)
-        if self.drfm is not None and self.drfm.on_activate(bank_id, row):
-            self._issue_drfm(act)
-        if self._alert_possible:
-            self._check_alert(act)
-        return act
-
-    def _note_row_press(self, bank_id: int, pre_time: int) -> None:
-        """Convert extended row-open time into equivalent ACTs.
+    def _note_row_press(self, bank_id: int, row: int,
+                        pre_time: int) -> None:
+        """Convert ``row``'s extended open time into equivalent ACTs.
 
         RowPress mitigation (Section II-A): a row held open for ``n``
         tRAS periods disturbs its neighbours like ~``n`` activations;
-        with ``rowpress_to_acts`` enabled, the excess over the first
-        period is reported to the tracker (and the oracle) as
-        equivalent activations, capped to bound the bookkeeping.
+        with ``rowpress_to_acts`` enabled, the request path calls this
+        at each PRE, and the excess over the first period is reported
+        to the tracker (and the oracle) as equivalent activations,
+        capped to bound the bookkeeping.
         """
-        if not self.rowpress_to_acts:
-            return
-        row = self._open_row[bank_id]
-        if row is None:
-            return
         open_time = pre_time - self.banks[bank_id].last_activate
         equivalent = min(16, open_time // self.timings.tRAS - 1)
         if equivalent > 0:

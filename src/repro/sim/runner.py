@@ -43,6 +43,7 @@ from time import perf_counter
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -415,9 +416,10 @@ def simulate_shared(workload: Union[str, WorkloadSpec],
     it -- the baseline's, with the two oracle fields read under its own
     row mapping -- or ``None`` if the setup *diverged*: its tracker
     wanted an ALERT or mitigated at a REF, so its own run differs and
-    must be simulated on its own.  Observability data is the
-    baseline's alone: a rider's result carries no metrics, trace
-    events or spans.
+    must be simulated on its own.  Naive-MIRZA setups that differ only
+    in queue size ride as one family on one tracker set
+    (:func:`_tracker_sets`).  Observability data is the baseline's
+    alone: a rider's result carries no metrics, trace events or spans.
     """
     base = baseline_setup()
     mappings = {}
@@ -427,10 +429,12 @@ def simulate_shared(workload: Union[str, WorkloadSpec],
         if setup.mapping != base.mapping \
                 and setup.mapping not in mappings:
             mappings[setup.mapping] = setup.make_mapping(config)
+    members = _tracker_sets(setups)
     riders = Riders(
-        [functools.partial(setup.tracker_factory, seed)
-         for setup in setups],
-        [mappings.get(setup.mapping) for setup in setups])
+        [functools.partial(setups[pairs[0][0]].tracker_factory, seed)
+         for pairs in members],
+        [mappings.get(setups[pairs[0][0]].mapping) for pairs in members],
+        members)
     synthetic = calibrated_workload(workload, scale, seed, config)
     served: List[Optional[SimResult]] = []
     try:
@@ -456,8 +460,31 @@ def simulate_shared(workload: Union[str, WorkloadSpec],
     prof = _profile._ACTIVE
     if prof is not None:
         prof.add_shared_pass(len(setups) - len(riders.diverged),
-                             len(riders.diverged))
+                             len(riders.diverged), len(members))
     return result, served
+
+
+def _tracker_sets(setups: Sequence[MitigationSetup]
+                  ) -> List[List[Tuple[int, Optional[int]]]]:
+    """The :class:`~repro.dram.device.Riders` members of ``setups``.
+
+    Naive-MIRZA setups that differ only in queue size (Table V's W x Q
+    grid) form one family, ascending in queue size: their trackers
+    draw the same MINT samples from the same per-bank RNG, and MINT
+    and the RCT never read the queue size.  Every other setup rides
+    alone.  Sets come in the order of their first setup.
+    """
+    sets: Dict[Any, List[Tuple[int, Optional[int]]]] = {}
+    for index, setup in enumerate(setups):
+        factory = setup.tracker_factory
+        if isinstance(factory, _NaiveMirzaFactory):
+            key = (replace(factory, queue_entries=0), setup.mapping)
+            sets.setdefault(key, []).append(
+                (index, factory.queue_entries))
+        else:
+            sets[index] = [(index, None)]
+    return [sorted(pairs, key=lambda pair: pair[1] or 0)
+            for pairs in sets.values()]
 
 
 def simulate_source(source, setup: MitigationSetup,

@@ -1,9 +1,17 @@
-"""Tests for the MLP-limited core model."""
+"""Tests for the MLP-limited core model.
+
+The system's request loop keeps a core's commit and completion inline;
+these tests pin their rules on the reference core's methods
+(``tests/mc/reference_controller.py``), which
+``tests/mc/test_request_loop.py`` holds the loop to.
+"""
 
 import pytest
 
 from repro.cpu.core import Core
 from repro.cpu.trace import TraceEntry, cyclic, take
+
+from tests.mc.reference_controller import ReferenceCore
 
 
 def entries(n, compute_ps=1000, instructions=10, bank=0, row=0):
@@ -18,7 +26,7 @@ class TestCore:
             Core(0, iter([]), mlp=0)
 
     def test_issue_paced_by_compute(self):
-        core = Core(0, iter(entries(3, compute_ps=500)), mlp=8)
+        core = ReferenceCore(0, iter(entries(3, compute_ps=500)), mlp=8)
         t1, _ = core.pop_request()
         core.complete(t1 + 100)
         t2, _ = core.pop_request()
@@ -26,7 +34,7 @@ class TestCore:
         assert t2 == 1000
 
     def test_blocks_on_oldest_when_mlp_full(self):
-        core = Core(0, iter(entries(3, compute_ps=10)), mlp=2)
+        core = ReferenceCore(0, iter(entries(3, compute_ps=10)), mlp=2)
         t1, _ = core.pop_request()
         core.complete(5000)
         t2, _ = core.pop_request()
@@ -36,7 +44,7 @@ class TestCore:
         assert t3 == 5000
 
     def test_trace_exhaustion(self):
-        core = Core(0, iter(entries(1)), mlp=2)
+        core = ReferenceCore(0, iter(entries(1)), mlp=2)
         core.pop_request()
         core.complete(100)
         assert core.peek_issue_time() is None
@@ -44,7 +52,7 @@ class TestCore:
             core.pop_request()
 
     def test_instruction_accounting(self):
-        core = Core(0, iter(entries(3, instructions=7)), mlp=8)
+        core = ReferenceCore(0, iter(entries(3, instructions=7)), mlp=8)
         for _ in range(3):
             t, _ = core.pop_request()
             core.complete(t + 10)
@@ -52,8 +60,8 @@ class TestCore:
         assert core.misses_issued == 3
 
     def test_ipc(self):
-        core = Core(0, iter(entries(4, compute_ps=250, instructions=4)),
-                    mlp=8)
+        core = ReferenceCore(
+            0, iter(entries(4, compute_ps=250, instructions=4)), mlp=8)
         for _ in range(4):
             t, _ = core.pop_request()
             core.complete(t + 10)

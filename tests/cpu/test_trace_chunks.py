@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cpu.core import Core
 from repro.cpu.trace import ChunkSource, TraceEntry, chunk_entries, take
 from repro.workloads.mixed import MixedWorkload
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.specs import workload_by_name
+
+from tests.mc.reference_controller import ReferenceCore
 
 
 def _entries(n):
@@ -46,8 +47,8 @@ def test_chunk_source_iterates_as_entries():
 
 def test_core_consumes_plain_iterator_and_chunk_source_identically():
     entries = _entries(50)
-    core_a = Core(0, iter(entries), mlp=4)
-    core_b = Core(0, chunk_entries(iter(entries), size=8), mlp=4)
+    core_a = ReferenceCore(0, iter(entries), mlp=4)
+    core_b = ReferenceCore(0, chunk_entries(iter(entries), size=8), mlp=4)
     for _ in range(len(entries)):
         issue_a, entry_a = core_a.pop_request()
         issue_b, entry_b = core_b.pop_request()
@@ -64,7 +65,7 @@ def test_core_consumes_plain_iterator_and_chunk_source_identically():
 
 def test_core_pop_tuple_matches_pop_request():
     entries = _entries(6)
-    core = Core(0, iter(entries), mlp=2)
+    core = ReferenceCore(0, iter(entries), mlp=2)
     issue, tup = core.pop_tuple()
     assert TraceEntry(*tup) == entries[0]
     assert issue == entries[0].compute_ps

@@ -7,8 +7,9 @@ deque and the controller's old bus sequence: ``release_before``, one
 ``earliest_transfer`` scan from the arrival, a second one from the CAS
 when the CAS lands anywhere but the gap the first scan found, then
 ``book``.  ``tests/dram/test_timing_properties.py`` drives these and
-:mod:`repro.dram.timing` with the same inputs and requires equal
-answers and equal bookings after every step.
+the tFAW and bus bookings of ``tests/mc/reference_controller.py``
+(which the controller's request path is held to) with the same inputs
+and requires equal answers and equal bookings after every step.
 """
 
 from __future__ import annotations

@@ -1,20 +1,25 @@
 """Property-based tests for the out-of-order timing trackers.
 
-The lockstep classes drive :mod:`repro.dram.timing` and the reference
-trackers of ``tests/dram/reference_timing.py`` (the neighbourhood loop
-on every tFAW ask, and the release/scan/scan/book bus sequence) with the
-same inputs, and require equal answers and equal bookings after every
-step.
+The lockstep classes drive the tFAW and bus bookings of
+``tests/mc/reference_controller.py`` (the methods the controller's
+request path inlines; ``FawTracker.earliest_activate`` is the
+tracker's own) and the scan trackers of
+``tests/dram/reference_timing.py`` (the neighbourhood loop on every
+tFAW ask, and the release/scan/scan/book bus sequence) with the same
+inputs, and require equal answers and equal bookings after every step.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.timing import BusTracker, FawTracker
 from repro.mc.abo import StallWindows
 from repro.params import DramTimings
 
 from tests.dram.reference_timing import ScanBusTracker, ScanFawTracker
+from tests.mc.reference_controller import (
+    ReferenceBusTracker,
+    ReferenceFawTracker,
+)
 
 TIMINGS = DramTimings()
 FAW = TIMINGS.tFAW
@@ -58,7 +63,7 @@ class TestFawLockstep:
     @given(st.lists(FAW_REQUEST, min_size=1, max_size=60))
     @settings(max_examples=300)
     def test_matches_the_neighbourhood_loop(self, requests):
-        ref, new = ScanFawTracker(TIMINGS), FawTracker(TIMINGS)
+        ref, new = ScanFawTracker(TIMINGS), ReferenceFawTracker(TIMINGS)
         arrival = 0
         for step, books, asks, late in requests:
             arrival += step
@@ -82,7 +87,7 @@ class TestFawLockstep:
     def test_crowded_grid_matches(self, booked, asks):
         # Times on a quarter-tFAW grid: many equal bookings and many
         # asks exactly tFAW from one.
-        ref, new = ScanFawTracker(TIMINGS), FawTracker(TIMINGS)
+        ref, new = ScanFawTracker(TIMINGS), ReferenceFawTracker(TIMINGS)
         quarter = FAW // 4
         for slot in booked:
             ref.activate(slot * quarter)
@@ -100,7 +105,7 @@ class TestBusLockstep:
     @settings(max_examples=300)
     def test_matches_the_release_scan_book_sequence(self, requests,
                                                      windows):
-        ref, new = ScanBusTracker(TIMINGS), BusTracker(TIMINGS)
+        ref, new = ScanBusTracker(TIMINGS), ReferenceBusTracker(TIMINGS)
         adjust = _stalls(windows).adjust
         arrival = 0
         for step, offset in requests:
@@ -117,7 +122,7 @@ class TestBusProperties:
     @given(st.lists(BUS_REQUEST, min_size=1, max_size=80))
     @settings(max_examples=100)
     def test_no_two_slots_overlap(self, requests):
-        bus = BusTracker(TIMINGS)
+        bus = ReferenceBusTracker(TIMINGS)
         slots = []
         arrival = 0
         for step, offset in requests:
@@ -132,7 +137,7 @@ class TestBusProperties:
     @given(st.lists(BUS_REQUEST, min_size=1, max_size=80))
     @settings(max_examples=100)
     def test_start_never_before_request(self, requests):
-        bus = BusTracker(TIMINGS)
+        bus = ReferenceBusTracker(TIMINGS)
         arrival = 0
         for step, offset in requests:
             arrival += step
@@ -143,7 +148,7 @@ class TestBusProperties:
     @given(st.lists(BUS_REQUEST, min_size=5, max_size=60))
     @settings(max_examples=50)
     def test_busy_time_conserved(self, requests):
-        bus = BusTracker(TIMINGS)
+        bus = ReferenceBusTracker(TIMINGS)
         arrival = 0
         for step, offset in requests:
             arrival += step
@@ -156,7 +161,7 @@ class TestFawProperties:
     @settings(max_examples=100)
     def test_no_five_acts_in_any_window_out_of_order(self, asks):
         """The invariant holds even for out-of-order placement asks."""
-        faw = FawTracker(TIMINGS)
+        faw = ReferenceFawTracker(TIMINGS)
         placed = []
         for ask in asks:  # deliberately NOT sorted
             t = faw.earliest_activate(ask)
@@ -169,7 +174,7 @@ class TestFawProperties:
     @given(st.lists(st.integers(0, 300_000), min_size=1, max_size=60))
     @settings(max_examples=100)
     def test_placement_never_before_ask(self, asks):
-        faw = FawTracker(TIMINGS)
+        faw = ReferenceFawTracker(TIMINGS)
         for ask in asks:
             t = faw.earliest_activate(ask)
             assert t >= ask
@@ -182,7 +187,7 @@ class TestFawProperties:
                                                          probe):
         """Forgetting bookings a tFAW before each arrival never admits
         an illegal placement afterwards."""
-        faw = FawTracker(TIMINGS)
+        faw = ReferenceFawTracker(TIMINGS)
         placed = []
         for ask in sorted(asks):
             t = faw.earliest_activate(ask)

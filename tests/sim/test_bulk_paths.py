@@ -102,7 +102,8 @@ def _check_blocks(num_regions: int, fth: int, policy: ResetPolicy,
             stepped.on_ref_slice(slice_)
         for p in block_rows[len(block_slices) * acts_per_ref:]:
             stepped.on_activate(p)
-        landed.on_block(block_rows, acts_per_ref, block_slices)
+        landed.on_block(block_rows, acts_per_ref,
+                        [landed.slice_bounds(s) for s in block_slices])
         assert _state(landed, landed_metrics) \
             == _state(stepped, stepped_metrics), (first, block)
         in_flight += landed._refreshing_region is not None
@@ -150,7 +151,9 @@ def test_block_with_safe_sweep_in_flight_decides_on_the_rrc():
     finish = RefreshSlice(ref_index=1, physical_start=10,
                           physical_end=region, mapping=SequentialR2SA())
     landed, _ = _table(128, 2, ResetPolicy.SAFE)
-    landed.on_block([1] * 3 + [2] * 3 + [4] * 2, 3, [begin, finish])
+    landed.on_block([1] * 3 + [2] * 3 + [4] * 2, 3,
+                    [landed.slice_bounds(begin),
+                     landed.slice_bounds(finish)])
     assert (landed._rrc, landed._refreshing_region) == (3, None)
     assert landed._counters[0] == 3
     assert (landed.filtered_acts, landed.escaped_acts) == (3, 5)
@@ -166,7 +169,8 @@ def test_block_shape_is_checked(rows, acts_per_ref, slices):
                           mapping=SequentialR2SA())
     table, _ = _table(128, 2, ResetPolicy.SAFE)
     with pytest.raises(ValueError, match="whole intervals"):
-        table.on_block(rows, acts_per_ref, [slice_] * slices)
+        table.on_block(rows, acts_per_ref,
+                       [table.slice_bounds(slice_)] * slices)
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +212,9 @@ def _check_tally(num_regions: int, fths, policy: ResetPolicy,
                 table.on_ref_slice(slice_)
             for p in block_rows[len(block_slices) * acts_per_ref:]:
                 table.on_activate(p)
-        landed.on_block(block_rows, acts_per_ref, block_slices, tally)
+        landed.on_block(block_rows, acts_per_ref,
+                        [landed.slice_bounds(s) for s in block_slices],
+                        tally)
         assert _state(landed, landed_metrics) == _state(*stepped[top])
         for fth, (table, _) in stepped.items():
             assert (sum(tally[:fth + 1]), sum(tally[fth + 1:])) \
@@ -251,7 +257,7 @@ def test_tally_is_sized_for_the_table_fth():
                           mapping=SequentialR2SA())
     table, _ = _table(128, 5, ResetPolicy.SAFE)
     with pytest.raises(ValueError, match="needs 7 entries; got 6"):
-        table.on_block([1, 2], 2, [slice_], [0] * 6)
+        table.on_block([1, 2], 2, [table.slice_bounds(slice_)], [0] * 6)
     assert table.filtered_acts == table.escaped_acts == 0
 
 

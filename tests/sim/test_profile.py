@@ -176,7 +176,7 @@ def test_shared_passes_are_profiled_alike_serial_and_pooled():
         assert (prof.shared_passes, prof.riders, prof.riders_diverged,
                 prof.runs) == (1, 1, 1, 2), workers
         assert "shared passes                  1  1 riders served, " \
-            "1 diverged" in prof.report()
+            "1 diverged, 2 riders on 2 trackers" in prof.report()
     # The riders' per-ACT tracker time lands in ``trackers``.
     with profiling() as plain:
         simulate("tc", setup_by_name("baseline"), scale)
@@ -187,7 +187,7 @@ def test_shared_passes_are_profiled_alike_serial_and_pooled():
     merged.merge(prof.to_dict())
     merged.merge(prof)
     assert (merged.shared_passes, merged.riders,
-            merged.riders_diverged) == (2, 2, 2)
+            merged.riders_diverged, merged.rider_sets) == (2, 2, 2, 4)
 
 
 def test_profiling_does_not_change_results():
@@ -219,9 +219,9 @@ def test_report_renders_phases():
     assert "counting passes" not in text
     assert "calibration" not in text
     assert "shared passes" not in text
-    prof.add_shared_pass(14, 3)
+    prof.add_shared_pass(14, 3, 8)
     assert "shared passes                  1  14 riders served, " \
-        "3 diverged" in prof.report()
+        "3 diverged, 17 riders on 8 trackers" in prof.report()
     prof.add_calibration(0.25)
     assert "calibration                    1  keys probed in 0.250s" \
         in prof.report()

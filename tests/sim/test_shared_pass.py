@@ -22,25 +22,32 @@ from repro.mitigations.base import BankTracker, MitigationSlotSource
 from repro.params import SimScale
 from repro.sim.profile import profiling
 from repro.sim.registry import available_setups, setup_by_name
+from repro.dram.device import Riders
 from repro.sim.runner import (
     MitigationSetup,
     baseline_setup,
     mirza_setup,
+    naive_mirza_setup,
     simulate_shared,
 )
 from repro.sim.session import SharedPass, SimJob, SimSession, job_token
 
 TABLE9_POINTS = [(4, 1820), (8, 1660), (12, 1500), (16, 1350)]
 
+TABLE5_GRID = [naive_mirza_setup(window, queue_entries=entries)
+               for window in (24, 48, 96) for entries in (1, 2, 4, 8)]
+"""Table V's naive-MIRZA cells: three families of four queue sizes."""
+
 
 def alert_only_setups(scale: SimScale) -> List[MitigationSetup]:
-    """Every ALERT-only registry setup plus Table IX's MIRZA configs."""
+    """Every ALERT-only registry setup, Table IX's MIRZA configs and
+    Table V's naive-MIRZA grid."""
     setups = [setup_by_name(name, scale) for name in available_setups()
               if setup_by_name(name, scale).alert_only]
     setups += [mirza_setup(1000, scale, config=MirzaConfig(
         trhd=1000, fth=fth, mint_window=window, num_regions=128))
         for window, fth in TABLE9_POINTS]
-    return setups
+    return setups + TABLE5_GRID
 
 
 def test_alert_only_predicate():
@@ -53,8 +60,11 @@ def test_alert_only_predicate():
     assert not baseline_setup().alert_only
 
 
-@pytest.mark.parametrize("time_scale", [8192, 2048])
-def test_every_cell_equals_its_standalone_run(time_scale):
+@pytest.mark.parametrize("time_scale, served, diverged",
+                         [(8192, 87, 21), (2048, 77, 31)],
+                         ids=["8192", "2048"])
+def test_every_cell_equals_its_standalone_run(time_scale, served,
+                                              diverged):
     scale = SimScale(time_scale)
     setups = alert_only_setups(scale)
     jobs = [SimJob(name, setup, scale) for name in DEFAULT_SUBSET
@@ -64,7 +74,7 @@ def test_every_cell_equals_its_standalone_run(time_scale):
         results = SimSession(disk_cache=False).run_many(jobs)
     assert results == standalone
     # One rider per distinct job (a Table IX point can equal a
-    # registry setup).
+    # registry setup, and naive-mirza-500 is Table V's W=24, Q=4).
     riders = {job_token(job): result
               for job, result in zip(jobs, standalone)
               if job.setup.alert_only}
@@ -74,9 +84,11 @@ def test_every_cell_equals_its_standalone_run(time_scale):
                 if sum(result.alerts) or result.mitigations)
     assert prof.shared_passes == len(DEFAULT_SUBSET)
     assert (prof.riders, prof.riders_diverged) \
-        == (len(riders) - acted, acted)
-    assert prof.riders > 0
+        == (len(riders) - acted, acted) == (served, diverged)
     assert prof.runs == len(DEFAULT_SUBSET) + acted
+    # Per pass: three registry MIRZA riders, the three Table IX points
+    # that are not one of them, and one family per Table V window.
+    assert prof.rider_sets == len(DEFAULT_SUBSET) * (3 + 3 + 3)
 
 
 @dataclasses.dataclass
@@ -171,3 +183,62 @@ def test_observed_batches_run_plain(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setenv(knob, "1")
             assert SimSession._shared_passes(unique) == unique, knob
+
+
+def _record_alerts(monkeypatch) -> list:
+    """Log every family ALERT poll of a pass: the host's ACTs so far,
+    the members left before and after, and the polled queue."""
+    calls = []
+    alert = Riders.alert
+
+    def logged(riders, s, tracker):
+        before = [rider for rider, _ in riders.members[s]]
+        alert(riders, s, tracker)
+        queue = tracker.queue
+        calls.append((sum(device.stats.activations
+                          for device in riders.devices),
+                      before, [rider for rider, _ in riders.members[s]],
+                      len(queue), queue.max_tardiness()))
+    monkeypatch.setattr(Riders, "alert", logged)
+    return calls
+
+
+def test_small_queues_leave_a_family_that_keeps_riding(monkeypatch):
+    scale = SimScale(2048)
+    family = [naive_mirza_setup(24, queue_entries=entries)
+              for entries in (8, 1, 2)]
+    standalone = [SimJob("tc", setup, scale).execute()
+                  for setup in [baseline_setup()] + family]
+    assert [sum(result.alerts) > 0 for result in standalone[1:]] \
+        == [False, True, True]
+    calls = _record_alerts(monkeypatch)
+    with profiling() as prof:
+        base, riders = simulate_shared("tc", family, scale)
+    assert base == standalone[0]
+    assert riders == [standalone[1], None, None]
+    assert prof.rider_sets == 1
+    # Q=1 leaves at its first full queue and Q=2 later, at its own,
+    # both inside the window; Q=8 rides the rest of it.
+    (acts_1, before_1, after_1, length_1, _), \
+        (acts_2, before_2, after_2, length_2, _) = calls
+    assert (before_1, after_1, length_1) == ([1, 2, 0], [2, 0], 1)
+    assert (before_2, after_2, length_2) == ([2, 0], [0], 2)
+    assert 0 < acts_1 < acts_2 < base.total_activations
+
+
+def test_a_tardy_entry_sends_the_whole_family_away(monkeypatch):
+    # QTH 1: a queued row's next ACT makes it tardy, long before any
+    # of these queues fills.
+    scale = SimScale(2048)
+    family = [naive_mirza_setup(24, queue_entries=entries, qth=1)
+              for entries in (16, 32, 64)]
+    standalone = [SimJob("tc", setup, scale).execute()
+                  for setup in family]
+    assert all(sum(result.alerts) for result in standalone)
+    calls = _record_alerts(monkeypatch)
+    base, riders = simulate_shared("tc", family, scale)
+    assert riders == [None, None, None]
+    [(acts, before, after, length, tardiness)] = calls
+    assert (before, after) == ([0, 1, 2], [])
+    assert length < 16 and tardiness > 1
+    assert 0 < acts < base.total_activations
