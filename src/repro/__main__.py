@@ -9,11 +9,12 @@ Usage::
     python -m repro report --only fig11,table6   # a subset
     python -m repro report --jobs 8        # ... on 8 worker processes
 
-    python -m repro run tc --setup mirza --trace-out trace.json
-                                           # one simulation + Perfetto
-    python -m repro stats                  # metrics table (tc / mirza)
-    python -m repro stats mcf --setup prac-1000
-    python -m repro trace --trace-limit 50000
+    python -m repro run tc --setup mirza-1000 --metrics
+                                           # one simulation + its
+                                           # metrics table
+    python -m repro run tc --setup mirza-1000 --trace-out trace.json \\
+        --jsonl-out events.jsonl           # ... + Perfetto trace and
+                                           # raw JSON-lines events
 
     python -m repro fuzz                   # seeded attack-pattern sweep
     python -m repro fuzz --mitigations trr,mirza-1000 --budget 8
@@ -59,10 +60,7 @@ from typing import Iterator, List, Optional
 from repro.report import EXHIBITS, write_report
 from repro.sim.session import FailurePolicy, SimSession
 
-_SUBCOMMANDS = ("list", "run", "report", "stats", "trace", "fuzz")
-
-_DEFAULT_SIM_WORKLOAD = "tc"
-_DEFAULT_SIM_SETUP = "mirza-1000"
+_SUBCOMMANDS = ("list", "run", "report", "fuzz")
 
 _ENV_FLAGS = [
     # (argparse dest, environment variable the flag overrides)
@@ -186,6 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulate the positional names as *workloads* under this "
              "mitigation setup (e.g. mirza, prac-1000, baseline) "
              "instead of treating them as exhibits")
+    p_run.add_argument(
+        "--jsonl-out", default=None, metavar="FILE",
+        help="with --setup and --trace-out: also write the raw trace "
+             "events as JSON-lines to FILE")
     add_shared(p_run)
 
     p_report = sub.add_parser(
@@ -199,34 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict the report to these comma-separated exhibits "
              "(e.g. --only fig11,table6)")
     add_shared(p_report)
-
-    p_stats = sub.add_parser(
-        "stats", help="simulate with metrics collection and print the "
-                      "aggregated metrics table")
-    p_stats.add_argument("targets", nargs="*", metavar="workload",
-                         default=[_DEFAULT_SIM_WORKLOAD],
-                         help=f"workload names (default: "
-                              f"{_DEFAULT_SIM_WORKLOAD})")
-    p_stats.add_argument("--setup", default=_DEFAULT_SIM_SETUP,
-                         metavar="SETUP",
-                         help=f"mitigation setup (default: "
-                              f"{_DEFAULT_SIM_SETUP})")
-    add_shared(p_stats)
-
-    p_trace = sub.add_parser(
-        "trace", help="simulate with event tracing and write a "
-                      "Perfetto-loadable Chrome trace")
-    p_trace.add_argument("targets", nargs="*", metavar="workload",
-                         default=[_DEFAULT_SIM_WORKLOAD],
-                         help=f"workload names (default: "
-                              f"{_DEFAULT_SIM_WORKLOAD})")
-    p_trace.add_argument("--setup", default=_DEFAULT_SIM_SETUP,
-                         metavar="SETUP",
-                         help=f"mitigation setup (default: "
-                              f"{_DEFAULT_SIM_SETUP})")
-    p_trace.add_argument("--jsonl-out", default=None, metavar="FILE",
-                         help="also write the raw events as JSON-lines")
-    add_shared(p_trace)
 
     p_fuzz = sub.add_parser(
         "fuzz", help="sweep seeded fuzzed attack patterns against "
@@ -318,9 +292,10 @@ def _is_trace_target(name: str) -> bool:
 
 def _run_simulations(args: argparse.Namespace,
                      session: SimSession) -> int:
-    """Simulate ``args.targets`` under ``args.setup`` and emit whatever
-    observability output the flags asked for (metrics table, Chrome
-    trace, JSON-lines events).
+    """Simulate the ``run`` positionals under ``args.setup`` and emit
+    whatever observability output the flags asked for (metrics table,
+    Chrome trace, JSON-lines events).  ``--metrics`` exits 3 when no
+    result recorded any metrics.
 
     Path-shaped targets are replayed as ingested traces
     (:class:`~repro.sim.session.TraceReplayJob`); when such a trace
@@ -338,8 +313,7 @@ def _run_simulations(args: argparse.Namespace,
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    targets = list(getattr(args, "targets", None)
-                   or getattr(args, "exhibits"))
+    targets = args.exhibits
     try:
         jobs = [TraceReplayJob.for_path(name, setup, scale, seed)
                 if _is_trace_target(name)
@@ -395,8 +369,8 @@ def _run_simulations(args: argparse.Namespace,
         merged = merge_snapshots(snapshots + [session.obs_snapshot()])
         print()
         print(render_metrics_report(merged))
-    elif getattr(args, "command", None) == "stats":
-        print("stats: no metrics were recorded (every job failed or "
+    elif args.metrics:
+        print("run: no metrics were recorded (every job failed or "
               "was skipped); nothing to report", file=sys.stderr)
         return 3
 
@@ -440,10 +414,8 @@ def _trace_capture(trace_out):
 def _trace_convert(argv: List[str]) -> int:
     """The ``repro trace convert`` verb: external trace -> native.
 
-    Handled before the argparse tree because ``trace`` is otherwise
-    the Perfetto-tracing subcommand; ``trace convert`` is the only
-    form with a second positional verb, so the dispatch is
-    unambiguous.
+    Handled before the argparse tree: ``trace convert`` is the only
+    two-word verb, with its own flags.
     """
     from repro.workloads.tracefile import TRACE_FORMATS, convert_trace
 
@@ -582,14 +554,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jsonl_out", None) \
+                and not (args.setup and args.trace_out):
+            parser.error("--jsonl-out needs --setup and --trace-out")
     except SystemExit as error:
         return int(error.code or 0)
-    # `stats` is `run` with metrics forced on; `trace` defaults the
-    # Chrome-trace destination so a bare `python -m repro trace` works.
-    if args.command == "stats":
-        args.metrics = True
-    elif args.command == "trace" and not args.trace_out:
-        args.trace_out = "trace.json"
     with _environment(args), contextlib.ExitStack() as stack:
         session = _session_for(args)
         if session.progress is not None \
@@ -620,8 +589,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"run: name at least one {noun}",
                           file=sys.stderr)
                     return 2
-                elif args.command in ("stats", "trace") or (
-                        args.command == "run" and args.setup):
+                elif args.command == "run" and args.setup:
                     status = _run_simulations(args, session)
                 else:
                     with _trace_capture(

@@ -140,15 +140,6 @@ class KernelProfile:
         """JSON-able view of every counter (the pool return payload)."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelProfile":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored."""
-        profile = cls()
-        for name in cls.__slots__:
-            if name in data:
-                setattr(profile, name, data[name])
-        return profile
-
     def merge(self, other: "KernelProfile | dict") -> None:
         """Fold another profile (or its dict form) into this one.
 

@@ -72,11 +72,6 @@ class MintSampler:
             self.windows_completed += 1
         return picked
 
-    @property
-    def selection_probability(self) -> float:
-        """Long-run probability that any given activation is selected."""
-        return 1.0 / self.window
-
     def storage_bits(self, row_bits: int = 17) -> int:
         """Tracking state: one row id plus the position/target counters."""
         window_bits = max(1, (self.window - 1).bit_length())

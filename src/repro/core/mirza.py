@@ -94,16 +94,3 @@ class MirzaTracker(BankTracker):
         return (self.rct.storage_bits()
                 + self.queue.storage_bits(row_bits)
                 + self.mint.storage_bits(row_bits))
-
-    # ------------------------------------------------------------------
-    # Introspection used by experiments
-    # ------------------------------------------------------------------
-    @property
-    def escape_fraction(self) -> float:
-        """Fraction of this bank's ACTs that escaped the RCT filter."""
-        return self.rct.escape_fraction()
-
-    @property
-    def mitigation_probability(self) -> float:
-        """Expected mitigations per ACT: escape fraction x 1/W."""
-        return self.escape_fraction * self.mint.selection_probability

@@ -119,10 +119,6 @@ class MirzaQueue:
             self._m_occupancy.set(len(self._entries))
         return row
 
-    def max_tardiness(self) -> int:
-        """Highest tardiness among queued entries (0 when empty)."""
-        return max(self._entries.values(), default=0)
-
     def storage_bits(self, row_bits: int = 17) -> int:
         """Queue storage: row id + tardiness counter + valid, per entry."""
         count_bits = max(1, (self.qth + 1).bit_length()) + 2

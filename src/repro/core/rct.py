@@ -352,8 +352,3 @@ class RegionCountTable:
     def storage_bits(self) -> int:
         """Table bits plus the RRC register."""
         return self.num_regions * self.counter_bits + self.counter_bits
-
-    def escape_fraction(self) -> float:
-        """Fraction of observed ACTs that escaped the filter."""
-        total = self.filtered_acts + self.escaped_acts
-        return self.escaped_acts / total if total else 0.0

@@ -85,13 +85,6 @@ class SimResult:
         return 100.0 * self.victim_rows_refreshed / \
             self.demand_rows_refreshed
 
-    def acts_per_subarray(self) -> float:
-        """Mean activations per subarray over the window (Figure 6)."""
-        geometry = self.config.geometry
-        total_subarrays = geometry.total_banks \
-            * geometry.subarrays_per_bank
-        return self.total_activations / total_subarrays
-
     def tenant_names(self) -> List[str]:
         """Distinct tenant names, in first-core order."""
         names: List[str] = []
@@ -103,12 +96,6 @@ class SimResult:
     def _tenant_cores(self, tenant: str) -> List[int]:
         return [i for i, name in enumerate(self.tenants or [])
                 if name == tenant]
-
-    def tenant_instructions(self) -> dict:
-        """Instructions retired per tenant."""
-        return {name: sum(self.instructions[i]
-                          for i in self._tenant_cores(name))
-                for name in self.tenant_names()}
 
     def tenant_ipc(self) -> dict:
         """Mean per-core IPC of each tenant's cores."""

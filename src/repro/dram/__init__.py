@@ -2,9 +2,8 @@
 
 This package is the simulator's ground-truth model of the DRAM device:
 
-- :mod:`repro.dram.commands` -- the DDR5 command vocabulary.
-- :mod:`repro.dram.mapping`  -- MOP4 physical-address mapping and the
-  Sequential / Strided row-to-subarray mappings of Section IV-D.
+- :mod:`repro.dram.mapping`  -- the Sequential / Strided row-to-subarray
+  mappings of Section IV-D and the per-tenant address spaces.
 - :mod:`repro.dram.bank`     -- per-bank state plus the per-row activation
   oracle used to *verify* (not implement) Rowhammer security.
 - :mod:`repro.dram.refresh`  -- the tREFI refresh sweep and RefPtr tracking.
@@ -13,11 +12,8 @@ This package is the simulator's ground-truth model of the DRAM device:
 """
 
 from repro.dram.bank import Bank, RowActivationOracle
-from repro.dram.commands import DramCommand
 from repro.dram.device import DramDevice
 from repro.dram.mapping import (
-    AddressMapping,
-    DecodedAddress,
     RowToSubarrayMapping,
     SequentialR2SA,
     StridedR2SA,
@@ -26,11 +22,8 @@ from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import BankTiming
 
 __all__ = [
-    "AddressMapping",
     "Bank",
     "BankTiming",
-    "DecodedAddress",
-    "DramCommand",
     "DramDevice",
     "RefreshScheduler",
     "RowActivationOracle",

@@ -46,10 +46,6 @@ class RowActivationOracle:
             self._max_row = row
         return count
 
-    def on_row_refreshed(self, row: int) -> None:
-        """Demand refresh of ``row`` resets its unmitigated count."""
-        self._counts.pop(row, None)
-
     def on_refresh(self, slice_: RefreshSlice) -> None:
         """Demand refresh of one REF slice resets its rows' counts."""
         slice_.reset_rows(self._counts)
@@ -78,10 +74,6 @@ class RowActivationOracle:
     def max_row(self) -> Optional[int]:
         """The row that reached :attr:`max_unmitigated` (None if none)."""
         return self._max_row
-
-    def current_max(self) -> int:
-        """Highest unmitigated count among rows *right now*."""
-        return max(self._counts.values(), default=0)
 
     def attack_succeeded(self, threshold: int) -> bool:
         """True if any row ever exceeded ``threshold`` unmitigated ACTs."""
@@ -130,10 +122,6 @@ class Bank:
         counter = self._m_acts
         if counter is not None:
             counter.value += 1
-
-    def precharge(self) -> None:
-        """Close the open row (idempotent)."""
-        self.open_row = None
 
     def mitigate(self, aggressor_row: int, blast_radius: int = 2) -> int:
         """Refresh the victims of ``aggressor_row``; return victim count."""

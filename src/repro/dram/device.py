@@ -82,16 +82,6 @@ class DeviceStats:
         self.mitigations_by_source[key] = (
             self.mitigations_by_source.get(key, 0) + 1)
 
-    def refresh_power_overhead(self) -> float:
-        """Victim refreshes relative to demand refreshes (Section II-F).
-
-        The paper computes refresh power overhead as the ratio of rows
-        undergoing victim refresh to rows undergoing demand refresh.
-        """
-        if self.demand_rows_refreshed == 0:
-            return 0.0
-        return self.victim_rows_refreshed / self.demand_rows_refreshed
-
     def refresh_cannibalization(self, costs: MitigationCosts,
                                 tRFC: int) -> float:
         """Fraction of REF time consumed by REF-borrowed mitigations."""
@@ -101,12 +91,6 @@ class DeviceStats:
             MitigationSlotSource.REF.value, 0)
         return (under_ref * costs.mitigation_time) / (
             self.refs_issued * tRFC)
-
-    def mitigation_rate(self) -> float:
-        """Mitigations per activation (Table VIII's metric)."""
-        if self.activations == 0:
-            return 0.0
-        return self.mitigations_total / self.activations
 
 
 class DramDevice:

@@ -1,18 +1,13 @@
-"""Address mappings: MOP4 decoding, row-to-subarray, address spaces.
+"""Address mappings: row-to-subarray placement and address spaces.
 
-Three distinct mappings live here:
+Two distinct mappings live here:
 
-1. :class:`AddressMapping` -- how the memory controller splits a physical
-   address into (subchannel, bank, row, column).  We implement the
-   *Minimalist Open Page* (MOP) policy with 4 lines per row group, the
-   best-performing policy for the paper's setup (Table III).
-
-2. :class:`RowToSubarrayMapping` -- how the DRAM device places *logical*
+1. :class:`RowToSubarrayMapping` -- how the DRAM device places *logical*
    row numbers into physical subarray positions (Section IV-D).  This is
    what decides whether coarse-grained filtering sees workload locality
    concentrated (Sequential) or spread out (Strided).
 
-3. :class:`AddressSpace` -- how a workload source's *logical* trace
+2. :class:`AddressSpace` -- how a workload source's *logical* trace
    coordinates land on the shared physical ``(subchannel, bank, row)``
    geometry.  Every tenant in a multi-tenant scenario gets its own
    address space, so co-located attacker and victim streams hit the
@@ -36,76 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.params import DramGeometry
-
-
-@dataclass(frozen=True)
-class DecodedAddress:
-    """A physical address decoded into DRAM coordinates."""
-
-    subchannel: int
-    bank: int
-    row: int
-    column: int
-
-    @property
-    def global_bank(self) -> int:
-        """Bank id unique across subchannels."""
-        return self.subchannel * 1_000_000 + self.bank  # pragma: no cover
-
-
-class AddressMapping:
-    """MOP-style physical address to DRAM coordinate mapping.
-
-    Bit layout from the least-significant line-address bit upward::
-
-        [mop_lines bits: column low] [1 bit: subchannel] [bank bits]
-        [column high bits] [row bits]
-
-    Mapping ``mop_lines`` consecutive cache lines to the same row exploits
-    short-range spatial locality, while striping groups across banks and
-    subchannels recovers bank-level parallelism (MOP4 in the paper).
-    """
-
-    def __init__(self, geometry: DramGeometry = DramGeometry(),
-                 line_bytes: int = 64, mop_lines: int = 4) -> None:
-        if mop_lines & (mop_lines - 1):
-            raise ValueError("mop_lines must be a power of two")
-        self.geometry = geometry
-        self.line_bytes = line_bytes
-        self.mop_lines = mop_lines
-        self._lines_per_row = geometry.row_bytes // line_bytes
-        self._col_low_bits = mop_lines.bit_length() - 1
-        self._subch_bits = (geometry.subchannels - 1).bit_length()
-        self._bank_bits = (geometry.banks_per_subchannel - 1).bit_length()
-        high_cols = self._lines_per_row // mop_lines
-        self._col_high_bits = (high_cols - 1).bit_length()
-
-    def decode(self, address: int) -> DecodedAddress:
-        """Decode a byte-granularity physical address."""
-        line = address // self.line_bytes
-        col_low = line & (self.mop_lines - 1)
-        line >>= self._col_low_bits
-        subch = line & ((1 << self._subch_bits) - 1)
-        line >>= self._subch_bits
-        bank = line & ((1 << self._bank_bits) - 1)
-        line >>= self._bank_bits
-        col_high = line & ((1 << self._col_high_bits) - 1)
-        line >>= self._col_high_bits
-        row = line % self.geometry.rows_per_bank
-        column = (col_high << self._col_low_bits) | col_low
-        return DecodedAddress(subchannel=subch, bank=bank, row=row,
-                              column=column)
-
-    def encode(self, decoded: DecodedAddress) -> int:
-        """Inverse of :meth:`decode` (used by tests and attack kernels)."""
-        col_low = decoded.column & (self.mop_lines - 1)
-        col_high = decoded.column >> self._col_low_bits
-        line = decoded.row
-        line = (line << self._col_high_bits) | col_high
-        line = (line << self._bank_bits) | decoded.bank
-        line = (line << self._subch_bits) | decoded.subchannel
-        line = (line << self._col_low_bits) | col_low
-        return line * self.line_bytes
 
 
 class RowToSubarrayMapping:
@@ -161,15 +86,6 @@ class RowToSubarrayMapping:
             if p + d <= hi:
                 neighbors.append(self.logical_row(p + d))
         return neighbors
-
-    def aggressors_of(self, victim_row: int, blast_radius: int = 2
-                      ) -> List[int]:
-        """Logical rows whose activation disturbs ``victim_row``.
-
-        Physical adjacency is symmetric, so this equals
-        :meth:`physical_neighbors`.
-        """
-        return self.physical_neighbors(victim_row, blast_radius)
 
 
 class SequentialR2SA(RowToSubarrayMapping):

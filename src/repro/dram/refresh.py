@@ -147,12 +147,3 @@ class RefreshScheduler:
             self.refptr = 0
             self.windows_completed += 1
         return slice_
-
-    def subarray_being_refreshed(self) -> int:
-        """Subarray the *next* REF will touch (the in-flight subarray)."""
-        start = (self.refptr % self.refs_per_window) * self.rows_per_ref
-        return start // self.geometry.rows_per_subarray
-
-    def refs_per_subarray(self) -> int:
-        """Number of REF commands needed to sweep one subarray."""
-        return max(1, self.geometry.rows_per_subarray // self.rows_per_ref)

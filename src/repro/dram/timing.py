@@ -42,10 +42,6 @@ class BankTiming:
             self._blocked_until = until
 
     @property
-    def blocked_until(self) -> int:
-        return self._blocked_until
-
-    @property
     def last_activate(self) -> int:
         return self._last_act
 

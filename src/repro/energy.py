@@ -1,14 +1,11 @@
-"""DRAM energy accounting: command energies and mitigation overheads.
+"""DRAM energy accounting: mitigation energy and MIRZA's SRAM power.
 
 The paper reports energy at two levels: the *relative* refresh-power
 overhead of victim refreshes (Figures 3 and 13) and absolute chip
 power (Section VIII-B: MIRZA's SRAM adds 0.6 mW against ~240 mW of
-DRAM chip power).  This module provides the standard command-energy
-model behind such numbers so runs can report absolute energy too:
-
-    E_total = N_act * (E_act + E_pre) + N_rd * E_rd
-            + N_ref * E_ref + N_victim_rows * E_row_refresh
-            + P_background * T
+DRAM chip power).  This module turns those into absolute numbers: the
+expected victim-refresh energy per activation, and the SRAM's share of
+chip power.
 
 Default constants follow DDR5 datasheet-derived values used by
 DRAMPower-style calculators (order-of-magnitude faithful; the paper's
@@ -21,80 +18,19 @@ from dataclasses import dataclass
 
 from repro.params import MitigationCosts
 
-PJ = 1.0
-NJ = 1000.0 * PJ
-MW = 1.0  # milliwatts for background power
-
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Per-command energies (picojoules) and background power (mW)."""
-
-    act_pre_pj: float = 220.0
-    """One ACT + PRE pair (row open and close)."""
-
-    read_pj: float = 150.0
-    """One 64B read burst (column access + IO)."""
+    """Per-row refresh energy (picojoules) and power constants (mW)."""
 
     ref_per_row_pj: float = 55.0
     """Refreshing one row (demand or victim)."""
-
-    background_mw: float = 110.0
-    """Standby + peripheral power per chip."""
 
     mirza_sram_mw: float = 0.6
     """MIRZA's RCT/queue SRAM (Section VIII-B, CACTI-7.0)."""
 
     chip_power_mw: float = 240.0
     """Typical total DRAM chip power the paper normalises against."""
-
-
-@dataclass
-class EnergyBreakdown:
-    """Absolute energy of one simulated window, in picojoules."""
-
-    activation_pj: float
-    read_pj: float
-    demand_refresh_pj: float
-    victim_refresh_pj: float
-    background_pj: float
-
-    @property
-    def total_pj(self) -> float:
-        return (self.activation_pj + self.read_pj
-                + self.demand_refresh_pj + self.victim_refresh_pj
-                + self.background_pj)
-
-    @property
-    def refresh_power_overhead(self) -> float:
-        """Victim refresh relative to demand refresh (the paper's
-        Figure 3/13 metric, now in energy terms)."""
-        if self.demand_refresh_pj == 0:
-            return 0.0
-        return self.victim_refresh_pj / self.demand_refresh_pj
-
-    @property
-    def mitigation_fraction(self) -> float:
-        """Share of total energy spent on victim refreshes."""
-        if self.total_pj == 0:
-            return 0.0
-        return self.victim_refresh_pj / self.total_pj
-
-
-def energy_of_run(result, params: EnergyParams = EnergyParams()
-                  ) -> EnergyBreakdown:
-    """Energy breakdown of a :class:`repro.cpu.system.SimResult`."""
-    window_s = result.window_ps * 1e-12
-    background = params.background_mw * 1e-3 * window_s * 1e12  # pJ
-    return EnergyBreakdown(
-        activation_pj=result.total_activations * params.act_pre_pj,
-        read_pj=result.total_requests * params.read_pj,
-        demand_refresh_pj=(result.demand_rows_refreshed
-                           * params.ref_per_row_pj),
-        victim_refresh_pj=(result.victim_rows_refreshed
-                           * params.ref_per_row_pj),
-        background_pj=background,
-    )
 
 
 def mirza_sram_power_fraction(params: EnergyParams = EnergyParams()

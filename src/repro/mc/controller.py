@@ -380,13 +380,23 @@ class MemoryController:
 
     def _issue_drfm(self, act_time: int) -> None:
         """Release the DRFM batch: every sampled bank mitigates its
-        latched aggressor under a single tRFM-length stall."""
-        start = self.abo.stalls.adjust(act_time + self.timings.tRAS)
+        latched aggressor under a single tRFM-length stall.
+
+        The stall starts tRAS after the latest ACT already booked on
+        any served bank (or on the triggering one), so no booked ACT
+        lands inside its blackout."""
+        served = self.drfm.issue_drfm()
+        latest = act_time
+        for bank_id, _ in served:
+            last_act = self.banks[bank_id]._last_act
+            if last_act > latest:
+                latest = last_act
+        start = self.abo.stalls.adjust(latest + self.timings.tRAS)
         end = start + self.timings.tRFM
         trace = self._tr
         if trace is not None:
             trace.window(start, end, "DRFM", self.subch)
-        for bank_id, aggressor in self.drfm.issue_drfm():
+        for bank_id, aggressor in served:
             self.banks[bank_id].block_until(end)
             self._open_row[bank_id] = None
             if self.log is not None:

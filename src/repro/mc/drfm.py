@@ -86,10 +86,6 @@ class DrfmEngine:
                 reg.counter("drfm.banks_served").value += len(pairs)
         return pairs
 
-    @property
-    def pending_samples(self) -> int:
-        return len(self._samples)
-
     def storage_bits(self, row_bits: int = 17) -> int:
         """One sample latch + sampler state per bank, plus a counter."""
         per_bank = row_bits + self._samplers[0].storage_bits(row_bits)

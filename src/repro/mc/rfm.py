@@ -36,10 +36,6 @@ class RfmEngine:
         self._m_issued = reg.counter("rfm.issued") \
             if reg is not None and bat is not None else None
 
-    @property
-    def enabled(self) -> bool:
-        return self.bat is not None
-
     def on_activate(self, bank: int) -> bool:
         """Count one ACT; return True when an RFM is due for ``bank``."""
         if self.bat is None:

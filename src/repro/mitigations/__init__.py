@@ -18,10 +18,6 @@ paper's primary contribution.
 """
 
 from repro.mitigations.base import BankTracker, MitigationSlotSource
-from repro.mitigations.blockhammer import (
-    BlockHammerThrottle,
-    CountingBloomFilter,
-)
 from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.mithril import MithrilTracker
@@ -30,7 +26,6 @@ from repro.mitigations.para import ParaTracker
 from repro.mitigations.prac import PracTracker
 from repro.mitigations.pride import PrideTracker
 from repro.mitigations.protrr import ProTrrTracker
-from repro.mitigations.qprac import QpracTracker
 from repro.mitigations.trr import TrrTracker
 
 
@@ -45,8 +40,6 @@ def __getattr__(name):
 
 __all__ = [
     "BankTracker",
-    "BlockHammerThrottle",
-    "CountingBloomFilter",
     "HydraTracker",
     "MintTracker",
     "MithrilTracker",
@@ -57,6 +50,5 @@ __all__ = [
     "PracTracker",
     "PrideTracker",
     "ProTrrTracker",
-    "QpracTracker",
     "TrrTracker",
 ]

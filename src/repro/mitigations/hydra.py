@@ -105,10 +105,6 @@ class HydraTracker(BankTracker):
         if slice_.wraps_window:
             self._group_counts.clear()
 
-    def exact_count(self, row: int) -> int:
-        """Exact per-row counter (0 while in the group stage)."""
-        return self._row_counts.get(row, 0)
-
     def storage_bits(self) -> int:
         """SRAM only: the GCT and the RCC (the RCT lives in DRAM)."""
         gct = self.num_groups * \

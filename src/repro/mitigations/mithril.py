@@ -87,10 +87,6 @@ class MithrilTracker(BankTracker):
         self._last_mitigated[row] = self._mitigation_seq
         return [row]
 
-    def max_count(self) -> int:
-        """Largest tracked counter (used by the feinting-attack bench)."""
-        return max(self._table.values(), default=0)
-
     def storage_bits(self) -> int:
         """CAM bits: row id (17) + counter, per entry."""
         return self.entries * (17 + self.bits_per_counter)

@@ -84,10 +84,6 @@ class PracTracker(BankTracker):
         """Demand refresh resets the refreshed rows' counters."""
         slice_.reset_rows(self._counters)
 
-    def max_counter(self) -> int:
-        """Largest per-row counter (used by tests and experiments)."""
-        return max(self._counters.values(), default=0)
-
     def storage_bits(self) -> int:
         """PRAC counters live in the DRAM array, not SRAM: 0 SRAM bits.
 

@@ -64,10 +64,6 @@ class PrideTracker(BankTracker):
             return []
         return [self._fifo.popleft()]
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._fifo)
-
     def storage_bits(self) -> int:
         """FIFO entries (17-bit row ids) plus head/tail pointers."""
         pointer_bits = max(1, (self.queue_entries - 1).bit_length())

@@ -73,14 +73,6 @@ class ProTrrTracker(BankTracker):
         del self._table[row]
         return [row]
 
-    def tracked_count(self, row: int) -> int:
-        """Counter value for ``row`` (0 if untracked)."""
-        return self._table.get(row, 0)
-
-    def max_count(self) -> int:
-        """Largest tracked counter (0 when empty)."""
-        return max(self._table.values(), default=0)
-
     def storage_bits(self) -> int:
         """CAM bits: 17-bit row id + 11-bit counter per entry."""
         return self.entries * (17 + 11)

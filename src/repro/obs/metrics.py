@@ -129,24 +129,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper bound of the covering bucket.
-
-        The overflow bucket reports the last finite bound (the true
-        value is only known to exceed it).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        running = 0
-        for bound, count in zip(self.bounds, self.counts):
-            running += count
-            if running >= target:
-                return bound
-        return self.bounds[-1]
-
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 

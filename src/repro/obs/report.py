@@ -3,10 +3,10 @@
 :func:`render_metrics_report` turns the JSON-able snapshot produced by
 :meth:`repro.obs.metrics.MetricsRegistry.snapshot` (or merged across a
 session by :func:`repro.obs.metrics.merge_snapshots`) into the table
-the ``python -m repro stats`` subcommand prints: scalar counters and
-gauges first, then bucketed histograms, then per-bank distributions
-(ACT and REF counts summarised as min/p50/p99/max plus an ASCII
-histogram across banks).
+``python -m repro run WORKLOAD --setup S --metrics`` prints: scalar
+counters and gauges first, then bucketed histograms, then per-bank
+distributions (ACT and REF counts summarised as min/p50/p99/max plus
+an ASCII histogram across banks).
 
 Imports of :mod:`repro.sim.stats` happen inside the function: the
 ``repro.sim`` package pulls in the simulation runner, which imports
@@ -42,7 +42,8 @@ def _group_labeled(snapshot: Dict[str, Dict]
 
 
 def render_metrics_report(snapshot: Dict[str, Dict]) -> str:
-    """The ``repro stats`` table for one (possibly merged) snapshot."""
+    """The ``run --setup S --metrics`` table for one (possibly merged)
+    snapshot."""
     from repro.sim.stats import format_table, histogram, percentile
 
     if not snapshot:

@@ -62,16 +62,6 @@ class DramTimings:
         """Number of REF commands issued in one refresh window (8192)."""
         return self.tREFW // self.tREFI
 
-    @property
-    def row_miss_latency(self) -> int:
-        """Precharge + activate + CAS latency for a row-buffer conflict."""
-        return self.tRP + self.tRCD + self.tCAS
-
-    @property
-    def row_hit_latency(self) -> int:
-        """CAS latency when the requested row is already open."""
-        return self.tCAS
-
     def with_prac(self) -> "DramTimings":
         """Return the PRAC-mode timing set (Table I, last column).
 
@@ -136,17 +126,8 @@ class DramGeometry:
         return self.rows_per_bank // self.rows_per_subarray
 
     @property
-    def refs_per_subarray(self) -> int:
-        """REF commands needed to sweep one subarray (64 for the default)."""
-        return self.rows_per_subarray // self.rows_per_ref
-
-    @property
     def total_banks(self) -> int:
         return self.banks_per_subchannel * self.subchannels * self.ranks
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_banks * self.rows_per_bank * self.row_bytes
 
 
 @dataclass(frozen=True)
@@ -233,12 +214,3 @@ def max_acts_per_bank_per_trefw(timings: DramTimings = DramTimings()) -> int:
     """
     ref_time = timings.refs_per_trefw * timings.tRFC
     return (timings.tREFW - ref_time) // timings.tRC
-
-
-def max_acts_per_channel_per_trefw(
-    timings: DramTimings = DramTimings(),
-) -> int:
-    """Channel-wide ACT ceiling imposed by tFAW (~8.8M, footnote 2)."""
-    ref_time = timings.refs_per_trefw * timings.tRFC
-    usable = timings.tREFW - ref_time
-    return int(usable * 4 // timings.tFAW)

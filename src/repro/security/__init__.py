@@ -29,18 +29,15 @@ from repro.security.lifetime import (
     attack_success_probability,
     lifetime_report,
     mean_time_to_failure_years,
-    required_exponent,
 )
 from repro.security.mint_model import (
     MINT_FAILURE_EXPONENT,
     mint_tolerated_trhd,
-    mint_tolerated_trhs,
     mint_window_for_trhd,
 )
 from repro.security.mirza_model import (
     abo_extra_acts,
     mirza_safe_trhd,
-    mirza_safe_trhs,
     solve_fth,
 )
 from repro.security.montecarlo import (
@@ -49,8 +46,7 @@ from repro.security.montecarlo import (
 )
 
 _FUZZ_EXPORTS = ("FuzzJob", "FuzzOutcome", "FuzzReport", "FuzzSpec",
-                 "escape_curve", "fuzz_tracker", "run_fuzz",
-                 "sample_pattern")
+                 "fuzz_tracker", "run_fuzz", "sample_pattern")
 
 
 def __getattr__(name):
@@ -75,7 +71,6 @@ __all__ = [
     "acts_per_ref_interval",
     "attack_success_probability",
     "empirical_bound_check",
-    "escape_curve",
     "escape_probability",
     "fuzz_tracker",
     "run_fuzz",
@@ -83,14 +78,11 @@ __all__ = [
     "lifetime_report",
     "mean_time_to_failure_years",
     "mint_tolerated_trhd",
-    "mint_tolerated_trhs",
     "mint_trh_for_mitigation_rate",
     "mint_window_for_trhd",
     "mirza_safe_trhd",
-    "mirza_safe_trhs",
     "mirza_storage_bytes_per_bank",
     "prac_counter_bits_for_trhd",
     "refresh_cannibalization",
-    "required_exponent",
     "solve_fth",
 ]

@@ -368,27 +368,6 @@ def run_fuzz(spec: FuzzSpec,
     return FuzzReport(spec=spec, entries=entries, failed=failed)
 
 
-def escape_curve(patterns: List[AttackPattern], mitigation: str,
-                 spec: FuzzSpec = FuzzSpec(),
-                 session: Optional[SimSession] = None
-                 ) -> List[Tuple[AttackPattern, int]]:
-    """Escape count for each pattern against one mitigation.
-
-    The escape-vs-parameter curve helper: build the patterns by
-    varying one knob, get back ``(pattern, max_unmitigated)`` pairs in
-    the same order (cacheable cells, like any sweep).
-    """
-    session = session if session is not None else SimSession()
-    jobs = [FuzzJob(pattern=p, mitigation=mitigation, seed=spec.seed,
-                    acts_per_ref=spec.acts_per_ref,
-                    mapping=spec.mapping, config=spec.config)
-            for p in patterns]
-    results = session.run_many(jobs)
-    return [(p, 0 if (r is None or is_failure(r))
-             else r.max_unmitigated)
-            for p, r in zip(patterns, results)]
-
-
 def default_acts(time_scale: int = 1,
                  config: SystemConfig = SystemConfig()) -> int:
     """Per-cell ACT budget scaled like the timed exhibits: a full
@@ -408,7 +387,6 @@ __all__ = [
     "FuzzReport",
     "FuzzSpec",
     "default_acts",
-    "escape_curve",
     "fuzz_jobs",
     "fuzz_patterns",
     "fuzz_tracker",

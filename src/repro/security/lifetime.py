@@ -61,19 +61,6 @@ def mean_time_to_failure_years(fail_exponent: float,
     return windows / windows_per_year(timings)
 
 
-def required_exponent(target_probability: float,
-                      years: float,
-                      banks: int = 64,
-                      machines: int = 1,
-                      timings: DramTimings = DramTimings()) -> float:
-    """Smallest ``k`` keeping the horizon failure below the target."""
-    if not 0.0 < target_probability < 1.0:
-        raise ValueError("target probability must be in (0, 1)")
-    opportunities = banks * machines * windows_per_year(timings) * years
-    return (math.log(opportunities) - math.log(target_probability)) \
-        / math.log(2)
-
-
 @dataclass(frozen=True)
 class LifetimeReport:
     """Lifetime picture of one configuration."""

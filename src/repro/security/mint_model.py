@@ -62,13 +62,6 @@ def mint_tolerated_trhd(window: int,
     return math.floor(mint_unmitigated_bound(window, fail_exponent))
 
 
-def mint_tolerated_trhs(window: int,
-                        fail_exponent: float = MINT_FAILURE_EXPONENT
-                        ) -> int:
-    """Single-sided threshold: twice the double-sided one."""
-    return 2 * mint_tolerated_trhd(window, fail_exponent)
-
-
 def mint_window_for_trhd(trhd: int,
                          fail_exponent: float = MINT_FAILURE_EXPONENT
                          ) -> int:

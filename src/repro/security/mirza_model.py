@@ -13,9 +13,10 @@ D (ABO)  up to ``2 * acts_between_alerts - 1`` extra ACTs because
          ALERT is not instantaneous (the ``Q+7`` of Figure 10)
 =======  ==========================================================
 
-Single-sided: ``TRHS_safe > FTH + MINT_TRHS + QTH + ABO_acts``.
-Double-sided: each aggressor only accounts for half of the region
-counter's budget, so ``TRHD_safe > FTH/2 + MINT_TRHD + QTH + ABO_acts``.
+Single-sided, the bound is ``FTH + MINT_TRHS + QTH + ABO_acts``.  This
+module models the double-sided case the paper's configurations target:
+each aggressor only accounts for half of the region counter's budget,
+so ``TRHD_safe > FTH/2 + MINT_TRHD + QTH + ABO_acts``.
 
 ``solve_fth`` inverts the double-sided bound to provision the largest
 safe filtering threshold for a target TRHD -- this is how the Table VII
@@ -28,7 +29,6 @@ from repro.params import AboTimings
 from repro.security.mint_model import (
     MINT_FAILURE_EXPONENT,
     mint_tolerated_trhd,
-    mint_tolerated_trhs,
 )
 
 
@@ -44,14 +44,6 @@ def abo_extra_acts(abo: AboTimings = AboTimings()) -> int:
     case of Figure 10.
     """
     return 2 * abo.acts_between_alerts - 1
-
-
-def mirza_safe_trhs(fth: int, mint_window: int, qth: int,
-                    abo: AboTimings = AboTimings(),
-                    fail_exponent: float = MINT_FAILURE_EXPONENT) -> int:
-    """Smallest single-sided threshold MIRZA safely tolerates."""
-    return (fth + mint_tolerated_trhs(mint_window, fail_exponent)
-            + qth + abo_extra_acts(abo) + 1)
 
 
 def mirza_safe_trhd(fth: int, mint_window: int, qth: int,

@@ -21,14 +21,6 @@ def std(values: Iterable[float]) -> float:
     return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (0.0 for an empty input)."""
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def percentile(values: Iterable[float], p: float) -> float:
     """The ``p``-th percentile (linear interpolation, ``p`` in [0, 100]).
 

@@ -12,21 +12,18 @@ multiprogrammed mixes, recorded trace files, and the adversarial
 kernels -- satisfies one seam, :class:`WorkloadSource`: an ``mlp``
 hint, a per-core :meth:`~WorkloadSource.chunk_source`, and a
 :meth:`~WorkloadSource.trace_factory` that
-:class:`repro.cpu.system.MultiCoreSystem` consumes directly.  Ad-hoc
-iterator-based traces adapt via :class:`IterableWorkloadSource`.
+:class:`repro.cpu.system.MultiCoreSystem` consumes directly.
 """
 
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
-from repro.cpu.trace import ChunkSource, TraceEntry, chunk_entries
+from repro.cpu.trace import ChunkSource
 from repro.workloads.attacks import (
     AttackWorkload,
-    benign_striped_trace,
     double_sided_attack_stream,
     feinting_attack_stream,
     performance_attack_trace,
     trr_evasion_pattern,
-    worst_case_single_bank_stream,
 )
 from repro.workloads.patterns import (
     AttackPattern,
@@ -69,7 +66,6 @@ from repro.workloads.tracefile import (
     read_dramsim3_trace,
     read_litex_rows,
     read_trace,
-    trace_from_string,
     trace_metadata,
     write_trace,
 )
@@ -98,29 +94,6 @@ class WorkloadSource(Protocol):
         ...
 
 
-class IterableWorkloadSource:
-    """Adapt ``core_id -> iterable of TraceEntry`` to the seam.
-
-    The factory is invoked once per core per system build; traces must
-    be independently restartable (a generator *function*, not a spent
-    generator object).
-    """
-
-    def __init__(self, factory: Callable[[int], Iterable[TraceEntry]],
-                 mlp: int = 8, chunk_size: int = 256) -> None:
-        self._factory = factory
-        self.mlp = mlp
-        self._chunk_size = chunk_size
-
-    def chunk_source(self, core_id: int) -> ChunkSource:
-        """The wrapped iterable, chunked for the core's fast path."""
-        return chunk_entries(self._factory(core_id), self._chunk_size)
-
-    def trace_factory(self) -> Callable[[int], ChunkSource]:
-        """``core_id -> trace`` callable for ``MultiCoreSystem``."""
-        return self.chunk_source
-
-
 __all__ = [
     "ALL_WORKLOADS",
     "AttackPattern",
@@ -131,7 +104,6 @@ __all__ = [
     "Feint",
     "GAP_WORKLOADS",
     "HalfDouble",
-    "IterableWorkloadSource",
     "MIX_WORKLOADS",
     "NSided",
     "RefreshSyncBurst",
@@ -147,7 +119,6 @@ __all__ = [
     "TranslatedChunkSource",
     "WorkloadSource",
     "WorkloadSpec",
-    "benign_striped_trace",
     "calibration_report",
     "convert_trace",
     "detect_format",
@@ -162,10 +133,8 @@ __all__ = [
     "read_litex_rows",
     "read_trace",
     "scenario_footprints",
-    "trace_from_string",
     "trace_metadata",
     "trr_evasion_pattern",
     "workload_by_name",
-    "worst_case_single_bank_stream",
     "write_trace",
 ]

@@ -11,8 +11,6 @@ Patterns:
 
 - :func:`double_sided_attack_stream` -- the classic sandwich: hammer the
   two physical neighbours of a victim row.
-- :func:`worst_case_single_bank_stream` -- maximum-rate activations
-  focused on one bank (the 621K-ACTs-per-tREFW bound of Figure 6).
 - :func:`feinting_attack_stream` -- round-robin over slightly more rows
   than a counter tracker can hold, the pattern that defines Mithril's
   tolerated threshold (Table II) and breaks TRR.
@@ -28,8 +26,7 @@ the fixed paper set, the security tests, and the parameter fuzzer.
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.cpu.trace import ChunkSource, TraceEntry, chunk_entries
 from repro.dram.mapping import RowToSubarrayMapping
@@ -39,7 +36,6 @@ from repro.workloads.patterns import (
     DecoyEvasion,
     DoubleSided,
     Feint,
-    RowCycle,
 )
 
 
@@ -59,13 +55,6 @@ def double_sided_attack_stream(victim_row: int,
     pattern = DoubleSided(victim_row=victim_row, acts=acts,
                           allow_single_sided=allow_single_sided)
     return pattern.rows(CompileContext.make(mapping=mapping))
-
-
-def worst_case_single_bank_stream(rows: List[int], acts: int
-                                  ) -> Iterator[int]:
-    """Max-rate circular activations over ``rows`` in one bank."""
-    pattern = RowCycle(row_list=tuple(rows), acts=acts)
-    return pattern.rows(CompileContext.make())
 
 
 def feinting_attack_stream(tracker_entries: int, acts: int,
@@ -161,19 +150,3 @@ class AttackWorkload:
     def trace_factory(self) -> Callable[[int], ChunkSource]:
         """``core_id -> trace`` callable for ``MultiCoreSystem``."""
         return self.chunk_source
-
-
-def benign_striped_trace(config: SystemConfig,
-                         banks: int = 16,
-                         subchannel: int = 0,
-                         rows_per_bank_ws: int = 4096,
-                         seed: int = 11) -> Iterator[TraceEntry]:
-    """Section IX-A's benign victim: reads striped over ``banks`` banks,
-    each access a fresh activation, issued as fast as DRAM allows."""
-    rng = random.Random(seed)
-    compute = ns(0.25)
-    bank_cycle = itertools.cycle(range(banks))
-    for bank in bank_cycle:
-        row = rng.randrange(rows_per_bank_ws)
-        yield TraceEntry(compute_ps=compute, instructions=1,
-                         subchannel=subchannel, bank=bank, row=row)

@@ -86,7 +86,3 @@ class MixedWorkload:
     def mlp(self) -> int:
         """Conservative shared MLP: the maximum any member needs."""
         return max(g.mlp for g in self._generators)
-
-    def mlp_for(self, core_id: int) -> int:
-        """The MLP the given core's member workload needs."""
-        return self._generators[core_id].mlp

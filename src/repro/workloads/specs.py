@@ -17,7 +17,7 @@ numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,3 @@ def workload_by_name(name: str) -> WorkloadSpec:
         known = ", ".join(sorted(_BY_NAME))
         raise KeyError(f"unknown workload {name!r}; known: {known}") \
             from None
-
-
-def average_characteristics() -> Tuple[float, float, float, float, float]:
-    """Suite averages (MPKI, ACT-PKI, util, mean, std) -- Table IV's
-    last row reports 24.4 / 18.5 / 63.4 / 806 / 309."""
-    n = len(ALL_WORKLOADS)
-    return (
-        sum(w.l3_mpki for w in ALL_WORKLOADS) / n,
-        sum(w.act_pki for w in ALL_WORKLOADS) / n,
-        sum(w.bus_util_pct for w in ALL_WORKLOADS) / n,
-        sum(w.acts_per_subarray_mean for w in ALL_WORKLOADS) / n,
-        sum(w.acts_per_subarray_std for w in ALL_WORKLOADS) / n,
-    )

@@ -30,7 +30,6 @@ errors name the source path so multi-file sweeps stay debuggable.
 from __future__ import annotations
 
 import gzip
-import io
 from typing import Callable, Dict, Iterable, Iterator, List, \
     Optional, TextIO, Tuple, Union
 
@@ -163,12 +162,6 @@ def trace_metadata(source: Union[str, TextIO]) -> Dict[str, str]:
 def load_trace(source: Union[str, TextIO]) -> List[TraceEntry]:
     """Materialise a whole native trace file."""
     return list(read_trace(source))
-
-
-def trace_from_string(text: str) -> List[TraceEntry]:
-    """Parse a native trace from an in-memory string (tests,
-    examples)."""
-    return load_trace(io.StringIO(text))
 
 
 def read_dramsim3_trace(source: Union[str, TextIO],

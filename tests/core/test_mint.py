@@ -26,10 +26,6 @@ class TestMintSampler:
         s = MintSampler(1, random.Random(0))
         assert all(s.observe(r) == r for r in range(20))
 
-    def test_selection_probability(self):
-        assert MintSampler(12).selection_probability == pytest.approx(
-            1 / 12)
-
     def test_selected_row_is_the_observed_row(self):
         s = MintSampler(4, random.Random(9))
         for window in range(50):

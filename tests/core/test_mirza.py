@@ -142,10 +142,3 @@ class TestReporting:
         t = MirzaTracker(config, geometry, StridedR2SA(geometry),
                          random.Random(0))
         assert 180 <= t.storage_bits() / 8 <= 215
-
-    def test_mitigation_probability(self, geometry):
-        t = make_tracker(geometry, fth=4, window=4)
-        for _ in range(10):
-            t.on_activate(0, 0)
-        expected = t.escape_fraction / 4
-        assert t.mitigation_probability == pytest.approx(expected)

@@ -67,7 +67,7 @@ class TestFiltering:
         rct = make_rct(small_geometry, fth=4)
         for _ in range(10):
             rct.on_activate(0)
-        assert rct.escape_fraction() == pytest.approx(0.5)
+        assert (rct.filtered_acts, rct.escaped_acts) == (5, 5)
 
     def test_fth_zero_escapes_after_first(self, small_geometry):
         rct = make_rct(small_geometry, fth=0)

@@ -89,12 +89,6 @@ class TestSimResult:
         r.demand_rows_refreshed = 100
         assert r.refresh_power_overhead_pct() == pytest.approx(5.0)
 
-    def test_acts_per_subarray(self, small_config):
-        r = self._result(small_config, [1.0])
-        g = small_config.geometry
-        r.total_activations = g.total_banks * g.subarrays_per_bank * 3
-        assert r.acts_per_subarray() == pytest.approx(3.0)
-
     def test_zero_baseline_core_ignored(self, small_config):
         base = self._result(small_config, [1.0, 0.0])
         other = self._result(small_config, [0.5, 0.7])

@@ -20,13 +20,12 @@ from repro.dram.mapping import SequentialR2SA
 from repro.mitigations.naive_mirza import NaiveMirzaTracker
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.prac import PracTracker
-from repro.mitigations.qprac import QpracTracker
 from repro.params import SimScale, SystemConfig
 from repro.sim.runner import calibrated_workload, naive_mirza_setup, \
     simulate
 from tests.dram.reference_alert import PollEveryTrackerDevice
 
-KINDS = ("mirza", "naive-mirza", "qprac", "prac")
+KINDS = ("mirza", "naive-mirza", "prac")
 OPS = ("activate", "activate", "activate", "activate", "rfm",
        "drfm_mitigate", "note_row_press", "do_ref", "service_alert")
 """Operation mix: ACTs dominate, as in a run; every other operation
@@ -44,8 +43,6 @@ def _tracker(kind: str, bank: int, geometry):
     if kind == "naive-mirza":
         return NaiveMirzaTracker(4, queue_entries=1, qth=3,
                                  geometry=geometry, rng=rng)
-    if kind == "qprac":
-        return QpracTracker(1000, alert_threshold=5, service_threshold=3)
     return PracTracker(1000, alert_threshold=4)
 
 

@@ -21,14 +21,16 @@ class TestRowActivationOracle:
         o = RowActivationOracle()
         for _ in range(10):
             o.on_activate(5)
-        o.on_row_refreshed(5)
+        o.on_refresh(RefreshSlice(ref_index=0, physical_start=5,
+                                  physical_end=6, mapping=SequentialR2SA()))
         assert o.count(5) == 0
 
     def test_max_unmitigated_is_sticky_across_refresh(self):
         o = RowActivationOracle()
         for _ in range(10):
             o.on_activate(5)
-        o.on_row_refreshed(5)
+        o.on_refresh(RefreshSlice(ref_index=0, physical_start=5,
+                                  physical_end=6, mapping=SequentialR2SA()))
         assert o.max_unmitigated == 10
         assert o.max_row == 5
 
@@ -47,23 +49,13 @@ class TestRowActivationOracle:
         assert not o.attack_succeeded(100)
         assert o.attack_succeeded(99)
 
-    def test_current_max_reflects_live_state(self):
-        o = RowActivationOracle()
-        o.on_activate(1)
-        o.on_activate(1)
-        o.on_activate(2)
-        assert o.current_max() == 2
-        o.on_row_refreshed(1)
-        assert o.current_max() == 1
-
     def test_rows_refreshed_bulk(self):
         o = RowActivationOracle()
         for r in range(5):
             o.on_activate(r)
         o.on_refresh(RefreshSlice(ref_index=0, physical_start=0,
                                   physical_end=3, mapping=SequentialR2SA()))
-        assert o.current_max() == 1
-        assert o.count(3) == 1
+        assert [o.count(r) for r in range(5)] == [0, 0, 0, 1, 1]
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=300))
     @settings(max_examples=100)
@@ -91,12 +83,6 @@ class TestBank:
             b.activate(small_geometry.rows_per_bank)
         with pytest.raises(ValueError):
             b.activate(-1)
-
-    def test_precharge_closes_row(self, small_geometry):
-        b = Bank(0, small_geometry)
-        b.activate(5)
-        b.precharge()
-        assert b.open_row is None
 
     def test_mitigate_refreshes_four_victims(self, small_geometry):
         b = Bank(0, small_geometry)

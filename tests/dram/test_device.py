@@ -185,18 +185,6 @@ class TestApplyActivations:
 
 
 class TestDeviceStats:
-    def test_refresh_power_overhead(self, small_config):
-        device = DramDevice(small_config,
-                            tracker_factory=lambda b: AlwaysAlertTracker())
-        for _ in range(4):
-            device.do_ref(0)
-        device.activate(0, 100, 0)
-        device.service_alert(0)
-        stats = device.stats
-        expected = stats.victim_rows_refreshed / \
-            stats.demand_rows_refreshed
-        assert stats.refresh_power_overhead() == expected
-
     def test_refresh_cannibalization_only_counts_ref_slots(
             self, small_config):
         device = DramDevice(small_config,
@@ -208,17 +196,37 @@ class TestDeviceStats:
         frac = device.stats.refresh_cannibalization(costs, tRFC)
         assert frac == costs.mitigation_time / tRFC
 
-    def test_mitigation_rate(self, small_config):
+    def test_refs_and_alert_service_count_refreshed_rows(
+            self, small_config):
+        """The two terms of the refresh-power overhead: each REF
+        refreshes its slice in every bank, and an ALERT mitigation
+        refreshes its aggressor's four victims."""
+        device = DramDevice(small_config,
+                            tracker_factory=lambda b: AlwaysAlertTracker())
+        for _ in range(4):
+            device.do_ref(0)
+        device.activate(0, 100, 0)
+        device.service_alert(0)
+        stats = device.stats
+        assert stats.demand_rows_refreshed == \
+            4 * small_config.geometry.rows_per_ref * device.num_banks
+        assert (stats.mitigations_total, stats.victim_rows_refreshed) \
+            == (1, 4)
+
+    def test_one_alert_mitigates_one_of_many_pending_rows(
+            self, small_config):
         device = DramDevice(small_config,
                             tracker_factory=lambda b: AlwaysAlertTracker())
         for i in range(10):
             device.activate(0, i, 0)
         device.service_alert(0)
-        assert device.stats.mitigation_rate() == 0.1
+        stats = device.stats
+        assert (stats.activations, stats.alerts_serviced,
+                stats.mitigations_total) == (10, 1, 1)
+        assert stats.mitigations_by_source == {"alert": 1}
+        assert device.trackers[0].pending == list(range(1, 10))
 
     def test_empty_stats_are_zero(self, small_config):
         device = DramDevice(small_config)
-        assert device.stats.refresh_power_overhead() == 0.0
-        assert device.stats.mitigation_rate() == 0.0
         assert device.stats.refresh_cannibalization(
             MitigationCosts(), 410_000) == 0.0

@@ -1,54 +1,10 @@
-"""Tests for address decoding and row-to-subarray mappings."""
+"""Tests for the row-to-subarray mappings."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.mapping import (
-    AddressMapping,
-    DecodedAddress,
-    SequentialR2SA,
-    StridedR2SA,
-)
+from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.params import DramGeometry
-
-
-class TestAddressMapping:
-    def test_consecutive_lines_share_row_mop4(self):
-        m = AddressMapping()
-        base = m.decode(0)
-        for offset in range(1, 4):
-            d = m.decode(offset * 64)
-            assert (d.subchannel, d.bank, d.row) == (
-                base.subchannel, base.bank, base.row)
-
-    def test_fifth_line_switches_subchannel_or_bank(self):
-        m = AddressMapping()
-        base = m.decode(0)
-        next_group = m.decode(4 * 64)
-        assert (next_group.subchannel, next_group.bank) != (
-            base.subchannel, base.bank)
-
-    def test_rejects_non_power_of_two_mop(self):
-        with pytest.raises(ValueError):
-            AddressMapping(mop_lines=3)
-
-    @given(st.integers(min_value=0, max_value=2 ** 34 - 1))
-    @settings(max_examples=200)
-    def test_encode_decode_roundtrip(self, address):
-        m = AddressMapping()
-        line_address = (address // 64) * 64
-        assert m.encode(m.decode(line_address)) == line_address
-
-    def test_decode_fields_in_range(self):
-        m = AddressMapping()
-        g = DramGeometry()
-        for address in range(0, 1 << 20, 64 * 97):
-            d = m.decode(address)
-            assert 0 <= d.subchannel < g.subchannels
-            assert 0 <= d.bank < g.banks_per_subchannel
-            assert 0 <= d.row < g.rows_per_bank
-            assert 0 <= d.column < g.row_bytes // 64
 
 
 class TestSequentialR2SA:
@@ -135,21 +91,16 @@ class TestStridedR2SA:
         assert len(subarrays) == 2
 
 
-class TestAggressorsOf:
+class TestNeighborSymmetry:
     def test_symmetry_sequential(self):
         m = SequentialR2SA()
         for victim in (10, 512, 2047):
-            for aggressor in m.aggressors_of(victim, 2):
+            for aggressor in m.physical_neighbors(victim, 2):
                 assert victim in m.physical_neighbors(aggressor, 2)
 
     def test_symmetry_strided(self):
         m = StridedR2SA()
         for victim in (1000, 5000):
-            for aggressor in m.aggressors_of(victim, 2):
+            for aggressor in m.physical_neighbors(victim, 2):
                 assert victim in m.physical_neighbors(aggressor, 2)
 
-
-class TestDecodedAddress:
-    def test_fields(self):
-        d = DecodedAddress(subchannel=1, bank=3, row=42, column=7)
-        assert (d.subchannel, d.bank, d.row, d.column) == (1, 3, 42, 7)

@@ -40,12 +40,21 @@ class TestRefreshScheduler:
 
     def test_subarray_start_and_finish_flags(self, small_geometry):
         s = RefreshScheduler(small_geometry)
-        refs_per_sa = s.refs_per_subarray()
+        refs_per_sa = small_geometry.rows_per_subarray // s.rows_per_ref
         slices = [s.advance() for _ in range(refs_per_sa)]
         assert slices[0].starts_subarray
         assert not slices[0].finishes_subarray
         assert slices[-1].finishes_subarray
         assert all(sl.subarray == 0 for sl in slices)
+
+    def test_subarrays_are_swept_in_order(self, small_geometry):
+        s = RefreshScheduler(small_geometry)
+        refs_per_sa = small_geometry.rows_per_subarray // s.rows_per_ref
+        for k in range(2 * refs_per_sa + 1):
+            slice_ = s.advance()
+            assert slice_.physical_start // \
+                small_geometry.rows_per_subarray == k // refs_per_sa
+            assert slice_.starts_subarray == (k % refs_per_sa == 0)
 
     def test_logical_rows_match_mapping_sequential(self, small_geometry):
         s = RefreshScheduler(small_geometry, SequentialR2SA(small_geometry))
@@ -97,13 +106,6 @@ class TestRefreshScheduler:
         first = s.peek_slice()
         assert s.refptr == 0
         assert s.advance().physical_start == first.physical_start
-
-    def test_subarray_being_refreshed(self, small_geometry):
-        s = RefreshScheduler(small_geometry)
-        assert s.subarray_being_refreshed() == 0
-        for _ in range(s.refs_per_subarray()):
-            s.advance()
-        assert s.subarray_being_refreshed() == 1
 
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=20)

@@ -23,7 +23,6 @@ from repro.dram.refresh import RefreshScheduler, RefreshSlice
 from repro.mitigations.base import MitigationSlotSource
 from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.prac import PracTracker
-from repro.mitigations.qprac import QpracTracker
 from repro.obs import metrics
 from repro.params import DramGeometry, SimScale
 from repro.sim.registry import setup_by_name
@@ -36,12 +35,11 @@ SLICE_ROWS = (1, 16, 1000, 4096, 16384, ROWS)
 MAPPINGS = {"sequential": SequentialR2SA, "strided": StridedR2SA}
 ALERT = MitigationSlotSource.ALERT
 REF = MitigationSlotSource.REF
-TABLES = {"oracle": "_counts", "prac": "_counters", "qprac": "_counters",
-          "hydra": "_row_counts"}
+TABLES = {"oracle": "_counts", "prac": "_counters", "hydra": "_row_counts"}
 
 
 # ----------------------------------------------------------------------
-# Row-keyed tables: oracle, PRAC, QPRAC, Hydra
+# Row-keyed tables: oracle, PRAC, Hydra
 # ----------------------------------------------------------------------
 class Component:
     """One interface over the oracle and the row-keyed trackers."""
@@ -52,9 +50,6 @@ class Component:
             self.obj = RowActivationOracle()
         elif kind == "prac":
             self.obj = PracTracker(1000, alert_threshold=5)
-        elif kind == "qprac":
-            self.obj = QpracTracker(1000, alert_threshold=5,
-                                    service_threshold=3)
         else:
             self.obj = HydraTracker(ROWS, rows_per_group=128,
                                     group_threshold=4,
@@ -83,11 +78,8 @@ class Component:
         extra = ()
         if self.kind == "oracle":
             extra = (obj.max_unmitigated, obj.max_row)
-        elif self.kind in ("prac", "qprac"):
+        elif self.kind == "prac":
             extra = (list(obj._over_threshold),)
-            if self.kind == "qprac":
-                extra += (sorted(obj._queued), sorted(obj._service_heap),
-                          obj.proactive_mitigations)
         else:
             extra = (dict(obj._group_counts), list(obj._pending),
                      list(obj._rcc))
@@ -107,7 +99,7 @@ def _slices(rng: random.Random, mapping: RowToSubarrayMapping,
 
 @pytest.mark.parametrize("live", [40, 6000])
 @pytest.mark.parametrize("mapping_kind", sorted(MAPPINGS))
-@pytest.mark.parametrize("kind", ["oracle", "prac", "qprac", "hydra"])
+@pytest.mark.parametrize("kind", ["oracle", "prac", "hydra"])
 def test_row_table_reset_matches_per_row_pops(kind, mapping_kind, live):
     """``live`` rows per burst: 40 puts the table below most slices and
     6000 above the smaller ones, so both sides of the smaller-side

@@ -46,7 +46,7 @@ class TestBankTiming:
         bt = ReferenceBankTiming(DramTimings())
         bt.block_until(ns(500))
         bt.block_until(ns(100))
-        assert bt.blocked_until == ns(500)
+        assert bt._blocked_until == ns(500)
 
     def test_row_open_tracking(self):
         bt = ReferenceBankTiming(DramTimings())

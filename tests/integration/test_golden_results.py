@@ -15,9 +15,9 @@ report prints at); integers must match exactly.
 The registry cells never alert at this scale, so the ALERT path is
 pinned separately: Table V's naive MIRZA at W=8, Q=1 and a MIRZA-1000
 hammer.  ``FAMILY_GOLDEN`` pins every other tracker family the
-repository ships (TRR, PARA, Mithril, QPRAC, Hydra, PrIDE, ProTRR,
-naive MIRZA at W=12 and MIST), and ``REPLAY_GOLDEN`` pins the
-ingestion path: the DRAMSim3 fixture converted and replayed under
+repository ships (TRR, PARA, Mithril, Hydra, PrIDE, ProTRR,
+naive MIRZA at W=12 and MIST at 500 and 1000), and ``REPLAY_GOLDEN``
+pins the ingestion path: the DRAMSim3 fixture converted and replayed under
 MIRZA-1000 and PRAC-1000.  ``FUZZ_GOLDEN`` pins one compiled sample of
 every fuzz pattern family, unprotected and under MIRZA-1000, and
 ``TENANT_GOLDEN`` the inter-VM cell (eight attack rows against ``mcf``)
@@ -234,11 +234,6 @@ def _mithril(seed, subch, bank):
     return MithrilTracker(entries=2048)
 
 
-def _qprac(seed, subch, bank):
-    from repro.mitigations.qprac import QpracTracker
-    return QpracTracker(1000)
-
-
 def _hydra(seed, subch, bank):
     from repro.mitigations.hydra import HydraTracker
     return HydraTracker()
@@ -258,11 +253,11 @@ FAMILY_SETUPS = {
     "trr": lambda: MitigationSetup("trr", _trr),
     "para": lambda: MitigationSetup("para", _para),
     "mithril": lambda: MitigationSetup("mithril", _mithril),
-    "qprac-1000": lambda: MitigationSetup("qprac-1000", _qprac),
     "hydra": lambda: MitigationSetup("hydra", _hydra),
     "pride": lambda: MitigationSetup("pride", _pride),
     "protrr": lambda: MitigationSetup("protrr", _protrr),
     "naive-mirza-w12": lambda: naive_mirza_setup(12),
+    "mist-500": lambda: mist_setup(500),
     "mist-1000": lambda: mist_setup(1000),
 }
 """The tracker families outside the registry (``tc`` at ``SCALE``)."""
@@ -295,7 +290,6 @@ FAMILY_GOLDEN = {
     "trr": _tc_cell(0, 0),
     "para": _tc_cell(114, 454),
     "mithril": _tc_cell(256, 1024),
-    "qprac-1000": _tc_cell(0, 0),
     "hydra": _tc_cell(0, 0),
     "pride": _tc_cell(114, 454),
     "protrr": _tc_cell(256, 1024),
@@ -313,19 +307,35 @@ FAMILY_GOLDEN = {
                 0.094336, 0.098912, 0.096096, 0.09768],
         "bus_utilization": 0.412224,
     },
-    "mist-1000": {
-        "total_requests": 4462,
-        "total_activations": 2283,
-        "row_hit_rate": 0.488346,
+    # The MIST cells were (re)captured when a DRFM blackout began
+    # waiting for the ACTs already booked on every bank it serves.
+    "mist-500": {
+        "total_requests": 4182,
+        "total_activations": 2190,
+        "row_hit_rate": 0.476327,
         "alerts": [0, 0],
         "rfms": [0, 0],
-        "mitigations": 42,
-        "victim_rows_refreshed": 168,
+        "mitigations": 82,
+        "victim_rows_refreshed": 328,
+        "demand_rows_refreshed": 8388608,
+        "max_unmitigated_acts": 3,
+        "ipc": [0.089056, 0.089056, 0.083424, 0.096096,
+                0.0968, 0.097152, 0.088704, 0.095744],
+        "bus_utilization": 0.401472,
+    },
+    "mist-1000": {
+        "total_requests": 4438,
+        "total_activations": 2276,
+        "row_hit_rate": 0.487156,
+        "alerts": [0, 0],
+        "rfms": [0, 0],
+        "mitigations": 41,
+        "victim_rows_refreshed": 164,
         "demand_rows_refreshed": 8388608,
         "max_unmitigated_acts": 2,
-        "ipc": [0.09504, 0.098208, 0.091872, 0.10032,
-                0.10208, 0.102784, 0.0968, 0.098208],
-        "bus_utilization": 0.428352,
+        "ipc": [0.094512, 0.098208, 0.093456, 0.097856,
+                0.101904, 0.100144, 0.096976, 0.098032],
+        "bus_utilization": 0.426048,
     },
 }
 
@@ -565,8 +575,8 @@ def test_golden_intervm_cell(setup_name: str) -> None:
                    f"intervm/{setup_name}", observed)
 
 
-def _hammer_run():
-    """Two cores hammer 24 random rows of bank 0 under MIRZA-1000."""
+def hammer_workload() -> AttackWorkload:
+    """Two cores hammer 24 random rows of bank 0."""
 
     def hammer():
         rng = random.Random(13)
@@ -576,7 +586,12 @@ def _hammer_run():
                 yield TraceEntry(compute_ps=ns(0.25), instructions=1,
                                  subchannel=0, bank=0, row=row)
 
-    workload = AttackWorkload({0: hammer, 1: hammer}, mlp=4)
+    return AttackWorkload({0: hammer, 1: hammer}, mlp=4)
+
+
+def _hammer_run():
+    """The :func:`hammer_workload` under MIRZA-1000."""
+    workload = hammer_workload()
     setup = mirza_setup(1000, SCALE)
     config = SystemConfig()
     system = MultiCoreSystem(

@@ -24,9 +24,9 @@ from repro.experiments.table2 import FeintingJob
 from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.mithril import MithrilTracker
+from repro.mitigations.naive_mirza import NaiveMirzaTracker
 from repro.mitigations.prac import PracTracker
 from repro.mitigations.protrr import ProTrrTracker
-from repro.mitigations.qprac import QpracTracker
 from repro.mitigations.trr import TrrTracker
 from repro.params import DramGeometry, SystemConfig
 from repro.security.attacks import SingleBankHarness
@@ -290,8 +290,11 @@ MATRIX_TRACKERS = {
         MirzaConfig(trhd=MATRIX_TRH, fth=80, mint_window=4,
                     num_regions=4, qth=8),
         MATRIX_GEOMETRY, mapping, random.Random(3)),
+    # MIRZA without the RCT filter: every ACT takes part in MINT.
+    "naive-mirza": lambda mapping: NaiveMirzaTracker(
+        4, qth=8, geometry=MATRIX_GEOMETRY, mapping=mapping,
+        rng=random.Random(3)),
     "prac": lambda mapping: PracTracker(trhd=MATRIX_TRH),
-    "qprac": lambda mapping: QpracTracker(trhd=MATRIX_TRH),
     # MINT's window matches its REF pacing (one selection per REF).
     "mint": lambda mapping: MintTracker(window=12, refs_per_mitigation=1,
                                         rng=random.Random(4)),
@@ -310,6 +313,8 @@ MATRIX_ATTACKS = {
         500, mapping, MATRIX_ACTS),
     "evasion": lambda mapping: trr_evasion_pattern(8, 900, MATRIX_ACTS,
                                                    seed=7),
+    # Sized to the 64-entry Mithril and ProTRR tables it targets.
+    "feinting": lambda mapping: feinting_attack_stream(64, MATRIX_ACTS),
 }
 
 

@@ -19,7 +19,7 @@ class TestDrfmEngine:
         e = DrfmEngine(2, sample_window=1, acts_per_drfm=100)
         e.on_activate(0, 10)
         e.on_activate(1, 20)
-        assert e.pending_samples == 2
+        assert e._samples == {0: 10, 1: 20}
 
     def test_latest_sample_wins(self):
         # MIST: the latch is refreshed, never exhausted.
@@ -48,7 +48,7 @@ class TestDrfmEngine:
         assert e.on_activate(1, 20)
         pairs = e.issue_drfm()
         assert pairs == [(0, 10), (1, 20)]
-        assert e.pending_samples == 0
+        assert e._samples == {}
         assert e.drfms_issued == 1
 
     def test_one_drfm_mitigates_many_banks(self, small_config):

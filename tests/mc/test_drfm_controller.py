@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.dram.device import DramDevice
 from repro.mc.controller import MemoryController
 from repro.mc.drfm import DrfmEngine
@@ -65,3 +67,55 @@ class TestDrfmController:
             result = mc.serve(i % 4, i * 3 % 128, t)
             t = result.completion_time + ns(5)
         assert device.stats.mitigations_total == 0
+
+
+class TestDrfmBlackout:
+    """A DRFM blackout starts tRAS after the latest ACT booked on any
+    bank it serves, not only after the ACT that released it.  With
+    ``acts_per_drfm=2`` and a one-ACT sampling window, the second ACT
+    releases a DRFM that serves both banks."""
+
+    def test_waits_for_a_later_act_on_a_served_bank(self, small_config):
+        mc, _, engine, log = make(small_config, acts_per_drfm=2)
+        mc.serve(1, 5, ns(100))  # booked first, lands later
+        mc.serve(0, 7, 0)        # releases the DRFM
+        t = small_config.timings
+        assert engine.drfms_issued == 1
+        assert sorted(bank for _, _, bank in log.rfms) == [0, 1]
+        assert {start for start, _, _ in log.rfms} == {ns(100) + t.tRAS}
+        assert TimingValidator(t).validate(log) == []
+
+    def test_follows_the_releasing_act_when_it_is_latest(
+            self, small_config):
+        mc, _, _, log = make(small_config, acts_per_drfm=2)
+        mc.serve(1, 5, 0)
+        mc.serve(0, 7, ns(100))
+        (release,) = [time for time, bank in log.acts if bank == 0]
+        assert {start for start, _, _ in log.rfms} == {
+            release + small_config.timings.tRAS}
+
+    def test_served_banks_wait_out_the_blackout(self, small_config):
+        mc, _, _, log = make(small_config, acts_per_drfm=2)
+        mc.serve(1, 5, ns(100))
+        mc.serve(0, 7, 0)
+        end = log.rfms[0][1]
+        mc.serve(1, 9, ns(110))
+        acts = [time for time, bank in log.acts if bank == 1]
+        assert len(acts) == 2 and acts[1] >= end
+
+    @pytest.mark.parametrize("acts_per_drfm", [2, 4, 8, 16])
+    def test_jittered_arrivals_stay_legal(self, small_config,
+                                          acts_per_drfm):
+        """Requests served out of arrival order book ACTs ahead of the
+        one that releases a DRFM, the way a multi-core run does."""
+        mc, _, engine, log = make(small_config,
+                                  acts_per_drfm=acts_per_drfm)
+        rng = random.Random(acts_per_drfm)
+        now = 0
+        for _ in range(400):
+            arrival = now + rng.randrange(ns(200))
+            mc.serve(rng.randrange(4), rng.randrange(4096), arrival)
+            now += ns(rng.randrange(1, 30))
+        assert engine.drfms_issued >= 400 // acts_per_drfm
+        violations = TimingValidator(small_config.timings).validate(log)
+        assert violations == []

@@ -101,7 +101,7 @@ def _state(mc: MemoryController) -> tuple:
         mc.rfm.rfms_issued, list(mc.rfm._counters),
         None if drfm is None else (drfm.drfms_issued, drfm.deferrals,
                                    drfm._acts_since_drfm,
-                                   drfm.pending_samples),
+                                   dict(drfm._samples)),
         dataclasses.asdict(device.stats), sorted(device.alerting_banks),
         [(bank.total_activations, bank.total_mitigations,
           dict(bank.oracle._counts), bank.oracle._max_seen)

@@ -8,7 +8,6 @@ from repro.mc.rfm import RfmEngine
 class TestRfmEngine:
     def test_disabled_when_bat_none(self):
         e = RfmEngine(4, None, 350_000)
-        assert not e.enabled
         assert not e.on_activate(0)
 
     def test_fires_every_bat_activations(self):

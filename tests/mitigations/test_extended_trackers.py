@@ -1,4 +1,4 @@
-"""Tests for the extended baselines: PrIDE, ProTRR, QPRAC."""
+"""Tests for the extended baselines: PrIDE and ProTRR."""
 
 import random
 
@@ -7,11 +7,9 @@ import pytest
 from repro.mitigations.base import MitigationSlotSource
 from repro.mitigations.pride import PrideTracker
 from repro.mitigations.protrr import ProTrrTracker
-from repro.mitigations.qprac import QpracTracker
 
 REF = MitigationSlotSource.REF
 RFM = MitigationSlotSource.RFM
-ALERT = MitigationSlotSource.ALERT
 
 
 class TestPride:
@@ -25,7 +23,7 @@ class TestPride:
         t = PrideTracker(insertion_probability=1.0, queue_entries=8)
         for row in range(5):
             t.on_activate(row, 0)
-        assert t.occupancy == 5
+        assert len(t._fifo) == 5
 
     def test_fifo_order(self):
         t = PrideTracker(insertion_probability=1.0, queue_entries=8)
@@ -39,7 +37,7 @@ class TestPride:
         for row in range(4):
             t.on_activate(row, 0)
         assert t.dropped == 2
-        assert t.occupancy == 2
+        assert len(t._fifo) == 2
 
     def test_insertion_rate_close_to_p(self):
         t = PrideTracker(insertion_probability=0.125,
@@ -67,7 +65,7 @@ class TestProTrr:
         t = ProTrrTracker(entries=4)
         for _ in range(3):
             t.on_activate(1, 0)
-        assert t.tracked_count(1) == 3
+        assert t._table.get(1, 0) == 3
 
     def test_decrement_all_on_full_table(self):
         t = ProTrrTracker(entries=2)
@@ -75,9 +73,9 @@ class TestProTrr:
         t.on_activate(1, 0)
         t.on_activate(2, 0)
         t.on_activate(3, 0)  # full: everyone decrements
-        assert t.tracked_count(1) == 1
-        assert t.tracked_count(2) == 0  # zeroed and released
-        assert t.tracked_count(3) == 1  # claimed the freed slot
+        assert t._table.get(1, 0) == 1
+        assert t._table.get(2, 0) == 0  # zeroed and released
+        assert t._table.get(3, 0) == 1  # claimed the freed slot
         assert t.decrements == 1
 
     def test_decrement_without_free_slot_drops_incoming(self):
@@ -87,8 +85,8 @@ class TestProTrr:
             t.on_activate(2, 0)
         t.on_activate(3, 0)
         # Both survivors stayed above zero: row 3 was not adopted.
-        assert t.tracked_count(3) == 0
-        assert t.tracked_count(1) == 2
+        assert t._table.get(3, 0) == 0
+        assert t._table.get(1, 0) == 2
 
     def test_misra_gries_undercount_bound(self):
         # Classic guarantee: true_count - N/(k+1) <= tracked_count.
@@ -102,7 +100,7 @@ class TestProTrr:
             true[row] = true.get(row, 0) + 1
             t.on_activate(row, 0)
         for row, count in true.items():
-            assert t.tracked_count(row) >= count - n / (k + 1) - 1
+            assert t._table.get(row, 0) >= count - n / (k + 1) - 1
 
     def test_mitigates_max_and_releases(self):
         t = ProTrrTracker(entries=4, refs_per_mitigation=1)
@@ -110,52 +108,8 @@ class TestProTrr:
             t.on_activate(9, 0)
         t.on_activate(2, 0)
         assert t.on_mitigation_slot(0, REF) == [9]
-        assert t.tracked_count(9) == 0
+        assert t._table.get(9, 0) == 0
 
     def test_storage_7kb_at_2k_entries(self):
         assert ProTrrTracker(entries=2048).storage_bits() / 8 == 7168
 
-
-class TestQprac:
-    def test_opportunistic_ref_service(self):
-        t = QpracTracker(trhd=100, service_threshold=4)
-        for _ in range(4):
-            t.on_activate(7, 0)
-        assert t.on_mitigation_slot(0, REF) == [7]
-        assert t.proactive_mitigations == 1
-        assert not t.wants_alert()
-
-    def test_cold_rows_not_serviced(self):
-        t = QpracTracker(trhd=100, service_threshold=10)
-        t.on_activate(7, 0)
-        assert t.on_mitigation_slot(0, REF) == []
-
-    def test_alert_still_backstops(self):
-        # Disable REF service by never granting REF slots: the ABO
-        # path must still fire at the alert threshold.
-        t = QpracTracker(trhd=100, service_threshold=50)
-        for _ in range(93):
-            t.on_activate(7, 0)
-        assert t.wants_alert()
-        assert t.on_mitigation_slot(0, ALERT) == [7]
-
-    def test_ref_service_prevents_alerts_under_hammer(self,
-                                                      small_geometry):
-        from repro.params import SystemConfig
-        from repro.security.attacks import SingleBankHarness
-        t = QpracTracker(trhd=200)
-        h = SingleBankHarness(t, SystemConfig(geometry=small_geometry),
-                              acts_per_ref=50)
-        h.run(iter([42] * 20_000))
-        # The hot row is drained under REF before reaching the alert
-        # threshold: zero ALERTs, many proactive mitigations.
-        assert h.alerts == 0
-        assert t.proactive_mitigations > 100
-        assert not h.attack_succeeded(200)
-
-    def test_queue_bound_respected(self):
-        t = QpracTracker(trhd=100, service_threshold=1,
-                         queue_entries=2)
-        for row in range(5):
-            t.on_activate(row, 0)
-        assert len(t._queued) <= 2

@@ -230,7 +230,7 @@ class TestPrac:
         t.on_activate(0, 0)
         t.on_activate(100, 0)
         t.on_ref_slice(scheduler.advance(), 0)  # sweeps rows 0..15
-        assert t.max_counter() == 1
+        assert t._counters[100] == 1
         assert 0 not in t._counters
 
     def test_declines_ref_slots(self):

@@ -60,14 +60,6 @@ class TestMetricKinds:
         with pytest.raises(ValueError):
             Histogram((3, 1))
 
-    def test_histogram_quantile_reports_covering_bucket(self):
-        h = Histogram((10, 20, 30))
-        for v in (1, 1, 1, 25):
-            h.observe(v)
-        assert h.quantile(0.5) == 10
-        assert h.quantile(1.0) == 30
-        assert Histogram((1,)).quantile(0.5) == 0.0
-
 
 class TestMetricKeys:
     def test_unlabeled_key_is_the_name(self):

@@ -13,7 +13,6 @@ from repro.security.fuzz import (
     FuzzOutcome,
     FuzzSpec,
     default_acts,
-    escape_curve,
     fuzz_jobs,
     fuzz_patterns,
     fuzz_tracker,
@@ -163,18 +162,6 @@ class TestSweep:
         escapes = [e.outcome.max_unmitigated
                    for e in report.ranked("trr")]
         assert escapes == sorted(escapes, reverse=True)
-
-
-class TestEscapeCurve:
-    def test_curve_orders_match_inputs(self):
-        patterns = [Feint(tracker_entries=8, acts=4000, decoys=d)
-                    for d in (1, 4, 16)]
-        curve = escape_curve(patterns, "trr-8",
-                             session=SimSession(disk_cache=False))
-        assert [p for p, _ in curve] == patterns
-        assert all(isinstance(v, int) and v > 0 for _, v in curve)
-        # Fewer decoys -> tighter rotation -> more escapes per row.
-        assert curve[0][1] > curve[2][1]
 
 
 class TestDefaultActs:

@@ -48,7 +48,7 @@ class TestHarnessMappingAdoption:
         """With aligned mappings, a strided-MIRZA feinting run stays
         inside the single-sided phase budget (FTH + MINT + QTH + ABO);
         the historical mismatch bug showed ~2x FTH here."""
-        from repro.security.mint_model import mint_tolerated_trhs
+        from repro.security.mint_model import mint_tolerated_trhd
         from repro.security.mirza_model import abo_extra_acts
         from repro.workloads.attacks import feinting_attack_stream
 
@@ -57,6 +57,7 @@ class TestHarnessMappingAdoption:
         harness = SingleBankHarness(tracker, system)
         harness.run(feinting_attack_stream(32, 150_000))
         config = tracker.config
-        bound = (config.fth + mint_tolerated_trhs(config.mint_window)
+        # MINT's single-sided budget is twice its double-sided one.
+        bound = (config.fth + 2 * mint_tolerated_trhd(config.mint_window)
                  + config.qth + abo_extra_acts() + 64)
         assert harness.max_unmitigated <= bound

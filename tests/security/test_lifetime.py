@@ -6,7 +6,6 @@ from repro.security.lifetime import (
     attack_success_probability,
     lifetime_report,
     mean_time_to_failure_years,
-    required_exponent,
     windows_per_year,
 )
 from repro.security.mint_model import MINT_FAILURE_EXPONENT
@@ -52,24 +51,6 @@ class TestMttf:
 
     def test_degenerate_exponent(self):
         assert mean_time_to_failure_years(2, banks=64) == 0.0
-
-
-class TestRequiredExponent:
-    def test_round_trip(self):
-        k = required_exponent(1e-6, years=10, banks=64, machines=1000)
-        p = attack_success_probability(k, years=10, banks=64,
-                                       machines=1000)
-        assert p == pytest.approx(1e-6, rel=0.01)
-
-    def test_fleet_needs_more_bits_than_machine(self):
-        machine = required_exponent(1e-6, years=10, banks=64)
-        fleet = required_exponent(1e-6, years=10, banks=64,
-                                  machines=1000)
-        assert fleet == pytest.approx(machine + 9.97, abs=0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            required_exponent(0.0, years=1)
 
 
 class TestLifetimeReport:

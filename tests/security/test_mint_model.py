@@ -5,7 +5,6 @@ import pytest
 from repro.security.mint_model import (
     MINT_FAILURE_EXPONENT,
     mint_tolerated_trhd,
-    mint_tolerated_trhs,
     mint_unmitigated_bound,
     mint_window_for_trhd,
 )
@@ -35,9 +34,6 @@ class TestMintToleratedTrh:
         # N(W) ~ 0.693 k (W - 0.5): doubling W ~doubles the threshold.
         ratio = mint_tolerated_trhd(128) / mint_tolerated_trhd(64)
         assert 1.9 < ratio < 2.1
-
-    def test_single_sided_is_twice_double_sided(self):
-        assert mint_tolerated_trhs(12) == 2 * mint_tolerated_trhd(12)
 
     def test_window_one_tolerates_almost_nothing(self):
         assert mint_tolerated_trhd(1) == 1

@@ -7,7 +7,6 @@ from repro.security.mint_model import mint_tolerated_trhd
 from repro.security.mirza_model import (
     abo_extra_acts,
     mirza_safe_trhd,
-    mirza_safe_trhs,
     solve_fth,
 )
 
@@ -28,11 +27,6 @@ class TestSafeTrh:
         expected = (fth // 2 + mint_tolerated_trhd(window) + qth
                     + 7 + 1)
         assert mirza_safe_trhd(fth, window, qth) == expected
-
-    def test_single_sided_uses_full_fth(self):
-        trhs = mirza_safe_trhs(1500, 12, 16)
-        trhd = mirza_safe_trhd(1500, 12, 16)
-        assert trhs - trhd == 1500 - 750 + mint_tolerated_trhd(12)
 
     def test_phase_monotonicity(self):
         base = mirza_safe_trhd(1000, 12, 16)

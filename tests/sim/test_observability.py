@@ -118,14 +118,6 @@ class TestSessionAggregation:
 
 
 class TestProfileMergePrimitives:
-    def test_to_from_dict_round_trip(self):
-        from repro._profile import KernelProfile
-        prof = KernelProfile()
-        prof.requests = 7
-        prof.wall_s = 1.5
-        clone = KernelProfile.from_dict(prof.to_dict())
-        assert clone.to_dict() == prof.to_dict()
-
     def test_merge_is_additive(self):
         from repro._profile import KernelProfile
         a, b = KernelProfile(), KernelProfile()
@@ -142,9 +134,10 @@ class TestCliObservability:
     def _fast(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIME_SCALE", "2048")
 
-    def test_stats_prints_metrics_table(self, capsys):
+    def test_run_setup_metrics_prints_metrics_table(self, capsys):
         from repro.__main__ import main as cli_main
-        assert cli_main(["stats", "tc", "--no-cache"]) == 0
+        assert cli_main(["run", "tc", "--setup", "mirza-1000",
+                         "--metrics", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "counters" in out
         assert "dram.bank.acts" in out
@@ -164,12 +157,13 @@ class TestCliObservability:
                  for e in payload["traceEvents"] if e["ph"] != "M"}
         assert len(lanes) > 2  # per-bank lanes, not one flat track
 
-    def test_trace_subcommand_jsonl_round_trip(self, tmp_path, capsys):
+    def test_run_setup_jsonl_round_trip(self, tmp_path, capsys):
         from repro.__main__ import main as cli_main
         from repro.obs.export import read_jsonl
         chrome = tmp_path / "trace.json"
         jsonl = tmp_path / "events.jsonl"
-        assert cli_main(["trace", "tc", "--trace-out", str(chrome),
+        assert cli_main(["run", "tc", "--setup", "mirza-1000",
+                         "--trace-out", str(chrome),
                          "--jsonl-out", str(jsonl),
                          "--no-cache"]) == 0
         events = read_jsonl(str(jsonl))
@@ -177,9 +171,55 @@ class TestCliObservability:
         from repro.obs.export import chrome_trace_events
         assert validate_chrome_trace(chrome_trace_events(events)) is None
 
+    def test_run_setup_metrics_trace_and_jsonl_together(self, tmp_path,
+                                                        capsys):
+        """The three observability outputs of one ``run --setup``."""
+        from repro.__main__ import main as cli_main
+        from repro.obs.export import read_jsonl
+        chrome = tmp_path / "trace.json"
+        jsonl = tmp_path / "events.jsonl"
+        assert cli_main(["run", "tc", "--setup", "mirza-1000",
+                         "--metrics", "--trace-out", str(chrome),
+                         "--jsonl-out", str(jsonl), "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "dram.bank.acts" in captured.out
+        assert "session.cache.hit_rate" in captured.out
+        payload = json.loads(chrome.read_text())
+        assert validate_chrome_trace(payload) is None
+        # The JSON-lines file holds the kernel events the Chrome trace
+        # was written from; the trace adds the session spans.
+        events = read_jsonl(str(jsonl))
+        assert events
+        assert f"wrote {len(events)} events and " in captured.err
+        assert len([e for e in payload["traceEvents"]
+                    if e["ph"] != "M"]) > len(events)
+
+    def test_run_setup_without_flags_prints_only_summaries(self, capsys):
+        from repro.__main__ import main as cli_main
+        assert cli_main(["run", "tc", "mcf", "--setup", "mirza-1000",
+                         "--no-cache"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["tc", "mcf"]
+        assert all(" setup=mirza-1000 requests=" in line
+                   for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "table7", "--trace-out", "trace.json"],
+        ["run", "tc", "--setup", "mirza-1000"],
+    ], ids=["no-setup", "no-trace-out"])
+    def test_jsonl_out_needs_setup_and_trace_out(self, argv, tmp_path,
+                                                 capsys):
+        from repro.__main__ import main as cli_main
+        jsonl = tmp_path / "events.jsonl"
+        assert cli_main(argv + ["--jsonl-out", str(jsonl)]) == 2
+        assert "--jsonl-out needs --setup and --trace-out" \
+            in capsys.readouterr().err
+        assert not jsonl.exists()
+
     def test_unknown_setup_fails_cleanly(self, capsys):
         from repro.__main__ import main as cli_main
-        assert cli_main(["stats", "tc", "--setup", "nope"]) == 2
+        assert cli_main(["run", "tc", "--setup", "nope",
+                         "--metrics"]) == 2
         assert "unknown setup" in capsys.readouterr().err
 
 
@@ -211,20 +251,22 @@ class TestCliSessionSpans:
                    and e.get("ph") == "X"]
         assert len(kernels) == 2
 
-    def test_stats_includes_session_gauges(self, capsys):
+    def test_metrics_table_includes_session_gauges(self, capsys):
         from repro.__main__ import main as cli_main
-        assert cli_main(["stats", "tc", "--no-cache"]) == 0
+        assert cli_main(["run", "tc", "--setup", "mirza-1000",
+                         "--metrics", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "session.cache.hit_rate" in out
         assert "session.pool.utilization" in out
         assert "session.queue_depth" in out
 
-    def test_stats_without_metrics_exits_nonzero(self, monkeypatch,
-                                                 capsys):
+    def test_metrics_without_any_recorded_exits_3(self, monkeypatch,
+                                                  capsys):
         from repro.__main__ import main as cli_main
         # Every job fails permanently -> no result carries metrics.
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
-        status = cli_main(["stats", "tc", "--no-cache",
+        status = cli_main(["run", "tc", "--setup", "mirza-1000",
+                           "--metrics", "--no-cache",
                            "--max-retries", "0", "--keep-going"])
         assert status == 3
         assert "no metrics were recorded" in capsys.readouterr().err

@@ -228,7 +228,8 @@ def test_report_renders_phases():
     prof.add_counting_pass(3000, 10, 4, 0.5)
     assert "counting passes                1  3,000 ACTs, 10 filters " \
         "in 4 scans, in 0.500s (6,000/s)" in prof.report()
-    merged = KernelProfile.from_dict(prof.to_dict())
+    merged = KernelProfile()
+    merged.merge(prof.to_dict())
     merged.merge(prof)
     assert (merged.counting_passes, merged.counting_acts,
             merged.counting_filters, merged.counting_scans) \

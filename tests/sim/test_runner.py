@@ -163,7 +163,9 @@ class TestCalibration:
         from repro.workloads.specs import workload_by_name
         spec = workload_by_name("tc")
         target = spec.acts_per_subarray_mean / SCALE.time_scale
-        assert result.acts_per_subarray() == pytest.approx(
+        geometry = result.config.geometry
+        subarrays = geometry.total_banks * geometry.subarrays_per_bank
+        assert result.total_activations / subarrays == pytest.approx(
             target, rel=0.35)
 
 

@@ -198,7 +198,7 @@ def _record_alerts(monkeypatch) -> list:
         calls.append((sum(device.stats.activations
                           for device in riders.devices),
                       before, [rider for rider, _ in riders.members[s]],
-                      len(queue), queue.max_tardiness()))
+                      len(queue), max(queue._entries.values(), default=0)))
     monkeypatch.setattr(Riders, "alert", logged)
     return calls
 

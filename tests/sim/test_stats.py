@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.stats import (
     format_table,
-    geometric_mean,
     histogram,
     mean,
     percentile,
@@ -32,17 +31,6 @@ class TestStd:
 
     def test_short_input(self):
         assert std([1]) == 0.0
-
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_ignores_non_positive(self):
-        assert geometric_mean([0, -1, 4]) == pytest.approx(4.0)
-
-    def test_empty(self):
-        assert geometric_mean([]) == 0.0
 
 
 class TestPercentile:

@@ -13,8 +13,8 @@ import repro
 
 PACKAGES = [
     "repro", "repro.core", "repro.dram", "repro.mc", "repro.cpu",
-    "repro.cache", "repro.mitigations", "repro.security",
-    "repro.workloads", "repro.sim", "repro.experiments",
+    "repro.mitigations", "repro.security", "repro.workloads",
+    "repro.sim", "repro.experiments",
 ]
 
 
@@ -171,14 +171,73 @@ class TestCuratedSurface:
     def test_stats_helpers_live_only_in_sim_stats(self):
         sim = importlib.import_module("repro.sim")
         stats = importlib.import_module("repro.sim.stats")
-        for name in ("format_table", "geometric_mean", "mean"):
+        for name in ("format_table", "mean"):
             assert not hasattr(sim, name), name
             assert callable(getattr(stats, name))
 
     def test_deprecated_names_not_in_curated_all(self):
         sim = importlib.import_module("repro.sim")
-        for name in ("format_table", "geometric_mean", "mean"):
+        for name in ("format_table", "mean"):
             assert name not in sim.__all__
+
+    REMOVED_MODULES = ("repro.cache", "repro.cache.llc",
+                       "repro.mitigations.blockhammer",
+                       "repro.mitigations.qprac", "repro.dram.commands")
+    REMOVED_NAMES = {
+        "repro.dram.mapping": ("AddressMapping", "DecodedAddress"),
+        "repro.energy": ("EnergyBreakdown", "energy_of_run"),
+        "repro.mitigations": ("BlockHammerThrottle",
+                              "CountingBloomFilter", "QpracTracker"),
+        "repro.dram": ("AddressMapping", "DecodedAddress", "DramCommand"),
+        "repro.security.fuzz": ("escape_curve",),
+        "repro.security.lifetime": ("required_exponent",),
+        "repro.security.mint_model": ("mint_tolerated_trhs",),
+        "repro.security.mirza_model": ("mirza_safe_trhs",),
+        "repro.security": ("escape_curve", "mint_tolerated_trhs",
+                           "mirza_safe_trhs", "required_exponent"),
+        "repro.workloads.attacks": ("benign_striped_trace",
+                                    "worst_case_single_bank_stream"),
+        "repro.workloads.specs": ("average_characteristics",),
+        "repro.workloads.tracefile": ("trace_from_string",),
+        "repro.workloads": ("IterableWorkloadSource",
+                            "benign_striped_trace", "trace_from_string",
+                            "worst_case_single_bank_stream"),
+        "repro.params": ("max_acts_per_channel_per_trefw",),
+        "repro.sim.stats": ("geometric_mean",),
+    }
+
+    @pytest.mark.parametrize("module", REMOVED_MODULES)
+    def test_removed_modules_stay_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("module,name", [
+        pytest.param(module, name, id=f"{module}.{name}")
+        for module, names in sorted(REMOVED_NAMES.items())
+        for name in names])
+    def test_removed_names_stay_gone(self, module, name):
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, name)
+        assert name not in getattr(mod, "__all__", ())
+
+    @pytest.mark.parametrize("verb", ["stats", "trace"])
+    def test_folded_verbs_are_unknown_exhibits(self, verb, capsys):
+        """``stats`` and ``trace`` are ``run --setup S`` with
+        ``--metrics`` or ``--trace-out``; as bare words they are exhibit
+        names that do not exist."""
+        from repro.__main__ import main as cli_main
+        assert cli_main([verb]) == 2
+        assert f"unknown exhibit '{verb}'" in capsys.readouterr().err
+
+    def test_trace_convert_keeps_its_dispatch(self, tmp_path, capsys):
+        from repro.__main__ import main as cli_main
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "tc.dramsim3")
+        out = tmp_path / "tc.trace"
+        assert cli_main(["trace", "convert", fixture, str(out),
+                         "--workload", "tc", "--instructions", "11"]) == 0
+        assert "wrote 1600 entries" in capsys.readouterr().out
+        assert "# workload: tc" in out.read_text()
 
 
 class TestDependencies:

@@ -2,61 +2,10 @@
 
 import pytest
 
-from repro.cpu.system import SimResult
 from repro.energy import (
-    EnergyParams,
-    energy_of_run,
     mirza_sram_power_fraction,
     mitigation_energy_per_act,
 )
-from repro.params import SystemConfig
-
-
-def fake_result(**overrides):
-    result = SimResult(window_ps=1_000_000, config=SystemConfig())
-    result.total_activations = 100
-    result.total_requests = 150
-    result.demand_rows_refreshed = 1000
-    result.victim_rows_refreshed = 40
-    for key, value in overrides.items():
-        setattr(result, key, value)
-    return result
-
-
-class TestEnergyOfRun:
-    def test_components_add_up(self):
-        breakdown = energy_of_run(fake_result())
-        total = (breakdown.activation_pj + breakdown.read_pj
-                 + breakdown.demand_refresh_pj
-                 + breakdown.victim_refresh_pj
-                 + breakdown.background_pj)
-        assert breakdown.total_pj == total
-
-    def test_command_energies(self):
-        p = EnergyParams()
-        b = energy_of_run(fake_result(), p)
-        assert b.activation_pj == 100 * p.act_pre_pj
-        assert b.read_pj == 150 * p.read_pj
-        assert b.demand_refresh_pj == 1000 * p.ref_per_row_pj
-        assert b.victim_refresh_pj == 40 * p.ref_per_row_pj
-
-    def test_background_scales_with_window(self):
-        short = energy_of_run(fake_result(window_ps=1_000_000))
-        long = energy_of_run(fake_result(window_ps=2_000_000))
-        assert long.background_pj == 2 * short.background_pj
-
-    def test_refresh_power_overhead_matches_row_ratio(self):
-        b = energy_of_run(fake_result())
-        assert b.refresh_power_overhead == pytest.approx(0.04)
-
-    def test_zero_refresh_edge(self):
-        b = energy_of_run(fake_result(demand_rows_refreshed=0,
-                                      victim_rows_refreshed=0))
-        assert b.refresh_power_overhead == 0.0
-
-    def test_mitigation_fraction_bounded(self):
-        b = energy_of_run(fake_result())
-        assert 0.0 < b.mitigation_fraction < 1.0
 
 
 class TestConstants:

@@ -12,7 +12,6 @@ from repro.params import (
     SimScale,
     SystemConfig,
     max_acts_per_bank_per_trefw,
-    max_acts_per_channel_per_trefw,
     ns,
 )
 
@@ -51,13 +50,6 @@ class TestDramTimings:
     def test_refs_per_trefw_is_8192(self):
         assert DramTimings().refs_per_trefw == 8205  # 32ms / 3900ns
 
-    def test_row_miss_latency(self):
-        t = DramTimings()
-        assert t.row_miss_latency == t.tRP + t.tRCD + t.tCAS
-
-    def test_row_hit_latency(self):
-        assert DramTimings().row_hit_latency == ns(14)
-
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             DramTimings().tRP = 0
@@ -81,10 +73,7 @@ class TestDramGeometry:
         assert g.total_banks == 64
         assert g.rows_per_bank == 128 * 1024
         assert g.subarrays_per_bank == 128
-        assert g.refs_per_subarray == 64
-
-    def test_capacity_is_32gb(self):
-        assert DramGeometry().capacity_bytes == 32 * 1024 ** 3
+        assert g.rows_per_subarray // g.rows_per_ref == 64
 
     def test_small_geometry(self, small_geometry):
         assert small_geometry.subarrays_per_bank == 4
@@ -149,12 +138,3 @@ class TestWorstCaseBounds:
         # Section IV-C: ~621K ACTs per bank per tREFW.
         acts = max_acts_per_bank_per_trefw()
         assert 600_000 <= acts <= 640_000
-
-    def test_max_acts_per_channel_near_8_8m(self):
-        # Footnote 2: ~8.8M ACTs per (sub)channel per tREFW.
-        acts = max_acts_per_channel_per_trefw()
-        assert 8_000_000 <= acts <= 9_700_000
-
-    def test_bank_bound_below_channel_bound(self):
-        assert max_acts_per_bank_per_trefw() < \
-            max_acts_per_channel_per_trefw()

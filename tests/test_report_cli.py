@@ -1,5 +1,6 @@
 """Tests for the report generator and CLI entry point."""
 
+import os
 import re
 
 import pytest
@@ -174,6 +175,56 @@ class TestCliFlags:
         assert "Table VII" in target.read_text()
 
 
+class TestRunSetupTraceTargets:
+    """``run PATH --setup S`` replays a path-shaped target as an
+    ingested trace; a ``# workload:`` claim adds the measured-vs-Table
+    IV calibration rows after the summary line."""
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "tc.dramsim3")
+
+    @pytest.fixture(autouse=True)
+    def _fast(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TIME_SCALE", "4096")
+
+    def _convert(self, tmp_path, workload, capsys):
+        trace = tmp_path / f"{workload}.trace"
+        assert cli_main(["trace", "convert", self.FIXTURE, str(trace),
+                         "--workload", workload,
+                         "--instructions", "11"]) == 0
+        capsys.readouterr()
+        return str(trace)
+
+    def test_claimed_workload_prints_calibration_rows(self, tmp_path,
+                                                      capsys):
+        trace = self._convert(tmp_path, "tc", capsys)
+        assert cli_main(["run", trace, "--setup", "mirza-1000",
+                         "--no-cache"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            f"{trace}: setup=mirza-1000 requests=1600 ")
+        assert [line.split(" measured")[0] for line in lines[1:]] == [
+            "calibration[tc]: MPKI", "calibration[tc]: ACT-PKI"]
+
+    def test_unknown_claimed_workload_skips_calibration(self, tmp_path,
+                                                        capsys):
+        trace = self._convert(tmp_path, "nosuch", capsys)
+        assert cli_main(["run", trace, "--setup", "mirza-1000",
+                         "--no-cache"]) == 0
+        captured = capsys.readouterr()
+        assert "calibration[" not in captured.out
+        assert (f"{trace}: claims unknown workload 'nosuch'; "
+                "skipping calibration") in captured.err
+
+    def test_missing_trace_target_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.trace")
+        assert cli_main(["run", missing, "--setup", "mirza-1000",
+                         "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("trace target: ")
+
+
 class TestFailurePolicyFlags:
     def _session(self, argv):
         from repro.__main__ import _build_parser, _session_for
@@ -186,7 +237,8 @@ class TestFailurePolicyFlags:
 
     def test_other_commands_default_to_fail_fast(self):
         from repro.sim.session import FailurePolicy
-        for argv in (["run", "table10"], ["stats", "table10"]):
+        for argv in (["run", "table10"],
+                     ["run", "tc", "--setup", "mirza-1000"]):
             session = self._session(argv)
             assert session.failure_policy is FailurePolicy.FAIL_FAST
 

@@ -7,12 +7,10 @@ from repro.cpu.trace import take
 from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.params import SystemConfig
 from repro.workloads.attacks import (
-    benign_striped_trace,
     double_sided_attack_stream,
     feinting_attack_stream,
     performance_attack_trace,
     trr_evasion_pattern,
-    worst_case_single_bank_stream,
 )
 
 
@@ -42,16 +40,6 @@ class TestDoubleSided:
         with pytest.raises(ValueError):
             list(double_sided_attack_stream(0, m, 4,
                                             allow_single_sided=False))
-
-
-class TestWorstCase:
-    def test_cycles_rows(self):
-        rows = list(worst_case_single_bank_stream([1, 2, 3], 7))
-        assert rows == [1, 2, 3, 1, 2, 3, 1]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            list(worst_case_single_bank_stream([], 5))
 
 
 class TestFeinting:
@@ -120,11 +108,3 @@ class TestPerformanceAttack:
         with pytest.raises(ValueError):
             next(performance_attack_trace(SystemConfig(), k_rows=0))
 
-
-class TestBenignStriped:
-    def test_stripes_over_banks(self):
-        config = SystemConfig()
-        entries = take(benign_striped_trace(config, banks=16), 64)
-        banks = [e.bank for e in entries]
-        assert banks[:16] == list(range(16))
-        assert banks[16:32] == list(range(16))

@@ -10,7 +10,6 @@ from repro.workloads.mixed import PAPER_MIXES, MixedWorkload
 from repro.workloads.tracefile import (
     load_trace,
     read_trace,
-    trace_from_string,
     write_trace,
 )
 
@@ -37,24 +36,24 @@ class TestTraceFile:
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n100 10 0 1 42\n  \n# tail\n"
-        assert trace_from_string(text) == [
+        assert load_trace(io.StringIO(text)) == [
             TraceEntry(100, 10, 0, 1, 42)]
 
     def test_wrong_field_count_rejected(self):
         with pytest.raises(ValueError, match="expected 5 fields"):
-            trace_from_string("1 2 3\n")
+            load_trace(io.StringIO("1 2 3\n"))
 
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):
-            trace_from_string("a 2 3 4 5\n")
+            load_trace(io.StringIO("a 2 3 4 5\n"))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            trace_from_string("-1 2 3 4 5\n")
+            load_trace(io.StringIO("-1 2 3 4 5\n"))
 
     def test_error_reports_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
-            trace_from_string("# c\n1 2 3 4 5\nbroken\n")
+            load_trace(io.StringIO("# c\n1 2 3 4 5\nbroken\n"))
 
     def test_lazy_reading(self):
         text = "1 2 3 4 5\nbroken line\n"
@@ -96,7 +95,7 @@ class TestMixedWorkload:
 
     def test_mlp_is_max_of_members(self):
         mix = MixedWorkload(["cc", "blender"], scale=SimScale(512))
-        assert mix.mlp == max(mix.mlp_for(0), mix.mlp_for(1))
+        assert mix.mlp == max(g.mlp for g in mix._generators)
 
     def test_runs_through_the_system(self):
         mix = MixedWorkload(["tc", "blender"], scale=SimScale(2048))
