@@ -33,10 +33,11 @@ for ``python -m repro run table7``).
 
 Every subcommand accepts the shared simulation flags (``--jobs``,
 ``--time-scale``, ``--cgf-scale``, ``--workloads``, ``--seed``,
-``--cache-dir``, ``--no-cache``, ``--profile``), the
-observability
-flags (``--metrics``, ``--trace-out``, ``--trace-limit``; see
-``docs/observability.md``), and the failure-handling flags
+``--cache-dir``, ``--no-cache``, ``--profile``), the observability
+flags (``--trace-out``, ``--trace-limit``, ``--progress``; see
+``docs/observability.md``; ``run --setup`` alone also takes
+``--metrics`` and ``--jsonl-out``, the outputs it prints or writes),
+and the failure-handling flags
 (``--keep-going``/``--fail-fast``, ``--max-retries N``,
 ``--job-timeout SECONDS``; see the "Failure semantics" section of
 ``docs/architecture.md``).  ``report`` defaults to ``--keep-going``:
@@ -147,13 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--profile", action="store_true",
             help="profile the simulation kernel and print a per-phase "
                  "breakdown when the command finishes; with --jobs N "
-                 "the workers' profiles are merged into the totals "
-                 "(REPRO_PROFILE=1 works too)")
-        p.add_argument(
-            "--metrics", action="store_true",
-            help="collect the kernel metrics registry over every "
-                 "simulation and print the aggregated table afterwards "
-                 "(REPRO_METRICS=1 works too)")
+                 "the workers' profiles are merged into the totals")
         p.add_argument(
             "--trace-out", default=None, metavar="FILE",
             help="record structured events and write a Perfetto-"
@@ -184,6 +179,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulate the positional names as *workloads* under this "
              "mitigation setup (e.g. mirza, prac-1000, baseline) "
              "instead of treating them as exhibits")
+    p_run.add_argument(
+        "--metrics", action="store_true",
+        help="with --setup: collect the kernel metrics registry over "
+             "every simulation and print the aggregated table afterwards")
     p_run.add_argument(
         "--jsonl-out", default=None, metavar="FILE",
         help="with --setup and --trace-out: also write the raw trace "
@@ -557,6 +556,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "jsonl_out", None) \
                 and not (args.setup and args.trace_out):
             parser.error("--jsonl-out needs --setup and --trace-out")
+        if getattr(args, "metrics", False) and not args.setup:
+            parser.error("--metrics needs --setup")
     except SystemExit as error:
         return int(error.code or 0)
     with _environment(args), contextlib.ExitStack() as stack:
@@ -568,10 +569,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             for title, description, name in EXHIBITS:
                 print(f"{name}: {title} — {description}")
             return 0
-        from repro.sim.profile import maybe_profile_from_env
+        from repro.sim.profile import profiling
         from repro.sim.session import JobFailed
-        with maybe_profile_from_env(
-                force=getattr(args, "profile", False)) as prof:
+        with (profiling() if args.profile
+              else contextlib.nullcontext()) as prof:
             status = 0
             try:
                 if args.command == "report":

@@ -32,9 +32,8 @@ Calibration probes (``repro.sim.runner.calibrated_workload``) are not
 kernel runs either: each key whose probes run records one calibration
 and its wall seconds, in whichever process runs them.
 
-Activation is explicit (:func:`profiling`) or environmental
-(``REPRO_PROFILE=1`` plus :func:`maybe_profile_from_env`); the CLI's
-``--profile`` flag routes through the former and prints
+Activation is explicit (:func:`profiling`); the CLI's ``--profile``
+flag scopes it over the command and prints
 :meth:`KernelProfile.report` after the command finishes.  Profiles
 merge across processes: a :class:`~repro.sim.session.SimSession`
 wraps each pool worker's jobs in a fresh profile, ships it back as a
@@ -52,7 +51,6 @@ Example::
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator, Optional
@@ -222,12 +220,6 @@ def active() -> Optional[KernelProfile]:
     return _ACTIVE
 
 
-def enabled_by_env() -> bool:
-    """True when ``REPRO_PROFILE`` asks for profiling."""
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
 def install(profile: Optional[KernelProfile]) -> Optional[KernelProfile]:
     """Install ``profile`` as the active sink; returns the previous one."""
     global _ACTIVE
@@ -248,28 +240,11 @@ def profiling(profile: Optional[KernelProfile] = None
         install(previous)
 
 
-@contextmanager
-def maybe_profile_from_env(force: bool = False) -> Iterator[
-        Optional[KernelProfile]]:
-    """Activate profiling when ``force`` or ``REPRO_PROFILE`` says so.
-
-    Yields the profile (or ``None`` when disabled) so callers can print
-    :meth:`KernelProfile.report` afterwards.
-    """
-    if not force and not enabled_by_env():
-        yield None
-        return
-    with profiling() as prof:
-        yield prof
-
-
 __all__ = [
     "KernelProfile",
     "PHASES",
     "active",
-    "enabled_by_env",
     "install",
-    "maybe_profile_from_env",
     "perf_counter",
     "profiling",
 ]

@@ -151,8 +151,7 @@ def collecting(metrics: bool = True, trace: bool = False,
     buffer = TraceBuffer(
         trace_limit if trace_limit is not None
         else _trace_mod.limit_from_env()) if trace else None
-    recorder = SpanRecorder(_spans_mod.limit_from_env()) if spans \
-        else None
+    recorder = SpanRecorder() if spans else None
     prev_registry = _metrics_mod.install(registry) if metrics else None
     prev_buffer = _trace_mod.install(buffer) if trace else None
     prev_spans = _spans_mod.install(recorder) if spans else None

@@ -30,7 +30,7 @@ A span is a plain JSON-able 5-element list::
 
 Like the metrics registry and the event trace, one module-global slot
 (:data:`_ACTIVE`) keeps the off-path to a single ``None`` check, the
-recorder is bounded (``REPRO_SPAN_LIMIT``), and nested
+recorder is bounded (:data:`DEFAULT_LIMIT` spans), and nested
 :func:`recording` scopes fold outward -- which is also how spans
 shipped back from pool workers (on :class:`~repro.cpu.system.SimResult
 `.spans) merge into the parent's recorder, exactly like metrics
@@ -139,16 +139,6 @@ def requested() -> bool:
     return _ACTIVE is not None or enabled_by_env()
 
 
-def limit_from_env() -> int:
-    """Recorder capacity: ``REPRO_SPAN_LIMIT`` or :data:`DEFAULT_LIMIT`."""
-    raw = os.environ.get("REPRO_SPAN_LIMIT", "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_LIMIT
-    return value if value >= 1 else DEFAULT_LIMIT
-
-
 def install(recorder: Optional[SpanRecorder]
             ) -> Optional[SpanRecorder]:
     """Install ``recorder`` as the active sink; returns the previous."""
@@ -168,7 +158,7 @@ def recording(recorder: Optional[SpanRecorder] = None,
     scopes aggregate outward, mirroring metrics and the event trace).
     """
     rec = recorder if recorder is not None else SpanRecorder(
-        limit if limit is not None else limit_from_env())
+        limit if limit is not None else DEFAULT_LIMIT)
     previous = install(rec)
     try:
         yield rec

@@ -21,9 +21,7 @@ from repro._profile import (
     PHASES,
     KernelProfile,
     active,
-    enabled_by_env,
     install,
-    maybe_profile_from_env,
     perf_counter,
     profiling,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "KernelProfile",
     "PHASES",
     "active",
-    "enabled_by_env",
     "install",
-    "maybe_profile_from_env",
     "perf_counter",
     "profiling",
 ]

@@ -14,20 +14,20 @@ repository runs on.  It owns two things:
    CLI skip work they have already done.
 
 2. **A fault-tolerant process-pool fan-out API.**
-   :meth:`SimSession.run_many` submits independent jobs to worker
-   processes as individual futures and merges the results back in
-   submission order.  Every job is a pure function of its content
-   (traces are freshly seeded per run), so parallel output is
-   byte-identical to a serial run -- and a *retried* job re-executes
-   the same pure content, so bounded retries never change results.
-   Completed results are stored (memory + disk) as they finish, a
-   crashed worker pool is rebuilt (falling back to serial in-process
-   execution if it keeps breaking), and a :class:`FailurePolicy`
-   decides whether a permanently-failed job raises (:obj:`FAIL_FAST`,
-   the library default) or yields a typed :class:`JobFailure` record
-   in its result slot (:obj:`KEEP_GOING`, what ``python -m repro
-   report`` uses so one poisoned cell degrades a report instead of
-   destroying it).
+   :meth:`SimSession.run_many` runs independent jobs as individual
+   futures -- on worker processes, or in this process with one worker
+   -- and harvests them in submission order through one loop.  Every
+   job is a pure function of its content (traces are freshly seeded
+   per run), so parallel output is byte-identical to a serial run --
+   and a *retried* job re-executes the same pure content, so bounded
+   retries never change results.  Completed results are stored
+   (memory + disk) as they finish, a crashed worker pool is rebuilt
+   (the futures run in this process if it keeps breaking), and a
+   :class:`FailurePolicy` decides whether a permanently-failed job
+   raises (:obj:`FAIL_FAST`, the library default) or yields a typed
+   :class:`JobFailure` record in its result slot (:obj:`KEEP_GOING`,
+   what ``python -m repro report`` uses so one poisoned cell degrades
+   a report instead of destroying it).
 
 :meth:`SimSession.run_many` is the one batch entry point (``run`` runs
 one job, ``slowdowns`` pairs protected jobs with their baselines), and
@@ -630,9 +630,6 @@ def _pool_env_overrides() -> Dict[str, str]:
             env["REPRO_TRACE_LIMIT"] = str(buffer.limit)
     if _obs_spans.requested():
         env["REPRO_SPANS"] = "1"
-        recorder = _obs_spans._ACTIVE
-        if recorder is not None:
-            env["REPRO_SPAN_LIMIT"] = str(recorder.limit)
     for var in _FAULT_ENV_VARS:
         value = os.environ.get(var)
         if value:
@@ -642,7 +639,7 @@ def _pool_env_overrides() -> Dict[str, str]:
 
 def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int, tuple]
                  ) -> Tuple[Any, Optional[dict], float]:
-    """Pool entry point carrying observability/profiling context.
+    """Run one job: the pool's entry point, and the in-process one.
 
     ``payload`` is ``(job, env overrides, want_profile, attempt,
     calibrated)``; the attempt number feeds the deterministic
@@ -656,7 +653,9 @@ def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int, tuple]
     unless the parent asked for profiling) and ``exec_seconds`` is the
     job's wall-clock execution time in this worker (it feeds the
     parent's pool-utilization gauge -- the parent only observes
-    queue + execution time together).
+    queue + execution time together).  In-process runs pass no env
+    overrides, no profile request (the job records into the parent's
+    sinks directly) and no pairs (the session primed them here).
     """
     job, env, want_profile, attempt, calibrated = payload
     for key, value in env.items():
@@ -696,8 +695,8 @@ class _BatchMonitor:
 
     One instance per :meth:`SimSession.run_many`.  It holds the batch's
     tally -- jobs ``computed`` (tokened ones only), ``retried``
-    executions, ``timed_out`` expiries, and ``failures`` by token --
-    and owns the wall-clock view of the batch: per-cell session spans
+    executions, ``timed_out`` expiries and ``failed`` cells -- and
+    owns the wall-clock view of the batch: per-cell session spans
     (disposition in the meta), the ``workers`` execution-phase span,
     the live progress callback, the queue-depth histogram, and the
     busy-seconds total behind the pool-utilization gauge.  Span
@@ -708,7 +707,7 @@ class _BatchMonitor:
 
     __slots__ = ("recorder", "progress", "total", "done", "cache_hits",
                  "computed", "retried", "timed_out", "failed",
-                 "failures", "busy_s", "pool_rebuilds", "start_us",
+                 "busy_s", "pool_rebuilds", "start_us",
                  "_t0", "_starts", "_queue_hist")
 
     def __init__(self, recorder: Optional[_obs_spans.SpanRecorder],
@@ -723,7 +722,6 @@ class _BatchMonitor:
         self.retried = 0
         self.timed_out = 0
         self.failed = 0
-        self.failures: Dict[str, JobFailure] = {}
         self.busy_s = 0.0
         self.pool_rebuilds = 0
         self.start_us = _obs_spans.now_us()
@@ -860,8 +858,9 @@ class SimSession:
         (``None`` -- the default, via ``REPRO_JOB_TIMEOUT`` -- means no
         timeout).  A timed-out job consumes an attempt; the pool is
         torn down and rebuilt so a wedged worker cannot hold the batch
-        hostage.  Serial in-process execution cannot be preempted and
-        ignores the timeout.
+        hostage.  A job running in this process (one worker, or after
+        the pool fallback) cannot be preempted and ignores the
+        timeout.
     progress:
         Optional callback invoked once per finished cell with a
         :class:`~repro.obs.progress.ProgressUpdate` (the CLI's
@@ -870,7 +869,7 @@ class SimSession:
     """
 
     _MAX_POOL_REBUILDS = 2
-    """Broken-pool rebuilds before falling back to serial in-process."""
+    """Broken-pool rebuilds before the futures run in this process."""
 
     _MAX_QUEUE_STALLS = 3
     """Timeouts a *queued* (never-started) job may absorb before the
@@ -917,27 +916,29 @@ class SimSession:
         """Run a batch of independent jobs; results in submission order.
 
         Cache hits are served without computing; distinct jobs with
-        identical content are computed once.  With more than one worker
-        the cache misses fan out over per-job ``ProcessPoolExecutor``
-        futures; the merged output is identical to a serial run because
-        every job is a pure function of its content.  Each workload
-        calibration the misses read runs once, in this process, when the
-        first miss that reads it comes up (see :meth:`_calibrate`).
-        Untokened jobs (no content hash, so never cached) run in this
-        process after the rest.  A key's pending baseline and its
-        pending ALERT-only ``SimJob``\\ s run as one
-        :class:`SharedPass` (see :meth:`_shared_passes`); that changes
-        no result and no count.
+        identical content are computed once.  The cache misses run
+        through one loop (:meth:`_harvest`): per-job futures, on a
+        ``ProcessPoolExecutor`` with more than one worker (capped at
+        the number of misses) and in this process otherwise; the
+        merged output is identical either way
+        because every job is a pure function of its content.  Each
+        workload calibration the misses read runs once, in this
+        process, when the first miss that reads it comes up (see
+        :meth:`_calibrate`).  Untokened jobs (no content hash, so never
+        cached or pickled) go through the same loop in this process
+        after the rest.  A key's pending baseline and its pending
+        ALERT-only ``SimJob``\\ s run as one :class:`SharedPass` (see
+        :meth:`_shared_passes`); that changes no result and no count.
 
         The batch is fault-tolerant: each job gets bounded retries
-        (``max_retries``) and, in the pool path, a per-job timeout
+        (``max_retries``) and, on a pool, a per-job timeout
         (``job_timeout`` seconds); completed results are stored in the
         cache *as they finish*, so a crashed or killed batch resumes
         from cache instead of from zero.  A broken worker pool
         (``BrokenProcessPool`` -- e.g. an OOM-killed worker) is rebuilt
-        up to ``_MAX_POOL_REBUILDS`` times and then the remainder runs
-        serially in-process.  What a *permanent* failure does depends
-        on the session's ``failure_policy``: see :class:`FailurePolicy`.
+        up to ``_MAX_POOL_REBUILDS`` times, and then the rest runs in
+        this process.  What a *permanent* failure does depends on the
+        session's ``failure_policy``: see :class:`FailurePolicy`.
         """
         jobs = [job.resolved() if hasattr(job, "resolved") else job
                 for job in jobs]
@@ -973,18 +974,12 @@ class SimSession:
         for token, job in hit_jobs.items():
             monitor.cell_done(token, job, "cache-hit", attempts=0)
         calibrated: Dict[str, Any] = {}
-        work = self._shared_passes(unique)
         with monitor.phase("workers", workers=workers):
-            if workers > 1 and len(unique) > 1:
-                self._run_pool(work, workers, retries, timeout,
-                               monitor, calibrated)
-            else:
-                self._run_serial(work, retries, monitor, calibrated)
-            loose = self._run_serial(
-                [(None, jobs[index]) for index in untokened], retries,
-                monitor, calibrated)
-        for index, outcome in zip(untokened, loose):
-            results[index] = outcome
+            outcomes = self._harvest(self._shared_passes(unique), workers,
+                                     retries, timeout, monitor, calibrated)
+            outcomes.update(self._harvest(
+                [(index, jobs[index]) for index in untokened], 1,
+                retries, timeout, monitor, calibrated))
         self.last_batch = BatchStats(
             submitted=len(jobs),
             unique=len(hit_jobs.keys() | pending.keys())
@@ -997,16 +992,15 @@ class SimSession:
             workers=workers,
             wall_seconds=monitor.elapsed_s,
             busy_seconds=monitor.busy_s)
-        self._publish_failure_metrics(self.last_batch)
         self._publish_batch_metrics(self.last_batch)
         monitor.finish(self.last_batch)
         for index, token in enumerate(tokens):
             if results[index] is _MISS:
-                # A token that failed here may still hold an older
-                # result in memory (one cached without the metrics now
-                # requested); the failure is this batch's answer.
-                results[index] = monitor.failures[token] \
-                    if token in monitor.failures else self._memory[token]
+                # This batch's outcome, even where an older result of
+                # the token sits in memory (one cached without the
+                # metrics now requested).
+                results[index] = outcomes[index if token is None
+                                          else token]
         if self.failure_policy is FailurePolicy.FAIL_FAST:
             for result in results:
                 if is_failure(result):
@@ -1080,28 +1074,6 @@ class SimSession:
         return JobFailure(job=job, token=token, error_type=error_type,
                           message=message, attempts=attempts,
                           timed_out=timed_out)
-
-    def _complete(self, token: str, job: Any, result: Any,
-                  prof_dict: Optional[dict], monitor: _BatchMonitor,
-                  exec_s: float, attempts: int) -> None:
-        """Fold one finished pool job into the parent, cache included.
-
-        Results are stored *as they finish* -- not after the batch --
-        so a batch killed halfway resumes from cache on rerun.
-        ``attempts`` counts every execution including the successful
-        one; more than one means the cell's disposition is ``retried``.
-        """
-        if prof_dict is not None and _profile._ACTIVE is not None:
-            _profile._ACTIVE.merge(prof_dict)
-        # A worker's collection scope merged into *its* process's
-        # sinks; fold the shipped snapshot/events into the parent's so
-        # pooled runs aggregate exactly like serial in-process ones.
-        self._absorb_observability(result)
-        self._store(token, type(job), result)
-        monitor.computed += 1
-        monitor.cell_done(token, job,
-                          "retried" if attempts > 1 else "computed",
-                          attempts, exec_s=exec_s)
 
     def _calibrate(self, job: Any, values: Dict[str, Any],
                    monitor: _BatchMonitor) -> tuple:
@@ -1200,249 +1172,201 @@ class SimSession:
                 + [(token, job) for token, job in unique
                    if token not in grouped])
 
-    def _run_pass(self, shared: SharedPass, monitor: _BatchMonitor,
-                  calibrated: Dict[str, Any]) -> List[Tuple[str, Any]]:
-        """Run one :class:`SharedPass` in this process; returns the
-        members left to run plain: its diverged riders, or every
-        member if the pass raised (each then runs with its own
-        attempts)."""
-        self._calibrate(shared, calibrated, monitor)
-        for token in shared.tokens:
-            monitor.job_started(token)
-        t0 = perf_counter()
-        try:
-            outcome = shared.execute()
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException:  # noqa: BLE001
-            monitor.busy_s += perf_counter() - t0
-            return shared.members()
-        return self._complete_pass(shared, outcome, None, monitor,
-                                   perf_counter() - t0)
+    def _harvest(self, work: List[Tuple[Any, Any]], workers: int,
+                 retries: int, timeout: Optional[float],
+                 monitor: _BatchMonitor,
+                 calibrated: Dict[str, Any]) -> Dict[Any, Any]:
+        """The one execution loop: per-job futures, harvested in order.
 
-    def _complete_pass(self, shared: SharedPass, outcome: tuple,
-                       prof_dict: Optional[dict], monitor: _BatchMonitor,
-                       exec_s: float) -> List[Tuple[str, Any]]:
-        """Store the result of every member a finished pass served, each
-        under its own token and counted as computed; returns the
-        diverged riders.  The pass's time counts once, on its base."""
-        if prof_dict is not None and _profile._ACTIVE is not None:
-            _profile._ACTIVE.merge(prof_dict)
-        base, riders = outcome
-        diverged = []
-        for (token, job), result in zip(shared.members(),
-                                        [base] + list(riders)):
-            if result is None:
-                diverged.append((token, job))
-                continue
-            self._store(token, SimJob, result)
-            monitor.computed += 1
-            monitor.cell_done(token, job, "computed", 1, exec_s=exec_s)
-            exec_s = 0.0
-        return diverged
+        ``work`` is ``(key, job)`` pairs keyed by content token; a
+        :class:`SharedPass` is keyed ``pass:<base token>`` and an
+        untokened job by its batch index.  Returns each plain job's
+        result or :class:`JobFailure` by key.  A tokened result is
+        stored *as it finishes* and counted as computed; an untokened
+        one is neither.  ``calibrated`` is the batch's calibrations so
+        far (see :meth:`_calibrate`).
 
-    def _run_serial(self, items: List[Tuple[Optional[str], Any]],
-                    retries: int, monitor: _BatchMonitor,
-                    calibrated: Dict[str, Any],
-                    attempts: Optional[Dict[str, int]] = None
-                    ) -> List[Any]:
-        """In-process execution with retries: the serial path, the pool
-        fallback, and the path of every untokened job.
+        With more than one worker each job is a ``submit()`` future on
+        a process pool, calibrated and its cell span started as it is
+        queued; its payload carries the calibration values it reads.
+        With one worker, or once the pool broke more than
+        ``_MAX_POOL_REBUILDS`` times, each future runs in this process
+        instead: it calibrates, starts its cell span and executes when
+        it is harvested, and the timeout does not apply (nothing can
+        preempt it).
 
-        ``items`` are ``(token or None, job)`` pairs; returns each plain
-        item's result or :class:`JobFailure`.  A tokened result is
-        stored and counted as computed; an untokened one is neither.
-        A :class:`SharedPass` item yields no outcome of its own: the
-        members it hands back run after the other items.
-        ``calibrated`` is the batch's calibrations so far (see
-        :meth:`_calibrate`).
-        """
-        outcomes: List[Any] = []
-        work = deque(items)
-        while work:
-            token, job = work.popleft()
-            if isinstance(job, SharedPass):
-                work.extend(self._run_pass(job, monitor, calibrated))
-                continue
-            self._calibrate(job, calibrated, monitor)
-            attempt = attempts.get(token, 0) if attempts else 0
-            monitor.job_started(token)
-            exec_s = 0.0
-            while True:
-                t0 = perf_counter()
-                try:
-                    _maybe_inject_fault(job, attempt)
-                    result = job.execute()
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:  # noqa: BLE001
-                    exec_s += perf_counter() - t0
-                    attempt += 1
-                    if attempt > retries:
-                        result = self._failure_for(job, token, error,
-                                                   attempt)
-                        if token is not None:
-                            monitor.failures[token] = result
-                        monitor.cell_done(token, job, "failed",
-                                          attempt, exec_s=exec_s)
-                        break
-                    monitor.retried += 1
-                    continue
-                exec_s += perf_counter() - t0
-                if token is not None:
-                    self._store(token, type(job), result)
-                    monitor.computed += 1
-                monitor.cell_done(
-                    token, job,
-                    "retried" if attempt else "computed",
-                    attempt + 1, exec_s=exec_s)
-                break
-            outcomes.append(result)
-        return outcomes
-
-    def _run_pool(self, unique: List[Tuple[str, Any]], workers: int,
-                  retries: int, timeout: Optional[float],
-                  monitor: _BatchMonitor,
-                  calibrated: Dict[str, Any]) -> None:
-        """Per-job-future fan-out with retries, timeout, and recovery.
-
-        Each pending job is an individual ``submit()`` future harvested
-        in submission order.  A job that raises in its worker is
-        resubmitted (up to ``retries`` times) into the same pool; a
-        per-job timeout or a ``BrokenProcessPool`` tears the pool down
-        -- after draining every already-finished future into the cache
-        -- and rebuilds it for the remaining jobs.  A pool that keeps
-        breaking (``_MAX_POOL_REBUILDS``) degrades to serial in-process
-        execution of whatever is left.  Each payload carries the
-        calibration values its job reads (see :meth:`_calibrate`).
-
-        A :class:`SharedPass` hands its diverged riders back, and they
-        are submitted like a retry.  A pass that raises, times out or
-        loses its pool consumes no attempt and counts nowhere: it
-        dissolves into its members, each then a plain job with its own
-        attempts.
+        A job that raises is resubmitted (up to ``retries`` times) at
+        the back of the queue.  A per-job timeout or a
+        ``BrokenProcessPool`` tears the pool down -- after draining
+        every already-finished future -- and builds a new one for the
+        rest.  A :class:`SharedPass` hands its diverged riders back,
+        and they are submitted like a retry.  A pass that raises, times
+        out or loses its pool consumes no attempt and counts nowhere:
+        it dissolves into its members, each then a plain job with its
+        own attempts.
         """
         env = _pool_env_overrides()
         want_profile = _profile._ACTIVE is not None
-        pending: "OrderedDict[str, Any]" = OrderedDict(unique)
-        attempts: Dict[str, int] = {token: 0 for token, _ in unique}
-        stalls: Dict[str, int] = {}
+        pending: "OrderedDict[Any, Any]" = OrderedDict(work)
+        attempts: Dict[Any, int] = {key: 0 for key, _ in work}
+        outcomes: Dict[Any, Any] = {}
+        stalls: Dict[Any, int] = {}
         breaks = 0
+
+        def token_of(key: Any) -> Optional[str]:
+            return key if isinstance(key, str) else None
+
+        def start(key: Any) -> tuple:
+            """Calibrate ``key``'s job and start its cells' spans;
+            returns the calibration pairs its payload carries."""
+            job = pending[key]
+            pairs = self._calibrate(job, calibrated, monitor)
+            for member in (job.tokens if isinstance(job, SharedPass)
+                           else (token_of(key),)):
+                monitor.job_started(member)
+            return pairs
 
         def hand_back(items: List[Tuple[str, Any]]) -> None:
             """Make a pass's diverged riders or members plain jobs."""
-            for token, job in items:
-                pending[token] = job
-                attempts.setdefault(token, 0)
+            for key, job in items:
+                pending[key] = job
+                attempts.setdefault(key, 0)
+
+        def complete(key: Any, result: Any, prof_dict: Optional[dict],
+                     exec_s: float) -> List[Tuple[str, Any]]:
+            """Store what a finished job or pass served, each member
+            under its own token; returns a pass's diverged riders.  A
+            pass's time counts once, on its base."""
+            job = pending.pop(key)
+            if prof_dict is not None and _profile._ACTIVE is not None:
+                _profile._ACTIVE.merge(prof_dict)
+            shared = isinstance(job, SharedPass)
+            served = [((key, job), result)]
+            if shared:
+                base, riders = result
+                served = list(zip(job.members(), [base] + list(riders)))
+            diverged = []
+            for (member, member_job), value in served:
+                if shared and value is None:
+                    diverged.append((member, member_job))
+                    continue
+                if pool is not None:
+                    # A worker's collection scope merged into its own
+                    # sinks; an in-process run fed this process's.
+                    self._absorb_observability(value)
+                token = token_of(member)
+                if token is not None:
+                    self._store(token, type(member_job), value)
+                    monitor.computed += 1
+                outcomes[member] = value
+                monitor.cell_done(
+                    token, member_job,
+                    "retried" if attempts[key] else "computed",
+                    attempts[key] + 1, exec_s=exec_s)
+                exec_s = 0.0
+            return diverged
+
+        def submit(key: Any):
+            """Queue ``key``'s job: a pool future, or ``None`` for one
+            that runs here when harvested."""
+            if pool is None:
+                return None
+            return pool.submit(_execute_job, (pending[key], env,
+                                              want_profile, attempts[key],
+                                              start(key)))
+
+        def resubmit(items: List[Tuple[str, Any]]) -> bool:
+            """Queue plain jobs (a retry, or what a pass hands back);
+            False if the pool broke."""
+            hand_back(items)
+            try:
+                for key, _ in items:
+                    queue.append((key, submit(key)))
+            except BrokenProcessPool:
+                return False
+            return True
 
         while pending:
-            pool = self._make_pool(workers)
+            pool = self._make_pool(workers) \
+                if workers > 1 and breaks <= self._MAX_POOL_REBUILDS \
+                else None
             abandon_pool = False
-
-            def submit(token: str):
-                job = pending[token]
-                pairs = self._calibrate(job, calibrated, monitor)
-                for member in (job.tokens if isinstance(job, SharedPass)
-                               else (token,)):
-                    monitor.job_started(member)
-                return pool.submit(
-                    _execute_job,
-                    (job, env, want_profile, attempts[token], pairs))
-
-            def resubmit(items: List[Tuple[str, Any]]) -> bool:
-                """Queue plain jobs on this pool (a retry, or what a
-                pass hands back); False if the pool broke."""
-                hand_back(items)
-                try:
-                    for token, _ in items:
-                        queue.append((token, submit(token)))
-                except BrokenProcessPool:
-                    return False
-                return True
-
             try:
-                queue = deque(
-                    (token, submit(token)) for token in pending)
+                queue = deque((key, submit(key)) for key in pending)
             except BrokenProcessPool:
                 queue = deque()
                 abandon_pool = True
             try:
                 while queue:
-                    token, future = queue.popleft()
-                    job = pending[token]
+                    key, future = queue.popleft()
+                    job = pending[key]
                     shared = isinstance(job, SharedPass)
                     try:
-                        result, prof_dict, exec_s = future.result(
-                            timeout=timeout)
-                    except FuturesTimeoutError:
-                        if future.cancel():
+                        if future is None:
+                            start(key)
+                            result, prof_dict, exec_s = _execute_job(
+                                (job, {}, False, attempts[key], ()))
+                        else:
+                            result, prof_dict, exec_s = future.result(
+                                timeout=timeout)
+                    except (KeyboardInterrupt, SystemExit):
+                        raise
+                    except BaseException as error:  # noqa: BLE001
+                        if future is not None and isinstance(
+                                error, BrokenProcessPool):
+                            abandon_pool = True
+                            break
+                        timed_out = future is not None and isinstance(
+                            error, FuturesTimeoutError)
+                        if timed_out and future.cancel():
                             # Never started: the pool is merely
                             # saturated, so the wait was queue time,
                             # not execution time.  Requeue without
                             # consuming an attempt (bounded).
-                            stalls[token] = stalls.get(token, 0) + 1
-                            if stalls[token] <= self._MAX_QUEUE_STALLS:
-                                queue.append((token, submit(token)))
+                            stalls[key] = stalls.get(key, 0) + 1
+                            if stalls[key] <= self._MAX_QUEUE_STALLS:
+                                queue.append((key, submit(key)))
                                 continue
-                        # The worker behind this future may be wedged;
-                        # abandon the pool so it cannot hold the batch
-                        # (a pass dissolves with it, below).
-                        abandon_pool = True
+                        handed = []
                         if shared:
+                            if not timed_out:  # else it dissolves below
+                                handed = pending.pop(key).members()
+                        else:
+                            attempts[key] += 1
+                            monitor.timed_out += timed_out
+                            if attempts[key] > retries:
+                                del pending[key]
+                                token = token_of(key)
+                                outcomes[key] = self._failure_for(
+                                    job, token, error, attempts[key],
+                                    timed_out=timed_out)
+                                monitor.cell_done(
+                                    token, job,
+                                    "timed-out" if timed_out
+                                    else "failed", attempts[key])
+                            else:
+                                monitor.retried += 1
+                                handed = [(key, job)]
+                        if timed_out:
+                            # The worker behind this future may be
+                            # wedged; abandon the pool so it cannot
+                            # hold the batch.  A retry goes to the
+                            # next pool.
+                            abandon_pool = True
                             break
-                        attempts[token] += 1
-                        monitor.timed_out += 1
-                        if attempts[token] > retries:
-                            monitor.failures[token] = self._failure_for(
-                                job, token, None, attempts[token],
-                                timed_out=True)
-                            del pending[token]
-                            monitor.cell_done(token, job, "timed-out",
-                                              attempts[token])
-                        else:
-                            monitor.retried += 1
-                        break
-                    except BrokenProcessPool:
-                        abandon_pool = True
-                        break
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except BaseException as error:  # noqa: BLE001
-                        if shared:
-                            del pending[token]
-                            handed = job.members()
-                        else:
-                            attempts[token] += 1
-                            if attempts[token] > retries:
-                                monitor.failures[token] = \
-                                    self._failure_for(job, token, error,
-                                                      attempts[token])
-                                del pending[token]
-                                monitor.cell_done(token, job, "failed",
-                                                  attempts[token])
-                                continue
-                            monitor.retried += 1
-                            handed = [(token, job)]
                         if not resubmit(handed):
                             abandon_pool = True
                             break
                         continue
-                    if shared:
-                        del pending[token]
-                        if not resubmit(self._complete_pass(
-                                job, result, prof_dict, monitor,
-                                exec_s)):
-                            abandon_pool = True
-                            break
-                        continue
-                    self._complete(token, job, result, prof_dict,
-                                   monitor, exec_s, attempts[token] + 1)
-                    del pending[token]
+                    if not resubmit(complete(key, result, prof_dict,
+                                             exec_s)):
+                        abandon_pool = True
+                        break
                 if abandon_pool:
                     # Keep every sibling that did finish: drain any
                     # completed future before discarding the pool.
-                    for token, future in queue:
-                        if token not in pending or not future.done():
+                    for key, future in queue:
+                        if key not in pending or not future.done():
                             continue
                         try:
                             result, prof_dict, exec_s = \
@@ -1451,68 +1375,41 @@ class SimSession:
                             raise
                         except BaseException:  # noqa: BLE001
                             continue  # handled on the next pool
-                        job = pending.pop(token)
-                        if isinstance(job, SharedPass):
-                            hand_back(self._complete_pass(
-                                job, result, prof_dict, monitor, exec_s))
-                        else:
-                            self._complete(token, job, result, prof_dict,
-                                           monitor, exec_s,
-                                           attempts[token] + 1)
+                        hand_back(complete(key, result, prof_dict,
+                                           exec_s))
             finally:
-                pool.shutdown(wait=not abandon_pool,
-                              cancel_futures=True)
-            if not pending:
-                return
-            if abandon_pool:
-                for token, job in list(pending.items()):
+                if pool is not None:
+                    pool.shutdown(wait=not abandon_pool,
+                                  cancel_futures=True)
+            if abandon_pool and pending:
+                for key, job in list(pending.items()):
                     if isinstance(job, SharedPass):
-                        del pending[token]
+                        del pending[key]
                         hand_back(job.members())
                 breaks += 1
                 monitor.pool_rebuilds += 1
-                if breaks > self._MAX_POOL_REBUILDS:
-                    # The pool keeps dying under us; finish what is
-                    # left serially in-process, where a raised
-                    # exception is at least catchable.
-                    items = list(pending.items())
-                    pending.clear()
-                    self._run_serial(items, retries, monitor,
-                                     calibrated, attempts=attempts)
-                    return
-
-    def _publish_failure_metrics(self, batch: BatchStats) -> None:
-        """Count batch failures into the active metrics registry."""
-        registry = _obs_metrics._ACTIVE
-        if registry is None:
-            return
-        if batch.failed:
-            registry.counter("session.jobs_failed").inc(batch.failed)
-        if batch.retried:
-            registry.counter("session.jobs_retried").inc(batch.retried)
-        if batch.timed_out:
-            registry.counter("session.jobs_timed_out").inc(
-                batch.timed_out)
+        return outcomes
 
     def _publish_batch_metrics(self, batch: BatchStats) -> None:
-        """Publish cache/pool gauges into the *session-local* registry.
+        """Publish the batch's counts and cache/pool gauges.
 
-        These land in :attr:`obs`, never the scoped ``repro.obs``
-        registry, because hit rate and utilization depend on cache
-        state and wall clock -- folding them into the scoped registry
-        would break the serial-vs-pool snapshot identity guarantee.
+        Everything lands in the *session-local* :attr:`obs`; only the
+        failed/retried/timed-out counts also land in the active scoped
+        ``repro.obs`` registry, because hit rate and utilization depend
+        on cache state and wall clock -- folding them into the scoped
+        registry would break the serial-vs-pool snapshot identity
+        guarantee.
         """
         registry = self.obs
         registry.counter("session.jobs_submitted").inc(batch.submitted)
         registry.counter("session.cache_hits").inc(batch.cache_hits)
         registry.counter("session.jobs_computed").inc(batch.computed)
-        if batch.failed:
-            registry.counter("session.jobs_failed").inc(batch.failed)
-        if batch.retried:
-            registry.counter("session.jobs_retried").inc(batch.retried)
-        if batch.timed_out:
-            registry.counter("session.jobs_timed_out").inc(
-                batch.timed_out)
+        for sink in (registry, _obs_metrics._ACTIVE):
+            for name, count in (("failed", batch.failed),
+                                ("retried", batch.retried),
+                                ("timed_out", batch.timed_out)):
+                if sink is not None and count:
+                    sink.counter(f"session.jobs_{name}").inc(count)
         registry.gauge("session.cache.hit_rate").set(
             round(100.0 * batch.hit_rate, 1))
         registry.gauge("session.pool.utilization").set(

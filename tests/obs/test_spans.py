@@ -88,10 +88,6 @@ class TestSpanRecorder:
         monkeypatch.setenv("REPRO_SPANS", "1")
         assert spans_mod.enabled_by_env()
         assert spans_mod.requested()
-        monkeypatch.setenv("REPRO_SPAN_LIMIT", "123")
-        assert spans_mod.limit_from_env() == 123
-        monkeypatch.setenv("REPRO_SPAN_LIMIT", "bogus")
-        assert spans_mod.limit_from_env() == spans_mod.DEFAULT_LIMIT
 
 
 class TestSpanExport:

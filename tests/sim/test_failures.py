@@ -13,6 +13,7 @@ unpickle them by reference.
 
 import dataclasses
 import os
+import pickle
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -267,6 +268,14 @@ class TestBrokenPoolRecovery:
                             lambda workers: AlwaysBrokenPool())
         results = session.run_many([OkJob(1), OkJob(2), OkJob(3)])
         assert results == [2, 4, 6]  # computed in-process
+        # A pass dissolves with the pool; its members then finish in
+        # this process with the counts of the serial batch.
+        jobs = _pass_jobs()
+        clean = [job.execute() for job in jobs]
+        with profiling() as prof:
+            assert session.run_many(jobs) == clean
+        assert prof.shared_passes == 0
+        assert _counts(session.last_batch) == (10, 10, 0, 10, 0, 0, 0)
 
 
 class TestTimeout:
@@ -524,6 +533,26 @@ class TestSharedPasses:
                          prof.riders_diverged))
         assert seen[0] == seen[1]
         assert seen[0] == ((10, 10, 0, 10, 0, 0, 0), 2, 4, 2)
+
+    def test_untokened_job_runs_in_process_after_a_pooled_batch(self):
+        # A closure setup: no token, and the job cannot be pickled.
+        factory = prac_setup(1000).tracker_factory
+        closure = SimJob("tc", dataclasses.replace(
+            prac_setup(1000),
+            tracker_factory=lambda seed, subch, bank: factory(
+                seed, subch, bank)), SCALE)
+        assert job_token(closure) is None
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(closure)
+        jobs = _pass_jobs() + [closure]
+        clean = [job.execute() for job in jobs]
+        seen = []
+        for workers in (1, 2):
+            session = SimSession(disk_cache=False, max_workers=workers)
+            assert session.run_many(jobs) == clean, workers
+            seen.append(_counts(session.last_batch))
+        # The untokened job is unique but never counted as computed.
+        assert seen[0] == seen[1] == (11, 11, 0, 10, 0, 0, 0)
 
     def test_fault_selected_member_stays_out_of_the_pass(
             self, monkeypatch):

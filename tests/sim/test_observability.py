@@ -7,6 +7,7 @@ Perfetto traces.
 """
 
 import json
+import os
 
 import pytest
 
@@ -215,6 +216,20 @@ class TestCliObservability:
         assert "--jsonl-out needs --setup and --trace-out" \
             in capsys.readouterr().err
         assert not jsonl.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "table7", "--metrics"], "--metrics needs --setup"),
+        (["report", "--metrics"], "unrecognized arguments: --metrics"),
+        (["fuzz", "--metrics"], "unrecognized arguments: --metrics"),
+    ], ids=["run-no-setup", "report", "fuzz"])
+    def test_metrics_needs_run_setup(self, argv, message, tmp_path,
+                                     monkeypatch, capsys):
+        """``--metrics`` exists only where a metrics table is printed."""
+        from repro.__main__ import main as cli_main
+        monkeypatch.chdir(tmp_path)  # where a report would land
+        assert cli_main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_setup_fails_cleanly(self, capsys):
         from repro.__main__ import main as cli_main

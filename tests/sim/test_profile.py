@@ -12,9 +12,7 @@ from repro.sim import runner
 from repro.sim.profile import (
     KernelProfile,
     active,
-    enabled_by_env,
     install,
-    maybe_profile_from_env,
     profiling,
 )
 from repro.sim.registry import setup_by_name
@@ -50,29 +48,6 @@ def test_install_returns_previous():
         assert active() is prof
     finally:
         assert install(None) is prof
-    assert active() is None
-
-
-def test_enabled_by_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    assert not enabled_by_env()
-    for value in ("1", "true", "YES", " on "):
-        monkeypatch.setenv("REPRO_PROFILE", value)
-        assert enabled_by_env(), value
-    for value in ("", "0", "false", "off"):
-        monkeypatch.setenv("REPRO_PROFILE", value)
-        assert not enabled_by_env(), value
-
-
-def test_maybe_profile_from_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    with maybe_profile_from_env() as prof:
-        assert prof is None
-    with maybe_profile_from_env(force=True) as prof:
-        assert prof is not None
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    with maybe_profile_from_env() as prof:
-        assert prof is not None
     assert active() is None
 
 

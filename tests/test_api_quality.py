@@ -136,7 +136,8 @@ class TestCuratedSurface:
     def test_one_way_through_the_session(self):
         """Batch settings live on the session, as the one policy
         spelling; the session keeps one ledger (``last_batch``), one
-        in-process loop and one dedup; and no wrapper runs jobs beside
+        execution loop (serial, pooled, pool fallback and untokened
+        jobs alike) and one dedup; and no wrapper runs jobs beside
         it."""
         from repro.sim import registry, runner, session
         from repro.sim.session import FailurePolicy, SimSession
@@ -152,6 +153,8 @@ class TestCuratedSurface:
         for name in ("_execute", "_run_untokened", "_Tally"):
             assert not hasattr(session, name), name
         for name in ("_run_untokened", "slowdown"):
+            assert not hasattr(SimSession, name), name
+        for name in ("_run_serial", "_run_pass", "_complete_pass"):
             assert not hasattr(SimSession, name), name
         assert not hasattr(registry, "setups_from_names")
 
@@ -204,6 +207,9 @@ class TestCuratedSurface:
                             "worst_case_single_bank_stream"),
         "repro.params": ("max_acts_per_channel_per_trefw",),
         "repro.sim.stats": ("geometric_mean",),
+        "repro.sim.profile": ("enabled_by_env", "maybe_profile_from_env"),
+        "repro._profile": ("enabled_by_env", "maybe_profile_from_env"),
+        "repro.obs.spans": ("limit_from_env",),
     }
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
