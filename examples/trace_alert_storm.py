@@ -70,11 +70,11 @@ def scaled_prac_setup(scale: SimScale):
 def trace_run(label: str, setup, scale: SimScale,
               out_dir: pathlib.Path):
     """Simulate HAMMER under ``setup``; write a Perfetto trace."""
-    with obs.collecting(metrics=True, trace=True) as col:
+    with obs.collecting("metrics", "trace") as col:
         result = simulate(HAMMER, setup, scale)
     path = out_dir / f"{label}.trace.json"
     written = col.write_chrome_trace(str(path))
-    events = col.trace_events()
+    events = col.trace.as_list()
     by_name = {}
     for _, ph, name, _, _ in events:
         if ph in ("I", "B"):

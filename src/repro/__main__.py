@@ -58,6 +58,7 @@ import os
 import sys
 from typing import Iterator, List, Optional
 
+from repro.obs import Collection, collecting
 from repro.report import EXHIBITS, write_report
 from repro.sim.session import FailurePolicy, SimSession
 
@@ -69,6 +70,7 @@ _ENV_FLAGS = [
     ("cgf_scale", "REPRO_CGF_SCALE"),
     ("workloads", "REPRO_WORKLOADS"),
     ("seed", "REPRO_SEED"),
+    ("trace_limit", "REPRO_TRACE_LIMIT"),
 ]
 
 
@@ -151,8 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
                  "the workers' profiles are merged into the totals")
         p.add_argument(
             "--trace-out", default=None, metavar="FILE",
-            help="record structured events and write a Perfetto-"
-                 "loadable Chrome trace to FILE (enables REPRO_TRACE)")
+            help="record structured events and session spans and "
+                 "write a Perfetto-loadable Chrome trace to FILE")
         p.add_argument(
             "--trace-limit", type=int, default=None, metavar="N",
             help="ring-buffer capacity for event tracing "
@@ -231,14 +233,6 @@ def _environment(args: argparse.Namespace) -> Iterator[None]:
     saved = {}
     overrides = {var: getattr(args, dest, None)
                  for dest, var in _ENV_FLAGS}
-    if getattr(args, "metrics", False):
-        overrides["REPRO_METRICS"] = "1"
-    if getattr(args, "trace_out", None):
-        overrides["REPRO_TRACE"] = "1"
-        # A Perfetto trace carries the session/worker span tracks too.
-        overrides["REPRO_SPANS"] = "1"
-    if getattr(args, "trace_limit", None):
-        overrides["REPRO_TRACE_LIMIT"] = getattr(args, "trace_limit")
     try:
         for var, value in overrides.items():
             if value is None:
@@ -289,12 +283,11 @@ def _is_trace_target(name: str) -> bool:
             or name.endswith(".gz") or os.path.isfile(name))
 
 
-def _run_simulations(args: argparse.Namespace,
-                     session: SimSession) -> int:
-    """Simulate the ``run`` positionals under ``args.setup`` and emit
-    whatever observability output the flags asked for (metrics table,
-    Chrome trace, JSON-lines events).  ``--metrics`` exits 3 when no
-    result recorded any metrics.
+def _run_simulations(args: argparse.Namespace, session: SimSession,
+                     col: Collection) -> int:
+    """Simulate the ``run`` positionals under ``args.setup`` and, with
+    ``--metrics``, print the metrics table ``col`` collected; exits 3
+    when every job failed, so no metrics were recorded.
 
     Path-shaped targets are replayed as ingested traces
     (:class:`~repro.sim.session.TraceReplayJob`); when such a trace
@@ -321,16 +314,7 @@ def _run_simulations(args: argparse.Namespace,
     except OSError as error:
         print(f"trace target: {error}", file=sys.stderr)
         return 2
-    trace_out = getattr(args, "trace_out", None)
-    recorder = None
-    if trace_out:
-        # Record session/worker spans parent-side so the Chrome trace
-        # carries the batch-execution tracks next to the kernel lanes.
-        from repro.obs import spans as obs_spans
-        with obs_spans.recording() as recorder:
-            results = session.run_many(jobs)
-    else:
-        results = session.run_many(jobs)
+    results = session.run_many(jobs)
     status = 0
 
     for name, job, result in zip(targets, jobs, results):
@@ -358,56 +342,21 @@ def _run_simulations(args: argparse.Namespace,
                 print(f"calibration[{job.workload}]: {label} "
                       f"measured {measured:.1f}, paper {paper} -> "
                       f"{'ok' if ok else 'DEV'}")
-    results = [r for r in results if not is_failure(r)]
-
-    snapshots = [r.metrics for r in results if r.metrics]
-    if snapshots:
+    if args.metrics:
+        if all(is_failure(result) for result in results):
+            print("run: no metrics were recorded (every job failed or "
+                  "was skipped); nothing to report", file=sys.stderr)
+            return 3
         from repro.obs import merge_snapshots, render_metrics_report
         # The session-local batch gauges (cache hit-rate, pool
-        # utilization, queue depth) ride along in the same table.
-        merged = merge_snapshots(snapshots + [session.obs_snapshot()])
+        # utilization, queue depth) ride along in the same table; its
+        # failed/retried/timed-out counts reached the scope too.
+        kernel = {key: value for key, value in col.metrics.snapshot().items()
+                  if not key.startswith("session.")}
         print()
-        print(render_metrics_report(merged))
-    elif args.metrics:
-        print("run: no metrics were recorded (every job failed or "
-              "was skipped); nothing to report", file=sys.stderr)
-        return 3
-
-    if trace_out:
-        from repro.obs import export as obs_export
-        events = []
-        for result in results:
-            events.extend(result.trace_events or [])
-        spans = recorder.as_list() if recorder is not None else None
-        obs_export.write_chrome_trace(events, trace_out, spans=spans)
-        print(f"wrote {len(events)} events and "
-              f"{len(spans or [])} spans to {trace_out} "
-              f"(load in https://ui.perfetto.dev)", file=sys.stderr)
-        jsonl_out = getattr(args, "jsonl_out", None)
-        if jsonl_out:
-            obs_export.write_jsonl(events, jsonl_out)
-            print(f"wrote JSONL events to {jsonl_out}", file=sys.stderr)
+        print(render_metrics_report(
+            merge_snapshots([kernel, session.obs_snapshot()])))
     return status
-
-
-@contextlib.contextmanager
-def _trace_capture(trace_out):
-    """Scope kernel tracing + span recording over a block and write the
-    merged Chrome trace to ``trace_out`` on clean exit.  A no-op scope
-    when ``trace_out`` is falsy."""
-    if not trace_out:
-        yield
-        return
-    from repro.obs import export as obs_export
-    from repro.obs import spans as obs_spans
-    from repro.obs import trace as obs_trace
-    with obs_trace.tracing() as buf, obs_spans.recording() as rec:
-        yield
-    obs_export.write_chrome_trace(buf.as_list(), trace_out,
-                                  spans=rec.as_list())
-    print(f"wrote {len(buf)} events and {len(rec.spans)} spans to "
-          f"{trace_out} (load in https://ui.perfetto.dev)",
-          file=sys.stderr)
 
 
 def _trace_convert(argv: List[str]) -> int:
@@ -569,20 +518,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             for title, description, name in EXHIBITS:
                 print(f"{name}: {title} — {description}")
             return 0
-        from repro.sim.profile import profiling
         from repro.sim.session import JobFailed
-        with (profiling() if args.profile
-              else contextlib.nullcontext()) as prof:
-            status = 0
+        # Each flag turns on its sinks; a Perfetto trace carries the
+        # session/worker span tracks next to the kernel lanes.
+        kinds = ((["metrics"] if getattr(args, "metrics", False) else [])
+                 + (["trace", "spans"] if args.trace_out else [])
+                 + (["profile"] if args.profile else []))
+        with collecting(*kinds) as col:
             try:
                 if args.command == "report":
                     only = getattr(args, "only", None)
                     only = ([n for n in only.split(",") if n.strip()]
                             if only else None)
-                    with _trace_capture(
-                            getattr(args, "trace_out", None)):
-                        write_report(args.path, only=only,
-                                     session=session)
+                    write_report(args.path, only=only, session=session)
+                    status = 0
                 elif args.command == "fuzz":
                     status = _run_fuzz(args, session)
                 elif args.command == "run" and not args.exhibits:
@@ -591,11 +540,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                           file=sys.stderr)
                     return 2
                 elif args.command == "run" and args.setup:
-                    status = _run_simulations(args, session)
+                    status = _run_simulations(args, session, col)
                 else:
-                    with _trace_capture(
-                            getattr(args, "trace_out", None)):
-                        status = _run_experiments(args.exhibits, session)
+                    status = _run_experiments(args.exhibits, session)
             except JobFailed as error:
                 # fail_fast: completed siblings are already cached, so
                 # a rerun resumes from where this batch died.
@@ -605,8 +552,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "or pass --keep-going to degrade instead of "
                       "aborting)", file=sys.stderr)
                 return 1
-        if prof is not None:
-            print(prof.report(), file=sys.stderr)
+        if status == 2:
+            return status  # a usage error writes nothing
+        if args.trace_out:
+            col.write_chrome_trace(args.trace_out)
+            print(f"wrote {len(col.trace)} events and {len(col.spans)} "
+                  f"spans to {args.trace_out} (load in "
+                  f"https://ui.perfetto.dev)", file=sys.stderr)
+        if getattr(args, "jsonl_out", None):
+            col.write_jsonl(args.jsonl_out)
+            print(f"wrote JSONL events to {args.jsonl_out}",
+                  file=sys.stderr)
+        if args.profile:
+            print(col.profile.report(), file=sys.stderr)
     return status
 
 

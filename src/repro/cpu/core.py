@@ -30,9 +30,9 @@ from collections import deque
 from time import perf_counter
 from typing import Deque, Iterator, List, Optional
 
-from repro import _profile
 from repro.cpu.trace import EntryTuple, TraceEntry, chunk_entries
 from repro.obs import metrics as _metrics
+from repro.obs import profile as _profile
 
 
 class Core:

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterator, List, Optional
 
-from repro import _profile
 from repro.cpu.core import Core
 from repro.cpu.trace import TraceEntry
 from repro.dram.device import DramDevice, RiderDevice, Riders
 from repro.dram.mapping import RowToSubarrayMapping
 from repro.mc.controller import MemoryController
 from repro.mitigations.base import BankTracker
+from repro.obs import profile as _profile
 from repro.params import SystemConfig
 
 

@@ -43,7 +43,6 @@ from typing import (
     Tuple,
 )
 
-from repro import _profile
 from repro.dram.bank import Bank, RowActivationOracle
 from repro.dram.mapping import RowToSubarrayMapping, SequentialR2SA
 from repro.dram.refresh import RefreshScheduler, RefreshSlice
@@ -53,6 +52,7 @@ from repro.mitigations.base import (
     can_alert,
 )
 from repro.obs import metrics as _metrics
+from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.params import MitigationCosts, SystemConfig
 

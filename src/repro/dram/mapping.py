@@ -159,6 +159,22 @@ class StridedR2SA(RowToSubarrayMapping):
         return out
 
 
+_R2SA_KINDS = {"sequential": SequentialR2SA, "strided": StridedR2SA}
+
+
+def mapping_for(kind: str, geometry: DramGeometry = DramGeometry()
+                ) -> RowToSubarrayMapping:
+    """The row-to-subarray mapping named ``kind`` (``"sequential"`` or
+    ``"strided"``, as setups, filters and fuzz cells spell it) over
+    ``geometry``; ``ValueError`` for any other name."""
+    try:
+        return _R2SA_KINDS[kind](geometry)
+    except KeyError:
+        raise ValueError(
+            f"unknown row-to-subarray mapping {kind!r}; "
+            f"expected one of {sorted(_R2SA_KINDS)}") from None
+
+
 class AddressSpace:
     """Per-tenant translation of logical trace coordinates to geometry.
 

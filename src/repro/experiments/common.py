@@ -32,11 +32,11 @@ from typing import (
     Union,
 )
 
-from repro import _profile
 from repro._env import env_int
 from repro.core.rct import RegionCountTable
-from repro.dram.mapping import SequentialR2SA, StridedR2SA
+from repro.dram.mapping import mapping_for
 from repro.dram.refresh import RefreshScheduler
+from repro.obs import profile as _profile
 from repro.params import SimScale, SystemConfig
 from repro.sim.session import register_job_type
 from repro.workloads.specs import ALL_WORKLOADS, WorkloadSpec, \
@@ -100,8 +100,6 @@ class CgfStats:
             if self.total_acts else 0.0
 
 
-_MAPPINGS = {"sequential": SequentialR2SA, "strided": StridedR2SA}
-
 BLOCK_ACTS = 256
 """ACTs a counting pass buffers per bank before landing them (rounded
 down to whole REF intervals).  A few hundred amortise each scan's
@@ -123,10 +121,7 @@ class RctFilter:
     num_regions: int = 128
 
     def __post_init__(self) -> None:
-        if self.mapping_kind not in _MAPPINGS:
-            raise ValueError(
-                f"unknown row-to-subarray mapping {self.mapping_kind!r}; "
-                f"expected one of {sorted(_MAPPINGS)}")
+        mapping_for(self.mapping_kind)  # ValueError for an unknown kind
 
 
 @dataclass(frozen=True)
@@ -249,7 +244,7 @@ class CgfJob:
             key = (f.mapping_kind, f.num_regions)
             scans[key] = max(f.fth, scans.get(key, 0))
         tallies = {key: [0] * (fth + 2) for key, fth in scans.items()}
-        mappings = {kind: _MAPPINGS[kind](geometry) for kind in
+        mappings = {kind: mapping_for(kind, geometry) for kind in
                     {kind for kind, _ in scans}
                     | ({"strided"} if self.subarrays else set())}
         banks = geometry.subchannels * geometry.banks_per_subchannel

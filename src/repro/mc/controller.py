@@ -35,9 +35,9 @@ from repro.mc.drfm import DrfmEngine
 from repro.mc.rfm import RfmEngine
 from repro.mc.validator import CommandLog
 from repro.obs import metrics as _metrics
+from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.params import SystemConfig
-from repro import _profile
 
 _LATENCY_BOUNDS_PS = (25_000, 50_000, 75_000, 100_000, 150_000,
                       250_000, 500_000, 1_000_000)

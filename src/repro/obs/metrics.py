@@ -1,14 +1,16 @@
 """The metrics registry: counters, gauges, fixed-bucket histograms.
 
-Observability follows the same discipline as :mod:`repro._profile`:
-one module-level slot (``_ACTIVE``) holds the installed
-:class:`MetricsRegistry` or ``None``.  Hot classes *prefetch* their
-metric objects at construction time (``reg.counter(...) if reg else
-None``) so the per-event cost is one attribute load and a ``None``
-check when collection is off, and one integer add when it is on.
-Because metrics bind at construction, install a registry (or set
-``REPRO_METRICS=1``) *before* building the system you want to measure
--- :func:`repro.sim.runner.simulate` does exactly that.
+Observability follows the same discipline as the kernel profile
+(:mod:`repro.obs.profile`): one module-level slot (``_ACTIVE``) holds
+the installed :class:`MetricsRegistry` or ``None``.  Hot classes
+*prefetch* their metric objects at construction time
+(``reg.counter(...) if reg else None``) so the per-event cost is one
+attribute load and a ``None`` check when collection is off, and one
+integer add when it is on.
+Because metrics bind at construction, install a registry (with
+:func:`repro.obs.collecting`, or set ``REPRO_METRICS=1``) *before*
+building the system you want to measure --
+:func:`repro.sim.runner.simulate` does exactly that.
 
 Three metric kinds cover everything the simulator reports:
 
@@ -33,12 +35,8 @@ identical whether the jobs ran serially or fanned out.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-_TRUTHY = ("1", "true", "yes", "on")
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -253,49 +251,6 @@ _ACTIVE: Optional[MetricsRegistry] = None
 """The installed registry, or ``None`` (the collection-off fast path).
 
 Instrumented constructors read this slot directly (one module-global
-load) to prefetch their metric objects.
+load) to prefetch their metric objects; :func:`repro.obs.collecting`
+installs it.
 """
-
-
-def active() -> Optional[MetricsRegistry]:
-    """The currently-installed registry, if any."""
-    return _ACTIVE
-
-
-def enabled_by_env() -> bool:
-    """True when ``REPRO_METRICS`` asks for metrics collection."""
-    return os.environ.get("REPRO_METRICS", "").strip().lower() in _TRUTHY
-
-
-def requested() -> bool:
-    """True when a registry is installed or the environment asks."""
-    return _ACTIVE is not None or enabled_by_env()
-
-
-def install(registry: Optional[MetricsRegistry]
-            ) -> Optional[MetricsRegistry]:
-    """Install ``registry`` as the active sink; returns the previous."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry
-    return previous
-
-
-@contextmanager
-def collecting(registry: Optional[MetricsRegistry] = None
-               ) -> Iterator[MetricsRegistry]:
-    """Scope a registry over a ``with`` block and yield it.
-
-    On exit the previous registry is restored and, if there was one,
-    the scoped registry's snapshot is merged into it -- nested scopes
-    therefore aggregate outward, which is how per-run collection in
-    :func:`repro.sim.runner.simulate` feeds a CLI-wide registry.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    previous = install(reg)
-    try:
-        yield reg
-    finally:
-        install(previous)
-        if previous is not None:
-            previous.merge_snapshot(reg.snapshot())

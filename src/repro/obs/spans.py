@@ -29,23 +29,21 @@ A span is a plain JSON-able 5-element list::
     pid, ...); exported as Chrome trace-event ``args``.
 
 Like the metrics registry and the event trace, one module-global slot
-(:data:`_ACTIVE`) keeps the off-path to a single ``None`` check, the
-recorder is bounded (:data:`DEFAULT_LIMIT` spans), and nested
-:func:`recording` scopes fold outward -- which is also how spans
-shipped back from pool workers (on :class:`~repro.cpu.system.SimResult
-`.spans) merge into the parent's recorder, exactly like metrics
-snapshots.
+(:data:`_ACTIVE`) keeps the off-path to a single ``None`` check, and
+the recorder is bounded (:data:`DEFAULT_LIMIT` spans) on the event
+trace's :class:`~repro.obs.trace.Ring`.  :func:`repro.obs.collecting`
+installs it, and nested scopes fold outward -- which is also how spans
+shipped back from pool workers merge into the parent's recorder,
+exactly like metrics snapshots.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
 from contextlib import contextmanager
 from time import perf_counter, time
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-_TRUTHY = ("1", "true", "yes", "on")
+from repro.obs.trace import Ring
 
 DEFAULT_LIMIT = 100_000
 """Default recorder capacity (spans)."""
@@ -72,28 +70,18 @@ def now_us() -> float:
     return time() * 1e6
 
 
-class SpanRecorder:
-    """Bounded list of spans; appends drop the oldest when full."""
+class SpanRecorder(Ring):
+    """Bounded ring of finished spans."""
 
-    __slots__ = ("spans", "limit", "dropped")
+    __slots__ = ()
 
     def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
-        if limit < 1:
-            raise ValueError("span limit must be >= 1")
-        self.limit = limit
-        self.spans: Deque[List] = deque(maxlen=limit)
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self.spans)
+        super().__init__(limit)
 
     def add(self, track: str, name: str, start_us: float,
             dur_us: float, meta: Optional[Dict] = None) -> None:
         """Append one finished span."""
-        spans = self.spans
-        if len(spans) == self.limit:
-            self.dropped += 1
-        spans.append([track, name, start_us, dur_us, meta or {}])
+        self.append([track, name, start_us, dur_us, meta or {}])
 
     @contextmanager
     def span(self, track: str, name: str,
@@ -109,61 +97,11 @@ class SpanRecorder:
             self.add(track, name, start,
                      (perf_counter() - t0) * 1e6, attrs)
 
-    def extend(self, spans: List[List]) -> None:
-        """Fold another recorder's span list in (cap still applies)."""
-        for span in spans:
-            self.add(span[0], span[1], span[2], span[3], span[4])
-
     def as_list(self) -> List[List]:
-        """The recorded spans as a plain list (oldest first)."""
-        return [[s[0], s[1], s[2], s[3], dict(s[4])]
-                for s in self.spans]
+        """The recorded spans as a plain list (oldest first), each with
+        its own copy of the meta dict."""
+        return [[s[0], s[1], s[2], s[3], dict(s[4])] for s in self.items]
 
 
 _ACTIVE: Optional[SpanRecorder] = None
 """The installed span recorder, or ``None`` (the spans-off path)."""
-
-
-def active() -> Optional[SpanRecorder]:
-    """The currently-installed span recorder, if any."""
-    return _ACTIVE
-
-
-def enabled_by_env() -> bool:
-    """True when ``REPRO_SPANS`` asks for span recording."""
-    return os.environ.get("REPRO_SPANS", "").strip().lower() in _TRUTHY
-
-
-def requested() -> bool:
-    """True when a recorder is installed or the environment asks."""
-    return _ACTIVE is not None or enabled_by_env()
-
-
-def install(recorder: Optional[SpanRecorder]
-            ) -> Optional[SpanRecorder]:
-    """Install ``recorder`` as the active sink; returns the previous."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    return previous
-
-
-@contextmanager
-def recording(recorder: Optional[SpanRecorder] = None,
-              limit: Optional[int] = None) -> Iterator[SpanRecorder]:
-    """Scope a span recorder over a ``with`` block and yield it.
-
-    On exit the previous recorder is restored and, if there was one,
-    the scoped recorder's spans are folded into it (nested collection
-    scopes aggregate outward, mirroring metrics and the event trace).
-    """
-    rec = recorder if recorder is not None else SpanRecorder(
-        limit if limit is not None else DEFAULT_LIMIT)
-    previous = install(rec)
-    try:
-        yield rec
-    finally:
-        install(previous)
-        if previous is not None:
-            previous.extend(rec.as_list())
-            previous.dropped += rec.dropped

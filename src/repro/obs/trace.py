@@ -18,22 +18,20 @@ An event is a plain 5-element list::
     ALERTs, REF); Perfetto renders each (subchannel, bank) pair as its
     own track.
 
-The buffer is a ``deque`` with a hard length cap (``REPRO_TRACE_LIMIT``
-or :data:`DEFAULT_LIMIT`): a long run keeps the *newest* events and
-counts what it dropped, so tracing can stay on for arbitrarily large
-windows without unbounded memory.  Like the metrics registry, one
-module-global slot (``_ACTIVE``) keeps the off-path to a single
-``None`` check, and hot classes prefetch the buffer at construction.
+The buffer is a :class:`Ring`, a ``deque`` with a hard length cap
+(``REPRO_TRACE_LIMIT`` or :data:`DEFAULT_LIMIT`): a long run keeps the
+*newest* events and counts what it dropped, so tracing can stay on for
+arbitrarily large windows without unbounded memory.  The span recorder
+(:mod:`repro.obs.spans`) keeps its spans on the same ring.  Like the
+metrics registry, one module-global slot (``_ACTIVE``) keeps the
+off-path to a single ``None`` check, and hot classes prefetch the
+buffer at construction; :func:`repro.obs.collecting` installs it.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from contextlib import contextmanager
-from typing import Deque, Iterator, List, Optional
-
-_TRUTHY = ("1", "true", "yes", "on")
+from typing import Deque, Iterable, List, Optional
 
 DEFAULT_LIMIT = 200_000
 """Default ring-buffer capacity (events)."""
@@ -53,25 +51,51 @@ EVENT_NAMES = {
 """The event taxonomy: name -> meaning (see docs/observability.md)."""
 
 
-class TraceBuffer:
-    """Bounded ring of events; appends drop the oldest when full."""
+class Ring:
+    """A bounded ring of plain-list records, oldest first: appending to
+    a full ring drops the oldest record and counts it in ``dropped``."""
 
-    __slots__ = ("events", "limit", "dropped")
+    __slots__ = ("items", "limit", "dropped")
 
-    def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
+    def __init__(self, limit: int) -> None:
         if limit < 1:
-            raise ValueError("trace limit must be >= 1")
+            raise ValueError("ring limit must be >= 1")
         self.limit = limit
-        self.events: Deque[List] = deque(maxlen=limit)
+        self.items: Deque[List] = deque(maxlen=limit)
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.items)
+
+    def append(self, item: List) -> None:
+        """Append one record."""
+        items = self.items
+        if len(items) == self.limit:
+            self.dropped += 1
+        items.append(item)
+
+    def extend(self, items: Iterable[List]) -> None:
+        """Fold another ring's records in (the limit still applies)."""
+        for item in items:
+            self.append(list(item))
+
+    def as_list(self) -> List[List]:
+        """The records as a plain list of copies (oldest first)."""
+        return [list(item) for item in self.items]
+
+
+class TraceBuffer(Ring):
+    """The kernel's event ring."""
+
+    __slots__ = ()
+
+    def __init__(self, limit: int = DEFAULT_LIMIT) -> None:
+        super().__init__(limit)
 
     def emit(self, ts_ps: int, ph: str, name: str, subch: int = 0,
              bank: int = CHANNEL_LANE) -> None:
         """Append one event (hot path when tracing is on)."""
-        events = self.events
+        events = self.items
         if len(events) == self.limit:
             self.dropped += 1
         events.append([ts_ps, ph, name, subch, bank])
@@ -86,69 +110,6 @@ class TraceBuffer:
         self.emit(start_ps, "B", name, subch, bank)
         self.emit(end_ps, "E", name, subch, bank)
 
-    def extend(self, events: List[List]) -> None:
-        """Fold another buffer's event list in (ring cap still applies)."""
-        for event in events:
-            self.emit(event[0], event[1], event[2], event[3], event[4])
-
-    def as_list(self) -> List[List]:
-        """The buffered events as a plain list (oldest first)."""
-        return [list(event) for event in self.events]
-
 
 _ACTIVE: Optional[TraceBuffer] = None
 """The installed trace buffer, or ``None`` (the tracing-off path)."""
-
-
-def active() -> Optional[TraceBuffer]:
-    """The currently-installed trace buffer, if any."""
-    return _ACTIVE
-
-
-def enabled_by_env() -> bool:
-    """True when ``REPRO_TRACE`` asks for event tracing."""
-    return os.environ.get("REPRO_TRACE", "").strip().lower() in _TRUTHY
-
-
-def requested() -> bool:
-    """True when a buffer is installed or the environment asks."""
-    return _ACTIVE is not None or enabled_by_env()
-
-
-def limit_from_env() -> int:
-    """Ring capacity: ``REPRO_TRACE_LIMIT`` or :data:`DEFAULT_LIMIT`."""
-    raw = os.environ.get("REPRO_TRACE_LIMIT", "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_LIMIT
-    return value if value >= 1 else DEFAULT_LIMIT
-
-
-def install(buffer: Optional[TraceBuffer]) -> Optional[TraceBuffer]:
-    """Install ``buffer`` as the active sink; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = buffer
-    return previous
-
-
-@contextmanager
-def tracing(buffer: Optional[TraceBuffer] = None,
-            limit: Optional[int] = None) -> Iterator[TraceBuffer]:
-    """Scope a trace buffer over a ``with`` block and yield it.
-
-    On exit the previous buffer is restored and, if there was one, the
-    scoped buffer's events are folded into it (so nested collection
-    scopes aggregate outward, mirroring metrics).
-    """
-    buf = buffer if buffer is not None else TraceBuffer(
-        limit if limit is not None else limit_from_env())
-    previous = install(buf)
-    try:
-        yield buf
-    finally:
-        install(previous)
-        if previous is not None:
-            previous.extend(buf.as_list())
-            previous.dropped += buf.dropped

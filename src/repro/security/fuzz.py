@@ -31,11 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.dram.mapping import (
-    RowToSubarrayMapping,
-    SequentialR2SA,
-    StridedR2SA,
-)
+from repro.dram.mapping import RowToSubarrayMapping, mapping_for
 from repro.params import SystemConfig, max_acts_per_bank_per_trefw
 from repro.security.attacks import SingleBankHarness
 from repro.sim.session import SimSession, is_failure, register_job_type
@@ -111,15 +107,6 @@ def fuzz_tracker(name: str, seed: int, config: SystemConfig,
                    f"{', '.join(MITIGATIONS)}")
 
 
-def _mapping_for(kind: str, config: SystemConfig
-                 ) -> RowToSubarrayMapping:
-    if kind == "sequential":
-        return SequentialR2SA(config.geometry)
-    if kind == "strided":
-        return StridedR2SA(config.geometry)
-    raise KeyError(f"unknown mapping {kind!r} (sequential or strided)")
-
-
 # ----------------------------------------------------------------------
 # The cacheable cell
 # ----------------------------------------------------------------------
@@ -160,7 +147,7 @@ class FuzzJob:
 
     def execute(self) -> FuzzOutcome:
         """Drive the compiled stream through the harness (worker path)."""
-        mapping = _mapping_for(self.mapping, self.config)
+        mapping = mapping_for(self.mapping, self.config.geometry)
         tracker = fuzz_tracker(self.mitigation, self.seed, self.config,
                                mapping)
         harness = SingleBankHarness(

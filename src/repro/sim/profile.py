@@ -1,10 +1,10 @@
 """Public home of the kernel profiling layer.
 
-The implementation lives in :mod:`repro._profile` so the hot modules
-(``repro.mc.controller``, ``repro.dram.device``, ``repro.cpu.core``)
-can import it without pulling in :mod:`repro.sim`'s package
-``__init__`` -- which imports the runner, which imports those same hot
-modules.  Import from here in user code::
+The profile is one of the :mod:`repro.obs` sinks and lives in
+:mod:`repro.obs.profile`, which the hot modules (``repro.mc.controller``,
+``repro.dram.device``, ``repro.cpu.core``) import without pulling in
+:mod:`repro.sim`'s package ``__init__`` -- which imports the runner,
+which imports those same hot modules.  Import from here in user code::
 
     from repro.sim.profile import profiling
 
@@ -17,20 +17,23 @@ reports totals over every process rather than the parent alone.
 
 from __future__ import annotations
 
-from repro._profile import (
-    PHASES,
-    KernelProfile,
-    active,
-    install,
-    perf_counter,
-    profiling,
-)
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.obs import collecting
+from repro.obs.profile import PHASES, KernelProfile
+
+
+@contextmanager
+def profiling() -> Iterator[KernelProfile]:
+    """Scope a fresh :class:`KernelProfile` over a ``with`` block and
+    yield it; on exit it folds into the enclosing profile, if any."""
+    with collecting("profile") as col:
+        yield col.profile
+
 
 __all__ = [
     "KernelProfile",
     "PHASES",
-    "active",
-    "install",
-    "perf_counter",
     "profiling",
 ]

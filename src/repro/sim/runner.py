@@ -52,19 +52,15 @@ from typing import (
     Union,
 )
 
-from repro import _profile
 from repro import obs as _obs
 from repro.core.config import MirzaConfig
+from repro.obs import profile as _profile
 from repro.obs import spans as _spans
 from repro.sim.backend import KERNEL
 from repro.core.mirza import MirzaTracker
 from repro.cpu.system import MultiCoreSystem, SimResult
 from repro.dram.device import Riders
-from repro.dram.mapping import (
-    RowToSubarrayMapping,
-    SequentialR2SA,
-    StridedR2SA,
-)
+from repro.dram.mapping import RowToSubarrayMapping, mapping_for
 from repro.mitigations.base import BankTracker
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.naive_mirza import NaiveMirzaTracker
@@ -109,9 +105,7 @@ class MitigationSetup:
 
     def make_mapping(self, config: SystemConfig) -> RowToSubarrayMapping:
         """Instantiate this setup's row-to-subarray mapping."""
-        if self.mapping == "strided":
-            return StridedR2SA(config.geometry)
-        return SequentialR2SA(config.geometry)
+        return mapping_for(self.mapping, config.geometry)
 
 
 # ----------------------------------------------------------------------
@@ -166,9 +160,8 @@ class _MirzaFactory:
 
     def __call__(self, seed: int, subch: int, bank: int) -> BankTracker:
         geometry = DramGeometry()
-        r2sa = (StridedR2SA(geometry) if self.mapping == "strided"
-                else SequentialR2SA(geometry))
-        return MirzaTracker(self.config, geometry, r2sa,
+        return MirzaTracker(self.config, geometry,
+                            mapping_for(self.mapping, geometry),
                             _bank_rng(seed, subch, bank))
 
 
@@ -537,31 +530,18 @@ def _run_kernel(build: Callable[[], MultiCoreSystem], window: int
                 ) -> SimResult:
     """Run ``build()`` over ``window`` on :data:`~repro.sim.backend.KERNEL`.
 
-    The shared execution tail of every simulate entry point: when
-    observability is requested, collection is scoped over system
-    construction and the run only, and the snapshot/events/spans are
-    attached to the result.
+    The shared execution tail of every simulate entry point: each
+    requested kind a result carries is collected over system
+    construction and the run only, under a ``kernel:`` worker span,
+    and attached to the result.
     """
-    collect_metrics = _obs.metrics_requested()
-    collect_trace = _obs.trace_requested()
-    collect_spans = _obs.spans_requested()
-    if not (collect_metrics or collect_trace or collect_spans):
-        return KERNEL.run(build(), window)
-    with _obs.collecting(metrics=collect_metrics,
-                         trace=collect_trace,
-                         spans=collect_spans) as col:
-        if col.spans is not None:
-            with col.spans.span(_spans.TRACK_WORKER,
-                                f"kernel:{KERNEL.name}",
-                                {"pid": os.getpid()}) as attrs:
-                result = KERNEL.run(build(), window)
-                attrs["requests"] = result.total_requests
-                attrs["activations"] = result.total_activations
-        else:
-            result = KERNEL.run(build(), window)
-    result.metrics = col.metrics_snapshot()
-    result.trace_events = col.trace_events()
-    result.spans = col.spans_list()
+    with _obs.collecting(*_obs.requested() & _obs.CARRIED) as col, \
+            _obs.span(_spans.TRACK_WORKER, f"kernel:{KERNEL.name}",
+                      {"pid": os.getpid()}) as attrs:
+        result = KERNEL.run(build(), window)
+        attrs["requests"] = result.total_requests
+        attrs["activations"] = result.total_activations
+    col.attach(result)
     return result
 
 

@@ -74,12 +74,11 @@ from typing import (
     Union,
 )
 
-from repro import _profile
+from repro import obs as _obs
 from repro._env import env_float, env_int
 from repro.cpu.system import SimResult
 from repro.obs import metrics as _obs_metrics
 from repro.obs import spans as _obs_spans
-from repro.obs import trace as _obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressUpdate
 from repro.params import (
@@ -256,25 +255,6 @@ class BatchStats:
         budget = self.workers * self.wall_seconds
         return min(1.0, self.busy_seconds / budget) if budget > 0 \
             else 0.0
-
-
-def _observability_satisfied(result: Any) -> bool:
-    """True unless ``result`` lacks observability data being requested.
-
-    A :class:`SimResult` cached before metrics/tracing were turned on
-    carries ``None`` in those fields; serving it would silently drop
-    the requested data, so the lookup treats it as a miss and the job
-    recomputes (overwriting the cache entry with a complete one).
-    """
-    if not isinstance(result, SimResult):
-        return True
-    if _obs_metrics.requested() and result.metrics is None:
-        return False
-    if _obs_trace.requested() and result.trace_events is None:
-        return False
-    if _obs_spans.requested() and result.spans is None:
-        return False
-    return True
 
 
 class Undescribable(TypeError):
@@ -612,52 +592,34 @@ _FAULT_ENV_VARS = ("REPRO_FAULT_RATE", "REPRO_FAULT_SEED")
 
 
 def _pool_env_overrides() -> Dict[str, str]:
-    """Env vars that carry the parent's observability and
-    fault-injection requests to workers.
-
-    A parent that enabled collection *programmatically* (an installed
-    registry/buffer rather than an env knob) would otherwise fan out to
-    workers that collect nothing, and a spawn-start pool would miss
-    env vars set after interpreter start.
-    """
-    env: Dict[str, str] = {}
-    if _obs_metrics.requested():
-        env["REPRO_METRICS"] = "1"
-    if _obs_trace.requested():
-        env["REPRO_TRACE"] = "1"
-        buffer = _obs_trace._ACTIVE
-        if buffer is not None:
-            env["REPRO_TRACE_LIMIT"] = str(buffer.limit)
-    if _obs_spans.requested():
-        env["REPRO_SPANS"] = "1"
-    for var in _FAULT_ENV_VARS:
-        value = os.environ.get(var)
-        if value:
-            env[var] = value
-    return env
+    """Env vars that carry the parent's fault-injection request to
+    workers (a spawn-start pool would miss env vars set after
+    interpreter start)."""
+    return {var: os.environ[var] for var in _FAULT_ENV_VARS
+            if os.environ.get(var)}
 
 
-def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int, tuple]
-                 ) -> Tuple[Any, Optional[dict], float]:
+def _execute_job(payload: Tuple[Any, Dict[str, str], tuple, int, tuple]
+                 ) -> Tuple[Any, Dict[str, Any], float]:
     """Run one job: the pool's entry point, and the in-process one.
 
-    ``payload`` is ``(job, env overrides, want_profile, attempt,
-    calibrated)``; the attempt number feeds the deterministic
-    fault-injection hook, and ``calibrated`` holds the ``(calibration
-    job, value)`` pairs the session calibrated for this job (see
-    :meth:`SimSession._calibrate`), primed into this worker's
-    calibration cache before the job runs.  Returns ``(result,
-    profile_dict, exec_seconds)`` where ``profile_dict`` is the
-    worker-side
-    :class:`~repro._profile.KernelProfile` in dict form (``None``
-    unless the parent asked for profiling) and ``exec_seconds`` is the
-    job's wall-clock execution time in this worker (it feeds the
-    parent's pool-utilization gauge -- the parent only observes
-    queue + execution time together).  In-process runs pass no env
-    overrides, no profile request (the job records into the parent's
-    sinks directly) and no pairs (the session primed them here).
+    ``payload`` is ``(job, env overrides, shipment, attempt,
+    calibrated)``; ``shipment`` is the parent's
+    :func:`repro.obs.shipment`, the sinks to collect over the job; the
+    attempt number feeds the deterministic fault-injection hook, and
+    ``calibrated`` holds the ``(calibration job, value)`` pairs the
+    session calibrated for this job (see :meth:`SimSession._calibrate`),
+    primed into this worker's calibration cache before the job runs.
+    Returns ``(result, dumps, exec_seconds)`` where ``dumps`` is what
+    the job's sinks collected (:meth:`repro.obs.Collection.dumps`, for
+    :func:`repro.obs.absorb`) and ``exec_seconds`` is the job's
+    wall-clock execution time in this worker (it feeds the parent's
+    pool-utilization gauge -- the parent only observes queue +
+    execution time together).  In-process runs pass no env overrides,
+    an empty shipment (the job records into this process's sinks
+    directly) and no pairs (the session primed them here).
     """
-    job, env, want_profile, attempt, calibrated = payload
+    job, env, (kinds, trace_limit), attempt, calibrated = payload
     for key, value in env.items():
         os.environ[key] = value
     if calibrated:
@@ -666,12 +628,9 @@ def _execute_job(payload: Tuple[Any, Dict[str, str], bool, int, tuple]
     if not isinstance(job, SharedPass):  # no pass member draws a fault
         _maybe_inject_fault(job, attempt)
     t0 = perf_counter()
-    if not want_profile:
+    with _obs.collecting(*kinds, trace_limit=trace_limit) as col:
         result = job.execute()
-        return result, None, perf_counter() - t0
-    with _profile.profiling() as prof:
-        result = job.execute()
-    return result, prof.to_dict(), perf_counter() - t0
+    return result, col.dumps(), perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -802,11 +761,7 @@ class _BatchMonitor:
     @contextmanager
     def phase(self, name: str, **meta: Any):
         """Record the ``with`` block as a session-track span."""
-        if self.recorder is None:
-            yield
-            return
-        with self.recorder.span(_obs_spans.TRACK_SESSION, name,
-                                meta) as attrs:
+        with _obs.span(_obs_spans.TRACK_SESSION, name, meta) as attrs:
             yield
             attrs["pool_rebuilds"] = self.pool_rebuilds
 
@@ -960,6 +915,7 @@ class SimSession:
                 hits += 1
                 if token not in hit_jobs:
                     hit_jobs[token] = job
+                    _obs.replay(hit)
             elif token not in pending:
                 pending[token] = job
         unique = list(pending.items())
@@ -968,7 +924,7 @@ class SimSession:
         # submissions: distinct cache-hit tokens + unique pending
         # tokens + untokened jobs.
         monitor = _BatchMonitor(
-            recorder=_obs_spans.active(), progress=self.progress,
+            recorder=_obs_spans._ACTIVE, progress=self.progress,
             registry=self.obs,
             total=len(hit_jobs) + len(unique) + len(untokened))
         for token, job in hit_jobs.items():
@@ -1145,8 +1101,7 @@ class SimSession:
         rider), and a member that ``REPRO_FAULT_RATE`` selects stays
         out, so it faults and retries as on its own.
         """
-        if (_obs_metrics.requested() or _obs_trace.requested()
-                or _obs_spans.requested()):
+        if _obs.requested() & _obs.CARRIED:
             return unique
         from repro.sim.runner import baseline_setup
         baseline = baseline_setup()
@@ -1206,7 +1161,7 @@ class SimSession:
         own attempts.
         """
         env = _pool_env_overrides()
-        want_profile = _profile._ACTIVE is not None
+        shipped = _obs.shipment()
         pending: "OrderedDict[Any, Any]" = OrderedDict(work)
         attempts: Dict[Any, int] = {key: 0 for key, _ in work}
         outcomes: Dict[Any, Any] = {}
@@ -1232,14 +1187,14 @@ class SimSession:
                 pending[key] = job
                 attempts.setdefault(key, 0)
 
-        def complete(key: Any, result: Any, prof_dict: Optional[dict],
+        def complete(key: Any, result: Any, dumps: Dict[str, Any],
                      exec_s: float) -> List[Tuple[str, Any]]:
             """Store what a finished job or pass served, each member
-            under its own token; returns a pass's diverged riders.  A
-            pass's time counts once, on its base."""
+            under its own token, and fold what a worker's sinks
+            collected into this process's; returns a pass's diverged
+            riders.  A pass's time counts once, on its base."""
             job = pending.pop(key)
-            if prof_dict is not None and _profile._ACTIVE is not None:
-                _profile._ACTIVE.merge(prof_dict)
+            _obs.absorb(dumps)
             shared = isinstance(job, SharedPass)
             served = [((key, job), result)]
             if shared:
@@ -1250,10 +1205,6 @@ class SimSession:
                 if shared and value is None:
                     diverged.append((member, member_job))
                     continue
-                if pool is not None:
-                    # A worker's collection scope merged into its own
-                    # sinks; an in-process run fed this process's.
-                    self._absorb_observability(value)
                 token = token_of(member)
                 if token is not None:
                     self._store(token, type(member_job), value)
@@ -1271,9 +1222,8 @@ class SimSession:
             that runs here when harvested."""
             if pool is None:
                 return None
-            return pool.submit(_execute_job, (pending[key], env,
-                                              want_profile, attempts[key],
-                                              start(key)))
+            return pool.submit(_execute_job, (pending[key], env, shipped,
+                                              attempts[key], start(key)))
 
         def resubmit(items: List[Tuple[str, Any]]) -> bool:
             """Queue plain jobs (a retry, or what a pass hands back);
@@ -1304,10 +1254,10 @@ class SimSession:
                     try:
                         if future is None:
                             start(key)
-                            result, prof_dict, exec_s = _execute_job(
-                                (job, {}, False, attempts[key], ()))
+                            result, dumps, exec_s = _execute_job(
+                                (job, {}, ((), None), attempts[key], ()))
                         else:
-                            result, prof_dict, exec_s = future.result(
+                            result, dumps, exec_s = future.result(
                                 timeout=timeout)
                     except (KeyboardInterrupt, SystemExit):
                         raise
@@ -1316,8 +1266,12 @@ class SimSession:
                                 error, BrokenProcessPool):
                             abandon_pool = True
                             break
-                        timed_out = future is not None and isinstance(
-                            error, FuturesTimeoutError)
+                        # The wait ran out only if the future is still
+                        # running: a job may raise TimeoutError itself.
+                        timed_out = (future is not None
+                                     and isinstance(error,
+                                                    FuturesTimeoutError)
+                                     and not future.done())
                         if timed_out and future.cancel():
                             # Never started: the pool is merely
                             # saturated, so the wait was queue time,
@@ -1358,7 +1312,7 @@ class SimSession:
                             abandon_pool = True
                             break
                         continue
-                    if not resubmit(complete(key, result, prof_dict,
+                    if not resubmit(complete(key, result, dumps,
                                              exec_s)):
                         abandon_pool = True
                         break
@@ -1369,13 +1323,13 @@ class SimSession:
                         if key not in pending or not future.done():
                             continue
                         try:
-                            result, prof_dict, exec_s = \
+                            result, dumps, exec_s = \
                                 future.result(timeout=0)
                         except (KeyboardInterrupt, SystemExit):
                             raise
                         except BaseException:  # noqa: BLE001
                             continue  # handled on the next pool
-                        hand_back(complete(key, result, prof_dict,
+                        hand_back(complete(key, result, dumps,
                                            exec_s))
             finally:
                 if pool is not None:
@@ -1454,7 +1408,7 @@ class SimSession:
         """Memory then disk lookup: the cached result, or ``_MISS``."""
         if token in self._memory:
             result = self._memory[token]
-            if not _observability_satisfied(result):
+            if not _obs.satisfies(result):
                 return _MISS  # cached without requested metrics
             return result
         if self.disk_cache and job_type in _CODECS:
@@ -1464,26 +1418,11 @@ class SimSession:
                     result = _CODECS[job_type][1](payload)
                 except (TypeError, ValueError, KeyError):
                     return _MISS  # stale/corrupt entry: recompute
-                if not _observability_satisfied(result):
+                if not _obs.satisfies(result):
                     return _MISS
                 self._memory[token] = result
                 return result
         return _MISS
-
-    @staticmethod
-    def _absorb_observability(result: Any) -> None:
-        """Fold a pool result's snapshot/events into the parent sinks."""
-        if not isinstance(result, SimResult):
-            return
-        registry = _obs_metrics._ACTIVE
-        if registry is not None and result.metrics:
-            registry.merge_snapshot(result.metrics)
-        buffer = _obs_trace._ACTIVE
-        if buffer is not None and result.trace_events:
-            buffer.extend(result.trace_events)
-        recorder = _obs_spans._ACTIVE
-        if recorder is not None and result.spans:
-            recorder.extend(result.spans)
 
     def _store(self, token: str, job_type: type, result: Any) -> None:
         """Memoise a freshly-computed result (and persist if enabled)."""

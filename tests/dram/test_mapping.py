@@ -104,3 +104,30 @@ class TestNeighborSymmetry:
             for aggressor in m.physical_neighbors(victim, 2):
                 assert victim in m.physical_neighbors(aggressor, 2)
 
+
+
+class TestMappingFor:
+    """One resolver turns a mapping name into a mapping, for setups,
+    MIRZA trackers, counting filters and fuzz cells alike."""
+
+    def test_names_resolve(self):
+        from repro.dram.mapping import mapping_for
+        geometry = DramGeometry()
+        assert type(mapping_for("sequential", geometry)) is SequentialR2SA
+        assert type(mapping_for("strided", geometry)) is StridedR2SA
+
+    def test_unknown_name_raises_everywhere(self):
+        import pytest
+
+        from repro.experiments.common import RctFilter
+        from repro.params import SystemConfig
+        from repro.sim.runner import MitigationSetup, mirza_setup
+
+        with pytest.raises(ValueError, match="strdied"):
+            MitigationSetup("x", mapping="strdied").make_mapping(
+                SystemConfig())
+        factory = mirza_setup(1000, mapping="strdied").tracker_factory
+        with pytest.raises(ValueError, match="strdied"):
+            factory(0, 0, 0)
+        with pytest.raises(ValueError, match="strdied"):
+            RctFilter("strdied", 1500)

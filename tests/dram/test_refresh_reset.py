@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.rct import RegionCountTable, ResetPolicy
 from repro.dram.bank import RowActivationOracle
 from repro.dram.mapping import (
@@ -23,7 +24,6 @@ from repro.dram.refresh import RefreshScheduler, RefreshSlice
 from repro.mitigations.base import MitigationSlotSource
 from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.prac import PracTracker
-from repro.obs import metrics
 from repro.params import DramGeometry, SimScale
 from repro.sim.registry import setup_by_name
 from repro.sim.runner import simulate
@@ -149,13 +149,9 @@ def _rct_pair(num_regions: int, policy: ResetPolicy):
     its own metrics registry."""
     pair = []
     for cls in (RegionCountTable, LoopRegionCountTable):
-        registry = metrics.MetricsRegistry()
-        previous = metrics.install(registry)
-        try:
+        with obs.collecting("metrics") as col:
             pair.append((cls(num_regions, 8, GEOMETRY, policy),
-                         registry.counter("rct.resets")))
-        finally:
-            metrics.install(previous)
+                         col.metrics.counter("rct.resets")))
     return pair
 
 

@@ -20,12 +20,12 @@ from bisect import bisect_right, insort
 from time import perf_counter
 from typing import Callable, Tuple
 
-from repro import _profile
 from repro.cpu.core import Core
 from repro.cpu.system import MultiCoreSystem
 from repro.cpu.trace import EntryTuple, TraceEntry
 from repro.dram.timing import BankTiming, BusTracker, FawTracker
 from repro.mc.controller import MemoryController
+from repro.obs import profile as _profile
 from repro.params import DramTimings
 
 

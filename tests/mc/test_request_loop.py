@@ -214,11 +214,11 @@ def test_metrics_and_trace_events_match_the_reference():
     case = CASES[5]
     seen = []
     for cls in (MemoryController, ReferenceController):
-        with obs.collecting(metrics=True, trace=True) as col:
+        with obs.collecting("metrics", "trace") as col:
             mc = case.build(cls)
             for bank, row, arrival in requests(4, 800):
                 mc.serve_timing(bank, row, arrival)
-        seen.append((col.metrics_snapshot(), col.trace_events(),
+        seen.append((col.metrics.snapshot(), col.trace.as_list(),
                      _state(mc)))
     assert seen[0] == seen[1]
     assert seen[0][0]["mc.row_conflicts"]["value"] > 0
@@ -268,10 +268,10 @@ def test_drive_metrics_match_the_reference():
     window = scale.scaled_trefw(CONFIG.timings)
     seen = []
     for cls in (MultiCoreSystem, ReferenceSystem):
-        with obs.collecting(metrics=True) as col:
+        with obs.collecting("metrics") as col:
             system = cls(SystemConfig(), synthetic.trace_factory(),
                          mlp=synthetic.mlp)
             system.drive(window)
-        seen.append((col.metrics_snapshot(), _core_state(system)))
+        seen.append((col.metrics.snapshot(), _core_state(system)))
     assert seen[0] == seen[1]
     assert seen[0][0]["cpu.stall_ps"]["value"] > 0

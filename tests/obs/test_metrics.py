@@ -2,13 +2,12 @@
 
 import pytest
 
+from repro import obs
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    collecting,
-    install,
     merge_snapshots,
     metric_key,
     split_key,
@@ -129,40 +128,35 @@ class TestRegistry:
 
 class TestCollectingScope:
     def test_nested_scopes_merge_outward(self):
-        with collecting() as outer:
-            with collecting() as inner:
-                inner.counter("n").inc(2)
-            outer.counter("n").inc(1)
-        assert outer.snapshot()["n"]["value"] == 3
+        with obs.collecting("metrics") as outer:
+            with obs.collecting("metrics") as inner:
+                inner.metrics.counter("n").inc(2)
+            outer.metrics.counter("n").inc(1)
+        assert outer.metrics.snapshot()["n"]["value"] == 3
 
     def test_install_restored_after_scope(self):
         from repro.obs import metrics as mod
-        sentinel = MetricsRegistry()
-        previous = install(sentinel)
-        try:
-            with collecting():
+        with obs.collecting("metrics") as enclosing:
+            sentinel = enclosing.metrics
+            with obs.collecting("metrics"):
                 assert mod._ACTIVE is not sentinel
             assert mod._ACTIVE is sentinel
-        finally:
-            install(previous)
+        assert mod._ACTIVE is None
 
     def test_env_knob(self, monkeypatch):
-        from repro.obs import metrics as mod
         monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert not mod.enabled_by_env()
+        assert "metrics" not in obs.requested()
         monkeypatch.setenv("REPRO_METRICS", "1")
-        assert mod.enabled_by_env()
-        assert mod.requested()
+        assert "metrics" in obs.requested()
         monkeypatch.setenv("REPRO_METRICS", "0")
-        assert not mod.enabled_by_env()
+        assert "metrics" not in obs.requested()
 
 
 class TestSuppressed:
     def test_suppressed_hides_installed_sinks(self):
-        from repro import obs
         from repro.obs import metrics as mmod
         from repro.obs import trace as tmod
-        with obs.collecting(metrics=True, trace=True):
+        with obs.collecting("metrics", "trace"):
             assert mmod._ACTIVE is not None
             with obs.suppressed():
                 assert mmod._ACTIVE is None

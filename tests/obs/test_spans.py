@@ -19,7 +19,8 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.spans import TRACK_WORKER, SpanRecorder, recording
+from repro import obs
+from repro.obs.spans import TRACK_WORKER, SpanRecorder
 from repro.params import SimScale
 from repro.sim.registry import setup_by_name
 from repro.sim.session import FailurePolicy, SimJob, SimSession
@@ -76,18 +77,16 @@ class TestSpanRecorder:
         assert [s[1] for s in rec.as_list()] == ["workers"]
 
     def test_nested_recording_scopes_fold_outward(self):
-        with recording() as outer:
-            with recording() as inner:
-                inner.add("session", "child", 1.0, 2.0)
-        assert [s[1] for s in outer.as_list()] == ["child"]
+        with obs.collecting("spans") as outer:
+            with obs.collecting("spans") as inner:
+                inner.spans.add("session", "child", 1.0, 2.0)
+        assert [s[1] for s in outer.spans.as_list()] == ["child"]
 
     def test_env_knobs(self, monkeypatch):
-        from repro.obs import spans as spans_mod
         monkeypatch.delenv("REPRO_SPANS", raising=False)
-        assert not spans_mod.requested()
+        assert "spans" not in obs.requested()
         monkeypatch.setenv("REPRO_SPANS", "1")
-        assert spans_mod.enabled_by_env()
-        assert spans_mod.requested()
+        assert "spans" in obs.requested()
 
 
 class TestSpanExport:
@@ -166,9 +165,9 @@ class TestSessionSpans:
     def _run(self, workers, session=None):
         if session is None:
             session = SimSession(disk_cache=False, max_workers=workers)
-        with recording() as rec:
+        with obs.collecting("spans") as col:
             results = session.run_many(_jobs())
-        return rec, results
+        return col.spans, results
 
     def test_every_cell_exactly_once_with_disposition(self):
         rec, results = self._run(1)
@@ -219,12 +218,12 @@ class TestSessionSpans:
             # New cells on the same keys read the calibrations from the
             # session's cache: no calibrate spans.
             setup = setup_by_name("prac-1000", SCALE)
-            with recording() as again:
+            with obs.collecting("spans") as again:
                 session.run_many([SimJob(w, setup, SCALE, seed=0)
                                   for w in ("tc", "lbm")])
-            assert len(_cells(again)) == 2
+            assert len(_cells(again.spans)) == 2
             assert not any(s[1].startswith("calibrate:")
-                           for s in again.as_list())
+                           for s in again.spans.as_list())
 
     def test_worker_spans_carry_pid_and_kernel_counts(self):
         rec, results = self._run(2)
@@ -240,11 +239,11 @@ class TestSessionSpans:
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
         session = SimSession(disk_cache=False, max_workers=1,
                              max_retries=1)
-        with recording() as rec:
+        with obs.collecting("spans") as col:
             session.run_many([_jobs()[0]])
-        (name, disposition), = _cells(rec)
+        (name, disposition), = _cells(col.spans)
         assert disposition == "retried"
-        cell = [s for s in rec.as_list()
+        cell = [s for s in col.spans.as_list()
                 if s[1].startswith("cell:")][0]
         assert cell[4]["attempts"] == 2
 
@@ -253,9 +252,9 @@ class TestSessionSpans:
         session = SimSession(disk_cache=False, max_workers=1,
                              max_retries=0,
                              failure_policy=FailurePolicy.KEEP_GOING)
-        with recording() as rec:
+        with obs.collecting("spans") as col:
             session.run_many([_jobs()[0]])
-        (_, disposition), = _cells(rec)
+        (_, disposition), = _cells(col.spans)
         assert disposition == "failed"
 
     def test_untokened_cell_is_spanned(self):
@@ -268,9 +267,9 @@ class TestSessionSpans:
                 seed, subch, bank))
         job = SimJob("tc", opaque, SCALE)
         session = SimSession(disk_cache=False, max_workers=1)
-        with recording() as rec:
+        with obs.collecting("spans") as col:
             session.run_many([job])
-        cells = _cells(rec)
+        cells = _cells(col.spans)
         assert len(cells) == 1
         assert cells[0][1] == "computed"
 

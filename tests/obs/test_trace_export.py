@@ -13,7 +13,8 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.trace import CHANNEL_LANE, TraceBuffer, tracing
+from repro import obs
+from repro.obs.trace import CHANNEL_LANE, TraceBuffer
 
 
 class TestTraceBuffer:
@@ -47,10 +48,10 @@ class TestTraceBuffer:
             TraceBuffer(limit=0)
 
     def test_nested_tracing_scopes_merge_outward(self):
-        with tracing() as outer:
-            with tracing() as inner:
-                inner.instant(5, "ACT")
-        assert outer.as_list() == [[5, "I", "ACT", 0, CHANNEL_LANE]]
+        with obs.collecting("trace") as outer:
+            with obs.collecting("trace") as inner:
+                inner.trace.instant(5, "ACT")
+        assert outer.trace.as_list() == [[5, "I", "ACT", 0, CHANNEL_LANE]]
 
 
 class TestJsonlRoundTrip:

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.rct import RegionCountTable, ResetPolicy
 from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.dram.refresh import RefreshScheduler, RefreshSlice
@@ -56,13 +57,9 @@ def _stream(rng: random.Random, acts: int, span: int, num_regions: int):
 
 def _table(num_regions: int, fth: int, policy: ResetPolicy):
     """An RCT counting into its own metrics registry."""
-    registry = metrics.MetricsRegistry()
-    previous = metrics.install(registry)
-    try:
+    with obs.collecting("metrics") as col:
         return RegionCountTable(num_regions, fth, GEOMETRY, policy), \
-            registry
-    finally:
-        metrics.install(previous)
+            col.metrics
 
 
 def _state(table: RegionCountTable, registry: metrics.MetricsRegistry):

@@ -21,8 +21,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import repro._env as _env
+from repro import obs
 from repro.experiments import common
-from repro.obs import metrics as obs_metrics
 from repro.params import SimScale
 from repro.sim.profile import profiling
 from repro.sim.registry import setup_by_name
@@ -110,6 +110,17 @@ class SleepJob:
     def execute(self):
         time.sleep(self.seconds)
         return "slept"
+
+
+@dataclasses.dataclass(frozen=True)
+class RaisesTimeoutJob:
+    """Raises ``TimeoutError`` itself, as a job whose own I/O gave up
+    would: a job failure, not the session's wait running out."""
+
+    key: int
+
+    def execute(self):
+        raise TimeoutError("socket timed out")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,6 +301,27 @@ class TestTimeout:
         assert results[1] == 4
         assert session.last_batch.timed_out == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_job_raising_timeout_error_is_a_job_failure(
+            self, workers, monkeypatch):
+        """Since Python 3.11 the futures wait's ``TimeoutError`` is the
+        builtin one, so only a future still running timed out."""
+        session = SimSession(disk_cache=False, max_workers=workers,
+                             max_retries=0, failure_policy=KEEP_GOING)
+        builds = []
+        make_pool = session._make_pool
+        monkeypatch.setattr(session, "_make_pool", lambda n: (
+            builds.append(n), make_pool(n))[1])
+        results = session.run_many(
+            [RaisesTimeoutJob(1), OkJob(2), OkJob(3)])
+        failure = results[0]
+        assert is_failure(failure) and not failure.timed_out
+        assert (failure.error_type, failure.message) \
+            == ("TimeoutError", "socket timed out")
+        assert results[1:] == [4, 6]
+        assert session.last_batch.timed_out == 0
+        assert builds == ([] if workers == 1 else [2])  # no rebuild
+
     def test_serial_execution_ignores_the_timeout(self):
         session = SimSession(disk_cache=False, job_timeout=0.001)
         results = session.run_many([SleepJob(1, 0.05)])
@@ -438,19 +470,29 @@ class TestEnvKnobs:
 
 class TestObservabilityCounters:
     def test_failures_count_into_the_metrics_registry(self):
-        from repro.obs import metrics as obs_metrics
-        registry = obs_metrics.MetricsRegistry()
-        previous = obs_metrics.install(registry)
-        try:
+        with obs.collecting("metrics") as col:
             session = SimSession(disk_cache=False, max_retries=1,
                                  failure_policy=KEEP_GOING)
             session.run_many([OkJob(1), BoomJob(2)])
-        finally:
-            obs_metrics.install(previous)
-        snapshot = registry.snapshot()
+        snapshot = col.metrics.snapshot()
         assert snapshot["session.jobs_failed"]["value"] == 1
         assert snapshot["session.jobs_retried"]["value"] == 1
         assert "session.jobs_timed_out" not in snapshot
+
+    def test_a_failed_attempt_folds_nothing_serial_or_pooled(self):
+        """A kernel run that raises leaves nothing in the enclosing
+        scope, in this process as on a pool, whose failed job ships
+        nothing back."""
+        setup = MitigationSetup("raising",
+                                tracker_factory=RaisingTrackerFactory())
+        jobs = [SimJob(w, setup, SCALE) for w in ("tc", "mcf")]
+        for workers in (1, 2):
+            session = SimSession(disk_cache=False, max_workers=workers,
+                                 max_retries=0, failure_policy=KEEP_GOING)
+            with obs.collecting("metrics", "trace") as col:
+                assert all(map(is_failure, session.run_many(jobs)))
+            assert list(col.metrics.snapshot()) == ["session.jobs_failed"]
+            assert len(col.trace) == 0
 
 
 class TestResultFill:
@@ -463,11 +505,8 @@ class TestResultFill:
                              failure_policy=policy)
         assert session.run(job).metrics is None
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
-        previous = obs_metrics.install(obs_metrics.MetricsRegistry())
-        try:
+        with obs.collecting("metrics"):
             return session, session.run_many([job])
-        finally:
-            obs_metrics.install(previous)
 
     def test_fail_fast_raises(self, monkeypatch):
         with pytest.raises(JobFailed):
@@ -626,6 +665,7 @@ class TestSharedPasses:
         shared = SharedPass(jobs[0].resolved(), (jobs[1].resolved(),),
                             ("base", "rider"))
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
-        (base, riders), _, _ = _execute_job((shared, {}, False, 0, ()))
+        (base, riders), _, _ = _execute_job(
+            (shared, {}, obs.shipment(), 0, ()))
         assert base == jobs[0].execute()
         assert riders == [jobs[1].execute()]

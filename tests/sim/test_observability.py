@@ -34,7 +34,7 @@ class TestSimulateAttachesObservability:
         assert result.trace_events is None
 
     def test_metrics_and_trace_attach(self):
-        with obs.collecting(metrics=True, trace=True):
+        with obs.collecting("metrics", "trace"):
             result = simulate("tc", mirza_setup(1000, SCALE), SCALE)
         assert result.metrics["mc.requests"]["value"] > 0
         assert result.metrics["mc.requests"]["value"] == \
@@ -48,7 +48,7 @@ class TestSimulateAttachesObservability:
         assert result.trace_events is None
 
     def test_bank_acts_sum_to_total_activations(self):
-        with obs.collecting(metrics=True):
+        with obs.collecting("metrics"):
             result = simulate("tc", mirza_setup(1000, SCALE), SCALE)
         acts = sum(v["value"] for k, v in result.metrics.items()
                    if k.startswith("dram.bank.acts{"))
@@ -58,16 +58,16 @@ class TestSimulateAttachesObservability:
         # Two back-to-back collected runs must report identical
         # snapshots even though only the first calibrates (the probe
         # binds to no sink); a leak would skew whichever run pays it.
-        with obs.collecting(metrics=True) as a:
+        with obs.collecting("metrics") as a:
             simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        with obs.collecting(metrics=True) as b:
+        with obs.collecting("metrics") as b:
             simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        assert a.metrics_snapshot() == b.metrics_snapshot()
+        assert a.metrics.snapshot() == b.metrics.snapshot()
 
     def test_trace_is_perfetto_valid(self):
-        with obs.collecting(metrics=False, trace=True) as col:
+        with obs.collecting("trace") as col:
             simulate("tc", mirza_setup(1000, SCALE), SCALE)
-        events = col.trace_events()
+        events = col.trace.as_list()
         assert events
         from repro.obs.export import chrome_trace_events
         assert validate_chrome_trace(chrome_trace_events(events)) is None
@@ -75,7 +75,7 @@ class TestSimulateAttachesObservability:
 
 class TestSessionAggregation:
     def _run(self, workers):
-        with obs.collecting(metrics=True, trace=True) as col:
+        with obs.collecting("metrics", "trace") as col:
             session = SimSession(disk_cache=False, max_workers=workers)
             results = session.run_many(_jobs())
         return col, results
@@ -83,16 +83,16 @@ class TestSessionAggregation:
     def test_serial_and_pool_snapshots_identical(self):
         col1, res1 = self._run(1)
         col2, res2 = self._run(2)
-        snap1, snap2 = col1.metrics_snapshot(), col2.metrics_snapshot()
+        snap1, snap2 = col1.metrics.snapshot(), col2.metrics.snapshot()
         assert snap1 == snap2
         assert [r.metrics for r in res1] == [r.metrics for r in res2]
-        assert sorted(map(tuple, col1.trace_events())) == \
-            sorted(map(tuple, col2.trace_events()))
+        assert sorted(map(tuple, col1.trace.as_list())) == \
+            sorted(map(tuple, col2.trace.as_list()))
 
     def test_session_snapshot_equals_merged_results(self):
         col, results = self._run(2)
         merged = merge_snapshots([r.metrics for r in results])
-        assert merged == col.metrics_snapshot()
+        assert merged == col.metrics.snapshot()
 
     def test_pool_profiles_merge_into_parent(self):
         from repro.sim.profile import KernelProfile, profiling
@@ -109,18 +109,18 @@ class TestSessionAggregation:
         job = _jobs()[0]
         plain = session.run_many([job])[0]
         assert plain.metrics is None
-        with obs.collecting(metrics=True):
+        with obs.collecting("metrics"):
             fresh = session.run_many([job])[0]
         assert fresh.metrics is not None
         # ... and a satisfying cached result is served as-is.
-        with obs.collecting(metrics=True):
+        with obs.collecting("metrics"):
             cached = session.run_many([job])[0]
         assert cached.metrics == fresh.metrics
 
 
 class TestProfileMergePrimitives:
     def test_merge_is_additive(self):
-        from repro._profile import KernelProfile
+        from repro.obs.profile import KernelProfile
         a, b = KernelProfile(), KernelProfile()
         a.requests = 2
         b.requests = 3
@@ -313,3 +313,75 @@ class TestCliSessionSpans:
         assert any(e.get("pid") == SPAN_PIDS["session"]
                    and e.get("name") == "run_many"
                    for e in payload["traceEvents"])
+
+    def test_warm_render_traces_the_cold_renders_kernel_events(
+            self, tmp_path, monkeypatch, capsys):
+        """A cache hit folds its kernel events into the trace once per
+        cell, as a computed cell does, so a warm ``--cache-dir`` render
+        writes the events the cold render wrote."""
+        import collections
+
+        from repro.__main__ import main as cli_main
+        from repro.obs.export import SPAN_PIDS
+        monkeypatch.setenv("REPRO_TIME_SCALE", "8192")
+        monkeypatch.setenv("REPRO_WORKLOADS", "tc")
+
+        def render(name):
+            target = tmp_path / f"{name}.json"
+            assert cli_main(["report", str(tmp_path / f"{name}.md"),
+                             "--only", "fig11", "--trace-out",
+                             str(target), "--cache-dir",
+                             str(tmp_path / "cache")]) == 0
+            payload = json.loads(target.read_text())
+            assert validate_chrome_trace(payload) is None
+            return collections.Counter(
+                json.dumps(e, sort_keys=True)
+                for e in payload["traceEvents"]
+                if e["ph"] != "M" and e["pid"] not in SPAN_PIDS.values())
+
+        cold = render("cold")
+        warm = render("warm")
+        assert "from cache" in (tmp_path / "warm.md").read_text()
+        assert cold and warm == cold
+
+
+class TestCacheHitsFoldIntoTheScope:
+    def test_hits_replay_metrics_and_events_but_not_spans(self):
+        session = SimSession(disk_cache=False, max_workers=1)
+        runs = []
+        for _ in range(2):  # computed, then every cell a cache hit
+            with obs.collecting("metrics", "trace", "spans") as col:
+                session.run_many(_jobs() + _jobs())
+            runs.append(col)
+        cold, warm = runs
+        assert session.last_batch.cache_hits == 4
+        assert warm.metrics.snapshot() == cold.metrics.snapshot()
+        assert sorted(map(tuple, warm.trace.as_list())) \
+            == sorted(map(tuple, cold.trace.as_list()))
+        kernels = [[s for s in col.spans.as_list()
+                    if s[1].startswith("kernel:")] for col in runs]
+        assert len(kernels[0]) == 2 and kernels[1] == []
+
+    def test_a_worker_ships_back_what_the_parent_asked_for(self):
+        with obs.collecting("metrics", "trace", trace_limit=7) as parent:
+            kinds, limit = obs.shipment()
+            assert (kinds, limit) == ({"metrics", "trace"}, 7)
+            with obs.suppressed():  # a worker has no sinks of its own
+                with obs.collecting(*kinds, trace_limit=limit) as worker:
+                    worker.metrics.counter("n").inc(2)
+                    worker.trace.instant(5, "ACT")
+            assert worker.trace.limit == 7
+            obs.absorb(worker.dumps())
+        assert parent.metrics.snapshot()["n"]["value"] == 2
+        assert parent.trace.as_list() == [[5, "I", "ACT", 0, -1]]
+
+    def test_satisfies_asks_only_for_requested_carried_kinds(self):
+        from types import SimpleNamespace
+        bare = SimpleNamespace(metrics=None, trace_events=None,
+                               spans=None)
+        assert obs.satisfies(bare)
+        with obs.collecting("metrics", "profile"):
+            assert not obs.satisfies(bare)
+            assert obs.satisfies(SimpleNamespace(
+                metrics={}, trace_events=None, spans=None))
+            assert obs.satisfies(42)  # a result that carries no sink

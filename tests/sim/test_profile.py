@@ -4,51 +4,49 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro import _profile as profile_impl
+from repro import obs
 from repro.experiments import framework
 from repro.experiments.common import CgfJob
+from repro.obs import profile as profile_impl
 from repro.params import SimScale
 from repro.sim import runner
-from repro.sim.profile import (
-    KernelProfile,
-    active,
-    install,
-    profiling,
-)
+from repro.sim.profile import KernelProfile, profiling
 from repro.sim.registry import setup_by_name
 from repro.sim.runner import calibrated_workload, simulate
 from repro.sim.session import SimJob, SimSession
 
 
 def test_inactive_by_default():
-    assert active() is None
+    assert "profile" not in obs.requested()
     assert profile_impl._ACTIVE is None
 
 
 def test_profiling_scope_installs_and_restores():
-    assert active() is None
+    assert profile_impl._ACTIVE is None
     with profiling() as prof:
-        assert active() is prof
-        # The hot paths read the implementation module's slot directly.
+        assert isinstance(prof, KernelProfile)
+        # The hot paths read the module's slot directly.
         assert profile_impl._ACTIVE is prof
-    assert active() is None
+        assert "profile" in obs.requested()
+    assert profile_impl._ACTIVE is None
 
 
 def test_profiling_nests():
     with profiling() as outer:
         with profiling() as inner:
-            assert active() is inner
-        assert active() is outer
+            assert profile_impl._ACTIVE is inner
+            inner.add_calibration(0.5)
+        assert profile_impl._ACTIVE is outer
+    # The inner profile folds into the enclosing one on exit.
+    assert (outer.calibrations, outer.calibration_s) == (1, 0.5)
 
 
-def test_install_returns_previous():
-    prof = KernelProfile()
-    assert install(prof) is None
-    try:
-        assert active() is prof
-    finally:
-        assert install(None) is prof
-    assert active() is None
+def test_suppressed_restores_previous():
+    with profiling() as prof:
+        with obs.suppressed():
+            assert profile_impl._ACTIVE is None
+        assert profile_impl._ACTIVE is prof
+    assert profile_impl._ACTIVE is None
 
 
 def test_simulate_populates_profile():

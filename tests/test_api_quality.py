@@ -185,14 +185,14 @@ class TestCuratedSurface:
 
     REMOVED_MODULES = ("repro.cache", "repro.cache.llc",
                        "repro.mitigations.blockhammer",
-                       "repro.mitigations.qprac", "repro.dram.commands")
+                       "repro.mitigations.qprac", "repro.dram.commands",
+                       "repro._profile")
     REMOVED_NAMES = {
         "repro.dram.mapping": ("AddressMapping", "DecodedAddress"),
         "repro.energy": ("EnergyBreakdown", "energy_of_run"),
         "repro.mitigations": ("BlockHammerThrottle",
                               "CountingBloomFilter", "QpracTracker"),
         "repro.dram": ("AddressMapping", "DecodedAddress", "DramCommand"),
-        "repro.security.fuzz": ("escape_curve",),
         "repro.security.lifetime": ("required_exponent",),
         "repro.security.mint_model": ("mint_tolerated_trhs",),
         "repro.security.mirza_model": ("mirza_safe_trhs",),
@@ -207,10 +207,41 @@ class TestCuratedSurface:
                             "worst_case_single_bank_stream"),
         "repro.params": ("max_acts_per_channel_per_trefw",),
         "repro.sim.stats": ("geometric_mean",),
-        "repro.sim.profile": ("enabled_by_env", "maybe_profile_from_env"),
-        "repro._profile": ("enabled_by_env", "maybe_profile_from_env"),
-        "repro.obs.spans": ("limit_from_env",),
+        "repro.sim.profile": ("enabled_by_env", "maybe_profile_from_env",
+                              "active", "install", "perf_counter"),
+        "repro.obs.profile": ("enabled_by_env", "maybe_profile_from_env",
+                              "active", "install", "profiling"),
+        "repro.obs.metrics": ("active", "install", "requested",
+                              "enabled_by_env", "collecting"),
+        "repro.obs.trace": ("active", "install", "requested",
+                            "enabled_by_env", "limit_from_env",
+                            "tracing"),
+        "repro.obs.spans": ("limit_from_env", "active", "install",
+                            "requested", "enabled_by_env", "recording"),
+        "repro.obs": ("metrics_requested", "trace_requested",
+                      "spans_requested"),
+        "repro.sim.session": ("_observability_satisfied",),
+        "repro.experiments.common": ("_MAPPINGS",),
+        "repro.security.fuzz": ("escape_curve", "_mapping_for"),
     }
+
+    def test_one_place_decides_observability(self):
+        """``repro.obs`` installs, requests, ships and folds every sink
+        from one table; each sink module keeps its class and its
+        ``_ACTIVE`` slot, and the session no sink of its own."""
+        from repro import obs
+        from repro.obs import metrics, profile, spans, trace
+        from repro.sim.session import SimSession
+        assert {name: sink.slot for name, sink in obs.SINKS.items()} \
+            == {"metrics": metrics, "trace": trace, "spans": spans,
+                "profile": profile}
+        for sink in obs.SINKS.values():
+            assert sink.slot._ACTIVE is None
+        assert issubclass(trace.TraceBuffer, trace.Ring)
+        assert issubclass(spans.SpanRecorder, trace.Ring)
+        assert not hasattr(SimSession, "_absorb_observability")
+        for name in ("metrics_snapshot", "trace_events", "spans_list"):
+            assert not hasattr(obs.Collection, name), name
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_removed_modules_stay_gone(self, module):
