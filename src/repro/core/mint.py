@@ -71,8 +71,3 @@ class MintSampler:
             self._target = self.rng.randrange(self.window)
             self.windows_completed += 1
         return picked
-
-    def storage_bits(self, row_bits: int = 17) -> int:
-        """Tracking state: one row id plus the position/target counters."""
-        window_bits = max(1, (self.window - 1).bit_length())
-        return row_bits + 2 * window_bits

@@ -37,7 +37,7 @@ class MirzaTracker(BankTracker):
 
     name = "mirza"
 
-    __slots__ = ("config", "geometry", "mapping", "rct", "mint", "queue",
+    __slots__ = ("config", "mapping", "rct", "mint", "queue",
                  "acts_observed", "_queued")
 
     def __init__(self, config: MirzaConfig,
@@ -46,7 +46,6 @@ class MirzaTracker(BankTracker):
                  rng: Optional[random.Random] = None,
                  reset_policy: ResetPolicy = ResetPolicy.SAFE) -> None:
         self.config = config
-        self.geometry = geometry
         self.mapping = mapping if mapping is not None else StridedR2SA(
             geometry)
         self.rct = RegionCountTable(config.num_regions, config.fth,
@@ -88,9 +87,3 @@ class MirzaTracker(BankTracker):
 
     def on_ref_slice(self, slice_: RefreshSlice, now_ps: int) -> None:
         self.rct.on_ref_slice(slice_)
-
-    def storage_bits(self) -> int:
-        row_bits = max(1, (self.geometry.rows_per_bank - 1).bit_length())
-        return (self.rct.storage_bits()
-                + self.queue.storage_bits(row_bits)
-                + self.mint.storage_bits(row_bits))

@@ -118,8 +118,3 @@ class MirzaQueue:
             counter.value += 1
             self._m_occupancy.set(len(self._entries))
         return row
-
-    def storage_bits(self, row_bits: int = 17) -> int:
-        """Queue storage: row id + tardiness counter + valid, per entry."""
-        count_bits = max(1, (self.qth + 1).bit_length()) + 2
-        return self.capacity * (row_bits + count_bits + 1)

@@ -340,15 +340,3 @@ class RegionCountTable:
             self._counters[lo:hi] = [0] * (hi - lo)
             if self._m_resets is not None:
                 self._m_resets.value += hi - lo
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def counter_bits(self) -> int:
-        """Bits per counter: enough to hold the saturation value FTH+1."""
-        return max(1, (self.fth + 1).bit_length())
-
-    def storage_bits(self) -> int:
-        """Table bits plus the RRC register."""
-        return self.num_regions * self.counter_bits + self.counter_bits

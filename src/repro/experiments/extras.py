@@ -9,30 +9,28 @@ table:
 - ``energy`` -- absolute mitigation-energy per activation for MINT vs
   MIRZA (Figure 13 recast in picojoules) plus the SRAM power fraction
   of Section VIII-B.
-- ``storage`` -- every implemented tracker's SRAM bill at TRHD=1000
-  (the ``storage_trhd`` option) side by side.
+- ``storage`` -- each tracker design's SRAM bill per bank at
+  TRHD=1000 side by side, priced by :mod:`repro.security.area` (the
+  MIRZA and MINT rows equal Table VII's and Table XII's).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict
 
 from repro.core.config import MirzaConfig
-from repro.core.mirza import MirzaTracker
-from repro.dram.mapping import StridedR2SA
 from repro.energy import (
     mirza_sram_power_fraction,
     mitigation_energy_per_act,
 )
 from repro.experiments import framework
-from repro.mitigations.hydra import HydraTracker
-from repro.mitigations.mint_rfm import MintTracker
-from repro.mitigations.mithril import MithrilTracker
-from repro.mitigations.pride import PrideTracker
-from repro.mitigations.protrr import ProTrrTracker
-from repro.mitigations.trr import TrrTracker
-from repro.params import DramGeometry
+from repro.security.area import (
+    hydra_storage_bytes_per_bank,
+    mint_storage_bytes_per_bank,
+    mithril_storage_bytes_per_bank,
+    pride_storage_bytes_per_bank,
+    trr_storage_bytes_per_bank,
+)
 from repro.security.lifetime import lifetime_report
 from repro.security.mint_model import MINT_FAILURE_EXPONENT
 from repro.sim.runner import MINT_RFM_WINDOWS
@@ -85,33 +83,29 @@ def _energy_table() -> str:
                     "(paper escape probabilities)")
 
 
-def _storage_comparison(trhd: int = 1000) -> str:
-    """SRAM bytes per bank for every implemented tracker."""
-    geometry = DramGeometry()
-    config = MirzaConfig.paper_config(trhd)
-    mirza = MirzaTracker(config, geometry, StridedR2SA(geometry),
-                         random.Random(0))
-    trackers = [
-        ("MIRZA", mirza.storage_bits()),
-        ("MINT (+DMQ)", MintTracker(48).storage_bits()),
-        ("PrIDE", PrideTracker().storage_bits()),
-        ("TRR (insecure)", TrrTracker().storage_bits()),
-        ("Hydra (SRAM part)", HydraTracker().storage_bits()),
-        ("Mithril 2K", MithrilTracker().storage_bits()),
-        ("ProTRR 2K", ProTrrTracker().storage_bits()),
+def _storage_comparison() -> str:
+    """SRAM bytes per bank for each tracker design at TRHD=1000."""
+    designs = [
+        ("MIRZA", MirzaConfig.paper_config(1000).storage_bytes_per_bank),
+        ("MINT (+DMQ)", mint_storage_bytes_per_bank()),
+        ("PrIDE", pride_storage_bytes_per_bank()),
+        ("TRR (insecure)", trr_storage_bytes_per_bank()),
+        ("Hydra (SRAM part)", hydra_storage_bytes_per_bank()),
+        ("Mithril 2K", mithril_storage_bytes_per_bank()),
+        # ProTRR keeps the same 2K x 28-bit CAM as Mithril.
+        ("ProTRR 2K", mithril_storage_bytes_per_bank()),
     ]
-    rows = [[name, f"{bits / 8:,.0f} B"] for name, bits in trackers]
+    rows = [[name, f"{size:,.0f} B"] for name, size in designs]
     return format_table(
         ["Tracker", "SRAM/bank"], rows,
-        title=f"Tracker storage at TRHD={trhd}")
+        title="Tracker storage at TRHD=1000")
 
 
 def _reduce(cells: framework.Cells) -> Dict[str, str]:
-    trhd = cells.ctx.opt("storage_trhd", 1000)
     return {
         "lifetime": _lifetime_table(),
         "energy": _energy_table(),
-        "storage": _storage_comparison(trhd),
+        "storage": _storage_comparison(),
     }
 
 

@@ -59,8 +59,7 @@ def _grid(ctx: Context) -> List[Cell]:
 
 def _reduce(cells: framework.Cells) -> Fig13Result:
     victims = MitigationCosts().victims_per_mitigation
-    config = cells.ctx.opt("config", SystemConfig())
-    rows_per_bank = config.geometry.rows_per_bank
+    rows_per_bank = SystemConfig().geometry.rows_per_bank
     result = Fig13Result()
     for trhd in cells.ctx.opt("thresholds", _THRESHOLDS):
         mirza_config = MirzaConfig.paper_config(trhd)

@@ -8,10 +8,10 @@ count.  The declared check asserts the open-ended search earns its
 keep -- at least one fuzzed pattern must strictly beat every paper-set
 pattern against the insecure TRR reference.
 
-Knobs (``Context`` options): ``fuzz_mitigations``, ``fuzz_budget``,
-``fuzz_acts`` (default: a full refresh window of ACTs divided by the
-time scale, floored at 12K so capacity-edge behaviour stays visible
-at smoke scales).
+The sweep runs :data:`BUDGET` fuzzed patterns against each of
+:data:`MITIGATIONS`, each pattern a full refresh window of ACTs divided
+by the time scale, floored at 12K so capacity-edge behaviour stays
+visible at smoke scales.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ DOMINANCE_TARGET = "trr"
 
 
 def _spec(ctx: Context) -> FuzzSpec:
-    acts = ctx.opt("fuzz_acts")
-    if acts is None:
-        acts = default_acts(ctx.timed_scale().time_scale)
     return FuzzSpec(
-        mitigations=tuple(ctx.opt("fuzz_mitigations", MITIGATIONS)),
-        budget=ctx.opt("fuzz_budget", BUDGET),
-        acts=acts,
+        mitigations=MITIGATIONS,
+        budget=BUDGET,
+        acts=default_acts(ctx.timed_scale().time_scale),
         seed=ctx.run_seed())
 
 

@@ -51,43 +51,31 @@ class InterVmPoint:
     alerts: int
 
 
-def _scenario(ctx: Context, pressure: int):
-    return intervm_scenario(
-        attack_rows=pressure,
-        victim=ctx.opt("victim", "mcf"),
-        attacker_cores=ctx.opt("attacker_cores", 2))
-
-
 def _grid(ctx: Context) -> List[Cell]:
     scale = ctx.timed_scale()
     seed = ctx.run_seed()
     cells = []
-    for setup_name in ctx.opt("setups", SETUPS):
+    for setup_name in SETUPS:
         setup = setup_by_name(setup_name, scale)
-        for pressure in ctx.opt("pressures", PRESSURES):
+        for pressure in PRESSURES:
             cells.append(Cell(
                 (setup_name, pressure),
-                TenantJob(_scenario(ctx, pressure), setup, scale,
-                          seed)))
+                TenantJob(intervm_scenario(attack_rows=pressure), setup,
+                          scale, seed)))
     return cells
 
 
 def _reduce(cells: framework.Cells
             ) -> Dict[Tuple[str, int], InterVmPoint]:
-    ctx = cells.ctx
-    setups = ctx.opt("setups", SETUPS)
-    pressures = ctx.opt("pressures", PRESSURES)
-    reference = cells[REFERENCE] if REFERENCE[0] in setups \
-        and REFERENCE[1] in pressures else None
+    reference = cells[REFERENCE]
     out: Dict[Tuple[str, int], InterVmPoint] = {}
-    for setup_name in setups:
-        for pressure in pressures:
+    for setup_name in SETUPS:
+        for pressure in PRESSURES:
             result = cells[(setup_name, pressure)]
             footprints = scenario_footprints(
-                _scenario(ctx, pressure), result.config)
+                intervm_scenario(attack_rows=pressure), result.config)
             exposure = result.tenant_exposure(footprints)
-            slowdown = result.tenant_slowdown_pct(
-                reference, "victim") if reference is not None else 0.0
+            slowdown = result.tenant_slowdown_pct(reference, "victim")
             out[(setup_name, pressure)] = InterVmPoint(
                 setup=setup_name,
                 pressure=pressure,

@@ -4,13 +4,13 @@ The MINT column is analytic (the sampling model, calibrated once
 against the public MINT model).  The Mithril column is *measured*: the
 feinting attack is driven against our Misra-Gries implementation in the
 single-bank harness and the worst per-row unmitigated count is read off
-the oracle.  The harness uses a 128-entry tracker (the
-``mithril_entries`` knob), and the paper's 2K-entry row is reported
-analytically alongside.  Cost is not the reason: Mithril finds its
-eviction victim through a heap index, so a 2048-entry feint takes about
-a second.  The reason is the ACT budget: within the default 150k ACTs a
-2048-entry feint rotates over 2304 rows and visits each only ~65 times,
-so the measurement would report the budget rather than the tracker.
+the oracle.  The harness uses a 128-entry tracker, and the paper's
+2K-entry row is reported analytically alongside.  Cost is not the
+reason: Mithril finds its eviction victim through a heap index, so a
+2048-entry feint takes about a second.  The reason is the ACT budget:
+within the default 150k ACTs a 2048-entry feint rotates over 2304 rows
+and visits each only ~65 times, so the measurement would report the
+budget rather than the tracker.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ PAPER = {
 }
 
 _RATES = (1, 2, 4, 8)
+
+_HARNESS_ENTRIES = 128
+"""Entries of the Mithril tracker the feinting attack is measured on."""
 
 
 @dataclass
@@ -87,9 +90,7 @@ register_job_type(FeintingJob, lambda value: value, lambda value: value)
 
 
 def _grid(ctx: Context) -> List[Cell]:
-    entries = ctx.opt("mithril_entries", 128)
-    acts = ctx.opt("feinting_acts", 150_000)
-    return [Cell(rate, FeintingJob(entries, rate, acts))
+    return [Cell(rate, FeintingJob(_HARNESS_ENTRIES, rate))
             for rate in _RATES]
 
 

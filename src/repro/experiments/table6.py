@@ -25,8 +25,9 @@ PAPER = {
 }
 """(FTH, mapping) -> % of ACTs filtered."""
 
-_FTHS = (1400, 1500, 1600, 1700)
 _NUM_REGIONS = 128
+_POINTS = [(fth, mapping) for fth in (1400, 1500, 1600, 1700)
+           for mapping in ("sequential", "strided")]
 
 
 @dataclass
@@ -36,24 +37,18 @@ class Table6Result:
     """(full-scale FTH, mapping) -> average % of ACTs filtered."""
 
 
-def _points(ctx: Context) -> List[Tuple[int, str]]:
-    return [(fth, mapping) for fth in ctx.opt("fths", _FTHS)
-            for mapping in ("sequential", "strided")]
-
-
 def _grid(ctx: Context) -> List[Cell]:
     scale = ctx.counting_scale()
-    num_regions = ctx.opt("num_regions", _NUM_REGIONS)
     return [Cell(((fth, mapping), spec.name),
                  CgfJob.single(spec, mapping, scale.scale_threshold(fth),
-                               num_regions, scale))
-            for fth, mapping in _points(ctx)
+                               _NUM_REGIONS, scale))
+            for fth, mapping in _POINTS
             for spec in ctx.specs()]
 
 
 def _reduce(cells: framework.Cells) -> Table6Result:
     result = Table6Result()
-    for point in _points(cells.ctx):
+    for point in _POINTS:
         filtered = total = 0
         for spec in cells.ctx.specs():
             stats = cells[(point, spec.name)].cgf[0]

@@ -1,20 +1,14 @@
-"""Trace-calibration exhibit: replay an ingested trace, check Table IV.
+"""Trace-calibration exhibit: replay captured traces, check Table IV.
 
-Closes the ingestion loop: a native trace (converted from a DRAMSim3
-command trace or a litex row list via ``repro trace convert``) claims
-to represent a Table IV workload through its ``# workload:`` metadata;
-this exhibit replays it through the unprotected baseline and checks
-the measured MPKI and ACT-PKI against that spec.
-
-Two modes share one grid shape:
-
-* ``trace_path`` option (or ``REPRO_TRACE_PATH``) set -- replay that
-  file, one :class:`~repro.sim.session.TraceReplayJob` cell keyed by
-  its claimed workload.
-* default -- self-contained: for each selected workload, synthesize a
-  finite trace from the calibrated generator and replay it, which
-  validates the shard-replay path itself (capture -> replay must
-  round-trip the workload's characteristics).
+Closes the ingestion loop: for each selected workload, synthesize a
+finite trace from the calibrated generator, replay it through the
+unprotected baseline as a :class:`~repro.sim.session.TraceReplayJob`,
+and check the measured MPKI and ACT-PKI against the workload's spec.
+This validates the shard-replay path itself (capture -> replay must
+round-trip the workload's characteristics).  A native trace file
+(converted with ``repro trace convert``) is checked the same way by
+``repro run PATH --setup baseline``, which prints its
+``calibration[...]`` lines.
 
 The declared ``Check``s pin the ``tc`` cell (MPKI 87.8, ACT-PKI 40.7)
 at the framework's standard 50% tolerance; when ``tc`` is not in the
@@ -24,9 +18,8 @@ since check tuples are static declarations.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments import framework
 from repro.experiments.framework import Cell, Context
@@ -53,22 +46,9 @@ class TraceCalibration:
         return self.mpki_ok and self.act_pki_ok
 
 
-def _trace_path(ctx: Context) -> Optional[str]:
-    return ctx.opt("trace_path", os.environ.get("REPRO_TRACE_PATH"))
-
-
 def _grid(ctx: Context) -> List[Cell]:
     scale = ctx.timed_scale()
     seed = ctx.run_seed()
-    path = _trace_path(ctx)
-    if path:
-        job = TraceReplayJob.for_path(path, baseline_setup(), scale,
-                                      seed)
-        if job.workload is None:
-            raise ValueError(
-                f"{path} carries no '# workload:' metadata; convert "
-                f"it with --workload or set one to calibrate against")
-        return [Cell(job.workload, job)]
     return [Cell(spec.name,
                  TraceReplayJob(None, spec.name, baseline_setup(),
                                 scale, seed))

@@ -37,7 +37,6 @@ class DrfmEngine:
             raise ValueError("acts_per_drfm must be >= 1")
         if not 1 <= min_samples <= num_banks:
             raise ValueError("min_samples must be in [1, num_banks]")
-        self.num_banks = num_banks
         self.acts_per_drfm = acts_per_drfm
         self.min_samples = min_samples
         rng = rng if rng is not None else random.Random(0)
@@ -85,8 +84,3 @@ class DrfmEngine:
                 reg.counter("drfm.issued").value += 1
                 reg.counter("drfm.banks_served").value += len(pairs)
         return pairs
-
-    def storage_bits(self, row_bits: int = 17) -> int:
-        """One sample latch + sampler state per bank, plus a counter."""
-        per_bank = row_bits + self._samplers[0].storage_bits(row_bits)
-        return self.num_banks * per_bank + 16

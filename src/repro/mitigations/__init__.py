@@ -18,14 +18,11 @@ paper's primary contribution.
 """
 
 from repro.mitigations.base import BankTracker, MitigationSlotSource
-from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.mint_rfm import MintTracker
 from repro.mitigations.mithril import MithrilTracker
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.para import ParaTracker
 from repro.mitigations.prac import PracTracker
-from repro.mitigations.pride import PrideTracker
-from repro.mitigations.protrr import ProTrrTracker
 from repro.mitigations.trr import TrrTracker
 
 
@@ -40,7 +37,6 @@ def __getattr__(name):
 
 __all__ = [
     "BankTracker",
-    "HydraTracker",
     "MintTracker",
     "MithrilTracker",
     "MitigationSlotSource",
@@ -48,7 +44,5 @@ __all__ = [
     "NoMitigation",
     "ParaTracker",
     "PracTracker",
-    "PrideTracker",
-    "ProTrrTracker",
     "TrrTracker",
 ]

@@ -73,15 +73,6 @@ class BankTracker(abc.ABC):
     def on_ref_slice(self, slice_: RefreshSlice, now_ps: int) -> None:
         """A REF refreshed ``slice_`` of this bank (for state resets)."""
 
-    def storage_bits(self) -> int:
-        """SRAM bits this tracker needs per bank (for the area tables)."""
-        return 0
-
-    @property
-    def storage_bytes(self) -> float:
-        """SRAM bytes per bank."""
-        return self.storage_bits() / 8.0
-
 
 def can_alert(tracker: BankTracker) -> bool:
     """True if ``tracker`` can ever request ALERT: its class overrides

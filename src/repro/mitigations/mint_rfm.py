@@ -73,7 +73,3 @@ class MintTracker(BankTracker):
         if not self._pending:
             return []
         return [self._pending.pop(0)]
-
-    def storage_bits(self) -> int:
-        """One tracking entry plus the DMQ (Table XII: ~20 bytes)."""
-        return self.sampler.storage_bits() + self.dmq_entries * 17

@@ -34,13 +34,12 @@ class MithrilTracker(BankTracker):
 
     name = "mithril"
 
-    def __init__(self, entries: int = 2048, refs_per_mitigation: int = 1,
-                 bits_per_counter: int = 11) -> None:
+    def __init__(self, entries: int = 2048,
+                 refs_per_mitigation: int = 1) -> None:
         if entries < 1:
             raise ValueError("need at least one entry")
         self.entries = entries
         self.refs_per_mitigation = refs_per_mitigation
-        self.bits_per_counter = bits_per_counter
         self._table: Dict[int, int] = {}
         self._index = MinCountHeap(self._table, entries)
         self._last_mitigated: Dict[int, int] = {}
@@ -86,7 +85,3 @@ class MithrilTracker(BankTracker):
         self._mitigation_seq += 1
         self._last_mitigated[row] = self._mitigation_seq
         return [row]
-
-    def storage_bits(self) -> int:
-        """CAM bits: row id (17) + counter, per entry."""
-        return self.entries * (17 + self.bits_per_counter)

@@ -41,9 +41,3 @@ class NaiveMirzaTracker(MirzaTracker):
             trhd=0, fth=0, mint_window=mint_window, num_regions=1,
             queue_entries=queue_entries, qth=qth)
         super().__init__(config, geometry, mapping, rng)
-
-    def storage_bits(self) -> int:
-        """No RCT: just the queue and the MINT entry."""
-        row_bits = max(1, (self.geometry.rows_per_bank - 1).bit_length())
-        return (self.queue.storage_bits(row_bits)
-                + self.mint.storage_bits(row_bits))

@@ -12,6 +12,3 @@ class NoMitigation(BankTracker):
 
     def on_activate(self, row: int, now_ps: int) -> None:
         pass
-
-    def storage_bits(self) -> int:
-        return 0

@@ -45,6 +45,3 @@ class ParaTracker(BankTracker):
         if not self._pending:
             return []
         return [self._pending.pop(0)]
-
-    def storage_bits(self) -> int:
-        return self.pending_capacity * 17

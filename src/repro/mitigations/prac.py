@@ -83,12 +83,3 @@ class PracTracker(BankTracker):
     def on_ref_slice(self, slice_, now_ps: int) -> None:
         """Demand refresh resets the refreshed rows' counters."""
         slice_.reset_rows(self._counters)
-
-    def storage_bits(self) -> int:
-        """PRAC counters live in the DRAM array, not SRAM: 0 SRAM bits.
-
-        The (large) DRAM-array cost is accounted by
-        :class:`repro.security.area.AreaModel`, matching the paper's
-        framing of PRAC's overhead as array area rather than SRAM.
-        """
-        return 0

@@ -64,7 +64,3 @@ class TrrTracker(BankTracker):
             return []
         self._index.remove(row)
         return [row]
-
-    def storage_bits(self) -> int:
-        """28 entries x 3 bytes (row id + counter), per Table XII."""
-        return self.entries * 24

@@ -1,5 +1,8 @@
 """Storage and silicon-area accounting (Tables VII, X, XII).
 
+The only pricing of tracker SRAM in the package: the paper tables and
+the Extras storage table read these closed forms.
+
 The paper compares tracker areas with a standard cell-area model
 (Section VIII-A): a DRAM cell costs ``6 F^2`` and an SRAM cell
 ``120 F^2`` where ``F`` is the feature size.  PRAC stores one counter
@@ -57,6 +60,21 @@ def mithril_storage_bytes_per_bank(entries: int = 2048,
                                    bits_per_entry: int = 28) -> float:
     """Mithril CAM storage (Section VIII-A: 2K x 28b = 7KB per bank)."""
     return entries * bits_per_entry / 8.0
+
+
+def pride_storage_bytes_per_bank() -> float:
+    """PrIDE's per-bank FIFO (PrIDE, ISCA 2024): 4 entries of a 17-bit
+    row id plus 2-bit head and tail pointers, 72 bits = 9 bytes."""
+    return (4 * 17 + 2 * 2) / 8.0
+
+
+def hydra_storage_bytes_per_bank() -> float:
+    """Hydra's SRAM per bank (Hydra, ISCA 2022): a Group Count Table of
+    1K 8-bit counters (128-row groups, group threshold 200) plus a
+    64-entry Row Count Cache of a 17-bit row id and a 9-bit count
+    (mitigation threshold 400), 9,856 bits = 1,232 bytes.  The per-row
+    counts live in DRAM."""
+    return (1024 * 8 + 64 * (17 + 9)) / 8.0
 
 
 @dataclass(frozen=True)

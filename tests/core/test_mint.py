@@ -56,11 +56,6 @@ class TestMintSampler:
         assert s.windows_completed == 2
         assert s.selected == 2
 
-    def test_storage_is_tiny(self):
-        # MINT's whole point: a single-entry tracker.
-        bits = MintSampler(12).storage_bits(row_bits=17)
-        assert bits <= 32
-
     @given(st.integers(min_value=1, max_value=64),
            st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=60)

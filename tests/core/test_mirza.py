@@ -10,6 +10,7 @@ from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.dram.refresh import RefreshScheduler
 from repro.mitigations.base import MitigationSlotSource
 from repro.params import DramGeometry
+from repro.security.area import mirza_storage_bytes_per_bank
 
 
 @pytest.fixture
@@ -128,17 +129,20 @@ class TestMappings:
 
 
 class TestReporting:
-    def test_storage_bits_sum_components(self, geometry):
-        t = make_tracker(geometry)
-        row_bits = (geometry.rows_per_bank - 1).bit_length()
-        expected = (t.rct.storage_bits()
-                    + t.queue.storage_bits(row_bits)
-                    + t.mint.storage_bits(row_bits))
-        assert t.storage_bits() == expected
-
-    def test_full_scale_storage_about_196_bytes(self):
+    @pytest.mark.parametrize("trhd,paper_bytes", [
+        (2000, 116), (1000, 196), (500, 340)])
+    def test_storage_prices_the_tracker_it_builds(self, trhd,
+                                                  paper_bytes):
+        """Table VII's SRAM/bank prices the tracker the preset builds:
+        one RCT counter per region at the preset's FTH, plus the
+        four-entry queue inside the fixed overhead."""
         geometry = DramGeometry()
-        config = MirzaConfig.paper_config(1000)
+        config = MirzaConfig.paper_config(trhd)
         t = MirzaTracker(config, geometry, StridedR2SA(geometry),
                          random.Random(0))
-        assert 180 <= t.storage_bits() / 8 <= 215
+        assert t.queue.capacity == 4
+        assert t.rct.region_size * t.rct.num_regions \
+            == geometry.rows_per_bank
+        assert config.storage_bytes_per_bank == paper_bytes
+        assert mirza_storage_bytes_per_bank(
+            t.rct.num_regions, t.rct.fth) == paper_bytes

@@ -121,13 +121,6 @@ class TestEviction:
         assert not q.wants_alert()
 
 
-class TestStorage:
-    def test_storage_scales_with_capacity(self):
-        small = MirzaQueue(capacity=4).storage_bits(17)
-        large = MirzaQueue(capacity=8).storage_bits(17)
-        assert large == 2 * small
-
-
 class TestQueueInvariants:
     @given(st.lists(
         st.tuples(st.sampled_from(["insert", "act", "pop"]),

@@ -5,6 +5,7 @@ import pytest
 from repro.core.rct import RegionCountTable, ResetPolicy
 from repro.dram.refresh import RefreshScheduler
 from repro.params import DramGeometry
+from repro.security.area import rct_counter_bits
 
 
 def make_rct(geometry, num_regions=4, fth=10,
@@ -208,12 +209,20 @@ class TestSafeReset:
 
 
 class TestStorage:
-    def test_counter_bits_fit_saturation_value(self, small_geometry):
-        assert make_rct(small_geometry, fth=1500).counter_bits == 11
-        assert make_rct(small_geometry, fth=3330).counter_bits == 12
-        assert make_rct(small_geometry, fth=660).counter_bits == 10
-
-    def test_storage_includes_rrc(self, small_geometry):
-        rct = RegionCountTable(128, 1500,
-                               DramGeometry())
-        assert rct.storage_bits() == 129 * 11
+    @pytest.mark.parametrize("regions,fth,bits", [
+        (64, 3330, 12), (128, 1500, 11), (256, 660, 10), (512, 316, 9)])
+    def test_counter_bits_fit_saturation_value(self, regions, fth, bits):
+        """The width the area model prices holds every value the RCT
+        stores: the saturated count FTH + 1, in a region counter and in
+        the RRC that copies it when the region's reset begins."""
+        geometry = DramGeometry()
+        rct = RegionCountTable(regions, fth, geometry)
+        for _ in range(fth + 5):
+            rct.on_activate(0)
+            rct.on_activate(geometry.rows_per_bank - 1)
+        rct.on_ref_slice(RefreshScheduler(geometry).advance())
+        assert rct._rrc == fth + 1  # region 0's saturated count
+        stored = [rct.count(r) for r in range(regions)] + [rct._rrc]
+        assert max(stored) == fth + 1
+        assert rct_counter_bits(fth) == bits
+        assert max(stored) < 2 ** bits

@@ -22,7 +22,6 @@ from repro.dram.mapping import (
 )
 from repro.dram.refresh import RefreshScheduler, RefreshSlice
 from repro.mitigations.base import MitigationSlotSource
-from repro.mitigations.hydra import HydraTracker
 from repro.mitigations.prac import PracTracker
 from repro.params import DramGeometry, SimScale
 from repro.sim.registry import setup_by_name
@@ -35,25 +34,21 @@ SLICE_ROWS = (1, 16, 1000, 4096, 16384, ROWS)
 MAPPINGS = {"sequential": SequentialR2SA, "strided": StridedR2SA}
 ALERT = MitigationSlotSource.ALERT
 REF = MitigationSlotSource.REF
-TABLES = {"oracle": "_counts", "prac": "_counters", "hydra": "_row_counts"}
+TABLES = {"oracle": "_counts", "prac": "_counters"}
 
 
 # ----------------------------------------------------------------------
-# Row-keyed tables: oracle, PRAC, Hydra
+# Row-keyed tables: oracle, PRAC
 # ----------------------------------------------------------------------
 class Component:
-    """One interface over the oracle and the row-keyed trackers."""
+    """One interface over the oracle and the row-keyed PRAC tracker."""
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
         if kind == "oracle":
             self.obj = RowActivationOracle()
-        elif kind == "prac":
-            self.obj = PracTracker(1000, alert_threshold=5)
         else:
-            self.obj = HydraTracker(ROWS, rows_per_group=128,
-                                    group_threshold=4,
-                                    mitigation_threshold=8)
+            self.obj = PracTracker(1000, alert_threshold=5)
 
     @property
     def table(self) -> dict:
@@ -75,14 +70,10 @@ class Component:
 
     def state(self):
         obj = self.obj
-        extra = ()
         if self.kind == "oracle":
             extra = (obj.max_unmitigated, obj.max_row)
-        elif self.kind == "prac":
-            extra = (list(obj._over_threshold),)
         else:
-            extra = (dict(obj._group_counts), list(obj._pending),
-                     list(obj._rcc))
+            extra = (list(obj._over_threshold),)
         return list(self.table.items()), extra
 
 
@@ -99,7 +90,7 @@ def _slices(rng: random.Random, mapping: RowToSubarrayMapping,
 
 @pytest.mark.parametrize("live", [40, 6000])
 @pytest.mark.parametrize("mapping_kind", sorted(MAPPINGS))
-@pytest.mark.parametrize("kind", ["oracle", "prac", "hydra"])
+@pytest.mark.parametrize("kind", ["oracle", "prac"])
 def test_row_table_reset_matches_per_row_pops(kind, mapping_kind, live):
     """``live`` rows per burst: 40 puts the table below most slices and
     6000 above the smaller ones, so both sides of the smaller-side

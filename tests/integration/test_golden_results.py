@@ -15,8 +15,8 @@ report prints at); integers must match exactly.
 The registry cells never alert at this scale, so the ALERT path is
 pinned separately: Table V's naive MIRZA at W=8, Q=1 and a MIRZA-1000
 hammer.  ``FAMILY_GOLDEN`` pins every other tracker family the
-repository ships (TRR, PARA, Mithril, Hydra, PrIDE, ProTRR,
-naive MIRZA at W=12 and MIST at 500 and 1000), and ``REPLAY_GOLDEN``
+repository ships (TRR, PARA, Mithril, naive MIRZA at W=12 and MIST
+at 500 and 1000), and ``REPLAY_GOLDEN``
 pins the ingestion path: the DRAMSim3 fixture converted and replayed under
 MIRZA-1000 and PRAC-1000.  ``FUZZ_GOLDEN`` pins one compiled sample of
 every fuzz pattern family, unprotected and under MIRZA-1000, and
@@ -234,28 +234,10 @@ def _mithril(seed, subch, bank):
     return MithrilTracker(entries=2048)
 
 
-def _hydra(seed, subch, bank):
-    from repro.mitigations.hydra import HydraTracker
-    return HydraTracker()
-
-
-def _pride(seed, subch, bank):
-    from repro.mitigations.pride import PrideTracker
-    return PrideTracker(rng=_bank_rng(seed, subch, bank))
-
-
-def _protrr(seed, subch, bank):
-    from repro.mitigations.protrr import ProTrrTracker
-    return ProTrrTracker(entries=2048)
-
-
 FAMILY_SETUPS = {
     "trr": lambda: MitigationSetup("trr", _trr),
     "para": lambda: MitigationSetup("para", _para),
     "mithril": lambda: MitigationSetup("mithril", _mithril),
-    "hydra": lambda: MitigationSetup("hydra", _hydra),
-    "pride": lambda: MitigationSetup("pride", _pride),
-    "protrr": lambda: MitigationSetup("protrr", _protrr),
     "naive-mirza-w12": lambda: naive_mirza_setup(12),
     "mist-500": lambda: mist_setup(500),
     "mist-1000": lambda: mist_setup(1000),
@@ -290,9 +272,6 @@ FAMILY_GOLDEN = {
     "trr": _tc_cell(0, 0),
     "para": _tc_cell(114, 454),
     "mithril": _tc_cell(256, 1024),
-    "hydra": _tc_cell(0, 0),
-    "pride": _tc_cell(114, 454),
-    "protrr": _tc_cell(256, 1024),
     "naive-mirza-w12": {
         "total_requests": 4294,
         "total_activations": 2218,

@@ -71,8 +71,3 @@ class TestDrfmEngine:
         mitigated_banks = sum(
             1 for b in device.banks if b.total_mitigations)
         assert mitigated_banks >= 2  # parallelism across banks
-
-    def test_storage_scales_with_banks(self):
-        small = DrfmEngine(8).storage_bits()
-        large = DrfmEngine(32).storage_bits()
-        assert large > small * 3

@@ -29,12 +29,6 @@ class TestNaiveMirza:
         rows = t.on_mitigation_slot(0, MitigationSlotSource.ALERT)
         assert len(rows) == 1
 
-    def test_storage_excludes_rct(self, small_geometry):
-        naive = NaiveMirzaTracker(mint_window=12,
-                                  geometry=small_geometry)
-        # Just the queue and the MINT entry: well under 40 bytes.
-        assert naive.storage_bits() / 8 < 40
-
     def test_selection_rate_close_to_one_per_window(self, small_geometry):
         t = NaiveMirzaTracker(mint_window=8, queue_entries=10 ** 6,
                               qth=10 ** 6, rng=random.Random(1),

@@ -1,8 +1,11 @@
 """Tests for the baseline trackers: TRR, PARA, Mithril, MINT, PRAC."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram.refresh import RefreshScheduler
 from repro.mitigations.base import MitigationSlotSource
@@ -12,6 +15,10 @@ from repro.mitigations.none import NoMitigation
 from repro.mitigations.para import ParaTracker
 from repro.mitigations.prac import PracTracker, prac_alert_threshold
 from repro.mitigations.trr import TrrTracker
+from repro.security.area import (
+    mithril_storage_bytes_per_bank,
+    trr_storage_bytes_per_bank,
+)
 
 REF = MitigationSlotSource.REF
 RFM = MitigationSlotSource.RFM
@@ -25,7 +32,6 @@ class TestNoMitigation:
             t.on_activate(i, 0)
         assert not t.wants_alert()
         assert t.on_mitigation_slot(0, REF) == []
-        assert t.storage_bits() == 0
 
 
 class TestTrr:
@@ -63,10 +69,6 @@ class TestTrr:
                        mitigation_threshold=1)
         t.on_activate(42, 0)
         assert t.on_mitigation_slot(0, RFM) == []
-
-    def test_storage_is_84_bytes(self):
-        # Table XII: 28 entries x 3 bytes.
-        assert TrrTracker().storage_bits() == 84 * 8
 
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
@@ -156,10 +158,85 @@ class TestMithril:
         top = max(t._table, key=t._table.get)
         assert t._table[top] >= true.get(top, 0) * 0.5
 
-    def test_storage_7kb_at_2k_entries(self):
-        # Section VIII-A: 2K entries -> ~7KB per bank.
-        assert MithrilTracker(entries=2048).storage_bits() / 8 == \
-            pytest.approx(7168, rel=0.01)
+
+def _mithril_floor(t):
+    """The count every untracked row's activations stay under: the
+    table minimum once full, zero while an entry is still free."""
+    if len(t._table) < t.entries:
+        return 0
+    return min(t._table.values())
+
+
+class TestMithrilCounterSummary:
+    """The counter-summary guarantees that make mitigating the maximum
+    entry sound, over arbitrary activation sequences."""
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.lists(st.integers(min_value=0, max_value=15),
+                    max_size=300))
+    @settings(max_examples=100)
+    def test_counts_sum_to_activations(self, entries, rows):
+        # A replacement adopts the evicted minimum plus one, so every
+        # activation adds exactly one to the table total.
+        t = MithrilTracker(entries=entries)
+        for row in rows:
+            t.on_activate(row, 0)
+        assert sum(t._table.values()) == len(rows)
+        assert len(t._table) <= entries
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.lists(st.integers(min_value=0, max_value=15),
+                    max_size=300))
+    @settings(max_examples=100)
+    def test_no_row_is_undercounted(self, entries, rows):
+        t = MithrilTracker(entries=entries)
+        for row in rows:
+            t.on_activate(row, 0)
+        floor = _mithril_floor(t)
+        for row, count in Counter(rows).items():
+            assert count <= t._table.get(row, floor)
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.lists(st.one_of(st.integers(min_value=0, max_value=15),
+                              st.none()), max_size=300))
+    @settings(max_examples=100)
+    def test_counts_bound_acts_since_mitigation(self, entries, ops):
+        """``None`` is a REF slot.  After every step, each row's
+        activations since its last mitigation stay within its count,
+        or within the floor once it has been replaced."""
+        t = MithrilTracker(entries=entries, refs_per_mitigation=1)
+        since = {}
+        for op in ops:
+            if op is None:
+                for row in t.on_mitigation_slot(0, REF):
+                    since[row] = 0
+            else:
+                t.on_activate(op, 0)
+                since[op] = since.get(op, 0) + 1
+            floor = _mithril_floor(t)
+            for row, acts in since.items():
+                assert acts <= t._table.get(row, floor)
+
+
+@pytest.mark.parametrize("make,priced_bytes,paper_bytes", [
+    (lambda: TrrTracker(), trr_storage_bytes_per_bank, 84),
+    (lambda: MithrilTracker(), mithril_storage_bytes_per_bank, 7168),
+], ids=["trr", "mithril"])
+def test_table_fills_to_the_priced_entries_and_no_further(
+        make, priced_bytes, paper_bytes):
+    """The area model prices the default table (Table XII's 84 B TRR,
+    Section VIII-A's 7 KB Mithril); a stream over more rows than it has
+    entries fills it and never grows it past that size."""
+    t = make()
+    rng = random.Random(2)
+    largest = 0
+    for i in range(3 * t.entries):
+        t.on_activate(rng.randrange(4 * t.entries), 0)
+        if i % 50 == 0:
+            t.on_mitigation_slot(0, REF)
+        largest = max(largest, len(t._table))
+    assert largest == t.entries
+    assert priced_bytes(t.entries) == paper_bytes
 
 
 class TestMintTracker:
@@ -195,9 +272,6 @@ class TestMintTracker:
         for i in range(100):
             t.on_activate(i, 0)
         assert len(t._pending) == 10
-
-    def test_storage_about_20_bytes(self):
-        assert MintTracker(window=48).storage_bits() / 8 < 20
 
 
 class TestPrac:
@@ -239,10 +313,6 @@ class TestPrac:
             t.on_activate(3, 0)
         assert t.on_mitigation_slot(0, REF) == []
         assert t.wants_alert()
-
-    def test_no_sram_storage(self):
-        # PRAC's counters live in the DRAM array (area model covers it).
-        assert PracTracker(trhd=1000).storage_bits() == 0
 
     def test_multiple_rows_over_threshold_drain_in_order(self):
         t = PracTracker(trhd=100, alert_threshold=2)

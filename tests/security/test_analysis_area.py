@@ -1,6 +1,8 @@
 """Tests for Table II analysis helpers and the area model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.security.analysis import (
     acts_per_ref_interval,
@@ -10,10 +12,12 @@ from repro.security.analysis import (
 )
 from repro.security.area import (
     AreaModel,
+    hydra_storage_bytes_per_bank,
     mint_storage_bytes_per_bank,
     mirza_storage_bytes_per_bank,
     mithril_storage_bytes_per_bank,
     prac_counter_bits_for_trhd,
+    pride_storage_bytes_per_bank,
     rct_counter_bits,
     trr_storage_bytes_per_bank,
 )
@@ -66,6 +70,12 @@ class TestStorage:
         assert rct_counter_bits(3330) == 12
         assert rct_counter_bits(660) == 10
 
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    def test_rct_counter_bits_are_the_fewest_that_hold_fth_plus_one(
+            self, fth):
+        bits = rct_counter_bits(fth)
+        assert 2 ** (bits - 1) <= fth + 1 < 2 ** bits
+
     @pytest.mark.parametrize("regions,fth,paper_bytes", [
         (64, 3330, 116), (128, 1500, 196), (256, 660, 340)])
     def test_table7_sram_per_bank(self, regions, fth, paper_bytes):
@@ -81,6 +91,12 @@ class TestStorage:
     def test_mithril_7kb(self):
         assert mithril_storage_bytes_per_bank() == 7168
 
+    def test_pride_fifo_9_bytes(self):
+        assert pride_storage_bytes_per_bank() == 9
+
+    def test_hydra_sram_1232_bytes(self):
+        assert hydra_storage_bytes_per_bank() == 1232
+
 
 class TestPracBits:
     def test_table10_bit_widths(self):
@@ -91,6 +107,11 @@ class TestPracBits:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             prac_counter_bits_for_trhd(0)
+
+    @given(st.integers(min_value=2, max_value=10 ** 6))
+    def test_fewest_bits_with_trhd_states(self, trhd):
+        bits = prac_counter_bits_for_trhd(trhd)
+        assert 2 ** (bits - 1) < trhd <= 2 ** bits
 
 
 class TestAreaModel:

@@ -186,12 +186,16 @@ class TestCuratedSurface:
     REMOVED_MODULES = ("repro.cache", "repro.cache.llc",
                        "repro.mitigations.blockhammer",
                        "repro.mitigations.qprac", "repro.dram.commands",
-                       "repro._profile")
+                       "repro._profile", "repro.mitigations.hydra",
+                       "repro.mitigations.pride",
+                       "repro.mitigations.protrr")
     REMOVED_NAMES = {
         "repro.dram.mapping": ("AddressMapping", "DecodedAddress"),
         "repro.energy": ("EnergyBreakdown", "energy_of_run"),
         "repro.mitigations": ("BlockHammerThrottle",
-                              "CountingBloomFilter", "QpracTracker"),
+                              "CountingBloomFilter", "QpracTracker",
+                              "HydraTracker", "PrideTracker",
+                              "ProTrrTracker"),
         "repro.dram": ("AddressMapping", "DecodedAddress", "DramCommand"),
         "repro.security.lifetime": ("required_exponent",),
         "repro.security.mint_model": ("mint_tolerated_trhs",),
@@ -242,6 +246,16 @@ class TestCuratedSurface:
         assert not hasattr(SimSession, "_absorb_observability")
         for name in ("metrics_snapshot", "trace_events", "spans_list"):
             assert not hasattr(obs.Collection, name), name
+
+    def test_one_place_prices_tracker_storage(self):
+        """``repro.security.area`` alone prices tracker SRAM: no tracker
+        carries a storage method, and Mithril no longer takes the counter
+        width only that method read."""
+        from repro.mitigations import BankTracker, MithrilTracker
+        for name in ("storage_bits", "storage_bytes"):
+            assert not hasattr(BankTracker, name), name
+        with pytest.raises(TypeError):
+            MithrilTracker(bits_per_counter=11)
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_removed_modules_stay_gone(self, module):

@@ -15,7 +15,7 @@ from reportbench.outputs import report_digest
 from repro.report import generate_markdown
 from repro.sim.session import SimSession
 
-DIGEST = "ed9ff337206c5fba8a237a28ea64529f8d9374ca04246fef47df3261adc44091"
+DIGEST = "98cc5cdb53a680880dc5cc1e28cef53be86a7c1d7fcff43c3148f4ffbe341c8e"
 KNOBS = {"REPRO_TIME_SCALE": "8192", "REPRO_CGF_SCALE": "2048",
          "REPRO_SEED": "0"}
 
