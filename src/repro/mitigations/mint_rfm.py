@@ -35,7 +35,6 @@ class MintTracker(BankTracker):
         self.sampler = MintSampler(window,
                                    rng if rng is not None else
                                    random.Random(0))
-        self.window = window
         self.refs_per_mitigation = refs_per_mitigation
         self.dmq_entries = dmq_entries
         self._pending: List[int] = []

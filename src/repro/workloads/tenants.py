@@ -172,10 +172,11 @@ def scenario_footprints(scenario: TenantScenario,
     """Physical ``(subchannel, bank)`` footprint of each tenant.
 
     Attackers touch exactly their configured bank (translated through
-    their address space); workload tenants stripe over every bank, and
-    address spaces permute banks bijectively, so their footprint is
-    the whole device.  Escape exposure per tenant is the worst
-    unmitigated-ACT count inside this footprint.
+    their address space, whose row table this never builds); workload
+    tenants stripe over every bank, and address spaces permute banks
+    bijectively, so their footprint is the whole device.  Escape
+    exposure per tenant is the worst unmitigated-ACT count inside this
+    footprint.
     """
     g = config.geometry
     all_banks = [(s, b) for s in range(g.subchannels)
@@ -183,10 +184,8 @@ def scenario_footprints(scenario: TenantScenario,
     footprints: Dict[str, List[Tuple[int, int]]] = {}
     for tenant in scenario.tenants:
         if tenant.is_attacker:
-            space = tenant.address_space.build(g)
-            subch, bank, _ = space.translate(
-                tenant.attack_subchannel, tenant.attack_bank, 0)
-            footprints[tenant.name] = [(subch, bank)]
+            footprints[tenant.name] = [tenant.address_space.translate_bank(
+                tenant.attack_subchannel, tenant.attack_bank, g)]
         elif tenant.workload:
             footprints[tenant.name] = list(all_banks)
         else:
@@ -245,10 +244,6 @@ class TenantWorkload:
         count = num_cores if num_cores is not None \
             else self.config.num_cores
         return [self.tenant_of(i) for i in range(count)]
-
-    def footprints(self) -> Dict[str, List[Tuple[int, int]]]:
-        """Physical ``(subchannel, bank)`` footprint of each tenant."""
-        return scenario_footprints(self.scenario, self.config)
 
     def _attack_trace(self, tenant: Tenant,
                       member_index: int) -> Iterator[TraceEntry]:

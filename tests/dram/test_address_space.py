@@ -1,6 +1,7 @@
 """Tests for the logical->physical AddressSpace translation layer."""
 
 import random
+from array import array
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.dram.mapping import (
     IdentityAddressSpace,
     PermutedAddressSpace,
     StridedAddressSpace,
+    _bank_permutation,
     _permutation_tables,
     make_address_space,
 )
@@ -83,6 +85,8 @@ class TestTranslateContracts:
         assert [space.translate(1, bank, 0)[1]
                 for bank in range(GEOMETRY.banks_per_subchannel)] == banks
         assert [space.translate(*c) for c in sample_coords()[:3]] == pinned
+        # A flat array of raw values: at most 4 bytes per row.
+        assert space._row_table.itemsize <= 4
 
     @pytest.mark.parametrize("rows, banks", [(1000, 6), (4099, 3),
                                              (2, 1), (1, 5)])
@@ -98,8 +102,38 @@ class TestTranslateContracts:
         rng.shuffle(row_table)
         bank_table = list(range(banks))
         rng.shuffle(bank_table)
-        assert _permutation_tables(rows, banks, seed) \
-            == (tuple(row_table), tuple(bank_table))
+        built_rows, built_banks = _permutation_tables(rows, banks, seed)
+        assert (list(built_rows), list(built_banks)) \
+            == (row_table, bank_table)
+
+    @pytest.mark.parametrize("rows, banks", [(1000, 6), (4099, 3),
+                                             (2, 1), (1, 5)])
+    @pytest.mark.parametrize("seed", (0, 5, 11, 2 ** 31 + 1))
+    def test_bank_only_draw_matches_the_full_build(self, rows, banks,
+                                                   seed):
+        # The bank table is drawn after the row shuffle's draws; a
+        # draws-only pass must leave the rng exactly where the swaps do.
+        assert _bank_permutation(rows, banks, seed) \
+            == _permutation_tables(rows, banks, seed)[1]
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_bank_only_draw_at_the_default_geometry(self, seed):
+        rows = GEOMETRY.rows_per_bank
+        banks = GEOMETRY.banks_per_subchannel
+        assert _bank_permutation(rows, banks, seed) \
+            == _permutation_tables(rows, banks, seed)[1]
+
+    @pytest.mark.parametrize("spec", [
+        AddressSpaceSpec(),
+        AddressSpaceSpec(kind="strided", stride=3, bank_offset=5),
+        AddressSpaceSpec(kind="permuted", seed=1),
+        AddressSpaceSpec(kind="permuted", seed=2)],
+        ids=lambda spec: f"{spec.kind}-{spec.seed}")
+    def test_translate_bank_follows_the_built_space(self, spec):
+        space = spec.build(GEOMETRY)
+        for subch, bank, _ in sample_coords():
+            assert spec.translate_bank(subch, bank, GEOMETRY) \
+                == space.translate(subch, bank, 0)[:2]
 
     def test_same_seed_shares_one_table(self):
         one = PermutedAddressSpace(GEOMETRY, seed=1)
@@ -107,7 +141,7 @@ class TestTranslateContracts:
         other = PermutedAddressSpace(GEOMETRY, seed=2)
         assert one._row_table is two._row_table
         assert one._bank_table is two._bank_table
-        assert isinstance(one._row_table, tuple)
+        assert isinstance(one._row_table, array)
         assert one._row_table != other._row_table
         small = DramGeometry(rows_per_bank=4096, rows_per_subarray=1024)
         assert len(PermutedAddressSpace(small, seed=1)._row_table) == 4096

@@ -257,6 +257,17 @@ class TestCuratedSurface:
         with pytest.raises(TypeError):
             MithrilTracker(bits_per_counter=11)
 
+    def test_one_footprint_path_and_one_mint_window(self):
+        """Tenant footprints come from ``scenario_footprints`` alone (it
+        reads a permuted bank without a row table), and MINT keeps its
+        window on its sampler only."""
+        from repro.mitigations import MintTracker
+        from repro.workloads.tenants import TenantWorkload
+        assert not hasattr(TenantWorkload, "footprints")
+        tracker = MintTracker(12)
+        assert not hasattr(tracker, "window")
+        assert tracker.sampler.window == 12
+
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_removed_modules_stay_gone(self, module):
         with pytest.raises(ImportError):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dram import mapping
+from repro.experiments.intervm import PRESSURES
 from repro.params import SimScale, SystemConfig
 from repro.sim.runner import baseline_setup, simulate_tenants
 from repro.workloads.tenants import (
@@ -55,6 +57,43 @@ class TestScenarioShape:
         for subch, bank in footprints["attacker"]:
             assert 0 <= subch < geometry.subchannels
             assert 0 <= bank < geometry.banks_per_subchannel
+
+    @pytest.mark.parametrize("pressure", PRESSURES)
+    def test_footprints_build_no_row_table(self, pressure, monkeypatch):
+        scenario = intervm_scenario(attack_rows=pressure)
+        config = SystemConfig()
+        geometry = config.geometry
+        expected = {}
+        for tenant in scenario.tenants:
+            space = tenant.address_space.build(geometry)
+            if tenant.is_attacker:
+                expected[tenant.name] = [space.translate(
+                    tenant.attack_subchannel, tenant.attack_bank, 0)[:2]]
+            elif tenant.workload:
+                expected[tenant.name] = [
+                    space.translate(s, b, 0)[:2]
+                    for s in range(geometry.subchannels)
+                    for b in range(geometry.banks_per_subchannel)]
+            else:
+                expected[tenant.name] = []
+
+        shuffled = []
+        real_shuffle = mapping._shuffled_range
+
+        def record(n, rng):
+            shuffled.append(n)
+            return real_shuffle(n, rng)
+
+        def no_row_table(*args):
+            raise AssertionError("footprints built a row table")
+
+        mapping._bank_permutation.cache_clear()
+        monkeypatch.setattr(mapping, "_shuffled_range", record)
+        monkeypatch.setattr(mapping, "_permutation_tables", no_row_table)
+        footprints = scenario_footprints(scenario, config)
+        assert geometry.rows_per_bank not in shuffled
+        assert {name: sorted(banks) for name, banks in footprints.items()} \
+            == {name: sorted(banks) for name, banks in expected.items()}
 
 
 class TestTenantWorkload:
