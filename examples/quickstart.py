@@ -18,7 +18,7 @@ import random
 from repro import MirzaConfig, MirzaTracker, SystemConfig
 from repro.dram.mapping import StridedR2SA
 from repro.security.attacks import SingleBankHarness
-from repro.workloads.attacks import double_sided_attack_stream
+from repro.workloads.patterns import CompileContext, DoubleSided
 
 
 def main() -> None:
@@ -43,12 +43,13 @@ def main() -> None:
     harness = SingleBankHarness(tracker, system)
 
     # 3. A double-sided attack: hammer the victim row's two physical
-    #    neighbours flat out for two million activations.
-    victim_row = 51_200
-    acts = 2_000_000
-    print(f"Hammering the neighbours of row {victim_row} with "
-          f"{acts:,} activations...")
-    harness.run(double_sided_attack_stream(victim_row, mapping, acts))
+    #    neighbours flat out for two million activations.  The pattern
+    #    spec compiles against the tracker's mapping, so "neighbours"
+    #    means physically adjacent rows.
+    attack = DoubleSided(victim_row=51_200, acts=2_000_000)
+    print(f"Hammering the neighbours of row {attack.victim_row} with "
+          f"{attack.acts:,} activations...")
+    harness.run(attack.rows(CompileContext.make(mapping)))
 
     print(f"  ALERTs raised:        {harness.alerts:,}")
     print(f"  mitigations applied:  {harness.mitigations:,}")

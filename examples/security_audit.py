@@ -25,10 +25,11 @@ from repro.mitigations.prac import PracTracker
 from repro.mitigations.trr import TrrTracker
 from repro.security.attacks import SingleBankHarness
 from repro.sim.stats import format_table
-from repro.workloads.attacks import (
-    double_sided_attack_stream,
-    feinting_attack_stream,
-    trr_evasion_pattern,
+from repro.workloads.patterns import (
+    CompileContext,
+    DecoyEvasion,
+    DoubleSided,
+    paper_attack_set,
 )
 
 TRHD = 1000
@@ -61,14 +62,16 @@ def build_trackers(system: SystemConfig):
 
 
 def attacks(system: SystemConfig, mapping):
-    victim = 4096 + 7
+    ctx = CompileContext.make(mapping or StridedR2SA(system.geometry),
+                              system)
     return {
         "focused hammer": iter([12_345] * ACTS),
-        "double-sided": double_sided_attack_stream(
-            victim, mapping or StridedR2SA(system.geometry), ACTS),
-        "feinting (36 rows)": feinting_attack_stream(32, ACTS),
-        "TRR evasion": trr_evasion_pattern(28, target_row=777, seed=7,
-                                           acts=ACTS),
+        "double-sided": DoubleSided(victim_row=4096 + 7,
+                                    acts=ACTS).rows(ctx),
+        "feinting (36 rows)": paper_attack_set(
+            ACTS, tracker_entries=32)["feinting"].rows(ctx),
+        "TRR evasion": DecoyEvasion(table_entries=28, target_row=777,
+                                    acts=ACTS, seed=7).rows(ctx),
     }
 
 

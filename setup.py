@@ -12,5 +12,5 @@ setup(
         "ALERT (HPCA 2026) - full reproduction"),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
 )

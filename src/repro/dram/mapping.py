@@ -210,39 +210,6 @@ class IdentityAddressSpace(AddressSpace):
         return (subchannel, bank, row)
 
 
-class StridedAddressSpace(AddressSpace):
-    """Modular-affine row remap with an optional bank rotation.
-
-    Logical row ``r`` lands at ``(r * stride + row_offset) % rows`` and
-    logical bank ``b`` at ``(b + bank_offset) % banks``.  ``stride``
-    must be odd: row counts are powers of two, so odd strides (and only
-    odd strides) make the affine map a bijection.  A stride of 1 with a
-    nonzero offset models a simple base-offset guest mapping; larger
-    strides interleave a tenant's consecutive rows across the bank.
-    """
-
-    name = "strided"
-
-    def __init__(self, geometry: DramGeometry = DramGeometry(),
-                 stride: int = 1, row_offset: int = 0,
-                 bank_offset: int = 0) -> None:
-        super().__init__(geometry)
-        if stride % 2 == 0:
-            raise ValueError(
-                f"stride must be odd for a bijective row map over a "
-                f"power-of-two bank, got {stride}")
-        self.stride = stride
-        self.row_offset = row_offset
-        self.bank_offset = bank_offset
-
-    def translate(self, subchannel: int, bank: int, row: int
-                  ) -> Tuple[int, int, int]:
-        g = self.geometry
-        return (subchannel,
-                (bank + self.bank_offset) % g.banks_per_subchannel,
-                (row * self.stride + self.row_offset) % g.rows_per_bank)
-
-
 def _permutation_rng(seed: int) -> random.Random:
     # Mix the seed so spaces don't correlate with other consumers
     # of small integer seeds; int seeding is hash-stable across
@@ -349,15 +316,13 @@ class AddressSpaceSpec:
     """Describable recipe for an :class:`AddressSpace`.
 
     Session jobs must be describable (plain comparable fields, no
-    bound tables), so tenants and trace-replay jobs carry this spec
-    and :meth:`build` the concrete space -- permutation tables and all
-    -- at execution time.
+    bound tables), so tenants carry this spec and :meth:`build` the
+    concrete space -- permutation tables and all -- at execution time.
+    ``kind`` is ``"identity"`` or ``"permuted"``; ``seed`` picks a
+    permuted space's tables.
     """
 
     kind: str = "identity"
-    stride: int = 1
-    row_offset: int = 0
-    bank_offset: int = 0
     seed: int = 0
 
     def build(self, geometry: DramGeometry = DramGeometry()
@@ -385,15 +350,11 @@ def make_address_space(spec: AddressSpaceSpec,
     """Concrete address space for ``spec`` over ``geometry``."""
     if spec.kind == "identity":
         return IdentityAddressSpace(geometry)
-    if spec.kind == "strided":
-        return StridedAddressSpace(geometry, stride=spec.stride,
-                                   row_offset=spec.row_offset,
-                                   bank_offset=spec.bank_offset)
     if spec.kind == "permuted":
         return PermutedAddressSpace(geometry, seed=spec.seed)
     raise ValueError(
         f"unknown address-space kind {spec.kind!r}; expected one of "
-        f"'identity', 'strided', 'permuted'")
+        f"'identity', 'permuted'")
 
 
 class BitFieldDecoder:

@@ -30,7 +30,7 @@ from repro.security.analysis import (
 from repro.security.attacks import SingleBankHarness
 from repro.sim.session import register_job_type
 from repro.sim.stats import format_table
-from repro.workloads.attacks import feinting_attack_stream
+from repro.workloads.patterns import CompileContext, paper_attack_set
 
 PAPER = {
     1: {"cannibalization": 68.0, "mint": 1500, "mithril": 1000},
@@ -61,7 +61,8 @@ def measure_mithril_feinting(entries: int, refs_per_mitigation: int,
                              refs_per_mitigation=refs_per_mitigation)
     harness = SingleBankHarness(
         tracker, acts_per_ref=acts_per_ref_interval())
-    harness.run(feinting_attack_stream(entries, acts))
+    feint = paper_attack_set(acts, tracker_entries=entries)["feinting"]
+    harness.run(feint.rows(CompileContext.make()))
     return harness.max_unmitigated
 
 

@@ -11,10 +11,11 @@ Misra-Gries frequent-items algorithm:
 
 At each mitigation opportunity the row with the maximum counter is
 mitigated and its counter reset to the table minimum (mitigating does
-not licence forgetting the Misra-Gries undercount).  Because counts are
-sound lower bounds with bounded undercount, Mithril is *secure* -- but
-needs thousands of entries at low thresholds (4.5KB+ CAM per bank,
-Section I), which is exactly the storage cost MIRZA avoids.
+not licence forgetting the Misra-Gries undercount), which is 0 while
+the table still has a free entry.  Because counts are sound lower
+bounds with bounded undercount, Mithril is *secure* -- but needs
+thousands of entries at low thresholds (4.5KB+ CAM per bank, Section
+I), which is exactly the storage cost MIRZA avoids.
 
 The eviction victim and the floor come from a
 :class:`~repro.mitigations.minheap.MinCountHeap` over the table, so a
@@ -78,9 +79,11 @@ class MithrilTracker(BankTracker):
         last = self._last_mitigated
         row = max([r for r, count in table.items() if count == top],
                   key=lambda r: (-last.get(r, -1), -r))
-        # Reset to the running minimum rather than zero: the entry may
+        # Reset to the table minimum rather than zero: the entry may
         # still be undercounting by up to the Misra-Gries error floor.
-        floor, _ = self._index.minimum()
+        # A free entry holds 0, so while one is left that minimum is 0.
+        floor = self._index.minimum()[0] \
+            if len(table) == self.entries else 0
         self._index.set_count(row, floor)
         self._mitigation_seq += 1
         self._last_mitigated[row] = self._mitigation_seq

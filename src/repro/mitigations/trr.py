@@ -10,8 +10,8 @@ aggressor is mitigated per ``refs_per_mitigation`` REF commands
 
 TRR is **insecure**: patterns with more decoy rows than table entries
 (Blacksmith/TRRespass-style) evict the true aggressor, which the
-security tests demonstrate by driving
-:func:`repro.workloads.attacks.trr_evasion_pattern` against it.
+security tests demonstrate by driving a
+:class:`repro.workloads.patterns.DecoyEvasion` pattern against it.
 """
 
 from __future__ import annotations

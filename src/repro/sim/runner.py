@@ -336,7 +336,7 @@ def calibrated_workload(workload: Union[str, WorkloadSpec],
     with _obs.suppressed():
         for _ in range(4):
             system = MultiCoreSystem(
-                config, synthetic.trace_factory(), mlp=synthetic.mlp,
+                config, synthetic.chunk_source, mlp=synthetic.mlp,
                 refs_per_window=scale.scaled_refs_per_window(
                     config.timings))
             result = system.run(probe)
@@ -511,7 +511,7 @@ def simulate_source(source, setup: MitigationSetup,
     def build() -> MultiCoreSystem:
         return MultiCoreSystem(
             sys_config,
-            trace_factory=source.trace_factory(),
+            trace_factory=source.chunk_source,
             tracker_factory=tracker_factory,
             mapping_factory=lambda: setup.make_mapping(sys_config),
             rfm_bat=setup.rfm_bat,
@@ -576,27 +576,19 @@ def simulate_trace(trace, setup: MitigationSetup,
                    scale: SimScale = SimScale(64),
                    seed: int = 0,
                    config: SystemConfig = SystemConfig(),
-                   mlp: int = 8,
-                   address_space=None) -> SimResult:
+                   mlp: int = 8) -> SimResult:
     """Replay an ingested trace through one simulated window.
 
-    ``trace`` is a native trace path (``.gz``-aware), a list of
-    :class:`~repro.cpu.trace.TraceEntry`, or a prebuilt
-    :class:`~repro.workloads.tracefile.TraceFileWorkload`.  Paths and
-    entry lists are wrapped in shard mode -- each core replays a
-    contiguous slice -- so a converted trace's MPKI/ACT-PKI structure
-    survives multi-core replay.  Coordinates are routed through
-    ``address_space`` when given.
+    ``trace`` is a native trace path (``.gz``-aware) or a list of
+    :class:`~repro.cpu.trace.TraceEntry`.  Each core replays a
+    contiguous shard of it (see
+    :class:`~repro.workloads.tracefile.TraceFileWorkload`), so a
+    converted trace's MPKI/ACT-PKI structure survives multi-core
+    replay.
     """
     from repro.workloads.tracefile import TraceFileWorkload
-    if isinstance(trace, TraceFileWorkload):
-        source = trace
-    else:
-        source = TraceFileWorkload(
-            trace, mlp=mlp, per_core="shard",
-            address_space=address_space,
-            geometry=config.geometry,
-            shard_cores=config.num_cores)
+    source = TraceFileWorkload(trace, mlp=mlp,
+                               shard_cores=config.num_cores)
     return simulate_source(source, setup, scale, seed=seed,
                            config=config)
 

@@ -1,4 +1,4 @@
-"""Workloads: Table IV descriptors, synthetic traces, attack kernels.
+"""Workloads: Table IV descriptors, synthetic traces, attack patterns.
 
 The paper evaluates 24 workloads (SPEC-2017 with MPKI >= 1, the six GAP
 graph kernels, and six mixes).  We reproduce each as a synthetic trace
@@ -8,25 +8,19 @@ subarray per refresh window -- since those four statistics are exactly
 what every result in the paper is a function of (see DESIGN.md).
 
 Everything that can feed cores -- the calibrated synthetic generators,
-multiprogrammed mixes, recorded trace files, and the adversarial
-kernels -- satisfies one seam, :class:`WorkloadSource`: an ``mlp``
-hint, a per-core :meth:`~WorkloadSource.chunk_source`, and a
-:meth:`~WorkloadSource.trace_factory` that
-:class:`repro.cpu.system.MultiCoreSystem` consumes directly.
+multiprogrammed mixes, recorded trace files, tenant compositions and
+compiled attack patterns -- satisfies one seam, :class:`WorkloadSource`:
+an ``mlp`` hint and a per-core :meth:`~WorkloadSource.chunk_source`,
+which :class:`repro.cpu.system.MultiCoreSystem` takes as its
+``trace_factory``.
 """
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.cpu.trace import ChunkSource
-from repro.workloads.attacks import (
-    AttackWorkload,
-    double_sided_attack_stream,
-    feinting_attack_stream,
-    performance_attack_trace,
-    trr_evasion_pattern,
-)
 from repro.workloads.patterns import (
     AttackPattern,
+    AttackWorkload,
     CompileContext,
     DecoyEvasion,
     DoubleSided,
@@ -77,9 +71,10 @@ class WorkloadSource(Protocol):
 
     :class:`~repro.workloads.synthetic.SyntheticWorkload`,
     :class:`~repro.workloads.mixed.MixedWorkload`,
-    :class:`~repro.workloads.tracefile.TraceFileWorkload`, and
-    :class:`~repro.workloads.attacks.AttackWorkload` all satisfy it; a
-    custom source can be any object with these three members.
+    :class:`~repro.workloads.tracefile.TraceFileWorkload`,
+    :class:`~repro.workloads.tenants.TenantWorkload` and
+    :class:`~repro.workloads.patterns.AttackWorkload` all satisfy it; a
+    custom source can be any object with these two members.
     """
 
     mlp: int
@@ -87,10 +82,6 @@ class WorkloadSource(Protocol):
 
     def chunk_source(self, core_id: int) -> ChunkSource:
         """The chunked miss trace for one core."""
-        ...
-
-    def trace_factory(self) -> Callable[[int], ChunkSource]:
-        """``core_id -> trace`` callable for ``MultiCoreSystem``."""
         ...
 
 
@@ -122,19 +113,15 @@ __all__ = [
     "calibration_report",
     "convert_trace",
     "detect_format",
-    "double_sided_attack_stream",
-    "feinting_attack_stream",
     "intervm_scenario",
     "load_trace",
     "open_ingest",
     "paper_attack_set",
-    "performance_attack_trace",
     "read_dramsim3_trace",
     "read_litex_rows",
     "read_trace",
     "scenario_footprints",
     "trace_metadata",
-    "trr_evasion_pattern",
     "workload_by_name",
     "write_trace",
 ]

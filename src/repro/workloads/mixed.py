@@ -78,10 +78,6 @@ class MixedWorkload:
         """Chunked trace of ``core_id``'s member (hot-path form)."""
         return self._generators[core_id].chunk_source(core_id)
 
-    def trace_factory(self):
-        """``core_id -> trace`` callable for MultiCoreSystem."""
-        return self.chunk_source
-
     @property
     def mlp(self) -> int:
         """Conservative shared MLP: the maximum any member needs."""

@@ -1,10 +1,11 @@
 """Declarative attack-pattern DSL: one vocabulary, two compilations.
 
-Every attack the repository knows -- the paper's fixed set in
-:mod:`repro.workloads.attacks`, the litex-rowhammer-tester style
-row-list programs, and the Blacksmith/Phoenix refresh-synchronized
-sweeps -- is expressed as a frozen :class:`AttackPattern` dataclass.
-Frozen specs are *job material*: they hash by content through
+Every attack the repository knows -- the paper's fixed set
+(:func:`paper_attack_set`), the Figure 12 performance kernel an
+attacker tenant runs, the litex-rowhammer-tester style row-list
+programs, and the Blacksmith/Phoenix refresh-synchronized sweeps -- is
+expressed as a frozen :class:`AttackPattern` dataclass.  Frozen specs
+are *job material*: they hash by content through
 :func:`repro.sim.session.describe`, so a pattern embedded in a
 :class:`~repro.security.fuzz.FuzzJob` is cacheable and reproducible by
 construction.
@@ -14,10 +15,10 @@ A pattern compiles two ways from the same definition:
 - :meth:`AttackPattern.rows` -- the bare activation stream (one logical
   ACT per element) that :class:`repro.security.attacks.
   SingleBankHarness` consumes in security tests;
-- :meth:`AttackPattern.trace` / :meth:`AttackPattern.workload` -- the
-  equivalent :class:`~repro.cpu.trace.TraceEntry` stream and
-  :class:`~repro.workloads.attacks.AttackWorkload` for full-system runs,
-  which the kernel consumes through the ``WorkloadSource`` seam.
+- :meth:`AttackPattern.chunk_source` / :meth:`AttackPattern.workload`
+  -- the same stream as chunked core trace entries, and an
+  :class:`AttackWorkload` serving it to chosen cores, for full-system
+  runs, which the kernel consumes through the ``WorkloadSource`` seam.
 
 Compilation is parameterised by a :class:`CompileContext` -- the
 row-to-subarray mapping, the bank/subchannel coordinates, and the
@@ -100,16 +101,32 @@ class AttackPattern:
         return chunk_entries(self.trace(ctx), chunk_size)
 
     def workload(self, ctx: CompileContext,
-                 cores: Iterable[int] = (0,), mlp: int = 1):
-        """An :class:`~repro.workloads.attacks.AttackWorkload` driving
-        this pattern on ``cores`` (full-system compilation)."""
-        from repro.workloads.attacks import AttackWorkload
+                 cores: Iterable[int] = (0,),
+                 mlp: int = 1) -> "AttackWorkload":
+        """An :class:`AttackWorkload` driving this pattern on ``cores``
+        (full-system compilation)."""
+        return AttackWorkload(self, ctx, cores, mlp)
 
-        def factory() -> Iterator[TraceEntry]:
-            return self.trace(ctx)
 
-        return AttackWorkload({core: factory for core in cores},
-                              mlp=mlp)
+class AttackWorkload:
+    """A compiled pattern as a :class:`~repro.workloads.WorkloadSource`.
+
+    Each of ``cores`` replays the pattern's timed compilation from its
+    start; every other core idles for the window.
+    """
+
+    def __init__(self, pattern: AttackPattern, ctx: CompileContext,
+                 cores: Iterable[int], mlp: int) -> None:
+        self.pattern = pattern
+        self.ctx = ctx
+        self.cores = frozenset(cores)
+        self.mlp = mlp
+
+    def chunk_source(self, core_id: int) -> ChunkSource:
+        """One core's chunked attack trace (empty off ``cores``)."""
+        if core_id not in self.cores:
+            return chunk_entries(iter(()))
+        return self.pattern.chunk_source(self.ctx)
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +382,7 @@ PatternFactory = Callable[[int], AttackPattern]
 
 __all__ = [
     "AttackPattern",
+    "AttackWorkload",
     "CompileContext",
     "DecoyEvasion",
     "DoubleSided",

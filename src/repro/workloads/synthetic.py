@@ -220,7 +220,3 @@ class SyntheticWorkload:
     def chunk_source(self, core_id: int) -> ChunkSource:
         """The chunked trace wrapped for :class:`repro.cpu.core.Core`."""
         return ChunkSource(self.trace_chunks(core_id))
-
-    def trace_factory(self):
-        """``core_id -> trace`` callable for :class:`MultiCoreSystem`."""
-        return self.chunk_source

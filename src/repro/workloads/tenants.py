@@ -19,13 +19,13 @@ per-core sources at execution time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cpu.trace import ChunkSource, TraceEntry, chunk_entries
 from repro.dram.mapping import AddressSpace, AddressSpaceSpec, \
     IdentityAddressSpace
 from repro.params import SimScale, SystemConfig
-from repro.workloads.attacks import performance_attack_trace
+from repro.workloads.patterns import CompileContext, RowCycle
 from repro.workloads.specs import workload_by_name
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -37,7 +37,8 @@ class Tenant:
     Exactly one of two modes: ``workload`` names a Table IV spec the
     tenant's cores run (a victim VM), or ``attack_rows > 0`` makes the
     tenant an attacker whose cores each hammer a circular pattern of
-    that many rows (the Figure 12 kernel) against
+    that many rows (the Figure 12 kernel, a
+    :class:`~repro.workloads.patterns.RowCycle`) against
     ``(attack_subchannel, attack_bank)``.  Neither set means the
     tenant idles -- the no-attack control point of a pressure sweep.
     All of the tenant's trace coordinates are logical and are routed
@@ -212,6 +213,7 @@ class TenantWorkload:
         scenario.validate(config.num_cores)
         self.scenario = scenario
         self.config = config
+        self._window_ps = scale.scaled_trefw(config.timings)
         self._spaces: Dict[str, AddressSpace] = {
             t.name: t.address_space.build(config.geometry)
             for t in scenario.tenants}
@@ -245,16 +247,6 @@ class TenantWorkload:
             else self.config.num_cores
         return [self.tenant_of(i) for i in range(count)]
 
-    def _attack_trace(self, tenant: Tenant,
-                      member_index: int) -> Iterator[TraceEntry]:
-        # Each attacking core hammers its own disjoint K-row region so
-        # attacker cores don't collapse onto one another's rows.
-        return performance_attack_trace(
-            self.config, k_rows=tenant.attack_rows,
-            bank=tenant.attack_bank,
-            subchannel=tenant.attack_subchannel,
-            region_base_row=member_index * tenant.attack_rows)
-
     def chunk_source(self, core_id: int) -> ChunkSource:
         """One core's translated chunk stream."""
         tenant = self._core_tenant.get(core_id)
@@ -264,8 +256,7 @@ class TenantWorkload:
         if source is not None:
             inner = source.chunk_source(core_id)
         elif tenant.is_attacker:
-            member = tenant.cores.index(core_id)
-            inner = chunk_entries(self._attack_trace(tenant, member))
+            inner = self._attack_chunks(tenant, tenant.cores.index(core_id))
         else:
             inner = chunk_entries(iter(()))
         space = self._spaces[tenant.name]
@@ -273,6 +264,17 @@ class TenantWorkload:
             return inner
         return TranslatedChunkSource(inner, space)
 
-    def trace_factory(self) -> Callable[[int], ChunkSource]:
-        """``core_id -> trace`` callable for ``MultiCoreSystem``."""
-        return self.chunk_source
+    def _attack_chunks(self, tenant: Tenant, member: int) -> ChunkSource:
+        # Figure 12's kernel: each attacking core hammers its own
+        # disjoint K-row region back to back, so attacker cores don't
+        # collapse onto one another's rows.  Successive issues are at
+        # least ``compute_ps`` apart, so no core issues more than
+        # ``acts`` requests in the window.
+        ctx = CompileContext.make(config=self.config,
+                                  bank=tenant.attack_bank,
+                                  subchannel=tenant.attack_subchannel)
+        base = member * tenant.attack_rows
+        pattern = RowCycle(
+            row_list=tuple(range(base, base + tenant.attack_rows)),
+            acts=self._window_ps // ctx.compute_ps + 1)
+        return pattern.chunk_source(ctx)

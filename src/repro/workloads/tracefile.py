@@ -30,13 +30,11 @@ errors name the source path so multi-file sweeps stay debuggable.
 from __future__ import annotations
 
 import gzip
-from typing import Callable, Dict, Iterable, Iterator, List, \
-    Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, TextIO, \
+    Tuple, Union
 
-from repro.cpu.trace import ChunkSource, TraceEntry, chunk_entries, \
-    cyclic
-from repro.dram.mapping import AddressSpace, AddressSpaceSpec, \
-    BitFieldDecoder, IdentityAddressSpace
+from repro.cpu.trace import ChunkSource, TraceEntry, chunk_entries
+from repro.dram.mapping import BitFieldDecoder
 from repro.params import DramGeometry, SystemConfig
 
 _FIELDS = 5
@@ -360,83 +358,25 @@ def calibration_report(result, spec, rel_tol: float = 0.5
             for label, measured, paper in rows]
 
 
-def _translate_entries(entries: List[TraceEntry],
-                       space: AddressSpace) -> List[TraceEntry]:
-    """Entries with coordinates routed through ``space``, once."""
-    translate = space.translate
-    out = []
-    for e in entries:
-        subch, bank, row = translate(e.subchannel, e.bank, e.row)
-        out.append(TraceEntry(compute_ps=e.compute_ps,
-                              instructions=e.instructions,
-                              subchannel=subch, bank=bank, row=row))
-    return out
-
-
 class TraceFileWorkload:
     """A recorded trace as a :class:`repro.workloads.WorkloadSource`.
 
     Wraps a trace file (or pre-loaded entries) so real miss traces plug
     into :func:`repro.cpu.system.MultiCoreSystem` -- and any code
     written against the :class:`~repro.workloads.WorkloadSource` seam
-    -- exactly like the synthetic generators do.
-
-    Trace coordinates are *logical*: they are routed through
-    ``address_space`` (an :class:`~repro.dram.mapping.AddressSpace` or
-    an :class:`~repro.dram.mapping.AddressSpaceSpec`) once at load
-    time.
-
-    ``per_core`` picks each core's share of the trace: ``None``
-    replays the whole trace on every core (single-program mode),
-    ``"shard"`` deals contiguous slices round the cores (preserving
-    each shard's row-burst structure, which is what keeps a converted
-    trace's ACT-PKI honest under multi-core replay), and a callable
-    maps ``core_id`` to an entry list.  With ``cycle=True`` the trace
-    repeats for the full window instead of running dry.
+    -- exactly like the synthetic generators do.  Each of
+    ``shard_cores`` cores replays its own contiguous slice of the trace
+    once, which preserves each slice's row-burst structure and so keeps
+    a converted trace's ACT-PKI honest under multi-core replay.
     """
 
     def __init__(self, source: Union[str, TextIO, List[TraceEntry]],
-                 mlp: int = 8, cycle: bool = False,
-                 per_core: Union[None, str,
-                                 Callable[[int], List[TraceEntry]]]
-                 = None,
-                 address_space: Union[None, AddressSpace,
-                                      AddressSpaceSpec] = None,
-                 geometry: DramGeometry = DramGeometry(),
-                 workload: Optional[str] = None,
+                 mlp: int = 8,
                  shard_cores: Optional[int] = None) -> None:
-        if isinstance(source, list):
-            self.entries = source
-        else:
-            self.entries = load_trace(source)
-            if workload is None and isinstance(source, str):
-                workload = trace_metadata(source).get("workload")
-        if isinstance(address_space, AddressSpaceSpec):
-            address_space = address_space.build(geometry)
-        if address_space is not None and \
-                not isinstance(address_space, IdentityAddressSpace):
-            self.entries = _translate_entries(self.entries,
-                                              address_space)
-        self.address_space = address_space
-        self.workload = workload
+        self.entries = source if isinstance(source, list) \
+            else load_trace(source)
         self.mlp = mlp
-        self.cycle = cycle
-        if isinstance(per_core, str) and per_core != "shard":
-            raise ValueError(
-                f"per_core must be None, 'shard', or a callable, "
-                f"got {per_core!r}")
-        self._per_core = per_core
         self._shard_cores = shard_cores or SystemConfig().num_cores
-
-    def _core_entries(self, core_id: int) -> List[TraceEntry]:
-        if callable(self._per_core):
-            return self._per_core(core_id)
-        if self._per_core == "shard":
-            # Contiguous shards (not round-robin) keep consecutive
-            # same-row bursts on one core, so row-hit behaviour
-            # survives the split.
-            return self.shard(self._shard_cores, core_id)
-        return self.entries
 
     def shard(self, num_cores: int, core_id: int) -> List[TraceEntry]:
         """Core ``core_id``'s contiguous shard of the trace."""
@@ -445,17 +385,6 @@ class TraceFileWorkload:
         hi = n * (core_id + 1) // num_cores
         return self.entries[lo:hi]
 
-    def trace(self, core_id: int) -> Iterator[TraceEntry]:
-        """Entry-at-a-time view of one core's share of the trace."""
-        entries = self._core_entries(core_id)
-        if self.cycle and entries:
-            return cyclic(entries)
-        return iter(entries)
-
     def chunk_source(self, core_id: int) -> ChunkSource:
-        """The chunked trace wrapped for :class:`repro.cpu.core.Core`."""
-        return chunk_entries(self.trace(core_id))
-
-    def trace_factory(self) -> Callable[[int], ChunkSource]:
-        """``core_id -> trace`` callable for ``MultiCoreSystem``."""
-        return self.chunk_source
+        """One core's shard, chunked for :class:`repro.cpu.core.Core`."""
+        return chunk_entries(self.shard(self._shard_cores, core_id))

@@ -85,17 +85,17 @@ def test_synthetic_chunks_match_entry_trace():
     assert from_chunks[:1000] == regenerated
 
 
-def test_synthetic_trace_factory_returns_chunk_sources():
+def test_synthetic_chunk_source_serves_chunks():
     workload = SyntheticWorkload(workload_by_name("tc"), seed=0)
-    source = workload.trace_factory()(0)
+    source = workload.chunk_source(0)
     assert isinstance(source, ChunkSource)
     chunk = source.next_chunk()
     assert chunk and len(chunk) >= 256
 
 
-def test_mixed_trace_factory_returns_chunk_sources():
+def test_mixed_chunk_source_serves_chunks():
     mix = MixedWorkload.paper_mix("mix_1", seed=0)
-    source = mix.trace_factory()(2)
+    source = mix.chunk_source(2)
     assert isinstance(source, ChunkSource)
     first = source.next_chunk()[0]
     expected = next(iter(mix.trace(2)))

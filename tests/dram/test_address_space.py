@@ -10,7 +10,6 @@ from repro.dram.mapping import (
     BitFieldDecoder,
     IdentityAddressSpace,
     PermutedAddressSpace,
-    StridedAddressSpace,
     _bank_permutation,
     _permutation_tables,
     make_address_space,
@@ -23,8 +22,6 @@ GEOMETRY = DramGeometry()
 def spaces():
     return [
         IdentityAddressSpace(),
-        StridedAddressSpace(GEOMETRY, stride=3, row_offset=17,
-                            bank_offset=5),
         PermutedAddressSpace(GEOMETRY, seed=7),
     ]
 
@@ -125,7 +122,6 @@ class TestTranslateContracts:
 
     @pytest.mark.parametrize("spec", [
         AddressSpaceSpec(),
-        AddressSpaceSpec(kind="strided", stride=3, bank_offset=5),
         AddressSpaceSpec(kind="permuted", seed=1),
         AddressSpaceSpec(kind="permuted", seed=2)],
         ids=lambda spec: f"{spec.kind}-{spec.seed}")
@@ -146,15 +142,10 @@ class TestTranslateContracts:
         small = DramGeometry(rows_per_bank=4096, rows_per_subarray=1024)
         assert len(PermutedAddressSpace(small, seed=1)._row_table) == 4096
 
-    def test_even_stride_rejected(self):
-        with pytest.raises(ValueError, match="stride"):
-            StridedAddressSpace(GEOMETRY, stride=2)
-
 
 class TestSpecFactory:
     @pytest.mark.parametrize("kind, cls", [
         ("identity", IdentityAddressSpace),
-        ("strided", StridedAddressSpace),
         ("permuted", PermutedAddressSpace),
     ])
     def test_build_dispatches_on_kind(self, kind, cls):

@@ -32,8 +32,7 @@ import random
 import pytest
 
 from repro.cpu.system import MultiCoreSystem
-from repro.cpu.trace import TraceEntry
-from repro.params import SimScale, SystemConfig, ns
+from repro.params import SimScale, SystemConfig
 from repro.security.fuzz import FAMILIES, sample_pattern
 from repro.sim.registry import setup_by_name
 from repro.sim.runner import (
@@ -47,8 +46,8 @@ from repro.sim.runner import (
     simulate_tenants,
     simulate_trace,
 )
-from repro.workloads import AttackWorkload
-from repro.workloads.patterns import CompileContext
+from repro.workloads.patterns import AttackWorkload, CompileContext, \
+    RowCycle
 from repro.workloads.tenants import intervm_scenario, scenario_footprints
 from repro.workloads.tracefile import convert_trace
 
@@ -555,17 +554,14 @@ def test_golden_intervm_cell(setup_name: str) -> None:
 
 
 def hammer_workload() -> AttackWorkload:
-    """Two cores hammer 24 random rows of bank 0."""
-
-    def hammer():
-        rng = random.Random(13)
-        rows = [rng.randrange(4096) for _ in range(24)]
-        while True:
-            for row in rows:
-                yield TraceEntry(compute_ps=ns(0.25), instructions=1,
-                                 subchannel=0, bank=0, row=row)
-
-    return AttackWorkload({0: hammer, 1: hammer}, mlp=4)
+    """Two cores hammer 24 random rows of bank 0 back to back, for more
+    ACTs than either can issue in the window."""
+    rng = random.Random(13)
+    rows = tuple(rng.randrange(4096) for _ in range(24))
+    ctx = CompileContext.make()
+    acts = SCALE.scaled_trefw(SystemConfig().timings) // ctx.compute_ps + 1
+    return RowCycle(row_list=rows, acts=acts).workload(
+        ctx, cores=(0, 1), mlp=4)
 
 
 def _hammer_run():
@@ -575,7 +571,7 @@ def _hammer_run():
     config = SystemConfig()
     system = MultiCoreSystem(
         config,
-        trace_factory=workload.trace_factory(),
+        trace_factory=workload.chunk_source,
         tracker_factory=lambda s, b: setup.tracker_factory(SEED, s, b),
         mapping_factory=lambda: setup.make_mapping(config),
         refs_per_window=SCALE.scaled_refs_per_window(config.timings),

@@ -31,17 +31,16 @@ from repro.security.attacks import SingleBankHarness
 from repro.security.mint_model import mint_tolerated_trhd
 from repro.security.mirza_model import abo_extra_acts
 from repro.sim.session import job_label
-from repro.workloads.attacks import (
-    double_sided_attack_stream,
-    feinting_attack_stream,
-    trr_evasion_pattern,
-)
 from repro.workloads.patterns import (
     CompileContext,
+    DecoyEvasion,
+    DoubleSided,
     Feint,
+    HalfDouble,
     NSided,
     RowCycle,
     Sequence,
+    paper_attack_set,
 )
 
 FTH = 40
@@ -79,8 +78,8 @@ class TestMirzaDefends:
         tracker = small_mirza(small_geometry, seed=11)
         h = harness_for(tracker, small_geometry)
         victim = 500
-        h.run(double_sided_attack_stream(
-            victim, tracker.mapping, 30_000))
+        h.run(DoubleSided(victim_row=victim, acts=30_000).rows(
+            CompileContext.make(tracker.mapping)))
         assert h.max_unmitigated <= mirza_bound()
 
     def test_multi_row_rotation_bounded(self, small_geometry):
@@ -193,8 +192,8 @@ class TestTrrBroken:
         trr = TrrTracker(entries=8, refs_per_mitigation=4,
                          mitigation_threshold=32)
         h = SingleBankHarness(trr, acts_per_ref=50)
-        h.run(trr_evasion_pattern(8, target_row=500, acts=30_000,
-                                  seed=7))
+        h.run(DecoyEvasion(table_entries=8, target_row=500,
+                           acts=30_000, seed=7).rows(CompileContext.make()))
         # The target accrues hundreds of unmitigated ACTs: far beyond
         # what the same pattern achieves against MIRZA.
         assert h.max_unmitigated > 300
@@ -202,8 +201,8 @@ class TestTrrBroken:
     def test_same_pattern_contained_by_mirza(self, small_geometry):
         tracker = small_mirza(small_geometry, seed=2)
         h = harness_for(tracker, small_geometry)
-        h.run(trr_evasion_pattern(8, target_row=500, acts=30_000,
-                                  seed=7))
+        h.run(DecoyEvasion(table_entries=8, target_row=500,
+                           acts=30_000, seed=7).rows(CompileContext.make()))
         assert h.max_unmitigated <= mirza_bound()
 
 
@@ -238,7 +237,8 @@ class TestMithrilFeinting:
         entries = 16
         tracker = MithrilTracker(entries=entries, refs_per_mitigation=1)
         h = SingleBankHarness(tracker, acts_per_ref=20)
-        h.run(feinting_attack_stream(entries, 40_000))
+        h.run(paper_attack_set(40_000, tracker_entries=entries)
+              ["feinting"].rows(CompileContext.make()))
         feinting_max = h.max_unmitigated
 
         focused = MithrilTracker(entries=entries, refs_per_mitigation=1)
@@ -254,7 +254,7 @@ class TestFeintingJob:
     # Table II's measured Mithril column (128 entries, 150k ACTs),
     # captured with the O(entries) scan-based tracker.
     @pytest.mark.parametrize("rate, pinned",
-                             [(1, 91), (2, 173), (4, 360), (8, 696)])
+                             [(1, 90), (2, 173), (4, 360), (8, 696)])
     def test_golden_worst_case(self, rate, pinned):
         assert FeintingJob(128, rate).execute() == pinned
 
@@ -309,12 +309,19 @@ MATRIX_TRACKERS = {
 }
 MATRIX_ATTACKS = {
     "focused": lambda mapping: iter([777] * MATRIX_ACTS),
-    "double-sided": lambda mapping: double_sided_attack_stream(
-        500, mapping, MATRIX_ACTS),
-    "evasion": lambda mapping: trr_evasion_pattern(8, 900, MATRIX_ACTS,
-                                                   seed=7),
+    "double-sided": lambda mapping: DoubleSided(
+        victim_row=500, acts=MATRIX_ACTS).rows(
+            CompileContext.make(mapping)),
+    "evasion": lambda mapping: DecoyEvasion(
+        table_entries=8, target_row=900, acts=MATRIX_ACTS, seed=7).rows(
+            CompileContext.make(mapping)),
     # Sized to the 64-entry Mithril table it targets.
-    "feinting": lambda mapping: feinting_attack_stream(64, MATRIX_ACTS),
+    "feinting": lambda mapping: paper_attack_set(
+        MATRIX_ACTS, tracker_entries=64)["feinting"].rows(
+            CompileContext.make(mapping)),
+    "half-double": lambda mapping: HalfDouble(
+        victim_row=500, acts=MATRIX_ACTS).rows(
+            CompileContext.make(mapping)),
     "n-sided": lambda mapping: NSided(
         victim_row=500, sides=8, acts=MATRIX_ACTS).rows(
             CompileContext.make(mapping)),
@@ -329,9 +336,6 @@ MATRIX_ATTACKS = {
     "region-spread": lambda mapping: RowCycle(
         row_list=(100, 1100, 2100, 3100), acts=MATRIX_ACTS).rows(
             CompileContext.make(mapping)),
-    # Half-Double is left out: Mithril resets a mitigated entry to the
-    # lowest occupied count even while entries are free, so its near
-    # aggressors wait behind the far ones (712 ACTs against 260).
 }
 # Attacks whose aggressor set fits TRR's eight entries.
 TRR_SIZED_ATTACKS = ("double-sided", "focused", "n-sided",

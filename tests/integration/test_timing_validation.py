@@ -52,7 +52,7 @@ def run_with_log(setup, workload="tc", scale=SCALE, source=None):
             lambda subch: setup.drfm_factory(0, subch))
     system = MultiCoreSystem(
         sys_config,
-        trace_factory=source.trace_factory(),
+        trace_factory=source.chunk_source,
         tracker_factory=tracker_factory,
         mapping_factory=lambda: setup.make_mapping(sys_config),
         rfm_bat=setup.rfm_bat,

@@ -243,7 +243,7 @@ def test_drive_matches_the_reference(setup, fraction):
     window = int(scale.scaled_trefw(CONFIG.timings) * fraction)
 
     def build(cls):
-        return cls(SystemConfig(), synthetic.trace_factory(),
+        return cls(SystemConfig(), synthetic.chunk_source,
                    tracker_factory=(
                        None if setup.tracker_factory is None else
                        lambda subch, bank: setup.tracker_factory(
@@ -269,7 +269,7 @@ def test_drive_metrics_match_the_reference():
     seen = []
     for cls in (MultiCoreSystem, ReferenceSystem):
         with obs.collecting("metrics") as col:
-            system = cls(SystemConfig(), synthetic.trace_factory(),
+            system = cls(SystemConfig(), synthetic.chunk_source,
                          mlp=synthetic.mlp)
             system.drive(window)
         seen.append((col.metrics.snapshot(), _core_state(system)))

@@ -17,7 +17,10 @@ class ScanMithrilTracker(MithrilTracker):
     """Mithril with ``min()`` scans for the eviction victim and floor."""
 
     def _table_min(self) -> int:
-        return min(self._table.values()) if self._table else 0
+        """The minimum over every entry; a free entry holds 0."""
+        if len(self._table) < self.entries:
+            return 0
+        return min(self._table.values())
 
     def on_activate(self, row: int, now_ps: int) -> None:
         if row in self._table:

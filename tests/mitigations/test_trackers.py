@@ -142,6 +142,19 @@ class TestMithril:
         t.on_mitigation_slot(0, REF)
         assert t._table[1] == 3  # floor = row 2's count
 
+    def test_mitigation_resets_to_zero_while_an_entry_is_free(self):
+        # A free entry holds 0, so the table minimum is 0 until the
+        # table fills: the mitigated row must not restart at row 2's
+        # count and stay ahead of it.
+        t = MithrilTracker(entries=3, refs_per_mitigation=1)
+        for _ in range(5):
+            t.on_activate(1, 0)
+        for _ in range(3):
+            t.on_activate(2, 0)
+        assert t.on_mitigation_slot(0, REF) == [1]
+        assert t._table == {1: 0, 2: 3}
+        assert t.on_mitigation_slot(0, REF) == [2]
+
     def test_counter_soundness_upper_bound(self):
         # Misra-Gries invariant: the tracked count never underestimates
         # the true count (it may overestimate by the adopted floor).

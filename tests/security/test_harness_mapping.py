@@ -50,12 +50,14 @@ class TestHarnessMappingAdoption:
         the historical mismatch bug showed ~2x FTH here."""
         from repro.security.mint_model import mint_tolerated_trhd
         from repro.security.mirza_model import abo_extra_acts
-        from repro.workloads.attacks import feinting_attack_stream
+        from repro.workloads.patterns import CompileContext, \
+            paper_attack_set
 
         system = SystemConfig()
         tracker = strided_mirza(system, seed=1)
         harness = SingleBankHarness(tracker, system)
-        harness.run(feinting_attack_stream(32, 150_000))
+        feint = paper_attack_set(150_000, tracker_entries=32)["feinting"]
+        harness.run(feint.rows(CompileContext.make()))
         config = tracker.config
         # MINT's single-sided budget is twice its double-sided one.
         bound = (config.fth + 2 * mint_tolerated_trhd(config.mint_window)

@@ -202,8 +202,6 @@ class TestCuratedSurface:
         "repro.security.mirza_model": ("mirza_safe_trhs",),
         "repro.security": ("escape_curve", "mint_tolerated_trhs",
                            "mirza_safe_trhs", "required_exponent"),
-        "repro.workloads.attacks": ("benign_striped_trace",
-                                    "worst_case_single_bank_stream"),
         "repro.workloads.specs": ("average_characteristics",),
         "repro.workloads.tracefile": ("trace_from_string",),
         "repro.workloads": ("IterableWorkloadSource",
@@ -267,6 +265,32 @@ class TestCuratedSurface:
         tracker = MintTracker(12)
         assert not hasattr(tracker, "window")
         assert tracker.sampler.window == 12
+
+    def test_one_attack_vocabulary_and_one_source_seam(self):
+        """Attacks are pattern specs only (no generator module beside
+        them), every workload source serves cores through
+        ``chunk_source`` alone, and an address space is identity or
+        seeded permutation."""
+        import dataclasses
+        from repro import workloads
+        from repro.dram.mapping import AddressSpaceSpec, \
+            make_address_space
+        from repro.workloads.mixed import MixedWorkload
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.workloads.attacks")
+        assert [name for name in workloads.__all__
+                if name.endswith("_attack_stream")
+                or name in ("trr_evasion_pattern",
+                            "performance_attack_trace")] == []
+        for cls in (workloads.SyntheticWorkload, MixedWorkload,
+                    workloads.TraceFileWorkload, workloads.TenantWorkload,
+                    workloads.AttackWorkload, workloads.WorkloadSource):
+            assert "chunk_source" in vars(cls), cls.__name__
+            assert not hasattr(cls, "trace_factory"), cls.__name__
+        assert [f.name for f in dataclasses.fields(AddressSpaceSpec)] \
+            == ["kind", "seed"]
+        with pytest.raises(ValueError, match="strided"):
+            make_address_space(AddressSpaceSpec(kind="strided"))
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_removed_modules_stay_gone(self, module):

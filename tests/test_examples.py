@@ -3,8 +3,8 @@
 Every example is compile-checked, and every ``from repro... import
 name`` in it must resolve (``py_compile`` never resolves an import), so
 a refactor that breaks an example's syntax or imports fails the suite
-immediately.  The fast examples, and `compare_mitigations` at a deep
-scale, also execute end to end.
+immediately.  The fast examples, `compare_mitigations` at a deep
+scale, and the README's quickstart block also execute end to end.
 """
 
 import ast
@@ -17,9 +17,11 @@ import sys
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+README = EXAMPLES.parent / "README.md"
 
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES.glob("*.py"))
-FAST_EXAMPLES = ["provisioning_sweep.py", "rowhammer_playground.py"]
+FAST_EXAMPLES = ["provisioning_sweep.py", "quickstart.py",
+                 "rowhammer_playground.py", "security_audit.py"]
 
 
 def repro_imports(path):
@@ -91,3 +93,15 @@ class TestFastExamplesRun:
         assert "Baseline: " in out
         for setup in ("prac-1000", "mint-rfm-1000", "mirza-1000"):
             assert f"\n{setup} " in out, setup
+
+
+class TestReadme:
+    def test_quickstart_block_runs(self, capsys):
+        """README's first ``python`` block runs as written and prints
+        the values its comment shows."""
+        text = README.read_text()
+        start = text.index("```python\n") + len("```python\n")
+        block = text[start:text.index("```", start)]
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed and f"# {printed[0]}" in block.splitlines()

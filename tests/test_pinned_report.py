@@ -15,7 +15,10 @@ from reportbench.outputs import report_digest
 from repro.report import generate_markdown
 from repro.sim.session import SimSession
 
-DIGEST = "98cc5cdb53a680880dc5cc1e28cef53be86a7c1d7fcff43c3148f4ffbe341c8e"
+# Table II's 1-per-REF Mithril cell reads 90 (it read 91 while Mithril
+# reset a mitigated entry to the lowest occupied count with entries
+# still free); every other byte is unchanged.
+DIGEST = "53c8cf970f2dc2b19a7dd8c29313b7e8d960e4c6ebf9c2193b1218056742f1b0"
 KNOBS = {"REPRO_TIME_SCALE": "8192", "REPRO_CGF_SCALE": "2048",
          "REPRO_SEED": "0"}
 

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from repro.cpu.trace import TraceEntry
-from repro.dram.mapping import AddressSpaceSpec, BitFieldDecoder
+from repro.dram.mapping import BitFieldDecoder
 from repro.params import DramGeometry
 from repro.workloads.tracefile import (
     TraceFileWorkload,
@@ -141,36 +141,31 @@ class TestDetectAndConvert:
 
 
 class TestTraceFileWorkloadRouting:
-    def test_address_space_spec_translates_entries(self, tmp_path):
-        path = str(tmp_path / "t.trace")
-        write_trace([TraceEntry(0, 1, 0, 2, 100)], path)
-        spec = AddressSpaceSpec(kind="strided", stride=3,
-                                row_offset=5, bank_offset=1)
-        workload = TraceFileWorkload(path, address_space=spec,
-                                     geometry=GEOMETRY)
-        entry = next(iter(workload.trace(0)))
-        assert (entry.subchannel, entry.bank, entry.row) \
-            == (0, 3, 305)
-
     def test_workload_claim_read_from_metadata(self, tmp_path):
+        from repro.sim.runner import baseline_setup
+        from repro.sim.session import TraceReplayJob
         path = str(tmp_path / "t.trace")
         write_trace(entries(), path, metadata={"workload": "mcf"})
-        assert TraceFileWorkload(path).workload == "mcf"
+        assert TraceReplayJob.for_path(path, baseline_setup()).workload \
+            == "mcf"
+        assert TraceReplayJob.for_path(path, baseline_setup(),
+                                       workload="tc").workload == "tc"
 
     def test_shard_splits_contiguously(self, tmp_path):
         path = str(tmp_path / "t.trace")
         original = entries(8)
         write_trace(original, path)
-        workload = TraceFileWorkload(path, per_core="shard",
-                                     shard_cores=4)
+        workload = TraceFileWorkload(path, shard_cores=4)
         shards = [workload.shard(4, core) for core in range(4)]
         assert [e for shard in shards for e in shard] == original
+        assert [list(workload.chunk_source(core)) for core in range(4)] \
+            == shards
 
     def test_chunk_source_covers_the_trace(self, tmp_path):
         path = str(tmp_path / "t.trace")
         original = entries(10)
         write_trace(original, path)
-        source = TraceFileWorkload(path).chunk_source(0)
+        source = TraceFileWorkload(path, shard_cores=1).chunk_source(0)
         seen = []
         while True:
             chunk = source.next_chunk()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cpu.trace import take
 from repro.dram.mapping import SequentialR2SA, StridedR2SA
 from repro.sim.session import describe, job_token
 from repro.workloads.patterns import (
@@ -17,7 +16,6 @@ from repro.workloads.patterns import (
     Sequence,
     paper_attack_set,
 )
-from repro.workloads.attacks import trr_evasion_pattern
 from tests.workloads.reference_patterns import (
     reference_decoy_rows,
     reference_sync_burst_rows,
@@ -92,6 +90,13 @@ class TestFeint:
         rows = list(Feint(tracker_entries=8, acts=100,
                           decoys=1).rows(ctx))
         assert len(set(rows)) == 9
+        counts = {r: rows.count(r) for r in set(rows)}
+        assert max(counts.values()) - min(counts.values()) <= 1
+
+    def test_explicit_decoys(self, ctx):
+        rows = set(Feint(tracker_entries=4, acts=100,
+                         decoys=3).rows(ctx))
+        assert rows == set(range(7))
 
     def test_zero_decoys_rejected(self, ctx):
         with pytest.raises(ValueError):
@@ -99,6 +104,16 @@ class TestFeint:
 
 
 class TestDecoyEvasion:
+    def test_target_interleaved_with_decoys(self, ctx):
+        rows = list(DecoyEvasion(table_entries=4, target_row=50,
+                                 acts=100, seed=7).rows(ctx))
+        assert rows.count(50) >= 5
+        assert len(set(rows)) > 8
+
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError):
+            DecoyEvasion(table_entries=4, target_row=50, acts=100)
+
     def test_seeded_determinism(self, ctx):
         spec = dict(table_entries=8, target_row=50, acts=200, seed=3)
         one = list(DecoyEvasion(**spec).rows(ctx))
@@ -132,13 +147,12 @@ class TestDecoyEvasion:
         assert set(rows) <= {50} | set(range(1050, 1050 + span))
 
     @pytest.mark.parametrize("entries", [1, 8, 28])
-    def test_default_span_matches_randrange(self, entries):
-        # ``trr_evasion_pattern`` builds the default shape: a burst of
-        # entries + 4 decoys over a span of 10 * entries rows.
+    def test_default_span_matches_randrange(self, ctx, entries):
+        # The default shape: a burst of entries + 4 decoys over a span
+        # of 10 * entries rows.
         pattern = DecoyEvasion(table_entries=entries, target_row=900,
                                acts=3000, seed=entries)
-        assert list(trr_evasion_pattern(entries, 900, 3000,
-                                        entries)) \
+        assert list(pattern.rows(ctx)) \
             == list(reference_decoy_rows(pattern))
 
     @pytest.mark.parametrize("span", [-3, -1])
@@ -194,6 +208,16 @@ class TestRefreshSyncBurst:
                                   acts=4, seed=0).rows(ctx))
 
 
+class TestRowCycle:
+    def test_cycles_the_row_list(self, ctx):
+        rows = list(RowCycle(row_list=(3, 4, 5), acts=7).rows(ctx))
+        assert rows == [3, 4, 5, 3, 4, 5, 3]
+
+    def test_rejects_an_empty_row_list(self, ctx):
+        with pytest.raises(ValueError):
+            list(RowCycle(row_list=(), acts=4).rows(ctx))
+
+
 class TestSequence:
     def test_concatenates_parts(self, ctx):
         pattern = Sequence(parts=(
@@ -214,11 +238,12 @@ class TestCompilationAgreement:
 
     def test_workload_serves_the_same_trace(self, ctx):
         pattern = RowCycle(row_list=(3, 4, 5), acts=9)
-        workload = pattern.workload(ctx, cores=(0, 2))
-        rows = [e.row for e in take(workload.trace(0), 9)]
+        workload = pattern.workload(ctx, cores=(0, 2), mlp=4)
+        assert workload.mlp == 4
+        rows = [e.row for e in workload.chunk_source(0)]
         assert rows == [3, 4, 5] * 3
-        assert [e.row for e in take(workload.trace(2), 9)] == rows
-        assert list(workload.trace(1)) == []
+        assert [e.row for e in workload.chunk_source(2)] == rows
+        assert list(workload.chunk_source(1)) == []
 
     def test_chunk_source_matches_entries(self, ctx):
         pattern = Feint(tracker_entries=4, acts=20, decoys=1)
@@ -263,3 +288,11 @@ class TestPaperSet:
                                  "trr-evasion"}
         for pattern in patterns.values():
             assert len(list(pattern.rows(ctx))) == 50
+
+    @pytest.mark.parametrize("entries,rotation", [(4, 5), (8, 9),
+                                                  (64, 72), (128, 144)])
+    def test_feint_decoys_are_an_eighth_of_the_table(self, ctx, entries,
+                                                     rotation):
+        feint = paper_attack_set(1000, tracker_entries=entries)["feinting"]
+        assert feint.decoys == max(1, entries // 8)
+        assert set(feint.rows(ctx)) == set(range(rotation))

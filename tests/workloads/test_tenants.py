@@ -104,6 +104,26 @@ class TestTenantWorkload:
         assert workload.tenant_labels(8) == ["only"] + [None] * 7
         assert list(workload.chunk_source(3)) == []
 
+    def test_attacker_cores_hammer_disjoint_regions(self):
+        """Figure 12's kernel: each attacking core cycles its own K-row
+        region of the attack bank back to back (zero compute), and
+        offers one entry more than the window's issue capacity."""
+        scenario = TenantScenario((
+            Tenant("atk", cores=(0, 1), attack_rows=6, attack_bank=3,
+                   attack_subchannel=1),
+            Tenant("quiet", cores=(2,), attack_rows=0)))
+        workload = TenantWorkload(scenario, scale=SCALE)
+        capacity = SCALE.scaled_trefw(SystemConfig().timings) // 250 + 1
+        for core, region in ((0, range(0, 6)), (1, range(6, 12))):
+            source = workload.chunk_source(core)
+            first = source.next_chunk()
+            assert len(first) == 256
+            assert {entry[:4] for entry in first} == {(250, 1, 1, 3)}
+            assert [entry[4] for entry in first[:12]] == list(region) * 2
+            assert len(first) + sum(len(chunk) for chunk in iter(
+                source.next_chunk, None)) == capacity
+        assert list(workload.chunk_source(2)) == []
+
     def test_translation_keeps_chunk_contract(self):
         scenario = intervm_scenario(attack_rows=4, victim="mcf")
         workload = TenantWorkload(scenario, scale=SCALE)

@@ -101,7 +101,7 @@ class TestMixedWorkload:
         mix = MixedWorkload(["tc", "blender"], scale=SimScale(2048))
         from repro.cpu.system import MultiCoreSystem
         config = SystemConfig()
-        system = MultiCoreSystem(config, mix.trace_factory(),
+        system = MultiCoreSystem(config, mix.chunk_source,
                                  mlp=mix.mlp)
         result = system.run(SimScale(2048).scaled_trefw(config.timings))
         assert result.total_requests > 0
